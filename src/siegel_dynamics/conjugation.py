@@ -33,7 +33,7 @@ from .geometry import (
     invert_automorphism,
     recentering_translation,
 )
-from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, quadratic_iterate_closed
+from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, iterate, quadratic_iterate_closed
 from .dynamics import BackwardOrbit, backward_orbit
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -130,9 +130,7 @@ def default_grid(dim: int = 2) -> list[SiegelPoint]:
 def _iterate_map(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
     if isinstance(f, QuadraticSiegel):
         return quadratic_iterate_closed(f, n, p)
-    for _ in range(n):
-        p = evaluate(f, p)
-    return p
+    return iterate(f, n, p)
 
 
 def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint],
@@ -294,7 +292,7 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
     ball_vertex = q.model == "ball" and not at_inf
     if ball_vertex:
         # ball boundary point (1, 0, ...) corresponds to the Siegel infinity
-        coords = np.array(q.v.coords)
+        coords = q.v.coords
         if abs(coords[0] - 1.0) < 1e-9 and all(abs(c) < 1e-9 for c in coords[1:]):
             at_inf = True
         else:

@@ -18,12 +18,15 @@ import numpy as np
 
 from .errors import InvalidPoint, NoBackwardStep, OrbitTooShort, SolverFailure
 from .geometry import (
+    INFINITY,
     BallPoint,
     BoundaryPoint,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
+    _cdiv,
     apply_automorphism,
+    boundary_ball_coords,
     boundary_gap,
     boundary_projection,
     cayley_to_siegel,
@@ -43,22 +46,6 @@ from .maps import (
     preimage_candidates,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
-
-INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
-
-
-def _boundary_ball_coords(q: BoundaryPoint, dim: int) -> np.ndarray:
-    """Ball-model coordinates of a boundary point, infinity -> (1, 0, ..., 0)."""
-    if q.model == "siegel" and q.at_infinity:
-        e1 = np.zeros(dim, dtype=complex)
-        e1[0] = 1.0
-        return e1
-    if q.model == "ball":
-        return q.v.array
-    z, w = q.v.coords[0], np.array(q.v.coords[1:], dtype=complex)
-    d = z + 1.0
-    return np.concatenate(([(z - 1.0) / d], 2.0 * w / d))
-
 
 # ---------------------------------------------------------------------------
 # forward orbits
@@ -117,13 +104,12 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint,
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
     dim = descriptor_dim(f)
-    qb = _boundary_ball_coords(q, dim)
+    qb = boundary_ball_coords(q, dim)
     nq = math.sqrt(sq_norm(qb))
     ratios: list[float] = []
     for k in range(1, n_samples + 1):
         s = decay ** k
-        zb = (1.0 - s) * qb
-        p = cayley_to_siegel(BallPoint(CVector(tuple(zb))))
+        p = cayley_to_siegel(BallPoint(CVector(tuple((1.0 - s) * c for c in qb))))
         if defect(p) <= 0 or defect(p) < 1e-300:
             break
         fp = evaluate(f, p)
@@ -212,12 +198,14 @@ def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint,
 
 
 def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> SiegelPoint:
+                  policy: NumericPolicy = DEFAULT_POLICY,
+                  steps: list[float] | None = None) -> SiegelPoint:
     """One backward step: Z_{n+1} with f(Z_{n+1}) = Z_n and d(Z_n, Z_{n+1}) <= a.
 
     Closed-form preimages are used when the family provides them; otherwise a
     damped Newton solve seeded at Z_n.  Among admissible preimages the one
-    with the smallest step wins, ties broken by smallest defect.
+    with the smallest step wins, ties broken by smallest defect.  When
+    `steps` is given, the chosen step d(Z_n, Z_{n+1}) is appended to it.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
@@ -237,6 +225,8 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     if not admissible:
         raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
     admissible.sort(key=lambda t: (t[0], t[1]))
+    if steps is not None:
+        steps.append(admissible[0][0])
     return admissible[0][2]
 
 
@@ -250,12 +240,12 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int,
     approach-region amplitude attained along the orbit.
     """
     points = [z0]
+    steps: list[float] = []
     for _ in range(n):
         try:
-            points.append(backward_step(f, points[-1], a, policy))
+            points.append(backward_step(f, points[-1], a, policy, steps))
         except NoBackwardStep:
             break
-    steps = tuple(dist_siegel(points[k], points[k + 1]) for k in range(len(points) - 1))
     defects = tuple(defect(p) for p in points)
     if len(points) < 3:
         raise OrbitTooShort("backward orbit too short to analyze")
@@ -270,7 +260,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int,
     tail = ratios[max(0, 3 * len(ratios) // 4):]
     alpha = float(statistics.median(tail))
     cert = max(koranyi_ratio(p, limit) for p in points)
-    return BackwardOrbit(tuple(points), steps, defects, a, limit, alpha, cert, to_infinity)
+    return BackwardOrbit(tuple(points), tuple(steps), defects, a, limit, alpha, cert, to_infinity)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,7 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
         t = 10.0 ** rng.uniform(-3, 3)
         w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * rng.uniform(0, 1)
         y = rng.normal() * 2.0
-        p = SiegelPoint(t + sq_norm(w) + 1j * y, tuple(w))
+        p = SiegelPoint(t + np.sum(np.abs(w) ** 2) + 1j * y, tuple(w))
         q_in = julia_quotient(p, x)
         q_out = julia_quotient(evaluate(f, p), x)
         ratio = q_out / (alpha * q_in)
@@ -449,7 +439,7 @@ def angular_ratio_diagnostics(f: MapDescriptor, q: BoundaryPoint,
         one_minus_in = 2.0 / (pc.z + 1.0)
         one_minus_out = 2.0 / (img.z + 1.0)
         radial.append(abs(one_minus_out) / abs(one_minus_in))
-        wb = 2.0 * img.w_array / (img.z + 1.0)
+        wb = tuple(_cdiv(2.0 * c, img.z + 1.0) for c in img.w)
         tangential.append(math.sqrt(sq_norm(wb)) / math.sqrt(abs(one_minus_in)))
     bounded = bool(radial) and max(radial) < 1e6 and max(tangential) < 1e6
     return AngularReport(tuple(radial), tuple(tangential), tuple(rejected), bounded,

@@ -14,6 +14,12 @@ transform used everywhere is
 
 so the ball point (1, 0) corresponds to the Siegel point at infinity and
 (-1, 0) to the Siegel point 0.
+
+Numerics: per-point code is plain CPython arithmetic on tuples of `complex`;
+constructors convert their input to tuples once.  Where a complex division
+was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
+keep their bytes.  numpy is for sampling, real arrays (grids, the Newton
+Jacobian, polynomial roots) and `dist_ball` (see the comment there).
 """
 
 from __future__ import annotations
@@ -32,21 +38,42 @@ Complexes = tuple[complex, ...]
 
 
 def _as_tuple(values) -> Complexes:
-    return tuple(complex(v) for v in np.atleast_1d(np.asarray(values, dtype=complex)))
+    """Coordinates as a tuple of complex; a scalar becomes a 1-tuple."""
+    try:
+        return tuple(map(complex, values))
+    except TypeError:
+        return (complex(values),)
+
+
+def _cdiv(a: complex, b: complex) -> complex:
+    """a / b rounded as numpy's complex division (Smith's method, multiplying
+    by the reciprocal), which differs from CPython's `/` in the last bit."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
 def herm(u, v) -> complex:
     """Hermitian inner product sum_j u_j * conj(v_j)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"inner product of shapes {u.shape} and {v.shape}")
-    return complex(np.sum(u * np.conj(v)))
+    if len(u) != len(v):
+        raise DimensionMismatch(f"inner product of lengths {len(u)} and {len(v)}")
+    s = 0j
+    for a, b in zip(u, v):
+        s += a * b.conjugate()
+    return s
 
 
 def sq_norm(u) -> float:
-    u = np.asarray(u, dtype=complex)
-    return float(np.sum(np.abs(u) ** 2))
+    s = 0.0
+    for c in u:
+        a = abs(c)
+        s += a * a
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +90,7 @@ class CVector:
         coords = _as_tuple(self.coords)
         if len(coords) < 1:
             raise InvalidPoint("CVector needs at least one coordinate")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coords):
+        if not all(map(cmath.isfinite, coords)):
             raise InvalidPoint("non-finite coordinate")
         object.__setattr__(self, "coords", coords)
 
@@ -86,7 +113,7 @@ class BallPoint:
     v: CVector
 
     def __post_init__(self):
-        v = self.v if isinstance(self.v, CVector) else CVector(_as_tuple(self.v))
+        v = self.v if isinstance(self.v, CVector) else CVector(self.v)
         if sq_norm(v.coords) >= 1.0:
             raise InvalidPoint(f"ball point with norm {v.norm()} >= 1")
         object.__setattr__(self, "v", v)
@@ -109,11 +136,12 @@ class SiegelPoint:
 
     def __post_init__(self):
         z = complex(self.z)
-        w = tuple(complex(c) for c in np.atleast_1d(np.asarray(self.w, dtype=complex))) if np.size(self.w) else ()
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        w = _as_tuple(self.w)
+        if not cmath.isfinite(z):
             raise InvalidPoint("non-finite z")
-        if z.real - sq_norm(w) <= 0.0:
-            raise InvalidPoint(f"defect {z.real - sq_norm(w)} <= 0: not in the Siegel domain")
+        t = z.real - sq_norm(w)
+        if t <= 0.0:
+            raise InvalidPoint(f"defect {t} <= 0: not in the Siegel domain")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 
@@ -148,7 +176,7 @@ class BoundaryPoint:
             return
         if self.v is None:
             raise InvalidPoint("finite boundary point needs coordinates")
-        v = self.v if isinstance(self.v, CVector) else CVector(_as_tuple(self.v))
+        v = self.v if isinstance(self.v, CVector) else CVector(self.v)
         object.__setattr__(self, "v", v)
         tol = self.policy.boundary_tol
         if self.model == "ball":
@@ -163,6 +191,8 @@ class BoundaryPoint:
     def dim(self) -> int:
         return self.v.dim if self.v is not None else 0
 
+
+INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
 
 Point = Union[BallPoint, SiegelPoint]
 
@@ -214,16 +244,14 @@ class KoranyiRegion:
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
     """Map a ball point through C(z, w) = ((1+z)/(1-z), w/(1-z))."""
-    v = p.array
-    z, w = v[0], v[1:]
+    z, w = p.v.coords[0], p.v.coords[1:]
     d = 1.0 - z
-    return SiegelPoint((1.0 + z) / d, tuple(w / d))
+    return SiegelPoint(_cdiv(1.0 + z, d), tuple(_cdiv(c, d) for c in w))
 
 
 def siegel_to_ball(p: SiegelPoint) -> BallPoint:
     """Inverse Cayley transform C^{-1}(z, w) = ((z-1)/(z+1), 2w/(z+1))."""
-    d = p.z + 1.0
-    return BallPoint(CVector(((p.z - 1.0) / d,) + tuple(2.0 * p.w_array / d)))
+    return BallPoint(CVector(_ball_coords(p.z, p.w)))
 
 
 def siegel_inversion(p: SiegelPoint) -> SiegelPoint:
@@ -233,7 +261,7 @@ def siegel_inversion(p: SiegelPoint) -> SiegelPoint:
     alternative sign convention in which the ball point (1, 0) goes to the
     Siegel origin instead of infinity.
     """
-    return SiegelPoint(1.0 / p.z, tuple(p.w_array / p.z))
+    return SiegelPoint(1.0 / p.z, tuple(_cdiv(c, p.z) for c in p.w))
 
 
 def cayley_to_siegel_alt(p: BallPoint) -> SiegelPoint:
@@ -246,7 +274,7 @@ def defect(p: SiegelPoint) -> float:
     return p.z.real - sq_norm(p.w)
 
 
-def _small_dist_ball_sq(za: np.ndarray, zb: np.ndarray) -> float:
+def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
     """Cancellation-free d^2 for nearly equal ball points, from the identity
 
     |1 - (Z,W)|^2 - (1 - ||Z||^2)(1 - ||W||^2)
@@ -255,7 +283,7 @@ def _small_dist_ball_sq(za: np.ndarray, zb: np.ndarray) -> float:
     with the cross terms rewritten as z_i d_j - z_j d_i, d = W - Z, so every
     term is of order ||d||^2.
     """
-    d = zb - za
+    d = tuple(b - a for a, b in zip(za, zb))
     num = sq_norm(d)
     n = len(za)
     for i in range(n):
@@ -272,14 +300,16 @@ def dist_ball(a: BallPoint, b: BallPoint) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_ball: dims {a.dim} != {b.dim}")
+    # 1 - ||Z||^2 cancels near the sphere, so the result shows the last-bit rounding
+    # of numpy's SIMD |.| and complex product; kept on arrays so reports keep their bytes.
     za, zb = a.array, b.array
-    num = (1.0 - sq_norm(za)) * (1.0 - sq_norm(zb))
-    den = abs(1.0 - herm(za, zb)) ** 2
-    d2 = 1.0 - num / den
+    num = (1.0 - np.sum(np.abs(za) ** 2)) * (1.0 - np.sum(np.abs(zb) ** 2))
+    den = abs(1.0 - complex(np.sum(za * np.conj(zb)))) ** 2
+    d2 = float(1.0 - num / den)
     if d2 < 1e-12:
         # the subtraction above floors out at sqrt(eps); switch to the
         # difference-based form, accurate for nearly equal points
-        d2 = _small_dist_ball_sq(za, zb)
+        d2 = _small_dist_ball_sq(a.v.coords, b.v.coords)
     return math.sqrt(max(0.0, d2))
 
 
@@ -290,10 +320,10 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w_array, b.w_array)) ** 2
+    den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
     d2 = 1.0 - 4.0 * defect(a) * defect(b) / den
     if d2 < 1e-12:
-        d2 = _small_dist_ball_sq(siegel_to_ball(a).array, siegel_to_ball(b).array)
+        d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
     return math.sqrt(max(0.0, d2))
 
 
@@ -302,11 +332,11 @@ def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
     return 4.0 * defect(p) / abs(p.z + 1.0) ** 2
 
 
-def _ball_image_array(p: SiegelPoint) -> np.ndarray:
-    """Ball coordinates of p without the norm check, so points within rounding
-    of the sphere stay usable."""
-    d = p.z + 1.0
-    return np.concatenate(([(p.z - 1.0) / d], 2.0 * p.w_array / d))
+def _ball_coords(z: complex, w: Complexes) -> Complexes:
+    """C^{-1}(z, w) without the norm check, so points within rounding of the
+    sphere (and boundary points) stay usable."""
+    d = z + 1.0
+    return ((z - 1.0) / d,) + tuple(_cdiv(2.0 * c, d) for c in w)
 
 
 def _ball_image_norm(p: SiegelPoint) -> float:
@@ -319,16 +349,13 @@ def boundary_gap(p: SiegelPoint) -> float:
     return one_minus_sq_ball_norm(p) / (1.0 + _ball_image_norm(p))
 
 
-def _boundary_ball_vector(q: BoundaryPoint) -> np.ndarray:
-    """Ball-model coordinates of a boundary point (infinity -> (1, 0))."""
-    if q.model == "ball":
-        return q.v.array
+def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
+    """Ball-model coordinates of a boundary point, infinity -> (1, 0, ..., 0)."""
     if q.at_infinity:
-        # dim is unknowable from the point itself; caller-side helpers pass dim
-        raise ModelMismatch("at_infinity has no finite ball coordinates; use helpers")
-    z, w = q.v.coords[0], np.array(q.v.coords[1:], dtype=complex)
-    d = z + 1.0
-    return np.concatenate(([(z - 1.0) / d], 2.0 * w / d))
+        return (1.0 + 0j,) + (0j,) * (dim - 1)
+    if q.model == "ball":
+        return q.v.coords
+    return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
@@ -341,11 +368,9 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     if q.model == "siegel" and q.at_infinity:
         return 1.0 / defect(p)
     if q.model == "ball":
-        qb = q.v.array
-        zb = _ball_image_array(p)
-        return abs(1.0 - herm(zb, qb)) ** 2 / one_minus_sq_ball_norm(p)
-    zq, wq = q.v.coords[0], np.array(q.v.coords[1:], dtype=complex)
-    s = p.z + zq.conjugate() - 2.0 * herm(p.w_array, wq)
+        return abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) ** 2 / one_minus_sq_ball_norm(p)
+    zq, wq = q.v.coords[0], q.v.coords[1:]
+    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
     return abs(s) ** 2 / (defect(p) * abs(zq + 1.0) ** 2)
 
 
@@ -356,11 +381,10 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     if q.model == "siegel" and q.at_infinity:
         return abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t)
     if q.model == "ball":
-        qb = q.v.array
-        zb = _ball_image_array(p)
-        return abs(1.0 - herm(zb, qb)) * (1.0 + nb) / one_minus_sq_ball_norm(p)
-    zq, wq = q.v.coords[0], np.array(q.v.coords[1:], dtype=complex)
-    s = p.z + zq.conjugate() - 2.0 * herm(p.w_array, wq)
+        zb = _ball_coords(p.z, p.w)
+        return abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb) / one_minus_sq_ball_norm(p)
+    zq, wq = q.v.coords[0], q.v.coords[1:]
+    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
     return abs(s) * abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t * abs(zq + 1.0))
 
 
@@ -368,7 +392,7 @@ def horosphere_contains(h: Horosphere, p: Point) -> bool:
     if h.model == "ball":
         if not isinstance(p, BallPoint):
             raise ModelMismatch("ball horosphere needs a ball point")
-        zb, qb = p.array, h.center.v.array
+        zb, qb = p.v.coords, h.center.v.coords
         quot = abs(1.0 - herm(zb, qb)) ** 2 / (1.0 - sq_norm(zb))
         return quot < h.radius
     if not isinstance(p, SiegelPoint):
@@ -377,12 +401,8 @@ def horosphere_contains(h: Horosphere, p: Point) -> bool:
 
 
 def koranyi_contains(k: KoranyiRegion, p: BallPoint) -> bool:
-    zb = p.array
-    qb = _boundary_ball_vector(k.vertex) if not (k.vertex.model == "siegel" and k.vertex.at_infinity) else None
-    if qb is None:
-        qb = np.zeros(p.dim, dtype=complex)
-        qb[0] = 1.0
-    ratio = abs(1.0 - herm(zb, qb)) / (1.0 - p.v.norm())
+    qb = boundary_ball_coords(k.vertex, p.dim)
+    ratio = abs(1.0 - herm(p.v.coords, qb)) / (1.0 - p.v.norm())
     return ratio < k.amplitude
 
 
@@ -419,11 +439,11 @@ class Translation:
 
     def __post_init__(self):
         object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "w0", _as_tuple(self.w0) if np.size(self.w0) else ())
+        object.__setattr__(self, "w0", _as_tuple(self.w0))
 
-    def apply(self, z: complex, w: np.ndarray) -> tuple[complex, np.ndarray]:
-        w0 = np.array(self.w0, dtype=complex)
-        return z - 1j * self.y + sq_norm(w0) - 2.0 * herm(w, w0), w - w0
+    def apply(self, z: complex, w: Complexes) -> tuple[complex, Complexes]:
+        return (z - 1j * self.y + sq_norm(self.w0) - 2.0 * herm(w, self.w0),
+                tuple(a - b for a, b in zip(w, self.w0)))
 
     def inverse(self) -> "Translation":
         return Translation(-self.y, tuple(-c for c in self.w0))
@@ -444,7 +464,7 @@ class Dilation:
         object.__setattr__(self, "t", float(self.t))
 
     def apply(self, z, w):
-        return z / self.t, w / math.sqrt(self.t)
+        return z / self.t, tuple(_cdiv(c, math.sqrt(self.t)) for c in w)
 
     def inverse(self) -> "Dilation":
         return Dilation(1.0 / self.t)
@@ -466,7 +486,7 @@ class Rotation:
         object.__setattr__(self, "omega", om)
 
     def apply(self, z, w):
-        return z, np.array(self.omega, dtype=complex) * w
+        return z, tuple(o * c for o, c in zip(self.omega, w, strict=True))
 
     def inverse(self) -> "Rotation":
         return Rotation(tuple(c.conjugate() for c in self.omega))
@@ -485,7 +505,7 @@ class LinearDiag:
     def __post_init__(self):
         if self.alpha <= 0:
             raise InvalidPoint("alpha must be positive")
-        lam = _as_tuple(self.lam) if np.size(self.lam) else ()
+        lam = _as_tuple(self.lam)
         root = math.sqrt(self.alpha)
         if any(abs(abs(c) - root) > DEFAULT_POLICY.validity_tol * max(1.0, root) for c in lam):
             raise InvalidPoint("LinearDiag automorphism needs |Lambda_jj| = sqrt(alpha)")
@@ -493,7 +513,7 @@ class LinearDiag:
         object.__setattr__(self, "lam", lam)
 
     def apply(self, z, w):
-        return self.alpha * z, np.array(self.lam, dtype=complex) * w
+        return self.alpha * z, tuple(c * x for c, x in zip(self.lam, w, strict=True))
 
     def inverse(self) -> "LinearDiag":
         return LinearDiag(1.0 / self.alpha, tuple(1.0 / c for c in self.lam))
@@ -507,7 +527,7 @@ class Inversion:
     """sigma(z, w) = (1/z, w/z): the involution swapping 0 and infinity."""
 
     def apply(self, z, w):
-        return 1.0 / z, w / z
+        return 1.0 / z, tuple(_cdiv(c, z) for c in w)
 
     def inverse(self) -> "Inversion":
         return Inversion()
@@ -550,10 +570,10 @@ def build_automorphism(kind: str, **params) -> SiegelAutomorphism:
 
 
 def apply_automorphism(a: SiegelAutomorphism, p: SiegelPoint) -> SiegelPoint:
-    z, w = p.z, p.w_array
+    z, w = p.z, p.w
     for prim in a.chain:
         z, w = prim.apply(z, w)
-    return SiegelPoint(z, tuple(w))
+    return SiegelPoint(z, w)
 
 
 def compose_automorphisms(a: SiegelAutomorphism, b: SiegelAutomorphism) -> SiegelAutomorphism:

@@ -10,19 +10,23 @@ the ball model.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDescriptor, InvalidPoint
 from .geometry import (
+    INFINITY,
     BallPoint,
     BoundaryPoint,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
+    _as_tuple,
     apply_automorphism,
     cayley_to_siegel,
     invert_automorphism,
@@ -174,7 +178,7 @@ class DiagonalLinear:
     def __post_init__(self):
         if self.alpha <= 0:
             raise InvalidDescriptor("DiagonalLinear needs alpha > 0")
-        lam = tuple(complex(c) for c in np.atleast_1d(np.asarray(self.lam, dtype=complex))) if np.size(self.lam) else ()
+        lam = _as_tuple(self.lam)
         if any(abs(c) ** 2 > self.alpha * (1.0 + 1e-12) for c in lam):
             raise InvalidDescriptor("DiagonalLinear needs |Lambda_jj|^2 <= alpha")
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -191,6 +195,10 @@ class Conjugated:
 
     base: "MapDescriptor"
     by: SiegelAutomorphism
+
+    @cached_property
+    def by_inverse(self) -> SiegelAutomorphism:
+        return invert_automorphism(self.by)
 
 
 @dataclass(frozen=True)
@@ -248,9 +256,9 @@ def evaluate(f: MapDescriptor, p: SiegelPoint) -> SiegelPoint:
     if isinstance(f, DiagonalLinear):
         if p.dim != f.dim:
             raise DimensionMismatch(f"DiagonalLinear dim {f.dim}, point dim {p.dim}")
-        return SiegelPoint(f.alpha * p.z, tuple(np.array(f.lam) * p.w_array))
+        return SiegelPoint(f.alpha * p.z, tuple(c * x for c, x in zip(f.lam, p.w)))
     if isinstance(f, Conjugated):
-        inner = apply_automorphism(invert_automorphism(f.by), p)
+        inner = apply_automorphism(f.by_inverse, p)
         return apply_automorphism(f.by, evaluate(f.base, inner))
     if isinstance(f, BallProduct):
         return cayley_to_siegel(evaluate_ball(f, siegel_to_ball(p)))
@@ -365,7 +373,6 @@ class ClassificationReport:
 
 
 ORIGIN2 = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
-INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
 
 
 def classify_quadratic(A: float, B: complex, C: complex) -> ClassificationReport:
@@ -534,27 +541,11 @@ def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[CVector] | Non
     if isinstance(f, BallProduct):
         vb = siegel_to_ball(p).v.coords
         per_coord = [g.preimages(z) for g, z in zip(f.components, vb)]
-        if any(len(pc) == 0 for pc in per_coord):
-            return []
-        out: list[CVector] = []
-        idx = [0] * len(per_coord)
-        while True:
-            cand = tuple(per_coord[j][idx[j]] for j in range(len(per_coord)))
-            if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0:
-                sp = cayley_to_siegel(BallPoint(CVector(cand)))
-                out.append(CVector(sp.coords))
-            j = len(idx) - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < len(per_coord[j]):
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
-        return out
+        return [CVector(cayley_to_siegel(BallPoint(CVector(cand))).coords)
+                for cand in itertools.product(*per_coord)
+                if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0]
     if isinstance(f, Conjugated):
-        inner = apply_automorphism(invert_automorphism(f.by), p)
+        inner = apply_automorphism(f.by_inverse, p)
         base_cands = preimage_candidates(f.base, inner)
         if base_cands is None:
             return None

@@ -1,0 +1,44 @@
+"""Byte-for-byte comparison of named CLI reports with stored golden copies.
+
+The files in tests/golden/ were written by the CLI before the per-point code
+moved from numpy arrays to plain Python tuples.  A change to any rounding in
+the geometry, map or orbit code shows up here as a changed byte; such a change
+must update the files deliberately and explain which digits moved and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from siegel_dynamics.cli import FIXTURES, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_stdout(argv, capsys) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+def test_golden_verify_seed_7(capsys):
+    assert run_stdout(["verify", "--seed", "7"], capsys) == golden("verify_seed7.json")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_golden_conjugate(name, capsys):
+    assert run_stdout(["conjugate", "--map", name], capsys) == golden(f"conjugate_{name}.txt")
+
+
+@pytest.mark.parametrize("name", ["quadpol", "elliptic"])
+def test_golden_backward_orbit(name, tmp_path, capsys):
+    out = run_stdout(["orbit", "--backward", "--map", name, "--start", "1,0", "--n", "40",
+                      "--out", str(tmp_path)], capsys)
+    assert out == golden(f"orbit_backward_{name}.txt")
+    assert (tmp_path / "orbit.json").read_bytes() == (GOLDEN / f"orbit_backward_{name}.json").read_bytes()
+    assert (tmp_path / "orbit.csv").read_bytes() == (GOLDEN / f"orbit_backward_{name}.csv").read_bytes()
