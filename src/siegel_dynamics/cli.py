@@ -9,6 +9,7 @@ the SIEGEL_DYNAMICS_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -332,25 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="siegel-dynamics",
         description="Iteration of holomorphic self-maps of the unit ball and Siegel domain")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--map", help="map descriptor JSON file or bundled fixture name")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--config", help="JSON config file (flags take precedence)")
+    common.add_argument("--out", help="output directory")
+    quadratic = argparse.ArgumentParser(add_help=False, parents=[common])
+    quadratic.add_argument("--A", type=float)
+    quadratic.add_argument("--B", type=str)
+    quadratic.add_argument("--C", type=str)
 
-    def common(p):
-        p.add_argument("--map", help="map descriptor JSON file or bundled fixture name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", help="JSON config file (flags take precedence)")
-        p.add_argument("--out", help="output directory")
-
-    p_cls = sub.add_parser("classify", help="classify a quadratic self-map")
-    common(p_cls)
-    p_cls.add_argument("--A", type=float)
-    p_cls.add_argument("--B", type=str)
-    p_cls.add_argument("--C", type=str)
+    p_cls = sub.add_parser("classify", parents=[quadratic], help="classify a quadratic self-map")
     p_cls.set_defaults(func=cmd_classify)
 
-    p_orb = sub.add_parser("orbit", help="compute a forward or backward orbit")
-    common(p_orb)
-    p_orb.add_argument("--A", type=float)
-    p_orb.add_argument("--B", type=str)
-    p_orb.add_argument("--C", type=str)
+    p_orb = sub.add_parser("orbit", parents=[quadratic], help="compute a forward or backward orbit")
     group = p_orb.add_mutually_exclusive_group()
     group.add_argument("--forward", action="store_true")
     group.add_argument("--backward", action="store_true")
@@ -362,11 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p_orb.set_defaults(func=cmd_orbit)
 
-    p_cnj = sub.add_parser("conjugate", help="conjugate a map to its linear model at a BRFP")
-    common(p_cnj)
-    p_cnj.add_argument("--A", type=float)
-    p_cnj.add_argument("--B", type=str)
-    p_cnj.add_argument("--C", type=str)
+    p_cnj = sub.add_parser("conjugate", parents=[quadratic],
+                           help="conjugate a map to its linear model at a BRFP")
     p_cnj.add_argument("--start", help="backward-orbit seed z_re,z_im[,w...]")
     p_cnj.add_argument("--a", type=float, default=0.34)
     p_cnj.add_argument("--n", type=int, default=40)
@@ -374,16 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnj.add_argument("--tol", type=float, default=1e-3)
     p_cnj.set_defaults(func=cmd_conjugate)
 
-    p_ver = sub.add_parser("verify", help="run the invariant verification suite")
-    common(p_ver)
+    p_ver = sub.add_parser("verify", parents=[common], help="run the invariant verification suite")
     p_ver.add_argument("--fixtures", help="directory with fixture descriptors")
     p_ver.add_argument("--samples", type=int, default=2000)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -12,6 +12,7 @@ is the linear model.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .geometry import (
     Translation,
     apply_automorphism,
     compose_automorphisms,
+    defect,
     dist_siegel,
     invert_automorphism,
     recentering_translation,
@@ -127,22 +129,30 @@ def default_grid(dim: int = 2) -> list[SiegelPoint]:
     return [SiegelPoint(complex(z), w) for z in zs for w in offs]
 
 
-def _iterate_map(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
-    if isinstance(f, QuadraticSiegel):
-        return quadratic_iterate_closed(f, n, p)
-    return iterate(f, n, p)
+def _psi_n(f: MapDescriptor, tau: SiegelAutomorphism, n: int, L: int):
+    """psi_n = f^n o tau o p_L as Z -> (key, psi_n(Z)), iterating f once per
+    distinct p_L(Z) for the function's life.  The key holds the exact bits of
+    p_L(Z): == would merge 0.0 and -0.0, and a zero's sign can reach psi_n."""
+    values: dict[bytes, SiegelPoint] = {}
+
+    def psi(z: SiegelPoint) -> tuple[bytes, SiegelPoint]:
+        p = project_first(z, L)
+        key = struct.pack(f"{2 * p.dim}d", *(x for c in p.coords for x in (c.real, c.imag)))
+        if key not in values:
+            p = apply_automorphism(tau, p)
+            values[key] = (quadratic_iterate_closed(f, n, p) if isinstance(f, QuadraticSiegel)
+                           else iterate(f, n, p))
+        return key, values[key]
+
+    return psi
 
 
 def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint],
                L: int = 0, variant: str = "basic",
                omega: tuple[complex, ...] | None = None) -> list[tuple[SiegelPoint, SiegelPoint]]:
     """Samples of psi_n = f^n o tau_n o p_L on the grid."""
-    tau = build_tau(orbit, n, variant, omega)
-    out = []
-    for z in grid:
-        val = _iterate_map(f, n, apply_automorphism(tau, project_first(z, L)))
-        out.append((z, val))
-    return out
+    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
+    return [(z, psi(z)[1]) for z in grid]
 
 
 def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
@@ -152,13 +162,14 @@ def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     """max over the grid of d(psi_n(eta(Z)), f(psi_n(Z)))."""
     dim = orbit.points[0].dim
     eta = eta_model(alpha, dim, 1, omega if variant == "expandable" else None)
-    tau = build_tau(orbit, n, variant, omega)
-
-    def psi(z: SiegelPoint) -> SiegelPoint:
-        return _iterate_map(f, n, apply_automorphism(tau, project_first(z, L)))
-
-    return max(dist_siegel(psi(apply_automorphism(eta, z)), evaluate(f, psi(z)))
-               for z in grid)
+    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
+    terms: dict[tuple[bytes, bytes], float] = {}  # in grid order, so max() ties as before
+    for z in grid:
+        key_eta, psi_eta = psi(apply_automorphism(eta, z))
+        key, psi_z = psi(z)
+        if (key_eta, key) not in terms:
+            terms[key_eta, key] = dist_siegel(psi_eta, evaluate(f, psi_z))
+    return max(terms.values())
 
 
 @dataclass(frozen=True)
@@ -174,13 +185,12 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     if k_max is None:
         k_max = n // 2
     k_max = min(k_max, len(orbit.points) - 1)
-    tau = build_tau(orbit, n, variant, omega)
+    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
     dim = orbit.points[0].dim
     errs = []
     for k in range(k_max + 1):
         a_k = SiegelPoint(alpha ** (-k), (0.0,) * (dim - 1))
-        val = _iterate_map(f, n, apply_automorphism(tau, project_first(a_k, L)))
-        errs.append(dist_siegel(val, orbit.points[k]))
+        errs.append(dist_siegel(psi(a_k)[1], orbit.points[k]))
     return InterpolationReport(tuple(errs))
 
 
@@ -194,11 +204,10 @@ def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     eta_inv_n = eta_model(alpha, dim, -n, omega if variant == "expandable" else None)
     tau = build_tau(orbit, n, variant, omega)
     tau_inv = invert_automorphism(tau)
+    psi = _psi_n(f, tau, n, L)
     worst = 0.0
     for z in grid:
-        zin = apply_automorphism(eta_inv_n, z)
-        val = _iterate_map(f, n, apply_automorphism(tau, project_first(zin, L)))
-        g = apply_automorphism(tau_inv, val)
+        g = apply_automorphism(tau_inv, psi(apply_automorphism(eta_inv_n, z))[1])
         worst = max(worst, dist_siegel(g, project_first(z, L)))
     return worst
 
@@ -255,11 +264,10 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
     else:
         raise OrbitTooShort("orbit has no limit estimate")
     pts = tuple(apply_automorphism(chart, p) for p in orbit.points)
-    from .geometry import defect as _defect
     new_orbit = BackwardOrbit(
         points=pts,
         steps=orbit.steps,
-        defects=tuple(_defect(p) for p in pts),
+        defects=tuple(defect(p) for p in pts),
         step_bound=orbit.step_bound,
         limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
         multiplier_estimate=orbit.multiplier_estimate,

@@ -140,8 +140,9 @@ class SiegelPoint:
         if not cmath.isfinite(z):
             raise InvalidPoint("non-finite z")
         t = z.real - sq_norm(w)
-        if t <= 0.0:
-            raise InvalidPoint(f"defect {t} <= 0: not in the Siegel domain")
+        if not t > 0.0:  # also false for NaN
+            raise InvalidPoint("NaN tangential coordinate" if t != t
+                               else f"defect {t} <= 0: not in the Siegel domain")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 

@@ -298,8 +298,9 @@ def quadratic_inverse(f: QuadraticSiegel, p: SiegelPoint) -> tuple[CVector, bool
 def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> SiegelPoint:
     """f^n(z, w) = (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j).
 
-    The geometric sum S_n equals (A^n - C^(2n)) / (A - C^2) when A != C^2 and
-    n A^(n-1) when A = C^2, with no special-case branch needed.
+    S_n is summed term by term, in O(n), on purpose: the quotient
+    (A^n - C^(2n)) / (A - C^2) is 0/0 at A = C^2 and cancels near it (about
+    1e-9 relative error at A = 4, C = 2(1 + 1e-9), where the sum has 1e-15).
     """
     if n < 0:
         raise InvalidDescriptor("iterate count must be >= 0")

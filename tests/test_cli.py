@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import siegel_dynamics
 from siegel_dynamics.cli import fixture_path, main
 
 # keep the verify runs fast; determinism is what matters here
@@ -186,3 +190,27 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     code, _, err = run(["verify", "--fixtures", str(tmp_path), *FAST_VERIFY], capsys)
     assert code == 4
     assert "fixture error" in err
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls
+# ---------------------------------------------------------------------------
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # later calls leave out flags that earlier ones set: nothing may carry over
+    calls = [
+        ["conjugate", "--map", "quadpol", "--start", "0.5,0", "--n", "30", "--n-conj", "5",
+         "--seed", "3"],
+        ["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951", "--n-conj", "4"],
+        ["classify", "--A", "2", "--B", "1", "--C", "1"],
+        ["verify", *FAST_VERIFY],
+        ["conjugate", "--map", "quadpol", "--start", "0.5,0", "--n", "30", "--n-conj", "5",
+         "--seed", "3"],
+    ]
+    monkeypatch.delenv("SIEGEL_DYNAMICS_SEED", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(siegel_dynamics.__file__).parents[1]))
+    for argv in calls:
+        code, out, _ = run(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "siegel_dynamics.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

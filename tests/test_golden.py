@@ -35,6 +35,13 @@ def test_golden_conjugate(name, capsys):
     assert run_stdout(["conjugate", "--map", name], capsys) == golden(f"conjugate_{name}.txt")
 
 
+def test_golden_conjugate_expandable(capsys):
+    # (z, w) -> (2z, sqrt(2) w): the expandable variant with L = 1, where p_L
+    # keeps w and every grid point is a distinct input of psi_n
+    argv = ["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951"]
+    assert run_stdout(argv, capsys) == golden("conjugate_expandable.txt")
+
+
 @pytest.mark.parametrize("name", ["quadpol", "elliptic"])
 def test_golden_backward_orbit(name, tmp_path, capsys):
     out = run_stdout(["orbit", "--backward", "--map", name, "--start", "1,0", "--n", "40",

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,27 @@ def test_iterate_closed_resolvent_singularity():
     rep = iterate(f, 6, p)
     assert abs(closed.z - rep.z) < 1e-10 * (1 + abs(rep.z))
     assert abs(closed.w[0] - rep.w[0]) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 60, 300])
+def test_iterate_closed_sum_exact_at_a_equal_c_squared(n):
+    # A = C^2 = 4: S_n = n 4^(n-1), so f^n(2, 1) = (2 4^n + n 4^(n-1), 2^n) exactly
+    # (B = 1 makes S_n visible; the descriptor need not be a self-map here)
+    got = quadratic_iterate_closed(QuadraticSiegel(4.0, 1.0, 2.0), n, SiegelPoint(2.0, (1.0,)))
+    assert got.z == complex(4 ** (n - 1) * (8 + n))
+    assert got.w == (complex(2 ** n),)
+
+
+@pytest.mark.parametrize("n", [2, 10, 60, 300])
+def test_iterate_closed_sum_accurate_near_a_equal_c_squared(n):
+    # the quotient (A^n - C^2n)/(A - C^2) is off by 2e-11..2e-9 relative here
+    A, C = 4.0, 2.0 * (1.0 + 1e-9)
+    got = quadratic_iterate_closed(QuadraticSiegel(A, 1.0, C), n, SiegelPoint(2.0, (1.0,)))
+    with mpmath.workprec(200):
+        a, c = mpmath.mpf(A), mpmath.mpf(C)
+        ref = 2 * a ** n + mpmath.fsum(a ** (n - 1 - j) * c ** (2 * j) for j in range(n))
+        assert float(abs(got.z.real - ref) / ref) < 1e-14
+    assert got.z.imag == 0.0
 
 
 # ---------------------------------------------------------------------------

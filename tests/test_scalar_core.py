@@ -136,6 +136,13 @@ def test_siegelpoint_rejects_outside_and_non_finite(box):
     assert p.w == (0.5 + 0.5j,) and type(p.w[0]) is complex
 
 
+@pytest.mark.parametrize("box", CONTAINERS)
+def test_siegelpoint_rejects_nan_tangential_coordinate(box):
+    for w in ([math.nan], [complex(0.0, math.nan)], [0.1, complex(math.nan, 0.2)]):
+        with pytest.raises(InvalidPoint, match="NaN tangential coordinate"):
+            SiegelPoint(5.0, box(w))
+
+
 # ---------------------------------------------------------------------------
 # the per-point path is numpy-free
 # ---------------------------------------------------------------------------
