@@ -96,8 +96,6 @@ def cmd_classify(args) -> int:
     config = _load_config(args)
     try:
         f = _load_map(args)
-        if not isinstance(f, (mp.QuadraticSiegel, mp.Conjugated)):
-            raise InvalidDescriptor("classification covers the quadratic family")
         report = mp.classify(f)
     except (SiegelDynamicsError, OSError, json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -117,7 +115,7 @@ def cmd_orbit(args) -> int:
     seed = _resolve_seed(args, config)
     try:
         f = _load_map(args)
-        start = _parse_start(args.start, mp.descriptor_dim(f))
+        start = _parse_start(args.start, f.dim)
         if args.backward:
             orbit = dyn.backward_orbit(f, start, args.a, args.n)
             orbit_json = ser.backward_orbit_to_json(orbit)
@@ -166,15 +164,13 @@ def cmd_conjugate(args) -> int:
     seed = _resolve_seed(args, config)
     try:
         f = _load_map(args)
-        start = _parse_start(args.start, mp.descriptor_dim(f)) if args.start else geo.SiegelPoint(
-            1.0, (0.0,) * (mp.descriptor_dim(f) - 1))
+        start = _parse_start(args.start or "1,0", f.dim)
         orbit = dyn.backward_orbit(f, start, args.a, args.n)
         alpha = orbit.multiplier_estimate
         g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
         variant, L, omega = "basic", 0, None
-        base = f.base if isinstance(f, mp.Conjugated) else f
         try:
-            exp = mp.expandable_decompose(base)
+            exp = mp.expandable_decompose(f.base if isinstance(f, mp.Conjugated) else f)
             if exp.L > 0:
                 variant, L, omega = "expandable", exp.L, exp.omega
         except InvalidDescriptor:
@@ -289,8 +285,8 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
     # backward orbit of the quadratic fixture: exactness, decay, asymptotics
     orbit = dyn.backward_orbit(quadpol, geo.SiegelPoint(1.0, (0.0,)), 0.34, 40)
-    exact = all(geo.dist_siegel(mp.evaluate(quadpol, orbit.points[k + 1]), orbit.points[k]) < 1e-10
-                for k in range(len(orbit.points) - 1))
+    exact = all(geo.dist_siegel(mp.evaluate(quadpol, orbit.points[k + 1]), orbit.points[k])
+                < DEFAULT_POLICY.orbit_tol for k in range(len(orbit.points) - 1))
     yield "backward_exactness", exact, f"{len(orbit.points)} points"
     decay = dyn.verify_defect_decay(orbit, 0.5)
     yield "defect_decay", decay.ok, ser.sig17(decay.min_margin)

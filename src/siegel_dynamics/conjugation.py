@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, iterate, quadratic_iterate_closed
 from .dynamics import BackwardOrbit, backward_orbit
-from .policy import DEFAULT_POLICY, NumericPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +237,8 @@ def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
         grid = default_grid(orbit.points[0].dim)
     if n_values is None:
         n_values = tuple(range(1, len(orbit.points) - 1))
+    if not n_values:
+        raise ValueError("run_conjugation needs at least one n in n_values")
     residuals = tuple(conjugation_residual(f, orbit, n, grid, alpha, L, variant, omega)
                       for n in n_values)
     n_last = n_values[-1]
@@ -283,8 +284,7 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
 # ---------------------------------------------------------------------------
 
 def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
-                               exclusion_radius: float, n: int,
-                               policy: NumericPolicy = DEFAULT_POLICY) -> BackwardOrbit:
+                               exclusion_radius: float, n: int) -> BackwardOrbit:
     """Backward orbit tending to the repelling point q with steps approaching
     a = (alpha - 1)/(alpha + 1).
 
@@ -331,7 +331,7 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
             if chart_inv is not None:
                 seed = apply_automorphism(chart_inv, seed)
         try:
-            orbit = backward_orbit(f, seed, a, n, policy)
+            orbit = backward_orbit(f, seed, a, n)
         except (NoBackwardStep, OrbitTooShort) as err:
             last_err = err
             continue

@@ -40,12 +40,11 @@ from .geometry import (
 from .maps import (
     BallProduct,
     MapDescriptor,
-    descriptor_dim,
     evaluate,
     evaluate_ball,
     preimage_candidates,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 # ---------------------------------------------------------------------------
 # forward orbits
@@ -103,7 +102,7 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint,
     """
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
-    dim = descriptor_dim(f)
+    dim = f.dim
     qb = boundary_ball_coords(q, dim)
     nq = math.sqrt(sq_norm(qb))
     ratios: list[float] = []
@@ -143,8 +142,7 @@ class BackwardOrbit:
     at_infinity: bool
 
 
-def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint,
-                     policy: NumericPolicy) -> SiegelPoint:
+def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint) -> SiegelPoint:
     """Damped Newton on the 2N real coordinates solving f(X) = target."""
     n = target.dim
 
@@ -158,13 +156,13 @@ def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint,
     x = np.array(seed.coords, dtype=complex)
     res = residual_vec(x)
     scale = 1.0 + abs(target.z)
-    for _ in range(policy.solver_max_iter):
-        if np.max(np.abs(res)) <= policy.solver_tol * scale:
+    for _ in range(DEFAULT_POLICY.solver_max_iter):
+        if np.max(np.abs(res)) <= DEFAULT_POLICY.solver_tol * scale:
             return SiegelPoint(complex(x[0]), tuple(x[1:]))
         # central-difference Jacobian in the 2N real variables
         jac = np.zeros((2 * n, 2 * n))
         for j in range(n):
-            h = policy.fd_step * max(1.0, abs(x[j]))
+            h = DEFAULT_POLICY.fd_step * max(1.0, abs(x[j]))
             for part, delta in ((0, h), (1, 1j * h)):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += delta
@@ -198,7 +196,6 @@ def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint,
 
 
 def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
-                  policy: NumericPolicy = DEFAULT_POLICY,
                   steps: list[float] | None = None) -> SiegelPoint:
     """One backward step: Z_{n+1} with f(Z_{n+1}) = Z_n and d(Z_n, Z_{n+1}) <= a.
 
@@ -212,7 +209,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     cands = preimage_candidates(f, zn)
     admissible: list[tuple[float, float, SiegelPoint]] = []
     if cands is None:
-        p = _newton_preimage(f, zn, zn, policy)
+        p = _newton_preimage(f, zn, zn)
         admissible.append((dist_siegel(zn, p), defect(p), p))
     else:
         for c in cands:
@@ -230,8 +227,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     return admissible[0][2]
 
 
-def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int,
-                   policy: NumericPolicy = DEFAULT_POLICY) -> BackwardOrbit:
+def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
     """Backward-iteration sequence of length n (truncated if a step fails).
 
     The limit is estimated from boundary projections of the tail; orbits whose
@@ -243,7 +239,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int,
     steps: list[float] = []
     for _ in range(n):
         try:
-            points.append(backward_step(f, points[-1], a, policy, steps))
+            points.append(backward_step(f, points[-1], a, steps))
         except NoBackwardStep:
             break
     defects = tuple(defect(p) for p in points)
@@ -309,7 +305,7 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     repelling one.
     """
     rng = np.random.default_rng(seed)
-    dim = descriptor_dim(f)
+    dim = f.dim
     violations = 0
     max_ratio = 0.0
     for _ in range(n_samples):

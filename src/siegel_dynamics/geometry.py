@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPoint, ModelMismatch
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 Complexes = tuple[complex, ...]
 
@@ -166,7 +166,6 @@ class BoundaryPoint:
     v: CVector | None = None
     at_infinity: bool = False
     model: str = "siegel"  # "ball" | "siegel"
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, compare=False)
 
     def __post_init__(self):
         if self.model not in ("ball", "siegel"):
@@ -179,7 +178,7 @@ class BoundaryPoint:
             raise InvalidPoint("finite boundary point needs coordinates")
         v = self.v if isinstance(self.v, CVector) else CVector(self.v)
         object.__setattr__(self, "v", v)
-        tol = self.policy.boundary_tol
+        tol = DEFAULT_POLICY.boundary_tol
         if self.model == "ball":
             if abs(v.norm() - 1.0) > tol:
                 raise InvalidPoint(f"ball boundary point with norm {v.norm()}")

@@ -4,7 +4,9 @@ Families: quadratic maps f(z, w) = (Az + Bw^2, Cw) of H^2, lifts
 f(z, w) = (phi(z - w^2) + w^2, w) of one-dimensional half-plane maps,
 diagonal linear maps (alpha z, Lambda w), conjugates by a Siegel
 automorphism, and coordinatewise products of one-dimensional maps acting on
-the ball model.
+the ball model.  Each family is one class with the members `dim`,
+`evaluate(p)`, `preimages(p)` (closed-form preimage coordinates, or None) and
+`fixed_point_set()`; the module functions of the same purpose delegate to them.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ class QuadraticSiegel:
     A: float
     B: complex
     C: complex
+    dim = 2
 
     def __post_init__(self):
         if self.A < 0:
@@ -148,9 +151,19 @@ class QuadraticSiegel:
     def is_self_map(self) -> bool:
         return self.A - abs(self.B) >= abs(self.C) ** 2
 
-    @property
-    def dim(self) -> int:
-        return 2
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        if p.dim != 2:
+            raise DimensionMismatch("quadratic family lives on H^2")
+        w = p.w[0]
+        return SiegelPoint(self.A * p.z + self.B * w * w, (self.C * w,))
+
+    def preimages(self, p: SiegelPoint) -> list[CVector]:
+        if self.A == 0 or self.C == 0:
+            return []
+        return [quadratic_inverse(self, p)[0]]
+
+    def fixed_point_set(self) -> FixedPointSet:
+        return classify_quadratic(self.A, self.B, self.C).fixed_point_set
 
 
 @dataclass(frozen=True)
@@ -158,14 +171,25 @@ class Lifted:
     """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi."""
 
     phi: OneDimMap
+    dim = 2
 
     def __post_init__(self):
         if self.phi.model != "halfplane":
             raise InvalidDescriptor("Lifted needs a half-plane map")
 
-    @property
-    def dim(self) -> int:
-        return 2
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        if p.dim != 2:
+            raise DimensionMismatch("lifted family lives on H^2")
+        w = p.w[0]
+        return SiegelPoint(self.phi.apply(p.z - w * w) + w * w, (w,))
+
+    def preimages(self, p: SiegelPoint) -> list[CVector]:
+        w = p.w[0]
+        return [CVector((v + w * w, w)) for v in self.phi.preimages(p.z - w * w)]
+
+    def fixed_point_set(self) -> FixedPointSet:
+        return FixedPointSet("boundary_curve", "{(y0 i + r^2, r) : r real}",
+                             {"theta": 0.0, "y0": one_dim_brfp(self.phi).imag})
 
 
 @dataclass(frozen=True)
@@ -188,10 +212,25 @@ class DiagonalLinear:
     def dim(self) -> int:
         return 1 + len(self.lam)
 
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        if p.dim != self.dim:
+            raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
+        return SiegelPoint(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
+
+    def preimages(self, p: SiegelPoint) -> list[CVector]:
+        if any(c == 0 for c in self.lam):
+            return []
+        w = tuple(wi / c for wi, c in zip(p.w, self.lam))
+        return [CVector((p.z / self.alpha,) + w)]
+
+    def fixed_point_set(self) -> FixedPointSet:
+        return FixedPointSet("origin_infinity")
+
 
 @dataclass(frozen=True)
 class Conjugated:
-    """g = by o base o by^{-1}."""
+    """g = by o base o by^{-1}, for any family `base`; `base` is reached through
+    the module functions, so a call on g nests a call on `base` under its name."""
 
     base: "MapDescriptor"
     by: SiegelAutomorphism
@@ -199,6 +238,31 @@ class Conjugated:
     @cached_property
     def by_inverse(self) -> SiegelAutomorphism:
         return invert_automorphism(self.by)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        inner = apply_automorphism(self.by_inverse, p)
+        return apply_automorphism(self.by, evaluate(self.base, inner))
+
+    def preimages(self, p: SiegelPoint) -> list[CVector] | None:
+        inner = apply_automorphism(self.by_inverse, p)
+        base_cands = preimage_candidates(self.base, inner)
+        if base_cands is None:
+            return None
+        out = []
+        for c in base_cands:
+            try:
+                sp = SiegelPoint(c.coords[0], c.coords[1:])
+            except InvalidPoint:
+                continue
+            out.append(CVector(apply_automorphism(self.by, sp).coords))
+        return out
+
+    def fixed_point_set(self) -> FixedPointSet:
+        return known_brfp_set(self.base)
 
 
 @dataclass(frozen=True)
@@ -223,6 +287,26 @@ class BallProduct:
     def dim(self) -> int:
         return len(self.components)
 
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        return cayley_to_siegel(evaluate_ball(self, siegel_to_ball(p)))
+
+    def preimages(self, p: SiegelPoint) -> list[CVector]:
+        vb = siegel_to_ball(p).v.coords
+        per_coord = [g.preimages(z) for g, z in zip(self.components, vb)]
+        return [CVector(cayley_to_siegel(BallPoint(CVector(cand))).coords)
+                for cand in itertools.product(*per_coord)
+                if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0]
+
+    def fixed_point_set(self) -> FixedPointSet:
+        g = self.components[0]
+        if isinstance(g, BlaschkeDeg2) and all(
+                isinstance(h, DiskLinear) and abs(h.c) < 1 for h in self.components[1:]):
+            coords = (1.0,) + (0.0,) * (self.dim - 1)
+            return FixedPointSet("point", "ball boundary point (1, 0, ..., 0)",
+                                 {"ball_coords": coords,
+                                  "multiplier": g.boundary_derivative()})
+        return FixedPointSet("unknown")
+
 
 MapDescriptor = Union[QuadraticSiegel, Lifted, DiagonalLinear, Conjugated, BallProduct]
 
@@ -230,10 +314,6 @@ MapDescriptor = Union[QuadraticSiegel, Lifted, DiagonalLinear, Conjugated, BallP
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _quadratic_coords(f: QuadraticSiegel, z: complex, w: complex) -> tuple[complex, complex]:
-    return f.A * z + f.B * w * w, f.C * w
-
 
 def evaluate_ball(f: BallProduct, p: BallPoint) -> BallPoint:
     if p.dim != f.dim:
@@ -243,38 +323,13 @@ def evaluate_ball(f: BallProduct, p: BallPoint) -> BallPoint:
 
 def evaluate(f: MapDescriptor, p: SiegelPoint) -> SiegelPoint:
     """Apply a map descriptor to a Siegel point."""
-    if isinstance(f, QuadraticSiegel):
-        if p.dim != 2:
-            raise DimensionMismatch("quadratic family lives on H^2")
-        z, w = _quadratic_coords(f, p.z, p.w[0])
-        return SiegelPoint(z, (w,))
-    if isinstance(f, Lifted):
-        if p.dim != 2:
-            raise DimensionMismatch("lifted family lives on H^2")
-        w = p.w[0]
-        return SiegelPoint(f.phi.apply(p.z - w * w) + w * w, (w,))
-    if isinstance(f, DiagonalLinear):
-        if p.dim != f.dim:
-            raise DimensionMismatch(f"DiagonalLinear dim {f.dim}, point dim {p.dim}")
-        return SiegelPoint(f.alpha * p.z, tuple(c * x for c, x in zip(f.lam, p.w)))
-    if isinstance(f, Conjugated):
-        inner = apply_automorphism(f.by_inverse, p)
-        return apply_automorphism(f.by, evaluate(f.base, inner))
-    if isinstance(f, BallProduct):
-        return cayley_to_siegel(evaluate_ball(f, siegel_to_ball(p)))
-    raise InvalidDescriptor(f"unknown descriptor {type(f).__name__}")
+    return f.evaluate(p)
 
 
 def iterate(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
     for _ in range(n):
         p = evaluate(f, p)
     return p
-
-
-def descriptor_dim(f: MapDescriptor) -> int:
-    if isinstance(f, Conjugated):
-        return descriptor_dim(f.base)
-    return f.dim
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +478,7 @@ def classify(f: MapDescriptor) -> ClassificationReport:
         return classify_quadratic(f.A, f.B, f.C)
     if isinstance(f, Conjugated):
         return classify(f.base)
-    raise InvalidDescriptor(f"no classification for {type(f).__name__}")
+    raise InvalidDescriptor("classification covers the quadratic family")
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +512,7 @@ def one_dim_brfp(phi: OneDimMap) -> complex:
 
 def known_brfp_set(f: MapDescriptor) -> FixedPointSet:
     """Closed-form fixed-point locus where the family provides one."""
-    if isinstance(f, QuadraticSiegel):
-        return classify_quadratic(f.A, f.B, f.C).fixed_point_set
-    if isinstance(f, Lifted):
-        q = one_dim_brfp(f.phi)
-        return FixedPointSet("boundary_curve",
-                             "{(y0 i + r^2, r) : r real}",
-                             {"theta": 0.0, "y0": q.imag})
-    if isinstance(f, DiagonalLinear):
-        return FixedPointSet("origin_infinity")
-    if isinstance(f, BallProduct):
-        g = f.components[0]
-        if isinstance(g, BlaschkeDeg2) and all(
-                isinstance(h, DiskLinear) and abs(h.c) < 1 for h in f.components[1:]):
-            coords = (1.0,) + (0.0,) * (f.dim - 1)
-            return FixedPointSet("point", "ball boundary point (1, 0, ..., 0)",
-                                 {"ball_coords": coords,
-                                  "multiplier": g.boundary_derivative()})
-        return FixedPointSet("unknown")
-    if isinstance(f, Conjugated):
-        return known_brfp_set(f.base)
-    return FixedPointSet("unknown")
+    return f.fixed_point_set()
 
 
 # ---------------------------------------------------------------------------
@@ -525,37 +560,4 @@ def expandable_decompose(f: MapDescriptor) -> ExpandableData:
 def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[CVector] | None:
     """All closed-form preimage coordinates of p under f, or None if the
     family has no closed form.  Candidates may lie outside the domain."""
-    if isinstance(f, QuadraticSiegel):
-        if f.A == 0 or f.C == 0:
-            return []
-        coords, _ = quadratic_inverse(f, p)
-        return [coords]
-    if isinstance(f, Lifted):
-        w = p.w[0]
-        u = p.z - w * w
-        return [CVector((v + w * w, w)) for v in f.phi.preimages(u)]
-    if isinstance(f, DiagonalLinear):
-        if any(c == 0 for c in f.lam):
-            return []
-        w = tuple(wi / c for wi, c in zip(p.w, f.lam))
-        return [CVector((p.z / f.alpha,) + w)]
-    if isinstance(f, BallProduct):
-        vb = siegel_to_ball(p).v.coords
-        per_coord = [g.preimages(z) for g, z in zip(f.components, vb)]
-        return [CVector(cayley_to_siegel(BallPoint(CVector(cand))).coords)
-                for cand in itertools.product(*per_coord)
-                if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0]
-    if isinstance(f, Conjugated):
-        inner = apply_automorphism(f.by_inverse, p)
-        base_cands = preimage_candidates(f.base, inner)
-        if base_cands is None:
-            return None
-        out = []
-        for c in base_cands:
-            try:
-                sp = SiegelPoint(c.coords[0], c.coords[1:])
-            except InvalidPoint:
-                continue
-            out.append(CVector(apply_automorphism(f.by, sp).coords))
-        return out
-    return None
+    return f.preimages(p)

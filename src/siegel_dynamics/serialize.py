@@ -62,6 +62,12 @@ def point_from_json(d: dict) -> CVector:
     return CVector(tuple(complex(r, i) for r, i in zip(d["re"], d["im"])))
 
 
+def _tangential_from_json(d: dict | None) -> tuple[complex, ...]:
+    """A tangential block as a tuple, checked by CVector; a missing or empty
+    block (N = 1) gives (), which a CVector cannot hold."""
+    return point_from_json(d).coords if d and d["re"] else ()
+
+
 def siegel_point_to_json(p: SiegelPoint) -> dict:
     return point_to_json(p.coords)
 
@@ -100,14 +106,13 @@ def automorphism_from_json(d: dict) -> SiegelAutomorphism:
     for item in d.get("chain", []):
         kind = item["kind"]
         if kind == "translation":
-            prims.append(Translation(item["y"], point_from_json(item["w0"]).coords
-                                     if item.get("w0") else ()))
+            prims.append(Translation(item["y"], _tangential_from_json(item.get("w0"))))
         elif kind == "dilation":
             prims.append(Dilation(item["t"]))
         elif kind == "rotation":
-            prims.append(Rotation(point_from_json(item["omega"]).coords))
+            prims.append(Rotation(_tangential_from_json(item["omega"])))
         elif kind == "linear_diag":
-            prims.append(LinearDiag(item["alpha"], point_from_json(item["lam"]).coords))
+            prims.append(LinearDiag(item["alpha"], _tangential_from_json(item["lam"])))
         elif kind == "inversion":
             prims.append(Inversion())
         else:
@@ -169,8 +174,7 @@ def descriptor_from_json(d: dict) -> MapDescriptor:
     if fam == "lifted":
         return Lifted(one_dim_from_json(d["phi"]))
     if fam == "diagonal":
-        return DiagonalLinear(d["alpha"], point_from_json(d["lam"]).coords
-                              if d.get("lam") else ())
+        return DiagonalLinear(d["alpha"], _tangential_from_json(d.get("lam")))
     if fam == "conjugated":
         return Conjugated(descriptor_from_json(d["base"]), automorphism_from_json(d["by"]))
     if fam == "ball_product":

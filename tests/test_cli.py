@@ -135,6 +135,13 @@ def test_conjugate_fails_above_tol_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_conjugate_n_conj_zero_exit_1(capsys):
+    code, out, err = run(["conjugate", "--map", "quadpol", "--n-conj", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n_values" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -271,3 +271,9 @@ def test_special_construct_elliptic_steps_to_one_seventh():
 def test_special_construct_rejects_attracting():
     with pytest.raises(ConstructionFailed):
         special_backward_construct(QUADPOL, ZERO2, 0.5, 0.5, 10)
+
+
+def test_run_conjugation_needs_an_n():
+    g, orbit0, _ = recenter_orbit_at_zero(QUADPOL, quadpol_orbit())
+    with pytest.raises(ValueError, match="n_values"):
+        run_conjugation(g, orbit0, 2.0, n_values=())

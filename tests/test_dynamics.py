@@ -39,7 +39,6 @@ from siegel_dynamics.maps import (
     evaluate,
     lift_one_dim,
 )
-from siegel_dynamics.policy import DEFAULT_POLICY
 
 QUADPOL = QuadraticSiegel(2.0, 1.0, 1.0)
 ELLIPTIC = BallProduct((BlaschkeDeg2(0.5), DiskLinear(0.5)))
@@ -139,7 +138,7 @@ def test_backward_step_respects_step_bound():
 
 def test_newton_fallback_matches_closed_form():
     target = SiegelPoint(1.0, (0.05,))
-    got = _newton_preimage(QUADPOL, target, target, DEFAULT_POLICY)
+    got = _newton_preimage(QUADPOL, target, target)
     img = evaluate(QUADPOL, got)
     assert abs(img.z - target.z) < 1e-9
     assert abs(img.w[0] - target.w[0]) < 1e-9

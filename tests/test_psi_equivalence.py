@@ -26,7 +26,6 @@ from siegel_dynamics.geometry import SiegelPoint, apply_automorphism, dist_siege
 from siegel_dynamics.maps import (
     DiagonalLinear,
     QuadraticSiegel,
-    descriptor_dim,
     expandable_decompose,
     iterate,
     quadratic_iterate_closed,
@@ -49,7 +48,7 @@ TWINS = [
 
 def conjugation_setup(f):
     """The map, orbit and variant that the `conjugate` command uses."""
-    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,) * (descriptor_dim(f) - 1)), 0.34, 40)
+    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,) * (f.dim - 1)), 0.34, 40)
     g, orbit0, _ = recenter_orbit_at_zero(f, orbit)
     variant, L, omega = "basic", 0, None
     try:
