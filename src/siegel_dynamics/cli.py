@@ -228,17 +228,33 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         path = fixture_dir / f"{name}.json"
         maps_by_name[name] = ser.load_descriptor(str(path))
 
-    def rand_siegel(dim: int) -> geo.SiegelPoint:
-        w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * 0.5
-        t = 10.0 ** rng.uniform(-2, 2)
-        return geo.SiegelPoint(t + np.sum(np.abs(w) ** 2) + 1j * rng.normal(), tuple(w))
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * rng.random()  # how numpy's rng.uniform(lo, hi) draws
+
+    def draw(k: int) -> tuple:
+        """Variates of one sampled Siegel point with k tangential coordinates,
+        in stream order: Re w, Im w ~ N(0, 1)^k, log10 t ~ U(-2, 2), Im z ~ N(0, 1)."""
+        re = [rng.standard_normal() for _ in range(k)]
+        im = [rng.standard_normal() for _ in range(k)]
+        return 10.0 ** uniform(-2.0, 2.0), re, im, rng.standard_normal()
+
+    def points(draws: list) -> list[geo.SiegelPoint]:
+        t, re, im, y = zip(*draws)
+        return dyn._siegel_samples(t, re, im, 0.5, y)
+
+    def pairs() -> list:
+        pts = points([draw(1) for _ in range(2 * samples)])
+        return list(zip(pts[0::2], pts[1::2]))
 
     # metric consistency through the Cayley transform
+    d_siegel, za, zb = [], [], []
+    for p, q in pairs():
+        d_siegel.append(geo.dist_siegel(p, q))
+        za.append(geo.siegel_to_ball(p).v.coords)
+        zb.append(geo.siegel_to_ball(q).v.coords)
     worst = 0.0
-    for _ in range(samples):
-        p, q = rand_siegel(2), rand_siegel(2)
-        worst = max(worst, abs(geo.dist_siegel(p, q)
-                               - geo.dist_ball(geo.siegel_to_ball(p), geo.siegel_to_ball(q))))
+    for d0, d1 in zip(d_siegel, geo.dist_ball_rows(np.array(za), np.array(zb))):
+        worst = max(worst, abs(d0 - d1))
     yield "metric_consistency", worst < 1e-12, ser.sig17(worst)
 
     # automorphism isometry
@@ -249,26 +265,34 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Inversion(),
     ))
     worst = 0.0
-    for _ in range(samples):
-        p, q = rand_siegel(2), rand_siegel(2)
+    for p, q in pairs():
         d0 = geo.dist_siegel(p, q)
         d1 = geo.dist_siegel(geo.apply_automorphism(auto, p), geo.apply_automorphism(auto, q))
         worst = max(worst, abs(d0 - d1))
     yield "automorphism_isometry", worst < 1e-12, ser.sig17(worst)
 
-    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||)
-    violations = 0
+    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||), on ball points of
+    # dim 1..3 cut from Siegel points of dim + 1 and scaled by U(0.2, 1)
+    by_dim: dict[int, list] = {1: [], 2: [], 3: []}
     for _ in range(samples):
         dim = int(rng.integers(1, 4))
-        zb = geo.siegel_to_ball(rand_siegel(dim + 1)).array[:dim] * rng.uniform(0.2, 1.0)
-        wb = geo.siegel_to_ball(rand_siegel(dim + 1)).array[:dim] * rng.uniform(0.2, 1.0)
-        z = geo.BallPoint(geo.CVector(tuple(zb)))
-        w = geo.BallPoint(geo.CVector(tuple(wb)))
-        d = geo.dist_ball(z, w)
-        lhs = (1.0 - w.v.norm()) / (1.0 - z.v.norm())
-        rhs = (1.0 + d) / (1.0 - d * z.v.norm())
-        if lhs > rhs * (1.0 + 1e-10):
-            violations += 1
+        by_dim[dim].append((draw(dim), uniform(0.2, 1.0), draw(dim), uniform(0.2, 1.0)))
+    violations = 0
+    for dim, rows in by_dim.items():
+        if not rows:
+            continue
+        zdraws, zscale, wdraws, wscale = zip(*rows)
+        zb = np.array([geo.siegel_to_ball(p).v.coords[:dim] for p in points(zdraws)])
+        wb = np.array([geo.siegel_to_ball(p).v.coords[:dim] for p in points(wdraws)])
+        zb = zb * np.array(zscale)[:, None]
+        wb = wb * np.array(wscale)[:, None]
+        for z, w, d in zip(zb.tolist(), wb.tolist(), geo.dist_ball_rows(zb, wb)):
+            z = geo.BallPoint(geo.CVector(z))
+            w = geo.BallPoint(geo.CVector(w))
+            lhs = (1.0 - w.v.norm()) / (1.0 - z.v.norm())
+            rhs = (1.0 + d) / (1.0 - d * z.v.norm())
+            if lhs > rhs * (1.0 + 1e-10):
+                violations += 1
     yield "distance_ratio_bound", violations == 0, str(violations)
 
     # Julia-type inclusions on the quadratic and diagonal fixtures
@@ -302,6 +326,9 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 1
     config = _load_config(args)
     seed = _resolve_seed(args, config)
     fixture_dir = Path(args.fixtures) if args.fixtures else fixture_path("quadpol").parent

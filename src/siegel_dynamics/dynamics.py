@@ -304,15 +304,20 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     attracting inclusion f(H(t)) contained in H(t/alpha); alpha > 1 the
     repelling one.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    dim = f.dim
+    k, normal = f.dim - 1, rng.standard_normal
+    # per sample, in stream order: log10 t ~ U(-3, 3), Re w and Im w ~ N(0, 1)^k,
+    # a scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1); U(lo, hi) is drawn as
+    # lo + (hi - lo) * random(), which is how numpy's uniform(lo, hi) draws it
+    t, re, im, scale, y = zip(*[
+        (10.0 ** (-3.0 + 6.0 * rng.random()), [normal() for _ in range(k)],
+         [normal() for _ in range(k)], rng.random(), normal() * 2.0)
+        for _ in range(n_samples)])
     violations = 0
     max_ratio = 0.0
-    for _ in range(n_samples):
-        t = 10.0 ** rng.uniform(-3, 3)
-        w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * rng.uniform(0, 1)
-        y = rng.normal() * 2.0
-        p = SiegelPoint(t + np.sum(np.abs(w) ** 2) + 1j * y, tuple(w))
+    for p in _siegel_samples(t, re, im, np.array(scale)[:, None], y):
         q_in = julia_quotient(p, x)
         q_out = julia_quotient(evaluate(f, p), x)
         ratio = q_out / (alpha * q_in)
@@ -320,6 +325,19 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
         if ratio > 1.0 + 1e-10:
             violations += 1
     return JuliaReport(n_samples, violations, max_ratio, seed)
+
+
+def _siegel_samples(t, re, im, scale, y) -> list[SiegelPoint]:
+    """Sampled points (t + ||w||^2 + i y, w) with w = (re + i im) * scale, from
+    rows of drawn variates (re and im hold one row of k reals per point).
+
+    The arithmetic runs once over the batch.  numpy's elementwise loops, and its
+    sums over short rows, round alike at any batch size, so every point has the
+    bits of the same formula applied to one sample's arrays.
+    """
+    w = (np.array(re) + 1j * np.array(im)) * scale
+    z = np.array(t) + np.sum(np.abs(w) ** 2, axis=1) + 1j * np.array(y)
+    return [SiegelPoint(zk, wk) for zk, wk in zip(z.tolist(), w.tolist())]
 
 
 @dataclass(frozen=True)
@@ -372,31 +390,30 @@ def elliptic_growth_constant(f: BallProduct, r0: float, n_grid: int = 32,
     with M(r) = max ||f|| on the sphere of radius r (grid lower bound)."""
     if not 0.0 < r0 < 1.0:
         raise ValueError("r0 must lie in (0, 1)")
+    if n_grid < 1 or n_angles < 1:
+        raise ValueError("n_grid and n_angles must be at least 1")
     dim = f.dim
     radii = np.linspace(r0, 1.0 - 1.0 / (2 * n_grid), n_grid)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     # direction grid: per-coordinate magnitudes from a simplex-like sweep
     rng = np.random.default_rng(12345)
-    n_dirs = n_angles
-    mags = np.abs(rng.normal(size=(n_dirs, dim)))
+    mags = np.abs(rng.normal(size=(n_angles, dim)))
     mags /= np.linalg.norm(mags, axis=1, keepdims=True)
     # coordinate axes are extremal for product maps; sample them exactly
     mags = np.vstack([np.eye(dim), mags])
-    n_dirs += dim
+    # grid vectors r * mags[d] * exp(i (th + thetas[:dim])), indexed [r, d, th]
+    phases = np.exp(1j * (thetas[:: max(1, n_angles // 8), None] + thetas[: dim]))
+    grid = (radii[:, None, None] * mags)[:, :, None, :] * phases
     m_vals = []
     c = 0.0
-    for r in radii:
+    for r, sphere in zip(radii.tolist(), grid.tolist()):
         best = 0.0
-        for d in range(n_dirs):
-            for th in thetas[:: max(1, n_angles // 8)]:
-                v = r * mags[d] * np.exp(1j * (th + thetas[: dim]))
-                img = evaluate_ball(f, BallPoint(CVector(tuple(v))))
-                best = max(best, img.v.norm())
+        for per_direction in sphere:
+            for v in per_direction:
+                best = max(best, evaluate_ball(f, BallPoint(CVector(v))).v.norm())
         m_vals.append(best)
         c = max(c, (1.0 - r) / (1.0 - best)) if best < 1.0 else max(c, math.inf)
-    flagged = c >= 1.0
-    return EllipticGrowthReport(float(c), flagged, tuple(float(r) for r in radii),
-                                tuple(float(m) for m in m_vals))
+    return EllipticGrowthReport(c, c >= 1.0, tuple(radii.tolist()), tuple(m_vals))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Numerics: per-point code is plain CPython arithmetic on tuples of `complex`;
 constructors convert their input to tuples once.  Where a complex division
 was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
 keep their bytes.  numpy is for sampling, real arrays (grids, the Newton
-Jacobian, polynomial roots) and `dist_ball` (see the comment there).
+Jacobian, polynomial roots) and `dist_ball_rows` (see the comment there).
 """
 
 from __future__ import annotations
@@ -300,17 +300,28 @@ def dist_ball(a: BallPoint, b: BallPoint) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_ball: dims {a.dim} != {b.dim}")
+    return dist_ball_rows(a.array[None], b.array[None])[0]
+
+
+def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> list[float]:
+    """`dist_ball` between the rows of two (n, dim) arrays of ball coordinates,
+    which are taken to lie in the ball (nothing checks them)."""
     # 1 - ||Z||^2 cancels near the sphere, so the result shows the last-bit rounding
-    # of numpy's SIMD |.| and complex product; kept on arrays so reports keep their bytes.
-    za, zb = a.array, b.array
-    num = (1.0 - np.sum(np.abs(za) ** 2)) * (1.0 - np.sum(np.abs(zb) ** 2))
-    den = abs(1.0 - complex(np.sum(za * np.conj(zb)))) ** 2
-    d2 = float(1.0 - num / den)
-    if d2 < 1e-12:
-        # the subtraction above floors out at sqrt(eps); switch to the
-        # difference-based form, accurate for nearly equal points
-        d2 = _small_dist_ball_sq(a.v.coords, b.v.coords)
-    return math.sqrt(max(0.0, d2))
+    # of numpy's SIMD |.| and complex product; kept on arrays so reports keep their
+    # bytes.  Those loops round alike at any row count, as do the row sums for
+    # dim <= 3 (wider rows may sum in another order than a single row).  Not
+    # `za * np.conj(zb)`: on large batches numpy would compute that in place in
+    # the temporary, and its in-place complex product rounds differently.
+    num = (1.0 - np.sum(np.abs(za) ** 2, axis=1)) * (1.0 - np.sum(np.abs(zb) ** 2, axis=1))
+    den = [abs(1.0 - h) ** 2 for h in np.sum(np.multiply(za, np.conj(zb)), axis=1).tolist()]
+    out = []
+    for i, d2 in enumerate((1.0 - num / den).tolist()):
+        if d2 < 1e-12:
+            # the subtraction above floors out at sqrt(eps); switch to the
+            # difference-based form, accurate for nearly equal points
+            d2 = _small_dist_ball_sq(za[i].tolist(), zb[i].tolist())
+        out.append(math.sqrt(max(0.0, d2)))
+    return out
 
 
 def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:

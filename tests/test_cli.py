@@ -199,6 +199,15 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     assert "fixture error" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(samples, capsys):
+    # checks that drew no point must not report a pass
+    code, out, err = run(["verify", "--samples", samples], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--samples" in err
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 # ---------------------------------------------------------------------------

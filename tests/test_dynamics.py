@@ -252,6 +252,13 @@ def test_julia_diagonal_and_identity():
     assert abs(rep.max_quotient_ratio - 1.0) < 1e-12  # inclusion exact
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_julia_check_needs_a_sample(n_samples):
+    # a report on no sampled point would read as a pass
+    with pytest.raises(ValueError, match="n_samples"):
+        julia_inclusion_check(QUADPOL, ZERO2, 2.0, n_samples, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
@@ -314,6 +321,20 @@ def test_elliptic_growth_rotation_flagged():
     rot = BallProduct((DiskLinear(1.0), DiskLinear(1j)))
     rep = elliptic_growth_constant(rot, 0.5)
     assert rep.flagged
+
+
+@pytest.mark.parametrize("grid", [{"n_grid": 0}, {"n_angles": 0}, {"n_grid": -1},
+                                  {"n_angles": -3}])
+def test_elliptic_growth_needs_a_grid(grid):
+    # an empty grid has no point to take M(r) from
+    with pytest.raises(ValueError, match="n_grid and n_angles"):
+        elliptic_growth_constant(ELLIPTIC, 0.5, **grid)
+
+
+def test_elliptic_growth_flag_is_a_bool():
+    rep = elliptic_growth_constant(ELLIPTIC, 0.5, n_grid=4, n_angles=8)
+    assert type(rep.flagged) is bool and rep.flagged is False
+    assert type(rep.c) is float
 
 
 # ---------------------------------------------------------------------------
