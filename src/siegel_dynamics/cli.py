@@ -93,8 +93,8 @@ def _emit(report: dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    config = _load_config(args)
     try:
+        config = _load_config(args)
         f = _load_map(args)
         report = mp.classify(f)
     except (SiegelDynamicsError, OSError, json.JSONDecodeError, ValueError) as err:
@@ -111,9 +111,9 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_orbit(args) -> int:
-    config = _load_config(args)
-    seed = _resolve_seed(args, config)
     try:
+        config = _load_config(args)
+        seed = _resolve_seed(args, config)
         f = _load_map(args)
         start = _parse_start(args.start, f.dim)
         if args.backward:
@@ -160,9 +160,9 @@ def cmd_orbit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_conjugate(args) -> int:
-    config = _load_config(args)
-    seed = _resolve_seed(args, config)
     try:
+        config = _load_config(args)
+        seed = _resolve_seed(args, config)
         f = _load_map(args)
         start = _parse_start(args.start or "1,0", f.dim)
         orbit = dyn.backward_orbit(f, start, args.a, args.n)
@@ -238,24 +238,20 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         im = [rng.standard_normal() for _ in range(k)]
         return 10.0 ** uniform(-2.0, 2.0), re, im, rng.standard_normal()
 
-    def points(draws: list) -> list[geo.SiegelPoint]:
+    def points(draws: list) -> geo.SiegelRows:
         t, re, im, y = zip(*draws)
         return dyn._siegel_samples(t, re, im, 0.5, y)
 
-    def pairs() -> list:
-        pts = points([draw(1) for _ in range(2 * samples)])
-        return list(zip(pts[0::2], pts[1::2]))
+    def pairs() -> tuple[geo.SiegelRows, geo.SiegelRows]:
+        draws = [draw(1) for _ in range(2 * samples)]
+        return points(draws[0::2]), points(draws[1::2])
 
-    # metric consistency through the Cayley transform
-    d_siegel, za, zb = [], [], []
-    for p, q in pairs():
-        d_siegel.append(geo.dist_siegel(p, q))
-        za.append(geo.siegel_to_ball(p).v.coords)
-        zb.append(geo.siegel_to_ball(q).v.coords)
-    worst = 0.0
-    for d0, d1 in zip(d_siegel, geo.dist_ball_rows(np.array(za), np.array(zb))):
-        worst = max(worst, abs(d0 - d1))
-    yield "metric_consistency", worst < 1e-12, ser.sig17(worst)
+    # metric consistency through the Cayley transform; the worst gap is Python's
+    # max over the pairs in order, as the per-point loops took it
+    p, q = pairs()
+    d_ball = geo.dist_ball_rows(geo.siegel_to_ball_rows(p), geo.siegel_to_ball_rows(q))
+    gap = max([0.0, *np.abs(geo.dist_siegel_rows(p, q) - d_ball).tolist()])
+    yield "metric_consistency", gap < 1e-12, ser.sig17(gap)
 
     # automorphism isometry
     auto = geo.SiegelAutomorphism((
@@ -264,12 +260,10 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Rotation((complex(math.cos(1.0), math.sin(1.0)),),),
         geo.Inversion(),
     ))
-    worst = 0.0
-    for p, q in pairs():
-        d0 = geo.dist_siegel(p, q)
-        d1 = geo.dist_siegel(geo.apply_automorphism(auto, p), geo.apply_automorphism(auto, q))
-        worst = max(worst, abs(d0 - d1))
-    yield "automorphism_isometry", worst < 1e-12, ser.sig17(worst)
+    p, q = pairs()
+    d_auto = geo.dist_siegel_rows(*(geo.apply_automorphism_rows(auto, r) for r in (p, q)))
+    gap = max([0.0, *np.abs(geo.dist_siegel_rows(p, q) - d_auto).tolist()])
+    yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||), on ball points of
     # dim 1..3 cut from Siegel points of dim + 1 and scaled by U(0.2, 1)
@@ -282,17 +276,13 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         if not rows:
             continue
         zdraws, zscale, wdraws, wscale = zip(*rows)
-        zb = np.array([geo.siegel_to_ball(p).v.coords[:dim] for p in points(zdraws)])
-        wb = np.array([geo.siegel_to_ball(p).v.coords[:dim] for p in points(wdraws)])
-        zb = zb * np.array(zscale)[:, None]
-        wb = wb * np.array(wscale)[:, None]
-        for z, w, d in zip(zb.tolist(), wb.tolist(), geo.dist_ball_rows(zb, wb)):
-            z = geo.BallPoint(geo.CVector(z))
-            w = geo.BallPoint(geo.CVector(w))
-            lhs = (1.0 - w.v.norm()) / (1.0 - z.v.norm())
-            rhs = (1.0 + d) / (1.0 - d * z.v.norm())
-            if lhs > rhs * (1.0 + 1e-10):
-                violations += 1
+        zb, wb = (geo.siegel_to_ball_rows(points(draws))[:, :dim] * np.array(scale)[:, None]
+                  for draws, scale in ((zdraws, zscale), (wdraws, wscale)))
+        d = np.array(geo.dist_ball_rows(zb, wb))
+        zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
+        lhs = (1.0 - wn) / (1.0 - zn)
+        rhs = (1.0 + d) / (1.0 - d * zn)
+        violations += int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
     yield "distance_ratio_bound", violations == 0, str(violations)
 
     # Julia-type inclusions on the quadratic and diagonal fixtures
@@ -326,11 +316,14 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+    try:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        config = _load_config(args)
+        seed = _resolve_seed(args, config)
+    except (OSError, json.JSONDecodeError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    config = _load_config(args)
-    seed = _resolve_seed(args, config)
     fixture_dir = Path(args.fixtures) if args.fixtures else fixture_path("quadpol").parent
     results = []
     try:

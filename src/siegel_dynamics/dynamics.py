@@ -21,18 +21,21 @@ from .geometry import (
     INFINITY,
     BallPoint,
     BoundaryPoint,
+    ComplexRows,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     _cdiv,
     apply_automorphism,
+    ball_norm_rows,
     boundary_ball_coords,
     boundary_gap,
     boundary_projection,
     cayley_to_siegel,
     defect,
     dist_siegel,
-    julia_quotient,
+    julia_quotient_rows,
     koranyi_ratio,
     siegel_to_ball,
     sq_norm,
@@ -41,7 +44,6 @@ from .maps import (
     BallProduct,
     MapDescriptor,
     evaluate,
-    evaluate_ball,
     preimage_candidates,
 )
 from .policy import DEFAULT_POLICY
@@ -315,29 +317,25 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
         (10.0 ** (-3.0 + 6.0 * rng.random()), [normal() for _ in range(k)],
          [normal() for _ in range(k)], rng.random(), normal() * 2.0)
         for _ in range(n_samples)])
-    violations = 0
-    max_ratio = 0.0
-    for p in _siegel_samples(t, re, im, np.array(scale)[:, None], y):
-        q_in = julia_quotient(p, x)
-        q_out = julia_quotient(evaluate(f, p), x)
-        ratio = q_out / (alpha * q_in)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + 1e-10:
-            violations += 1
-    return JuliaReport(n_samples, violations, max_ratio, seed)
+    p = _siegel_samples(t, re, im, np.array(scale)[:, None], y)
+    q_in = julia_quotient_rows(p, x)
+    ratio = julia_quotient_rows(f.evaluate_rows(p), x) / (alpha * q_in)
+    # Python's max over the rows in order, as the per-point loop took it (NaN skipped)
+    return JuliaReport(n_samples, int(np.count_nonzero(ratio > 1.0 + 1e-10)),
+                       max([0.0, *ratio.tolist()]), seed)
 
 
-def _siegel_samples(t, re, im, scale, y) -> list[SiegelPoint]:
+def _siegel_samples(t, re, im, scale, y) -> SiegelRows:
     """Sampled points (t + ||w||^2 + i y, w) with w = (re + i im) * scale, from
     rows of drawn variates (re and im hold one row of k reals per point).
 
-    The arithmetic runs once over the batch.  numpy's elementwise loops, and its
-    sums over short rows, round alike at any batch size, so every point has the
-    bits of the same formula applied to one sample's arrays.
+    numpy's elementwise loops, and its sums over short rows, round alike at any
+    batch size, so every row has the bits of the same formula applied to one
+    sample's arrays.
     """
     w = (np.array(re) + 1j * np.array(im)) * scale
     z = np.array(t) + np.sum(np.abs(w) ** 2, axis=1) + 1j * np.array(y)
-    return [SiegelPoint(zk, wk) for zk, wk in zip(z.tolist(), w.tolist())]
+    return SiegelRows(ComplexRows(z.real, z.imag), ComplexRows.columns(w))
 
 
 @dataclass(frozen=True)
@@ -401,18 +399,16 @@ def elliptic_growth_constant(f: BallProduct, r0: float, n_grid: int = 32,
     mags /= np.linalg.norm(mags, axis=1, keepdims=True)
     # coordinate axes are extremal for product maps; sample them exactly
     mags = np.vstack([np.eye(dim), mags])
-    # grid vectors r * mags[d] * exp(i (th + thetas[:dim])), indexed [r, d, th]
-    phases = np.exp(1j * (thetas[:: max(1, n_angles // 8), None] + thetas[: dim]))
+    # grid vectors r * mags[d] * exp(i (th + thetas[j])) for coordinate j, indexed
+    # [r, d, th]; the phase offsets repeat when there are fewer angles than coordinates
+    offsets = thetas[np.arange(dim) % n_angles]
+    phases = np.exp(1j * (thetas[:: max(1, n_angles // 8), None] + offsets))
     grid = (radii[:, None, None] * mags)[:, :, None, :] * phases
-    m_vals = []
-    c = 0.0
-    for r, sphere in zip(radii.tolist(), grid.tolist()):
-        best = 0.0
-        for per_direction in sphere:
-            for v in per_direction:
-                best = max(best, evaluate_ball(f, BallPoint(CVector(v))).v.norm())
-        m_vals.append(best)
-        c = max(c, (1.0 - r) / (1.0 - best)) if best < 1.0 else max(c, math.inf)
+    v = ComplexRows.columns(grid.reshape(-1, dim))
+    norms = ball_norm_rows(tuple(g.apply_rows(z) for g, z in zip(f.components, v)))
+    # the checked norms are finite, so numpy's max is the per-point running max
+    m_vals = norms.reshape(n_grid, -1).max(axis=1).tolist()
+    c = max([0.0] + [(1.0 - r) / (1.0 - best) for r, best in zip(radii.tolist(), m_vals)])
     return EllipticGrowthReport(c, c >= 1.0, tuple(radii.tolist()), tuple(m_vals))
 
 

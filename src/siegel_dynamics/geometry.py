@@ -456,6 +456,8 @@ class Translation:
         return (z - 1j * self.y + sq_norm(self.w0) - 2.0 * herm(w, self.w0),
                 tuple(a - b for a, b in zip(w, self.w0)))
 
+    apply_rows = apply  # on `ComplexRows` columns every operation above rounds alike
+
     def inverse(self) -> "Translation":
         return Translation(-self.y, tuple(-c for c in self.w0))
 
@@ -476,6 +478,9 @@ class Dilation:
 
     def apply(self, z, w):
         return z / self.t, tuple(_cdiv(c, math.sqrt(self.t)) for c in w)
+
+    def apply_rows(self, z, w):
+        return z / self.t, tuple(_smith(c, math.sqrt(self.t), reciprocal=True) for c in w)
 
     def inverse(self) -> "Dilation":
         return Dilation(1.0 / self.t)
@@ -498,6 +503,8 @@ class Rotation:
 
     def apply(self, z, w):
         return z, tuple(o * c for o, c in zip(self.omega, w, strict=True))
+
+    apply_rows = apply
 
     def inverse(self) -> "Rotation":
         return Rotation(tuple(c.conjugate() for c in self.omega))
@@ -526,6 +533,8 @@ class LinearDiag:
     def apply(self, z, w):
         return self.alpha * z, tuple(c * x for c, x in zip(self.lam, w, strict=True))
 
+    apply_rows = apply
+
     def inverse(self) -> "LinearDiag":
         return LinearDiag(1.0 / self.alpha, tuple(1.0 / c for c in self.lam))
 
@@ -539,6 +548,9 @@ class Inversion:
 
     def apply(self, z, w):
         return 1.0 / z, tuple(_cdiv(c, z) for c in w)
+
+    def apply_rows(self, z, w):
+        return 1.0 / z, tuple(_smith(c, z, reciprocal=True) for c in w)
 
     def inverse(self) -> "Inversion":
         return Inversion()
@@ -602,3 +614,159 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
         raise ModelMismatch("recentering needs a finite Siegel boundary point")
     z, w = q.v.coords[0], q.v.coords[1:]
     return build_automorphism("translation", y=z.imag, w0=w)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: many points at once, with the scalar core's bits.  `abs` is
+# np.hypot (CPython's complex abs) and `x ** 2` is np.float_power(x, 2.0)
+# (libm pow, as CPython; x * x and np.power can differ in the last bit).
+# ---------------------------------------------------------------------------
+
+def _parts(x) -> tuple:
+    """(real, imag) of a column or of a number; a real number has imag 0.0."""
+    x = x if isinstance(x, ComplexRows) else complex(x)
+    return x.real, x.imag
+
+
+def _smith(a, b, reciprocal: bool) -> "ComplexRows":
+    """a / b on every row by Smith's method: as CPython's `complex` divides, or
+    with `reciprocal` as `_cdiv` does (multiplying by the reciprocal)."""
+    (ar, ai), (br, bi) = _parts(a), map(np.asarray, _parts(b))
+    with np.errstate(all="ignore"):
+        by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: the other branch gives NaN
+        rat = np.where(by_real, bi / br, br / bi)
+        den = np.where(by_real, br + bi * rat, br * rat + bi)
+        re = np.where(by_real, ar + ai * rat, ar * rat + ai)
+        im = np.where(by_real, ai - ar * rat, ai * rat - ar)
+        if reciprocal:
+            den = 1.0 / den
+            return ComplexRows(re * den, im * den)
+        return ComplexRows(re / den, im / den)
+
+
+class ComplexRows:
+    """One complex number per row, held as two float arrays.
+
+    Each operator rounds every row as CPython's `complex` does, a real operand
+    promoted to complex(x, 0.0) first, so scalar-core formulas (`herm`,
+    `sq_norm`, most `apply` methods) run on columns unchanged.  Where CPython
+    raises (a zero divisor, an overflow), a row gets inf or NaN instead.
+    """
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @classmethod
+    def columns(cls, v: np.ndarray) -> tuple["ComplexRows", ...]:
+        """The columns of an (n, dim) complex array."""
+        return tuple(cls(c.real, c.imag) for c in v.T)
+
+    def __getitem__(self, i: int) -> complex:
+        return complex(self.real[i], self.imag[i])
+
+    def __add__(self, other):
+        br, bi = _parts(other)
+        return ComplexRows(self.real + br, self.imag + bi)
+
+    def __sub__(self, other):
+        br, bi = _parts(other)
+        return ComplexRows(self.real - br, self.imag - bi)
+
+    def __rsub__(self, other):
+        ar, ai = _parts(other)
+        return ComplexRows(ar - self.real, ai - self.imag)
+
+    def __mul__(self, other):
+        (ar, ai), (br, bi) = (self.real, self.imag), _parts(other)
+        return ComplexRows(ar * br - ai * bi, ar * bi + ai * br)
+
+    __radd__, __rmul__ = __add__, __mul__  # IEEE sums and products commute
+
+    def __truediv__(self, other):
+        return _smith(self, other, reciprocal=False)
+
+    def __rtruediv__(self, other):
+        return _smith(other, self, reciprocal=False)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def conjugate(self) -> "ComplexRows":
+        return ComplexRows(self.real, -self.imag)
+
+
+def _raise_first(bad: np.ndarray, check) -> None:
+    """Raise what `check(i)`, the scalar check of row i, raises for the first bad row."""
+    if bad.any():
+        i = int(bad.argmax())
+        check(i)
+        raise InvalidPoint(f"row {i} failed a row check but not the scalar one")
+
+
+class SiegelRows:
+    """Siegel points (z, w) as columns, z and each w_j a `ComplexRows`.  Every
+    row is checked as `SiegelPoint` checks a point, and t holds the defects."""
+
+    __slots__ = ("z", "w", "t", "dim")
+
+    def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = ()):
+        self.z, self.w = z, tuple(w)
+        self.dim, self.t = 1 + len(self.w), z.real - sq_norm(self.w)
+        _raise_first(~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)), self.point)
+
+    def point(self, i: int) -> SiegelPoint:
+        return SiegelPoint(self.z[i], tuple(c[i] for c in self.w))
+
+
+def ball_norm_rows(v: tuple[ComplexRows, ...]) -> np.ndarray:
+    """||v|| of every row of ball coordinates, each row checked as
+    `BallPoint(CVector(row))` checks one (a non-finite row has no ||v||^2 < 1)."""
+    s = sq_norm(v)
+    _raise_first(~(s < 1.0), lambda i: BallPoint(CVector(tuple(c[i] for c in v))))
+    return np.sqrt(s)
+
+
+def _ball_coords_rows(z: ComplexRows, w: tuple[ComplexRows, ...]) -> tuple[ComplexRows, ...]:
+    d = z + 1.0
+    return ((z - 1.0) / d,) + tuple(_smith(2.0 * c, d, reciprocal=True) for c in w)
+
+
+def siegel_to_ball_rows(p: SiegelRows) -> np.ndarray:
+    """`siegel_to_ball` of every row, as an (n, dim) complex array."""
+    v = _ball_coords_rows(p.z, p.w)
+    ball_norm_rows(v)
+    return np.stack([np.stack([c.real, c.imag], axis=-1) for c in v], axis=1).view(complex)[..., 0]
+
+
+def dist_siegel_rows(a: SiegelRows, b: SiegelRows) -> np.ndarray:
+    """`dist_siegel` between the rows of a and b; a row with d^2 < 1e-12 takes
+    its ball-coordinate fallback alone."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
+    den = np.float_power(abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)), 2.0)
+    d2 = 1.0 - 4.0 * a.t * b.t / den
+    for i in np.flatnonzero(d2 < 1e-12).tolist():
+        d2[i] = _small_dist_ball_sq(siegel_to_ball(a.point(i)).v.coords,
+                                    siegel_to_ball(b.point(i)).v.coords)
+    return np.sqrt(np.where(d2 > 0.0, d2, 0.0))  # max(0.0, NaN) is 0.0, np.maximum's NaN
+
+
+def julia_quotient_rows(p: SiegelRows, q: BoundaryPoint) -> np.ndarray:
+    if q.model == "siegel" and q.at_infinity:
+        return 1.0 / p.t
+    if q.model == "ball":
+        s = 1.0 - herm(_ball_coords_rows(p.z, p.w), q.v.coords)
+        return np.float_power(abs(s), 2.0) / (4.0 * p.t / np.float_power(abs(p.z + 1.0), 2.0))
+    zq, wq = q.v.coords[0], q.v.coords[1:]
+    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
+    return np.float_power(abs(s), 2.0) / (p.t * abs(zq + 1.0) ** 2)
+
+
+def apply_automorphism_rows(a: SiegelAutomorphism, p: SiegelRows) -> SiegelRows:
+    z, w = p.z, p.w
+    for prim in a.chain:
+        z, w = prim.apply_rows(z, w)
+    return SiegelRows(z, w)

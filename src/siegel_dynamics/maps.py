@@ -7,6 +7,8 @@ automorphism, and coordinatewise products of one-dimensional maps acting on
 the ball model.  Each family is one class with the members `dim`,
 `evaluate(p)`, `preimages(p)` (closed-form preimage coordinates, or None) and
 `fixed_point_set()`; the module functions of the same purpose delegate to them.
+`evaluate_rows(rows)` applies the map to `SiegelRows` with the bits of
+`evaluate`; the disk maps' `apply_rows` does the same on `ComplexRows`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from .geometry import (
     INFINITY,
     BallPoint,
     BoundaryPoint,
+    ComplexRows,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     _as_tuple,
     apply_automorphism,
     cayley_to_siegel,
@@ -95,6 +99,8 @@ class BlaschkeDeg2:
     def apply(self, z: complex) -> complex:
         return z * (z + self.a) / (1.0 + self.a * z)
 
+    apply_rows = apply  # on `ComplexRows` every operation above rounds alike
+
     def preimages(self, z: complex) -> list[complex]:
         # b(xi) = z  <=>  xi^2 + a (1 - z) xi - z = 0
         return [complex(r) for r in np.roots([1.0, self.a * (1.0 - z), -z])]
@@ -118,6 +124,8 @@ class DiskLinear:
     def apply(self, z: complex) -> complex:
         return self.c * z
 
+    apply_rows = apply
+
     def preimages(self, z: complex) -> list[complex]:
         if self.c == 0:
             return []
@@ -131,8 +139,18 @@ OneDimMap = Union[HalfPlaneLinear, HalfPlaneAffine, BlaschkeDeg2, DiskLinear]
 # map descriptors
 # ---------------------------------------------------------------------------
 
+class _Family:
+    """Protocol members with a default."""
+
+    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
+        """`evaluate` of every row, one point at a time."""
+        images = [evaluate(self, p.point(i)).coords for i in range(len(p.t))]
+        z, *w = ComplexRows.columns(np.array(images))
+        return SiegelRows(z, w)
+
+
 @dataclass(frozen=True)
-class QuadraticSiegel:
+class QuadraticSiegel(_Family):
     """f(z, w) = (A z + B w^2, C w) on H^2; self-map iff A - |B| >= |C|^2."""
 
     A: float
@@ -157,6 +175,12 @@ class QuadraticSiegel:
         w = p.w[0]
         return SiegelPoint(self.A * p.z + self.B * w * w, (self.C * w,))
 
+    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
+        if p.dim != 2:
+            raise DimensionMismatch("quadratic family lives on H^2")
+        w = p.w[0]
+        return SiegelRows(self.A * p.z + self.B * w * w, (self.C * w,))
+
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         if self.A == 0 or self.C == 0:
             return []
@@ -167,7 +191,7 @@ class QuadraticSiegel:
 
 
 @dataclass(frozen=True)
-class Lifted:
+class Lifted(_Family):
     """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi."""
 
     phi: OneDimMap
@@ -193,7 +217,7 @@ class Lifted:
 
 
 @dataclass(frozen=True)
-class DiagonalLinear:
+class DiagonalLinear(_Family):
     """f(z, w) = (alpha z, Lambda w) with |Lambda_jj|^2 <= alpha."""
 
     alpha: float
@@ -217,6 +241,11 @@ class DiagonalLinear:
             raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
         return SiegelPoint(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
 
+    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
+        if p.dim != self.dim:
+            raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
+        return SiegelRows(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
+
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         if any(c == 0 for c in self.lam):
             return []
@@ -228,7 +257,7 @@ class DiagonalLinear:
 
 
 @dataclass(frozen=True)
-class Conjugated:
+class Conjugated(_Family):
     """g = by o base o by^{-1}, for any family `base`; `base` is reached through
     the module functions, so a call on g nests a call on `base` under its name."""
 
@@ -266,7 +295,7 @@ class Conjugated:
 
 
 @dataclass(frozen=True)
-class BallProduct:
+class BallProduct(_Family):
     """Coordinatewise ball map (z_1, ..., z_N) |-> (g_1(z_1), ..., g_N(z_N)).
 
     Each component must be a disk self-map.  Evaluation on Siegel points goes

@@ -67,3 +67,34 @@ def test_markdown_table():
     assert rows[0].startswith("| conjugate (2 pairs, seeds 300-301) | metric | parent")
     assert rows[2] == "| | op_p50_ms | 35.5 [35.25, 35.75] | 15.25 [15.12, 15.38] | 2/2 | yes |"
     assert rows[3].startswith("| | work_per_s | 4950 [4925, 4975] | 1.405e+04")
+
+
+@pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(), reason="needs a git checkout")
+def test_machine_line_names_versions_processors_and_commits():
+    head = bench_pairs.git("rev-parse", "HEAD")
+    line = bench_pairs.machine("HEAD")["machine"]
+    assert set(line) == {"python", "numpy", "nproc", "parent", "change", "change_uncommitted"}
+    assert line["python"].count(".") == 2 and line["numpy"][0].isdigit()
+    assert isinstance(line["nproc"], int) and line["nproc"] >= 1
+    assert line["parent"] == line["change"] == head and len(head) == 40
+    assert isinstance(line["change_uncommitted"], bool)
+
+
+def test_out_starts_with_the_machine_line(tmp_path, monkeypatch, capsys):
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
+    result = {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda cwd, workload, seed, seconds: result)
+    monkeypatch.setattr(bench_pairs, "machine", lambda parent: {"machine": {"parent": parent}})
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--parent", "abc", "--workload", "checks", "--seeds", "5-6", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv) == 0  # a second run appends its own machine line
+    lines = [json.loads(s) for s in out.read_text().splitlines()]
+    assert len(lines) == 10
+    for run in (lines[:5], lines[5:]):
+        assert run[0] == {"machine": {"parent": "abc"}}
+        assert [(r["side"], r["seed"]) for r in run[1:]] == [
+            ("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
+    assert "| checks (2 pairs, seeds 5-6) |" in capsys.readouterr().out

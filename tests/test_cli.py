@@ -208,6 +208,25 @@ def test_verify_rejects_samples_below_one(samples, capsys):
     assert err.startswith("error: ") and "--samples" in err
 
 
+CONFIG_COMMANDS = {
+    "classify": ["classify", "--map", "quadpol"],
+    "orbit": ["orbit", "--map", "quadpol", "--start", "1,0", "--backward"],
+    "conjugate": ["conjugate", "--map", "quadpol"],
+    "verify": ["verify", *FAST_VERIFY],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_missing_config_file_exit_1(command, tmp_path, capsys):
+    missing = tmp_path / "nonexistent" / "cfg.json"
+    code, out, err = run([*CONFIG_COMMANDS[command], "--config", str(missing),
+                          "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "cfg.json" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ For each seed it runs ``python3 perfbench/run.py --workload W --seed S
 working tree, alternating which side goes first.  The parent runs from a
 temporary ``git archive`` export of REF (removed afterwards; an interrupted run
 leaves nothing registered in the repository).  Every raw JSON result line is
-appended to ``--out``; the summary is a markdown table with each side's median
+appended to ``--out``, after one machine line: the Python and numpy versions of
+the ``python3`` that runs the benchmark, the processors this process may use,
+the parent commit, and the commit of the working tree with whether it has
+uncommitted changes.  The summary is a markdown table with each side's median
 and quartiles per end-to-end metric, the pairs the change won (ties count for
 neither), and whether the gap between the medians exceeds the spread between
 the parent's quartiles.  Only the standard library is used.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -89,6 +93,24 @@ def run_once(cwd: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def machine(parent: str) -> dict:
+    """The machine line written before the records of one run."""
+    versions = subprocess.run(
+        ["python3", "-c", "import platform, numpy; print(platform.python_version(), "
+                          "numpy.__version__)"],
+        capture_output=True, text=True, check=True).stdout.split()
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"machine": {"python": versions[0], "numpy": versions[1], "nproc": nproc,
+                        "parent": git("rev-parse", f"{parent}^{{commit}}"),
+                        "change": git("rev-parse", "HEAD"),
+                        "change_uncommitted": bool(git("status", "--porcelain"))}}
+
+
 def export(ref: str, dest: Path) -> None:
     tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
                          capture_output=True, check=True).stdout
@@ -110,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
     seeds = parse_seeds(args.seeds)
     out = ROOT / args.out
     out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(machine(args.parent)) + "\n")
     records = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(args.parent, Path(tmp))
