@@ -308,6 +308,8 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not alpha > 0.0:  # alpha = 0 would make every ratio inf
+        raise ValueError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
     k, normal = f.dim - 1, rng.standard_normal
     # per sample, in stream order: log10 t ~ U(-3, 3), Re w and Im w ~ N(0, 1)^k,

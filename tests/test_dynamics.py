@@ -259,6 +259,13 @@ def test_julia_check_needs_a_sample(n_samples):
         julia_inclusion_check(QUADPOL, ZERO2, 2.0, n_samples, seed=1)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -2.0, float("nan")])
+def test_julia_check_needs_a_positive_multiplier(alpha):
+    # alpha = 0 used to raise a raw ZeroDivisionError, a negative alpha to pass
+    with pytest.raises(ValueError, match="alpha"):
+        julia_inclusion_check(QUADPOL, ZERO2, alpha, 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------

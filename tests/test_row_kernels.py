@@ -15,7 +15,7 @@ from siegel_dynamics import dynamics as dyn
 from siegel_dynamics import geometry as geo
 from siegel_dynamics import serialize as ser
 from siegel_dynamics.cli import FIXTURES, fixture_path
-from siegel_dynamics.errors import DimensionMismatch, InvalidPoint
+from siegel_dynamics.errors import DimensionMismatch
 from siegel_dynamics.geometry import (
     BallPoint,
     BoundaryPoint,
