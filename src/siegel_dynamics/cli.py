@@ -261,7 +261,7 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Inversion(),
     ))
     p, q = pairs()
-    d_auto = geo.dist_siegel_rows(*(geo.apply_automorphism_rows(auto, r) for r in (p, q)))
+    d_auto = geo.dist_siegel_rows(*(geo.apply_automorphism(auto, r) for r in (p, q)))
     gap = max([0.0, *np.abs(geo.dist_siegel_rows(p, q) - d_auto).tolist()])
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
@@ -288,11 +288,9 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     # Julia-type inclusions on the quadratic and diagonal fixtures
     quadpol = maps_by_name["quadpol"]
     diag = maps_by_name["diaglinear"]
-    zero2 = geo.BoundaryPoint(v=geo.CVector((0.0, 0.0)), model="siegel")
-    inf_pt = geo.BoundaryPoint(at_infinity=True, model="siegel")
     total_viol = 0
-    for f, x, alpha in ((quadpol, zero2, 2.0), (quadpol, inf_pt, 0.5),
-                        (diag, zero2, 2.0), (diag, inf_pt, 0.5)):
+    for f, x, alpha in ((quadpol, mp.ORIGIN2, 2.0), (quadpol, geo.INFINITY, 0.5),
+                        (diag, mp.ORIGIN2, 2.0), (diag, geo.INFINITY, 0.5)):
         rep = dyn.julia_inclusion_check(f, x, alpha, n_samples=samples, seed=seed)
         total_viol += rep.violations
     yield "julia_inclusions", total_viol == 0, str(total_viol)

@@ -35,9 +35,8 @@ from .geometry import (
     cayley_to_siegel,
     defect,
     dist_siegel,
-    julia_quotient_rows,
+    julia_quotient,
     koranyi_ratio,
-    siegel_to_ball,
     sq_norm,
 )
 from .maps import (
@@ -111,7 +110,7 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint,
     for k in range(1, n_samples + 1):
         s = decay ** k
         p = cayley_to_siegel(BallPoint(CVector(tuple((1.0 - s) * c for c in qb))))
-        if defect(p) <= 0 or defect(p) < 1e-300:
+        if defect(p) < 1e-300:
             break
         fp = evaluate(f, p)
         gap_in = s * nq + (1.0 - nq)
@@ -320,8 +319,8 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
          [normal() for _ in range(k)], rng.random(), normal() * 2.0)
         for _ in range(n_samples)])
     p = _siegel_samples(t, re, im, np.array(scale)[:, None], y)
-    q_in = julia_quotient_rows(p, x)
-    ratio = julia_quotient_rows(f.evaluate_rows(p), x) / (alpha * q_in)
+    q_in = julia_quotient(p, x)
+    ratio = julia_quotient(evaluate(f, p), x) / (alpha * q_in)
     # Python's max over the rows in order, as the per-point loop took it (NaN skipped)
     return JuliaReport(n_samples, int(np.count_nonzero(ratio > 1.0 + 1e-10)),
                        max([0.0, *ratio.tolist()]), seed)
@@ -407,7 +406,7 @@ def elliptic_growth_constant(f: BallProduct, r0: float, n_grid: int = 32,
     phases = np.exp(1j * (thetas[:: max(1, n_angles // 8), None] + offsets))
     grid = (radii[:, None, None] * mags)[:, :, None, :] * phases
     v = ComplexRows.columns(grid.reshape(-1, dim))
-    norms = ball_norm_rows(tuple(g.apply_rows(z) for g, z in zip(f.components, v)))
+    norms = ball_norm_rows(tuple(g.apply(z) for g, z in zip(f.components, v)))
     # the checked norms are finite, so numpy's max is the per-point running max
     m_vals = norms.reshape(n_grid, -1).max(axis=1).tolist()
     c = max([0.0] + [(1.0 - r) / (1.0 - best) for r, best in zip(radii.tolist(), m_vals)])

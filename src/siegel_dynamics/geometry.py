@@ -18,8 +18,9 @@ so the ball point (1, 0) corresponds to the Siegel point at infinity and
 Numerics: per-point code is plain CPython arithmetic on tuples of `complex`;
 constructors convert their input to tuples once.  Where a complex division
 was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
-keep their bytes.  numpy is for sampling, real arrays (grids, the Newton
-Jacobian, polynomial roots) and `dist_ball_rows` (see the comment there).
+keep their bytes.  Most formulas also take many points at once (see "rows").
+numpy is for sampling, real arrays (grids, the Newton Jacobian, polynomial
+roots) and `dist_ball_rows` (see the comment there).
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ def _as_tuple(values) -> Complexes:
 
 def _cdiv(a: complex, b: complex) -> complex:
     """a / b rounded as numpy's complex division (Smith's method, multiplying
-    by the reciprocal), which differs from CPython's `/` in the last bit."""
+    by the reciprocal), which differs from CPython's `/` in the last bit; a
+    `ComplexRows` dividend is divided row by row the same way."""
+    if type(a) is ComplexRows:
+        return _smith(a, b, reciprocal=True)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     if abs(br) >= abs(bi):
         rat = bi / br
@@ -274,6 +278,11 @@ def defect(p: SiegelPoint) -> float:
     return p.z.real - sq_norm(p.w)
 
 
+def _square(x):
+    """x ** 2 as CPython rounds it, also on an array (where x * x may not)."""
+    return np.float_power(x, 2.0) if type(x) is np.ndarray else x ** 2
+
+
 def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
     """Cancellation-free d^2 for nearly equal ball points, from the identity
 
@@ -331,8 +340,13 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
-    d2 = 1.0 - 4.0 * defect(a) * defect(b) / den
+    try:
+        den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
+        d2 = 1.0 - 4.0 * defect(a) * defect(b) / den
+    except ZeroDivisionError:  # the scaled metric of ROADMAP item 1 avoids both
+        raise InvalidPoint("dist_siegel: |s|^2 underflows below t ~ 1e-170 (ROADMAP item 1)") from None
+    except OverflowError:
+        raise InvalidPoint("dist_siegel: |s|^2 overflows above |z| ~ 1e154 (ROADMAP item 1)") from None
     if d2 < 1e-12:
         d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
     return math.sqrt(max(0.0, d2))
@@ -374,15 +388,16 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
 
     At the vertex infinity this is 1/defect(p) (the horosphere H(t) at infinity
     is {defect > t}).  Evaluated from Siegel coordinates so it stays accurate
-    arbitrarily close to the boundary.
+    arbitrarily close to the boundary.  On `SiegelRows` it gives an array.
     """
     if q.model == "siegel" and q.at_infinity:
         return 1.0 / defect(p)
     if q.model == "ball":
-        return abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) ** 2 / one_minus_sq_ball_norm(p)
+        s = 1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)
+        return _square(abs(s)) / (4.0 * defect(p) / _square(abs(p.z + 1.0)))
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return abs(s) ** 2 / (defect(p) * abs(zq + 1.0) ** 2)
+    return _square(abs(s)) / (defect(p) * abs(zq + 1.0) ** 2)
 
 
 def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
@@ -456,8 +471,6 @@ class Translation:
         return (z - 1j * self.y + sq_norm(self.w0) - 2.0 * herm(w, self.w0),
                 tuple(a - b for a, b in zip(w, self.w0)))
 
-    apply_rows = apply  # on `ComplexRows` columns every operation above rounds alike
-
     def inverse(self) -> "Translation":
         return Translation(-self.y, tuple(-c for c in self.w0))
 
@@ -478,9 +491,6 @@ class Dilation:
 
     def apply(self, z, w):
         return z / self.t, tuple(_cdiv(c, math.sqrt(self.t)) for c in w)
-
-    def apply_rows(self, z, w):
-        return z / self.t, tuple(_smith(c, math.sqrt(self.t), reciprocal=True) for c in w)
 
     def inverse(self) -> "Dilation":
         return Dilation(1.0 / self.t)
@@ -503,8 +513,6 @@ class Rotation:
 
     def apply(self, z, w):
         return z, tuple(o * c for o, c in zip(self.omega, w, strict=True))
-
-    apply_rows = apply
 
     def inverse(self) -> "Rotation":
         return Rotation(tuple(c.conjugate() for c in self.omega))
@@ -533,8 +541,6 @@ class LinearDiag:
     def apply(self, z, w):
         return self.alpha * z, tuple(c * x for c, x in zip(self.lam, w, strict=True))
 
-    apply_rows = apply
-
     def inverse(self) -> "LinearDiag":
         return LinearDiag(1.0 / self.alpha, tuple(1.0 / c for c in self.lam))
 
@@ -548,9 +554,6 @@ class Inversion:
 
     def apply(self, z, w):
         return 1.0 / z, tuple(_cdiv(c, z) for c in w)
-
-    def apply_rows(self, z, w):
-        return 1.0 / z, tuple(_smith(c, z, reciprocal=True) for c in w)
 
     def inverse(self) -> "Inversion":
         return Inversion()
@@ -593,10 +596,11 @@ def build_automorphism(kind: str, **params) -> SiegelAutomorphism:
 
 
 def apply_automorphism(a: SiegelAutomorphism, p: SiegelPoint) -> SiegelPoint:
+    """The image of a `SiegelPoint`, or of each row of `SiegelRows`, as the same type."""
     z, w = p.z, p.w
     for prim in a.chain:
         z, w = prim.apply(z, w)
-    return SiegelPoint(z, w)
+    return type(p)(z, w)
 
 
 def compose_automorphisms(a: SiegelAutomorphism, b: SiegelAutomorphism) -> SiegelAutomorphism:
@@ -617,9 +621,9 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
 
 
 # ---------------------------------------------------------------------------
-# row kernels: many points at once, with the scalar core's bits.  `abs` is
-# np.hypot (CPython's complex abs) and `x ** 2` is np.float_power(x, 2.0)
-# (libm pow, as CPython; x * x and np.power can differ in the last bit).
+# rows: many points at once, with the scalar core's bits.  `abs` is np.hypot
+# (CPython's complex abs), `x ** 2` is `_square`, and `_cdiv` as well as `/`
+# divide columns by `_smith`.
 # ---------------------------------------------------------------------------
 
 def _parts(x) -> tuple:
@@ -729,14 +733,9 @@ def ball_norm_rows(v: tuple[ComplexRows, ...]) -> np.ndarray:
     return np.sqrt(s)
 
 
-def _ball_coords_rows(z: ComplexRows, w: tuple[ComplexRows, ...]) -> tuple[ComplexRows, ...]:
-    d = z + 1.0
-    return ((z - 1.0) / d,) + tuple(_smith(2.0 * c, d, reciprocal=True) for c in w)
-
-
 def siegel_to_ball_rows(p: SiegelRows) -> np.ndarray:
     """`siegel_to_ball` of every row, as an (n, dim) complex array."""
-    v = _ball_coords_rows(p.z, p.w)
+    v = _ball_coords(p.z, p.w)
     ball_norm_rows(v)
     return np.stack([np.stack([c.real, c.imag], axis=-1) for c in v], axis=1).view(complex)[..., 0]
 
@@ -746,27 +745,9 @@ def dist_siegel_rows(a: SiegelRows, b: SiegelRows) -> np.ndarray:
     its ball-coordinate fallback alone."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    den = np.float_power(abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)), 2.0)
+    den = _square(abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)))
     d2 = 1.0 - 4.0 * a.t * b.t / den
     for i in np.flatnonzero(d2 < 1e-12).tolist():
         d2[i] = _small_dist_ball_sq(siegel_to_ball(a.point(i)).v.coords,
                                     siegel_to_ball(b.point(i)).v.coords)
     return np.sqrt(np.where(d2 > 0.0, d2, 0.0))  # max(0.0, NaN) is 0.0, np.maximum's NaN
-
-
-def julia_quotient_rows(p: SiegelRows, q: BoundaryPoint) -> np.ndarray:
-    if q.model == "siegel" and q.at_infinity:
-        return 1.0 / p.t
-    if q.model == "ball":
-        s = 1.0 - herm(_ball_coords_rows(p.z, p.w), q.v.coords)
-        return np.float_power(abs(s), 2.0) / (4.0 * p.t / np.float_power(abs(p.z + 1.0), 2.0))
-    zq, wq = q.v.coords[0], q.v.coords[1:]
-    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return np.float_power(abs(s), 2.0) / (p.t * abs(zq + 1.0) ** 2)
-
-
-def apply_automorphism_rows(a: SiegelAutomorphism, p: SiegelRows) -> SiegelRows:
-    z, w = p.z, p.w
-    for prim in a.chain:
-        z, w = prim.apply_rows(z, w)
-    return SiegelRows(z, w)

@@ -7,8 +7,9 @@ automorphism, and coordinatewise products of one-dimensional maps acting on
 the ball model.  Each family is one class with the members `dim`,
 `evaluate(p)`, `preimages(p)` (closed-form preimage coordinates, or None) and
 `fixed_point_set()`; the module functions of the same purpose delegate to them.
-`evaluate_rows(rows)` applies the map to `SiegelRows` with the bits of
-`evaluate`; the disk maps' `apply_rows` does the same on `ComplexRows`.
+`evaluate` takes a `SiegelPoint` or `SiegelRows` and returns the same type,
+each row with the bits of one point; the disk maps' `apply` takes a complex
+number or a `ComplexRows` column alike.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ class BlaschkeDeg2:
     def apply(self, z: complex) -> complex:
         return z * (z + self.a) / (1.0 + self.a * z)
 
-    apply_rows = apply  # on `ComplexRows` every operation above rounds alike
-
     def preimages(self, z: complex) -> list[complex]:
         # b(xi) = z  <=>  xi^2 + a (1 - z) xi - z = 0
         return [complex(r) for r in np.roots([1.0, self.a * (1.0 - z), -z])]
@@ -124,8 +123,6 @@ class DiskLinear:
     def apply(self, z: complex) -> complex:
         return self.c * z
 
-    apply_rows = apply
-
     def preimages(self, z: complex) -> list[complex]:
         if self.c == 0:
             return []
@@ -139,18 +136,8 @@ OneDimMap = Union[HalfPlaneLinear, HalfPlaneAffine, BlaschkeDeg2, DiskLinear]
 # map descriptors
 # ---------------------------------------------------------------------------
 
-class _Family:
-    """Protocol members with a default."""
-
-    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
-        """`evaluate` of every row, one point at a time."""
-        images = [evaluate(self, p.point(i)).coords for i in range(len(p.t))]
-        z, *w = ComplexRows.columns(np.array(images))
-        return SiegelRows(z, w)
-
-
 @dataclass(frozen=True)
-class QuadraticSiegel(_Family):
+class QuadraticSiegel:
     """f(z, w) = (A z + B w^2, C w) on H^2; self-map iff A - |B| >= |C|^2."""
 
     A: float
@@ -173,13 +160,7 @@ class QuadraticSiegel(_Family):
         if p.dim != 2:
             raise DimensionMismatch("quadratic family lives on H^2")
         w = p.w[0]
-        return SiegelPoint(self.A * p.z + self.B * w * w, (self.C * w,))
-
-    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
-        if p.dim != 2:
-            raise DimensionMismatch("quadratic family lives on H^2")
-        w = p.w[0]
-        return SiegelRows(self.A * p.z + self.B * w * w, (self.C * w,))
+        return type(p)(self.A * p.z + self.B * w * w, (self.C * w,))
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         if self.A == 0 or self.C == 0:
@@ -191,7 +172,7 @@ class QuadraticSiegel(_Family):
 
 
 @dataclass(frozen=True)
-class Lifted(_Family):
+class Lifted:
     """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi."""
 
     phi: OneDimMap
@@ -205,7 +186,7 @@ class Lifted(_Family):
         if p.dim != 2:
             raise DimensionMismatch("lifted family lives on H^2")
         w = p.w[0]
-        return SiegelPoint(self.phi.apply(p.z - w * w) + w * w, (w,))
+        return type(p)(self.phi.apply(p.z - w * w) + w * w, (w,))
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         w = p.w[0]
@@ -217,7 +198,7 @@ class Lifted(_Family):
 
 
 @dataclass(frozen=True)
-class DiagonalLinear(_Family):
+class DiagonalLinear:
     """f(z, w) = (alpha z, Lambda w) with |Lambda_jj|^2 <= alpha."""
 
     alpha: float
@@ -239,12 +220,7 @@ class DiagonalLinear(_Family):
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
         if p.dim != self.dim:
             raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
-        return SiegelPoint(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
-
-    def evaluate_rows(self, p: SiegelRows) -> SiegelRows:
-        if p.dim != self.dim:
-            raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
-        return SiegelRows(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
+        return type(p)(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         if any(c == 0 for c in self.lam):
@@ -257,7 +233,7 @@ class DiagonalLinear(_Family):
 
 
 @dataclass(frozen=True)
-class Conjugated(_Family):
+class Conjugated:
     """g = by o base o by^{-1}, for any family `base`; `base` is reached through
     the module functions, so a call on g nests a call on `base` under its name."""
 
@@ -295,7 +271,7 @@ class Conjugated(_Family):
 
 
 @dataclass(frozen=True)
-class BallProduct(_Family):
+class BallProduct:
     """Coordinatewise ball map (z_1, ..., z_N) |-> (g_1(z_1), ..., g_N(z_N)).
 
     Each component must be a disk self-map.  Evaluation on Siegel points goes
@@ -317,6 +293,10 @@ class BallProduct(_Family):
         return len(self.components)
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        if type(p) is SiegelRows:  # the ball detour goes one point at a time
+            images = [self.evaluate(p.point(i)).coords for i in range(len(p.t))]
+            z, *w = ComplexRows.columns(np.array(images))
+            return SiegelRows(z, w)
         return cayley_to_siegel(evaluate_ball(self, siegel_to_ball(p)))
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
@@ -351,7 +331,7 @@ def evaluate_ball(f: BallProduct, p: BallPoint) -> BallPoint:
 
 
 def evaluate(f: MapDescriptor, p: SiegelPoint) -> SiegelPoint:
-    """Apply a map descriptor to a Siegel point."""
+    """Apply a map descriptor to a Siegel point, or to each row of `SiegelRows`."""
     return f.evaluate(p)
 
 

@@ -31,7 +31,7 @@ def mp_dist_siegel(a: SiegelPoint, b: SiegelPoint):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: 4 t_a t_b and |s|^2 underflow "
-                                       "below t ~ 1e-162 (ZeroDivisionError at t ~ 1e-200)")
+                                       "below t ~ 1e-162 (InvalidPoint at t ~ 1e-200)")
 def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
     # fixed pairs dilated to defect scale t: (t z, sqrt(t) w) keeps every distance
     bases = [((1.09 + 0.5j, 0.3), (2.25 - 0.3j, 0.1 + 0.2j)),

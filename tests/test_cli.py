@@ -104,6 +104,17 @@ def test_orbit_invalid_start_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("direction, start, cause", [("--backward", "1e-200,0", "underflows"),
+                                                     ("--forward", "1e155,0", "overflows")])
+def test_orbit_beyond_the_metrics_double_range_exit_1(direction, start, cause, tmp_path, capsys):
+    code, out, err = run(["orbit", "--map", "quadpol", direction, "--start", start, "--n", "3",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dist_siegel: ") and cause in err and "ROADMAP item 1" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # conjugate
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_dist_siegel_axis_formula():
         assert abs(dist_siegel(one, SiegelPoint(t, (0.0,))) - (1 - t) / (1 + t)) < 1e-14
 
 
+@pytest.mark.parametrize("t, cause", [(1e-200, "underflows"), (1e-171, "underflows"),
+                                      (1e155, "overflows"), (1e300, "overflows")])
+def test_dist_siegel_beyond_its_double_range_raises_invalid_point(t, cause):
+    # |s|^2 = |z_a + conj(z_b)|^2 leaves the double range; no raw ArithmeticError
+    with pytest.raises(InvalidPoint, match=f"{cause}.*ROADMAP item 1"):
+        dist_siegel(SiegelPoint(t, (0.0,)), SiegelPoint(2.0 * t, (0.0,)))
+
+
 def test_dist_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dist_siegel(SiegelPoint(1.0, (0.0,)), SiegelPoint(1.0, ()))

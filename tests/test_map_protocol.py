@@ -1,14 +1,16 @@
 """A map family defined only here: one class with the four protocol members
 (`dim`, `evaluate`, `preimages`, `fixed_point_set`) is enough for the module
-functions of `maps`, the backward solver and `Conjugated`."""
+functions of `maps`, the backward solver, `Conjugated` and, with an `evaluate`
+that returns `type(p)`, the batched Julia check."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from siegel_dynamics import maps
-from siegel_dynamics.dynamics import backward_orbit
+from siegel_dynamics.dynamics import backward_orbit, julia_inclusion_check
 from siegel_dynamics.geometry import (
+    INFINITY,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
@@ -16,6 +18,8 @@ from siegel_dynamics.geometry import (
     apply_automorphism,
     invert_automorphism,
 )
+
+from test_sampled_parity import julia_bits, ref_julia_inclusion_check
 
 
 @dataclass(frozen=True)
@@ -25,7 +29,7 @@ class DoubleZ:
     dim = 2
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        return SiegelPoint(2.0 * p.z, p.w)
+        return type(p)(2.0 * p.z, p.w)
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         return [CVector((p.z / 2.0,) + p.w)]
@@ -69,3 +73,13 @@ def test_conjugated_wraps_the_new_family():
     orbit = backward_orbit(g, start, 0.34, 20)
     assert len(orbit.points) == 21
     assert orbit.multiplier_estimate == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("x, alpha", [(maps.ORIGIN2, 2.0), (INFINITY, 0.5)], ids=["zero", "infinity"])
+def test_julia_check_runs_the_new_family_on_rows(x, alpha):
+    # `evaluate` alone serves a whole batch: the class has no member for rows
+    assert [m for m in vars(DoubleZ) if "rows" in m] == []
+    for seed in range(3):
+        got = julia_bits(julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)
+        assert got[1] == 0
+        assert got == julia_bits(ref_julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)

@@ -1,9 +1,11 @@
-"""Row kernels against the scalar core, bit for bit.
+"""Rows against single points, bit for bit.
 
-Every kernel in `geometry` and every `evaluate_rows` / `apply_rows` member must
-give each row the bits the scalar function gives that row as one point, and a
-batch holding an out-of-domain row must raise what the scalar function raises
-for the first such row.  Floats are compared by `float.hex`.
+The row functions of `geometry`, and each scalar formula given `SiegelRows` or
+`ComplexRows` instead of one point (`_cdiv`, `julia_quotient`,
+`apply_automorphism`, each family's `evaluate`, the disk maps' `apply`), must
+give each row the bits the formula gives that row as one point, and a batch
+holding an out-of-domain row must raise what the scalar function raises for
+the first such row.  Floats are compared by `float.hex`.
 """
 
 import math
@@ -148,10 +150,10 @@ def test_smith_reciprocal_matches_cdiv():
     a = [complex(x) for x in random_complex(rng, 3000)]
     b = [complex(x) for x in random_complex(rng, 3000)]
     b = [q if q != 0 else 1.5 - 0.5j for q in b]
-    got = geo._smith(column(a), column(b), reciprocal=True)
+    got = geo._cdiv(column(a), column(b))
     assert column_bits(got) == [cbits(geo._cdiv(p, q)) for p, q in zip(a, b)]
     for s in (2.0, math.sqrt(2.5), 0.3 + 4j):
-        got = geo._smith(column(a), s, reciprocal=True)
+        got = geo._cdiv(column(a), s)
         assert column_bits(got) == [cbits(geo._cdiv(p, s)) for p in a]
 
 
@@ -296,7 +298,7 @@ VERTICES = [
 @pytest.mark.parametrize("q", VERTICES, ids=["inf", "zero", "siegel", "ball", "ball_minus1"])
 def test_julia_quotient_rows_match_per_point(q):
     pts = siegel_sample(np.random.default_rng(40), 800, 2, -12.0, 4.0)
-    got = geo.julia_quotient_rows(siegel_rows(pts), q)
+    got = geo.julia_quotient(siegel_rows(pts), q)
     assert [x.hex() for x in got.tolist()] == [geo.julia_quotient(p, q).hex() for p in pts]
 
 
@@ -315,7 +317,7 @@ def test_squares_round_as_cpython_pow():
     got = geo.dist_siegel_rows(siegel_rows(pts), siegel_rows(near))
     assert [x.hex() for x in got.tolist()] == [geo.dist_siegel(p, q).hex() for p, q in zip(pts, near)]
     for q in VERTICES[1:3]:
-        got = geo.julia_quotient_rows(siegel_rows(pts), q)
+        got = geo.julia_quotient(siegel_rows(pts), q)
         assert [x.hex() for x in got.tolist()] == [geo.julia_quotient(p, q).hex() for p in pts]
 
 
@@ -342,7 +344,7 @@ def test_apply_automorphism_rows_match_per_point(auto):
     pts = siegel_sample(np.random.default_rng(50), 600, 2, -8.0, 4.0)
     want = [outcome(geo.apply_automorphism, auto, p) for p in pts]
     assert all(w[0] == "ok" for w in want)
-    got = geo.apply_automorphism_rows(auto, siegel_rows(pts))
+    got = geo.apply_automorphism(auto, siegel_rows(pts))
     assert rows_bits(got) == [point_bits(w[1]) for w in want]
 
 
@@ -358,7 +360,7 @@ FAMILIES = {
 def test_evaluate_rows_match_per_point(name):
     f = FAMILIES[name]
     pts = siegel_sample(np.random.default_rng(60), 300, f.dim, -4.0, 3.0)
-    got = f.evaluate_rows(siegel_rows(pts))
+    got = evaluate(f, siegel_rows(pts))
     assert rows_bits(got) == [point_bits(evaluate(f, p)) for p in pts]
 
 
@@ -369,9 +371,9 @@ def test_evaluate_rows_raise_the_first_bad_images_error(f):
     pts = siegel_sample(np.random.default_rng(61), 400, 2, -14.0, 1.0)
     want = first_error(lambda p: evaluate(f, p), pts)
     assert want is not None and want[1] == "InvalidPoint"
-    assert outcome(f.evaluate_rows, siegel_rows(pts)) == want
+    assert outcome(evaluate, f, siegel_rows(pts)) == want
     with pytest.raises(DimensionMismatch):
-        f.evaluate_rows(siegel_rows([SiegelPoint(2.0, (0.1, 0.2))]))
+        evaluate(f, siegel_rows([SiegelPoint(2.0, (0.1, 0.2))]))
 
 
 @pytest.mark.parametrize("g", [BlaschkeDeg2(0.5), BlaschkeDeg2(0.999), DiskLinear(0.5),
@@ -382,7 +384,7 @@ def test_disk_maps_apply_rows_match_apply(g):
     z = [complex(c) / (abs(c) + 0.01) for c in z]
     z += [complex(x, y) for x in SPECIAL for y in SPECIAL]  # NaN-producing rows too
     z = [c for c in z if outcome(g.apply, c)[0] == "ok"]
-    assert column_bits(g.apply_rows(column(z))) == [cbits(g.apply(c)) for c in z]
+    assert column_bits(g.apply(column(z))) == [cbits(g.apply(c)) for c in z]
 
 
 # ---------------------------------------------------------------------------
