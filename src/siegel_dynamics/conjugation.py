@@ -12,7 +12,6 @@ is the linear model.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .errors import ConstructionFailed, InvalidDescriptor, NoBackwardStep, OrbitTooShort
 from .geometry import (
     BoundaryPoint,
+    ComplexRows,
     CVector,
     Dilation,
     Inversion,
@@ -27,15 +27,17 @@ from .geometry import (
     Rotation,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     Translation,
     apply_automorphism,
     compose_automorphisms,
     defect,
     dist_siegel,
+    dist_siegel_rows,
     invert_automorphism,
     recentering_translation,
 )
-from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, iterate, quadratic_iterate_closed
+from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, quadratic_iterate_closed
 from .dynamics import BackwardOrbit, backward_orbit
 
 
@@ -128,30 +130,56 @@ def default_grid(dim: int = 2) -> list[SiegelPoint]:
     return [SiegelPoint(complex(z), w) for z in zs for w in offs]
 
 
-def _psi_n(f: MapDescriptor, tau: SiegelAutomorphism, n: int, L: int):
-    """psi_n = f^n o tau o p_L as Z -> (key, psi_n(Z)), iterating f once per
-    distinct p_L(Z) for the function's life.  The key holds the exact bits of
-    p_L(Z): == would merge 0.0 and -0.0, and a zero's sign can reach psi_n."""
-    values: dict[bytes, SiegelPoint] = {}
+def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
+              n_values: tuple[int, ...], L: int, variant: str,
+              omega: tuple[complex, ...] | None) -> SiegelRows:
+    """psi_n = f^n o tau_n o p_L at every point for each n of n_values, as rows:
+    the points in order for each n in turn.  psi_n is computed once per depth
+    and distinct p_L(Z), matched on exact bits (== would merge 0.0 and -0.0,
+    and a zero's sign can reach psi_n).  Step s applies f once to the rows of
+    every depth n >= s, a prefix of the rows sorted by descending depth."""
+    coords = np.array([z.coords for z in points], dtype=complex).reshape(len(points), orbit.points[0].dim)
+    coords[:, 1 + L:] = 0.0  # p_L
+    slots: dict[bytes, int] = {}
+    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in coords], dtype=int)
+    z, *w = ComplexRows.columns(coords[np.unique(inverse, return_index=True)[1]])
+    distinct, u = SiegelRows(z, w), len(slots)
+    depths = sorted(n_values, reverse=True)
+    closed = isinstance(f, QuadraticSiegel)  # f^n in closed form instead of n steps
 
-    def psi(z: SiegelPoint) -> tuple[bytes, SiegelPoint]:
-        p = project_first(z, L)
-        key = struct.pack(f"{2 * p.dim}d", *(x for c in p.coords for x in (c.real, c.imag)))
-        if key not in values:
-            p = apply_automorphism(tau, p)
-            values[key] = (quadratic_iterate_closed(f, n, p) if isinstance(f, QuadraticSiegel)
-                           else iterate(f, n, p))
-        return key, values[key]
+    def start(n: int) -> SiegelRows:
+        rows = apply_automorphism(build_tau(orbit, n, variant, omega), distinct)
+        return quadratic_iterate_closed(f, n, rows) if closed else rows
 
-    return psi
+    rows = SiegelRows.concat([start(n) for n in depths])
+    for step in range(1, 1 + (0 if closed else depths[0])):
+        e = u * sum(n >= step for n in depths)
+        rows = SiegelRows.concat([evaluate(f, rows.take(slice(0, e))), rows.take(slice(e, None))])
+    block = np.argsort(-np.array(n_values), kind="stable")  # where each n's rows went
+    return rows.take((u * np.argsort(block)[:, None] + inverse).ravel())
+
+
+def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
+                    grid: list[SiegelPoint], alpha: float, L: int, variant: str,
+                    omega: tuple[complex, ...] | None) -> tuple[list[float], SiegelRows]:
+    """The residual at each n of n_values from one sweep, and the rows of psi
+    at the last n: at eta(Z), then at Z, in grid order."""
+    eta = eta_model(alpha, orbit.points[0].dim, 1, omega if variant == "expandable" else None)
+    g, m = len(grid), len(n_values)
+    psi = _psi_rows(f, orbit, [apply_automorphism(eta, z) for z in grid] + list(grid), n_values,
+                    L, variant, omega)
+    at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
+    d = dist_siegel_rows(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
+    # each depth's max over its pairs in grid order, as the scalar loop took it
+    return [max(d[i * g:(i + 1) * g]) for i in range(m)], psi.take(slice(2 * g * (m - 1), None))
 
 
 def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint],
                L: int = 0, variant: str = "basic",
                omega: tuple[complex, ...] | None = None) -> list[tuple[SiegelPoint, SiegelPoint]]:
     """Samples of psi_n = f^n o tau_n o p_L on the grid."""
-    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
-    return [(z, psi(z)[1]) for z in grid]
+    psi = _psi_rows(f, orbit, grid, (n,), L, variant, omega)
+    return [(z, psi.point(i)) for i, z in enumerate(grid)]
 
 
 def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
@@ -159,16 +187,7 @@ def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                          variant: str = "basic",
                          omega: tuple[complex, ...] | None = None) -> float:
     """max over the grid of d(psi_n(eta(Z)), f(psi_n(Z)))."""
-    dim = orbit.points[0].dim
-    eta = eta_model(alpha, dim, 1, omega if variant == "expandable" else None)
-    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
-    terms: dict[tuple[bytes, bytes], float] = {}  # in grid order, so max() ties as before
-    for z in grid:
-        key_eta, psi_eta = psi(apply_automorphism(eta, z))
-        key, psi_z = psi(z)
-        if (key_eta, key) not in terms:
-            terms[key_eta, key] = dist_siegel(psi_eta, evaluate(f, psi_z))
-    return max(terms.values())
+    return _residual_sweep(f, orbit, (n,), grid, alpha, L, variant, omega)[0][0]
 
 
 @dataclass(frozen=True)
@@ -181,16 +200,10 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                             variant: str = "basic",
                             omega: tuple[complex, ...] | None = None) -> InterpolationReport:
     """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0)."""
-    if k_max is None:
-        k_max = n // 2
-    k_max = min(k_max, len(orbit.points) - 1)
-    psi = _psi_n(f, build_tau(orbit, n, variant, omega), n, L)
-    dim = orbit.points[0].dim
-    errs = []
-    for k in range(k_max + 1):
-        a_k = SiegelPoint(alpha ** (-k), (0.0,) * (dim - 1))
-        errs.append(dist_siegel(psi(a_k)[1], orbit.points[k]))
-    return InterpolationReport(tuple(errs))
+    k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
+    a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
+    psi = _psi_rows(f, orbit, a, (n,), L, variant, omega)
+    return InterpolationReport(tuple(dist_siegel(psi.point(k), orbit.points[k]) for k in range(len(a))))
 
 
 def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
@@ -199,15 +212,13 @@ def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                   omega: tuple[complex, ...] | None = None) -> float:
     """Deviation of g_n = tau_n^{-1} o psi_n o eta_n^{-1} from the projection
     p_L, measured on the grid points whose eta^{-n} image stays usable."""
-    dim = orbit.points[0].dim
-    eta_inv_n = eta_model(alpha, dim, -n, omega if variant == "expandable" else None)
-    tau = build_tau(orbit, n, variant, omega)
-    tau_inv = invert_automorphism(tau)
-    psi = _psi_n(f, tau, n, L)
+    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega if variant == "expandable" else None)
+    tau_inv = invert_automorphism(build_tau(orbit, n, variant, omega))
+    psi = _psi_rows(f, orbit, [apply_automorphism(eta_inv_n, z) for z in grid], (n,), L,
+                    variant, omega)
     worst = 0.0
-    for z in grid:
-        g = apply_automorphism(tau_inv, psi(apply_automorphism(eta_inv_n, z))[1])
-        worst = max(worst, dist_siegel(g, project_first(z, L)))
+    for i, z in enumerate(grid):
+        worst = max(worst, dist_siegel(apply_automorphism(tau_inv, psi.point(i)), project_first(z, L)))
     return worst
 
 
@@ -239,13 +250,11 @@ def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
         n_values = tuple(range(1, len(orbit.points) - 1))
     if not n_values:
         raise ValueError("run_conjugation needs at least one n in n_values")
-    residuals = tuple(conjugation_residual(f, orbit, n, grid, alpha, L, variant, omega)
-                      for n in n_values)
-    n_last = n_values[-1]
-    interp = psi_interpolation_check(f, orbit, n_last, alpha, None, L, variant, omega)
-    samples = tuple(psi_approx(f, orbit, n_last, grid, L, variant, omega))
+    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, L, variant, omega)
+    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, None, L, variant, omega)
+    samples = tuple((z, psi.point(len(grid) + i)) for i, z in enumerate(grid))
     return ConjugationRun(f, orbit, alpha, variant, L, omega, tuple(grid),
-                          tuple(n_values), residuals, interp, samples)
+                          tuple(n_values), tuple(residuals), interp, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,11 @@ def _square(x):
     return np.float_power(x, 2.0) if type(x) is np.ndarray else x ** 2
 
 
+def _nonneg(x):
+    """max(0.0, x), also on an array: NaN gives 0.0 (np.maximum would keep it)."""
+    return np.where(x > 0.0, x, 0.0) if type(x) is np.ndarray else max(0.0, x)
+
+
 def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
     """Cancellation-free d^2 for nearly equal ball points, from the identity
 
@@ -290,16 +295,15 @@ def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
         = ||Z - W||^2 - sum_{i<j} |z_i w_j - z_j w_i|^2
 
     with the cross terms rewritten as z_i d_j - z_j d_i, d = W - Z, so every
-    term is of order ||d||^2.
+    term is of order ||d||^2.  On `ComplexRows` coordinates it gives an array.
     """
     d = tuple(b - a for a, b in zip(za, zb))
     num = sq_norm(d)
     n = len(za)
     for i in range(n):
         for j in range(i + 1, n):
-            num -= abs(za[i] * d[j] - za[j] * d[i]) ** 2
-    den = abs(1.0 - herm(za, zb)) ** 2
-    return max(0.0, num) / den
+            num -= _square(abs(za[i] * d[j] - za[j] * d[i]))
+    return _nonneg(num) / _square(abs(1.0 - herm(za, zb)))
 
 
 def dist_ball(a: BallPoint, b: BallPoint) -> float:
@@ -349,7 +353,7 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
         raise InvalidPoint("dist_siegel: |s|^2 overflows above |z| ~ 1e154 (ROADMAP item 1)") from None
     if d2 < 1e-12:
         d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
-    return math.sqrt(max(0.0, d2))
+    return math.sqrt(_nonneg(d2))
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
@@ -635,13 +639,16 @@ def _parts(x) -> tuple:
 def _smith(a, b, reciprocal: bool) -> "ComplexRows":
     """a / b on every row by Smith's method: as CPython's `complex` divides, or
     with `reciprocal` as `_cdiv` does (multiplying by the reciprocal)."""
-    (ar, ai), (br, bi) = _parts(a), map(np.asarray, _parts(b))
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
     with np.errstate(all="ignore"):
-        by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: the other branch gives NaN
-        rat = np.where(by_real, bi / br, br / bi)
-        den = np.where(by_real, br + bi * rat, br * rat + bi)
-        re = np.where(by_real, ar + ai * rat, ar * rat + ai)
-        im = np.where(by_real, ai - ar * rat, ai * rat - ar)
+        # the branch for |Im b| > |Re b| is the other one on (-i a) / (-i b), so swap into it
+        if type(b) is ComplexRows:
+            by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: either branch gives NaN
+            ar, ai, br, bi = (np.where(by_real, x, y) for x, y in ((ar, ai), (ai, -ar), (br, bi), (bi, -br)))
+        elif not abs(br) >= abs(bi):
+            ar, ai, br, bi = ai, -ar, bi, -br
+        rat = np.divide(bi, br)
+        den, re, im = br + bi * rat, ar + ai * rat, ai - ar * rat
         if reciprocal:
             den = 1.0 / den
             return ComplexRows(re * den, im * den)
@@ -712,17 +719,35 @@ def _raise_first(bad: np.ndarray, check) -> None:
 
 class SiegelRows:
     """Siegel points (z, w) as columns, z and each w_j a `ComplexRows`.  Every
-    row is checked as `SiegelPoint` checks a point, and t holds the defects."""
+    row is checked as `SiegelPoint` checks a point, and t holds the defects.
+    Rows marked in `bad` failed an earlier step of the formula that made them:
+    the first row bad either way raises through `check(i)`, that formula's
+    scalar path, when one is given."""
 
     __slots__ = ("z", "w", "t", "dim")
 
-    def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = ()):
+    def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = (), bad=False, check=None):
         self.z, self.w = z, tuple(w)
         self.dim, self.t = 1 + len(self.w), z.real - sq_norm(self.w)
-        _raise_first(~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)), self.point)
+        _raise_first(bad | ~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)),
+                     check or self.point)
 
     def point(self, i: int) -> SiegelPoint:
         return SiegelPoint(self.z[i], tuple(c[i] for c in self.w))
+
+    def take(self, i) -> "SiegelRows":
+        """The rows i (a slice or an index array), in that order; checked already."""
+        z, *w = (ComplexRows(c.real[i], c.imag[i]) for c in (self.z,) + self.w)
+        rows = object.__new__(SiegelRows)
+        rows.z, rows.w, rows.t, rows.dim = z, tuple(w), self.t[i], self.dim
+        return rows
+
+    @classmethod
+    def concat(cls, parts: list["SiegelRows"]) -> "SiegelRows":
+        """The rows of each part in turn."""
+        z, *w = (ComplexRows(np.concatenate([c.real for c in col]), np.concatenate([c.imag for c in col]))
+                 for col in zip(*((p.z,) + p.w for p in parts)))
+        return cls(z, w)
 
 
 def ball_norm_rows(v: tuple[ComplexRows, ...]) -> np.ndarray:
@@ -741,13 +766,18 @@ def siegel_to_ball_rows(p: SiegelRows) -> np.ndarray:
 
 
 def dist_siegel_rows(a: SiegelRows, b: SiegelRows) -> np.ndarray:
-    """`dist_siegel` between the rows of a and b; a row with d^2 < 1e-12 takes
-    its ball-coordinate fallback alone."""
+    """`dist_siegel` between the rows of a and b.  The rows with d^2 < 1e-12
+    take the ball-coordinate fallback together; if one of their ball images
+    is not in the ball, the first such pair raises the scalar error."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
     den = _square(abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)))
     d2 = 1.0 - 4.0 * a.t * b.t / den
-    for i in np.flatnonzero(d2 < 1e-12).tolist():
-        d2[i] = _small_dist_ball_sq(siegel_to_ball(a.point(i)).v.coords,
-                                    siegel_to_ball(b.point(i)).v.coords)
-    return np.sqrt(np.where(d2 > 0.0, d2, 0.0))  # max(0.0, NaN) is 0.0, np.maximum's NaN
+    near = np.flatnonzero(d2 < 1e-12)
+    if near.size:
+        a, b = a.take(near), b.take(near)
+        za, zb = _ball_coords(a.z, a.w), _ball_coords(b.z, b.w)
+        _raise_first(~(sq_norm(za) < 1.0) | ~(sq_norm(zb) < 1.0),
+                     lambda i: (siegel_to_ball(a.point(i)), siegel_to_ball(b.point(i))))
+        d2[near] = _small_dist_ball_sq(za, zb)
+    return np.sqrt(_nonneg(d2))

@@ -28,16 +28,18 @@ from .geometry import (
     INFINITY,
     BallPoint,
     BoundaryPoint,
-    ComplexRows,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
     SiegelRows,
     _as_tuple,
+    _ball_coords,
+    _cdiv,
     apply_automorphism,
     cayley_to_siegel,
     invert_automorphism,
     siegel_to_ball,
+    sq_norm,
 )
 
 
@@ -293,11 +295,15 @@ class BallProduct:
         return len(self.components)
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if type(p) is SiegelRows:  # the ball detour goes one point at a time
-            images = [self.evaluate(p.point(i)).coords for i in range(len(p.t))]
-            z, *w = ComplexRows.columns(np.array(images))
-            return SiegelRows(z, w)
-        return cayley_to_siegel(evaluate_ball(self, siegel_to_ball(p)))
+        if type(p) is not SiegelRows:
+            return cayley_to_siegel(evaluate_ball(self, siegel_to_ball(p)))
+        if p.dim != self.dim:
+            raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
+        v = _ball_coords(p.z, p.w)  # the steps of the scalar path, on columns
+        u = tuple(g.apply(c) for g, c in zip(self.components, v))
+        d = 1.0 - u[0]
+        return SiegelRows(_cdiv(1.0 + u[0], d), tuple(_cdiv(c, d) for c in u[1:]),
+                          ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0), lambda i: self.evaluate(p.point(i)))
 
     def preimages(self, p: SiegelPoint) -> list[CVector]:
         vb = siegel_to_ball(p).v.coords
@@ -380,7 +386,7 @@ def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> Sieg
         s += term
         term = term * c2 / f.A if f.A != 0 else 0.0
     w = p.w[0]
-    return SiegelPoint(a_pow * p.z + f.B * s * w * w, (f.C ** n * w,))
+    return type(p)(a_pow * p.z + f.B * s * w * w, (f.C ** n * w,))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from siegel_dynamics.conjugation import (
     psi_approx,
     psi_interpolation_check,
     recenter_orbit_at_zero,
+    run_conjugation,
 )
 from siegel_dynamics.dynamics import backward_orbit
-from siegel_dynamics.errors import InvalidDescriptor
+from siegel_dynamics.errors import InvalidDescriptor, InvalidPoint
 from siegel_dynamics.geometry import SiegelPoint, apply_automorphism, dist_siegel, invert_automorphism
 from siegel_dynamics.maps import (
     DiagonalLinear,
@@ -125,6 +126,23 @@ def test_psi_results_match_plain_formulas_bit_for_bit(case):
             ref_interpolation, f, orbit, n, alpha, L, variant, omega)
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_conjugation_matches_plain_formulas_at_every_depth(case):
+    # one sweep serves every depth; each n also comes last once, for the samples
+    f, orbit, alpha, L, variant, omega = conjugation_setup(CASES[case]())
+    grid = default_grid(orbit.points[0].dim) + TWINS
+    for last in N_VALUES:
+        n_values = tuple(n for n in N_VALUES if n != last) + (last,)
+        run = run_conjugation(f, orbit, alpha, variant, L, omega, grid, n_values)
+        assert bits(run.residuals) == tuple(
+            bits(ref_residual(f, orbit, n, grid, alpha, L, variant, omega)) for n in n_values)
+        assert bits([v for _, v in run.psi_samples]) == bits(
+            [ref_psi(f, orbit, last, z, L, variant, omega) for z in grid])
+        assert [z for z, _ in run.psi_samples] == grid
+        assert bits(run.interpolation.errors) == bits(
+            ref_interpolation(f, orbit, last, alpha, L, variant, omega))
+
+
 @pytest.mark.parametrize("case", ["quadpol", "expandable"])
 def test_signed_zero_twins_keep_their_own_psi(case):
     # at n = 0 the sign of a zero survives tau_0 (and, with L = 1, p_L), so
@@ -137,19 +155,29 @@ def test_signed_zero_twins_keep_their_own_psi(case):
     assert [bits(v) for _, v in psi_approx(f, orbit, 0, TWINS, L, variant, omega)] == ref
 
 
+def test_sweeps_that_leave_the_domain_raise_invalid_point():
+    # f is not a self-map, so psi_n of points with large w leaves the domain;
+    # one depth names the same point as the plain formulas, several depths
+    # raise for whichever point their sweep meets first
+    orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(1.0, (0.0,)), 0.34, 40)
+    f = QuadraticSiegel(0.5, 2.0, 1.0)
+    grid = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
+    for n in (1, 5, 12):
+        args = (f, orbit, n, grid, 2.0, 1, "basic", None)
+        want = outcome(ref_residual, *args)
+        assert want[:2] == ("raised", "InvalidPoint")
+        assert outcome(conjugation_residual, *args) == want
+    with pytest.raises(InvalidPoint):
+        run_conjugation(f, orbit, 2.0, L=1, grid=grid, n_values=(1, 5, 12))
+
+
 def test_residual_on_empty_grid_raises_value_error():
     f, orbit, alpha, L, variant, omega = conjugation_setup(CASES["quadpol"]())
     with pytest.raises(ValueError):
         conjugation_residual(f, orbit, 3, [], alpha, L, variant, omega)
 
 
-@pytest.mark.parametrize("n", [1, 5, 12])
-def test_residual_iterates_once_per_distinct_projected_input(n, monkeypatch):
-    # default_grid(2) has 25 points but, with L = 0, only 5 distinct p_L(Z)
-    # and 5 distinct p_L(eta(Z)): 10 psi_n values of n steps, and f applied
-    # once more to each of the 5 psi_n(Z)
-    f = DiagonalLinear(2.0, (1.0,))
-    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,)), 0.34, 40)
+def count_evaluates(monkeypatch) -> list:
     calls = []
     original = maps.evaluate
 
@@ -159,5 +187,25 @@ def test_residual_iterates_once_per_distinct_projected_input(n, monkeypatch):
 
     monkeypatch.setattr(maps, "evaluate", counting)
     monkeypatch.setattr(conjugation, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_residual_iterates_once_per_distinct_projected_input(n, monkeypatch):
+    # n steps for the rows of psi_n(Z) and psi_n(eta(Z)) together, and one
+    # more for f(psi_n(Z))
+    f = DiagonalLinear(2.0, (1.0,))
+    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,)), 0.34, 40)
+    calls = count_evaluates(monkeypatch)
     conjugation_residual(f, orbit, n, default_grid(2), 2.0)
-    assert len(calls) <= 10 * n + 5
+    assert len(calls) <= n + 1
+
+
+def test_run_conjugation_shares_each_step_across_depths(monkeypatch):
+    # the residuals of n = 1..12 take one sweep of 12 steps and f once more;
+    # the interpolation check at n = 12 is a sweep of its own
+    f = DiagonalLinear(2.0, (1.0,))
+    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,)), 0.34, 40)
+    calls = count_evaluates(monkeypatch)
+    run_conjugation(f, orbit, 2.0, n_values=tuple(range(1, 13)))
+    assert len(calls) <= (12 + 1) + 12

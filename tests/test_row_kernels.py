@@ -8,6 +8,7 @@ holding an out-of-domain row must raise what the scalar function raises for
 the first such row.  Floats are compared by `float.hex`.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -271,6 +272,37 @@ def test_dist_siegel_rows_fallback_raises_like_the_scalar_path():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dist_siegel_rows_all_in_the_fallback_match_per_pair(dim):
+    # every pair nearly equal, so the fallback runs on all rows at once
+    rng = np.random.default_rng(80 + dim)
+    pairs = []
+    for p in siegel_sample(rng, 400, dim):
+        eps = 10.0 ** rng.uniform(-16, -12)
+        pairs.append((p, SiegelPoint(p.z * (1.0 + eps) + 1j * eps, tuple(c * (1.0 + eps / 3) for c in p.w))))
+    pairs = [pq for pq in pairs if geo.dist_siegel(*pq) < 1e-6]  # d^2 < 1e-12: the fallback's
+    assert len(pairs) >= 350
+    want = [geo.dist_siegel(p, q) for p, q in pairs]
+    got = geo.dist_siegel_rows(siegel_rows([p for p, _ in pairs]), siegel_rows([q for _, q in pairs]))
+    assert [x.hex() for x in got.tolist()] == [d.hex() for d in want]
+
+
+def test_dist_siegel_rows_fallback_raises_for_the_first_bad_pair():
+    # nearly equal pairs whose ball images round onto the sphere: in pair 0
+    # only the b-side does, in pair 1 the a-side, with another norm
+    good = SiegelPoint(complex(2.0, 0.0), (0.5j,))
+    ok_a = SiegelPoint(complex(1e3, 4314883780.599588), (0j,))
+    bad_b = SiegelPoint(complex(1e3, 4314883780.599589), (0j,))
+    bad_a = SiegelPoint(complex(1e-3, 32548526.189657956), (0j,))
+    pairs = [(good, good), (ok_a, bad_b), (bad_a, bad_a)]
+    want = first_error(lambda pq: geo.dist_siegel(*pq), pairs)
+    assert outcome(geo.siegel_to_ball, ok_a)[0] == "ok"
+    assert want == outcome(geo.siegel_to_ball, bad_b) != outcome(geo.siegel_to_ball, bad_a)
+    got = outcome(geo.dist_siegel_rows, siegel_rows([p for p, _ in pairs]),
+                  siegel_rows([q for _, q in pairs]))
+    assert got == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_siegel_to_ball_rows_match_per_point(dim):
     pts = siegel_sample(np.random.default_rng(30 + dim), 500, dim)
     got = geo.siegel_to_ball_rows(siegel_rows(pts))
@@ -374,6 +406,42 @@ def test_evaluate_rows_raise_the_first_bad_images_error(f):
     assert outcome(evaluate, f, siegel_rows(pts)) == want
     with pytest.raises(DimensionMismatch):
         evaluate(f, siegel_rows([SiegelPoint(2.0, (0.1, 0.2))]))
+
+
+def ball_product_failures(f, n=20000):
+    """Points near the sphere and f's outcome on each: good ones, and the
+    first bad one for each stage of the ball detour that fails."""
+    rng = np.random.default_rng(90)
+    good, bad = [], {}
+    for _ in range(n):
+        w = complex(rng.normal(), rng.normal()) * 10 ** rng.uniform(-1, 4)
+        z = complex(10 ** rng.uniform(-12, 0) + abs(w) ** 2, rng.normal() * 10 ** rng.uniform(0, 6))
+        if outcome(SiegelPoint, z, (w,))[0] == "raised":
+            continue
+        p = SiegelPoint(z, (w,))
+        got = outcome(evaluate, f, p)
+        if got[0] == "ok":
+            good.append(p)
+        elif outcome(geo.siegel_to_ball, p)[0] == "raised":
+            bad.setdefault("into the ball", p)
+        else:
+            bad.setdefault("defect" if "defect" in got[2] else "image in the ball", p)
+    return good, bad
+
+
+@pytest.mark.parametrize("f", [BallProduct((DiskLinear(1j), DiskLinear(1j))),
+                               BallProduct((BlaschkeDeg2(0.999), DiskLinear(1.0)))],
+                         ids=["rotations", "blaschke"])
+def test_ball_product_rows_raise_the_first_bad_rows_error(f):
+    # each stage's mask alone would raise an earlier stage's error first
+    good, bad = ball_product_failures(f)
+    assert len(bad) >= 2 and len(good) > 100
+    assert rows_bits(evaluate(f, siegel_rows(good))) == [point_bits(evaluate(f, p)) for p in good]
+    for first, second in itertools.permutations(bad.values(), 2):
+        pts = good[:50] + [first] + good[50:60] + [second]
+        want = first_error(lambda p: evaluate(f, p), pts)
+        assert want == outcome(evaluate, f, first)
+        assert outcome(evaluate, f, siegel_rows(pts)) == want
 
 
 @pytest.mark.parametrize("g", [BlaschkeDeg2(0.5), BlaschkeDeg2(0.999), DiskLinear(0.5),
