@@ -140,11 +140,15 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
     every depth n >= s, a prefix of the rows sorted by descending depth."""
     coords = np.array([z.coords for z in points], dtype=complex).reshape(len(points), orbit.points[0].dim)
     coords[:, 1 + L:] = 0.0  # p_L
-    slots: dict[bytes, int] = {}
-    inverse = np.array([slots.setdefault(row.tobytes(), len(slots)) for row in coords], dtype=int)
-    z, *w = ComplexRows.columns(coords[np.unique(inverse, return_index=True)[1]])
-    distinct, u = SiegelRows(z, w), len(slots)
-    depths = sorted(n_values, reverse=True)
+    keys = [row.tobytes() for row in coords]
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)  # each distinct p_L(Z), at the first point that has it
+    slot = dict(zip(first, range(len(first))))
+    z, *w = ComplexRows.columns(coords[list(first.values())])
+    distinct, u = SiegelRows(z, w), len(first)
+    order = sorted(range(len(n_values)), key=lambda j: -n_values[j])
+    depths = [n_values[j] for j in order]
     closed = isinstance(f, QuadraticSiegel)  # f^n in closed form instead of n steps
 
     def start(n: int) -> SiegelRows:
@@ -155,8 +159,8 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
     for step in range(1, 1 + (0 if closed else depths[0])):
         e = u * sum(n >= step for n in depths)
         rows = SiegelRows.concat([evaluate(f, rows.take(slice(0, e))), rows.take(slice(e, None))])
-    block = np.argsort(-np.array(n_values), kind="stable")  # where each n's rows went
-    return rows.take((u * np.argsort(block)[:, None] + inverse).ravel())
+    block = {j: b for b, j in enumerate(order)}  # where the rows of n_values[j] went
+    return rows.take([u * block[j] + slot[key] for j in range(len(n_values)) for key in keys])
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],

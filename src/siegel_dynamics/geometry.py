@@ -353,7 +353,7 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
         raise InvalidPoint("dist_siegel: |s|^2 overflows above |z| ~ 1e154 (ROADMAP item 1)") from None
     if d2 < 1e-12:
         d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
-    return math.sqrt(_nonneg(d2))
+    return math.sqrt(max(0.0, d2))
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
