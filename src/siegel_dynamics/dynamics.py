@@ -208,24 +208,24 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
     cands = preimage_candidates(f, zn)
-    admissible: list[tuple[float, float, SiegelPoint]] = []
+    admissible: list[tuple[float, SiegelPoint]] = []
     if cands is None:
         p = _newton_preimage(f, zn, zn)
-        admissible.append((dist_siegel(zn, p), defect(p), p))
+        admissible.append((dist_siegel(zn, p), p))
     else:
         for c in cands:
             try:
-                p = SiegelPoint(c.coords[0], c.coords[1:])
+                p = SiegelPoint(c[0], c[1:])
             except InvalidPoint:
                 continue
-            admissible.append((dist_siegel(zn, p), defect(p), p))
-    admissible = [t for t in admissible if t[0] <= a * (1.0 + 1e-12)]
+            admissible.append((dist_siegel(zn, p), p))
+    admissible = [c for c in admissible if c[0] <= a * (1.0 + 1e-12)]
     if not admissible:
         raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
-    admissible.sort(key=lambda t: (t[0], t[1]))
+    d, p = min(admissible, key=lambda c: (c[0], c[1].t))
     if steps is not None:
-        steps.append(admissible[0][0])
-    return admissible[0][2]
+        steps.append(d)
+    return p
 
 
 def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
@@ -243,7 +243,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
             points.append(backward_step(f, points[-1], a, steps))
         except NoBackwardStep:
             break
-    defects = tuple(defect(p) for p in points)
+    defects = tuple(p.t for p in points)
     if len(points) < 3:
         raise OrbitTooShort("backward orbit too short to analyze")
     to_infinity = defects[-1] > defects[0]
@@ -256,7 +256,8 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
     tail = ratios[max(0, 3 * len(ratios) // 4):]
     alpha = float(statistics.median(tail))
-    cert = max(koranyi_ratio(p, limit) for p in points)
+    # Python's max over the points in order, as a per-point loop takes it
+    cert = max(koranyi_ratio(SiegelRows.of(points), limit).tolist())
     return BackwardOrbit(tuple(points), tuple(steps), defects, a, limit, alpha, cert, to_infinity)
 
 

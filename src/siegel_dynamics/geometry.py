@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -133,10 +133,11 @@ class BallPoint:
 
 @dataclass(frozen=True)
 class SiegelPoint:
-    """Point (z, w) of the Siegel domain, Re z > ||w||^2 strictly."""
+    """Point (z, w) of the Siegel domain, Re z > ||w||^2 strictly; t is its defect."""
 
     z: complex
     w: Complexes = ()
+    t: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         z = complex(self.z)
@@ -149,6 +150,7 @@ class SiegelPoint:
                                else f"defect {t} <= 0: not in the Siegel domain")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:
@@ -274,8 +276,8 @@ def cayley_to_siegel_alt(p: BallPoint) -> SiegelPoint:
 
 
 def defect(p: SiegelPoint) -> float:
-    """t = Re z - ||w||^2 (> 0 on the domain; the horosphere height at infinity)."""
-    return p.z.real - sq_norm(p.w)
+    """The stored t = Re z - ||w||^2 (> 0 on the domain; the horosphere height at infinity)."""
+    return p.t
 
 
 def _square(x):
@@ -342,11 +344,11 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
 
     d^2 = 1 - 4 t_a t_b / |z_a + conj(z_b) - 2 <w_a, w_b>|^2.
     """
-    if a.dim != b.dim:
+    if len(a.w) != len(b.w):
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
     try:
         den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
-        d2 = 1.0 - 4.0 * defect(a) * defect(b) / den
+        d2 = 1.0 - 4.0 * a.t * b.t / den
     except ZeroDivisionError:  # the scaled metric of ROADMAP item 1 avoids both
         raise InvalidPoint("dist_siegel: |s|^2 underflows below t ~ 1e-170 (ROADMAP item 1)") from None
     except OverflowError:
@@ -358,7 +360,7 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
     """1 - ||C^{-1}(p)||^2 = 4 t / |z + 1|^2, computed without cancellation."""
-    return 4.0 * defect(p) / abs(p.z + 1.0) ** 2
+    return 4.0 * p.t / _square(abs(p.z + 1.0))
 
 
 def _ball_coords(z: complex, w: Complexes) -> Complexes:
@@ -370,7 +372,8 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
 
 def _ball_image_norm(p: SiegelPoint) -> float:
     """||C^{-1}(p)||, from the cancellation-free gap formula."""
-    return math.sqrt(max(0.0, 1.0 - one_minus_sq_ball_norm(p)))
+    x = _nonneg(1.0 - one_minus_sq_ball_norm(p))
+    return np.sqrt(x) if type(x) is np.ndarray else math.sqrt(x)
 
 
 def boundary_gap(p: SiegelPoint) -> float:
@@ -405,9 +408,10 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
 
 
 def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
-    """|1 - (Z, q)| / (1 - ||Z||) for the ball image of p, stable near q."""
+    """|1 - (Z, q)| / (1 - ||Z||) for the ball image of p, stable near q.  On
+    `SiegelRows` it gives an array."""
     nb = _ball_image_norm(p)
-    t = defect(p)
+    t = p.t
     if q.model == "siegel" and q.at_infinity:
         return abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t)
     if q.model == "ball":
@@ -735,12 +739,23 @@ class SiegelRows:
     def point(self, i: int) -> SiegelPoint:
         return SiegelPoint(self.z[i], tuple(c[i] for c in self.w))
 
+    @classmethod
+    def _checked(cls, z: ComplexRows, w, t: np.ndarray) -> "SiegelRows":
+        """Rows whose points were checked already, t their defects."""
+        rows = object.__new__(cls)
+        rows.z, rows.w, rows.t, rows.dim = z, tuple(w), t, 1 + len(w)
+        return rows
+
+    @classmethod
+    def of(cls, points: list[SiegelPoint]) -> "SiegelRows":
+        """The points as rows, each with the t it stored."""
+        z, *w = ComplexRows.columns(np.array([p.coords for p in points]))
+        return cls._checked(z, w, np.array([p.t for p in points]))
+
     def take(self, i) -> "SiegelRows":
         """The rows i (a slice or an index array), in that order; checked already."""
         z, *w = (ComplexRows(c.real[i], c.imag[i]) for c in (self.z,) + self.w)
-        rows = object.__new__(SiegelRows)
-        rows.z, rows.w, rows.t, rows.dim = z, tuple(w), self.t[i], self.dim
-        return rows
+        return self._checked(z, w, self.t[i])
 
     @classmethod
     def concat(cls, parts: list["SiegelRows"]) -> "SiegelRows":

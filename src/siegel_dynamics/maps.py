@@ -5,8 +5,9 @@ f(z, w) = (phi(z - w^2) + w^2, w) of one-dimensional half-plane maps,
 diagonal linear maps (alpha z, Lambda w), conjugates by a Siegel
 automorphism, and coordinatewise products of one-dimensional maps acting on
 the ball model.  Each family is one class with the members `dim`,
-`evaluate(p)`, `preimages(p)` (closed-form preimage coordinates, or None) and
-`fixed_point_set()`; the module functions of the same purpose delegate to them.
+`evaluate(p)`, `preimages(p)` (closed-form preimages as coordinate tuples
+(z, w_1, ...), or None) and `fixed_point_set()`; the module functions of the
+same purpose delegate to them.
 `evaluate` takes a `SiegelPoint` or `SiegelRows` and returns the same type,
 each row with the bits of one point; the disk maps' `apply` takes a complex
 number or a `ComplexRows` column alike.
@@ -28,6 +29,7 @@ from .geometry import (
     INFINITY,
     BallPoint,
     BoundaryPoint,
+    Complexes,
     CVector,
     SiegelAutomorphism,
     SiegelPoint,
@@ -164,10 +166,11 @@ class QuadraticSiegel:
         w = p.w[0]
         return type(p)(self.A * p.z + self.B * w * w, (self.C * w,))
 
-    def preimages(self, p: SiegelPoint) -> list[CVector]:
+    def preimages(self, p: SiegelPoint) -> list[Complexes]:
         if self.A == 0 or self.C == 0:
             return []
-        return [quadratic_inverse(self, p)[0]]
+        w = p.w[0] / self.C
+        return [(p.z / self.A - self.B * w * w / self.A, w)]
 
     def fixed_point_set(self) -> FixedPointSet:
         return classify_quadratic(self.A, self.B, self.C).fixed_point_set
@@ -190,9 +193,9 @@ class Lifted:
         w = p.w[0]
         return type(p)(self.phi.apply(p.z - w * w) + w * w, (w,))
 
-    def preimages(self, p: SiegelPoint) -> list[CVector]:
+    def preimages(self, p: SiegelPoint) -> list[Complexes]:
         w = p.w[0]
-        return [CVector((v + w * w, w)) for v in self.phi.preimages(p.z - w * w)]
+        return [(v + w * w, w) for v in self.phi.preimages(p.z - w * w)]
 
     def fixed_point_set(self) -> FixedPointSet:
         return FixedPointSet("boundary_curve", "{(y0 i + r^2, r) : r real}",
@@ -224,11 +227,11 @@ class DiagonalLinear:
             raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
         return type(p)(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
 
-    def preimages(self, p: SiegelPoint) -> list[CVector]:
+    def preimages(self, p: SiegelPoint) -> list[Complexes]:
         if any(c == 0 for c in self.lam):
             return []
         w = tuple(wi / c for wi, c in zip(p.w, self.lam))
-        return [CVector((p.z / self.alpha,) + w)]
+        return [(p.z / self.alpha,) + w]
 
     def fixed_point_set(self) -> FixedPointSet:
         return FixedPointSet("origin_infinity")
@@ -251,10 +254,18 @@ class Conjugated:
         return self.base.dim
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        inner = apply_automorphism(self.by_inverse, p)
-        return apply_automorphism(self.by, evaluate(self.base, inner))
+        try:
+            inner = apply_automorphism(self.by_inverse, p)
+            return apply_automorphism(self.by, evaluate(self.base, inner))
+        except Exception:
+            # rows check one step at a time: raise what the per-point steps raise
+            # for the first row that fails any of them
+            if type(p) is SiegelRows:
+                for i in range(len(p.t)):
+                    self.evaluate(p.point(i))
+            raise
 
-    def preimages(self, p: SiegelPoint) -> list[CVector] | None:
+    def preimages(self, p: SiegelPoint) -> list[Complexes] | None:
         inner = apply_automorphism(self.by_inverse, p)
         base_cands = preimage_candidates(self.base, inner)
         if base_cands is None:
@@ -262,10 +273,10 @@ class Conjugated:
         out = []
         for c in base_cands:
             try:
-                sp = SiegelPoint(c.coords[0], c.coords[1:])
+                sp = SiegelPoint(c[0], c[1:])
             except InvalidPoint:
                 continue
-            out.append(CVector(apply_automorphism(self.by, sp).coords))
+            out.append(apply_automorphism(self.by, sp).coords)
         return out
 
     def fixed_point_set(self) -> FixedPointSet:
@@ -305,10 +316,10 @@ class BallProduct:
         return SiegelRows(_cdiv(1.0 + u[0], d), tuple(_cdiv(c, d) for c in u[1:]),
                           ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0), lambda i: self.evaluate(p.point(i)))
 
-    def preimages(self, p: SiegelPoint) -> list[CVector]:
+    def preimages(self, p: SiegelPoint) -> list[Complexes]:
         vb = siegel_to_ball(p).v.coords
         per_coord = [g.preimages(z) for g, z in zip(self.components, vb)]
-        return [CVector(cayley_to_siegel(BallPoint(CVector(cand))).coords)
+        return [cayley_to_siegel(BallPoint(CVector(cand))).coords
                 for cand in itertools.product(*per_coord)
                 if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0]
 
@@ -359,10 +370,8 @@ def quadratic_inverse(f: QuadraticSiegel, p: SiegelPoint) -> tuple[CVector, bool
     """
     if f.A == 0 or f.C == 0:
         raise InvalidDescriptor("quadratic inverse needs A != 0 and C != 0")
-    w = p.w[0] / f.C
-    z = p.z / f.A - f.B * w * w / f.A
-    in_domain = z.real - abs(w) ** 2 > 0.0
-    return CVector((z, w)), in_domain
+    [(z, w)] = f.preimages(p)
+    return CVector((z, w)), z.real - abs(w) ** 2 > 0.0
 
 
 def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> SiegelPoint:
@@ -572,7 +581,7 @@ def expandable_decompose(f: MapDescriptor) -> ExpandableData:
 # closed-form preimage candidates (used by the backward solver)
 # ---------------------------------------------------------------------------
 
-def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[CVector] | None:
-    """All closed-form preimage coordinates of p under f, or None if the
-    family has no closed form.  Candidates may lie outside the domain."""
+def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[Complexes] | None:
+    """Closed-form preimages of p under f as tuples (z, w_1, ...), or None if
+    the family has no closed form.  Candidates may lie outside the domain."""
     return f.preimages(p)

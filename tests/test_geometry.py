@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -237,6 +238,25 @@ def test_defect_examples():
     d = Dilation(4.0)
     z, w = d.apply(p.z, p.w_array)
     assert abs(defect(SiegelPoint(z, tuple(w))) - defect(p) / 4.0) < 1e-15
+
+
+def test_siegel_point_stores_its_defect_outside_eq_hash_and_repr():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        w = tuple(complex(a, b) for a, b in rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3))
+        z = complex(10.0 ** rng.uniform(-12, 3) + sq_norm(w), rng.normal())
+        if not z.real - sq_norm(w) > 0.0:  # t rounded away next to ||w||^2
+            continue
+        p = SiegelPoint(z, w)
+        assert p.t.hex() == (p.z.real - sq_norm(p.w)).hex() == defect(p).hex()
+    p = SiegelPoint(3.0 + 2j, (0.5 + 0.5j,))
+    assert repr(p) == "SiegelPoint(z=(3+2j), w=((0.5+0.5j),))"
+    assert [f.name for f in dataclasses.fields(p) if f.compare] == ["z", "w"]
+    assert hash(p) == hash((p.z, p.w)) and p == SiegelPoint(3.0 + 2j, (0.5 + 0.5j,))
+    q = dataclasses.replace(p, w=(1.5j,))
+    assert q.t == 3.0 - 2.25 and dataclasses.replace(q, z=4.0).t == 4.0 - 2.25
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.t = 1.0
 
 
 def test_horosphere_membership_siegel():

@@ -343,7 +343,7 @@ def test_preimage_candidates_forward_roundtrip(seed):
     assert cands is not None
     for c in cands:
         try:
-            q = SiegelPoint(c.coords[0], c.coords[1:])
+            q = SiegelPoint(c[0], c[1:])
         except Exception:
             continue
         img = evaluate(f, q)

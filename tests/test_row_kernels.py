@@ -334,6 +334,18 @@ def test_julia_quotient_rows_match_per_point(q):
     assert [x.hex() for x in got.tolist()] == [geo.julia_quotient(p, q).hex() for p in pts]
 
 
+@pytest.mark.parametrize("q", VERTICES, ids=["inf", "zero", "siegel", "ball", "ball_minus1"])
+def test_koranyi_ratio_rows_match_per_point(q):
+    pts = siegel_sample(np.random.default_rng(41), 800, 2, -12.0, 4.0)
+    rows = SiegelRows.of(pts)
+    assert rows_bits(rows) == rows_bits(siegel_rows(pts))
+    assert [t.hex() for t in rows.t.tolist()] == [p.t.hex() for p in pts]
+    gaps = geo.one_minus_sq_ball_norm(rows).tolist()
+    assert [x.hex() for x in gaps] == [(4.0 * p.t / abs(p.z + 1.0) ** 2).hex() for p in pts]
+    got = geo.koranyi_ratio(rows, q)
+    assert [x.hex() for x in got.tolist()] == [geo.koranyi_ratio(p, q).hex() for p in pts]
+
+
 def test_squares_round_as_cpython_pow():
     # x * x (and np.power) differ from CPython's x ** 2 on about 1 in 1000
     # doubles; 20 000 rows catch a kernel that squares the wrong way
@@ -445,6 +457,36 @@ def test_ball_product_rows_raise_the_first_bad_rows_error(f):
         want = first_error(lambda p: evaluate(f, p), pts)
         assert want == outcome(evaluate, f, first)
         assert outcome(evaluate, f, siegel_rows(pts)) == want
+
+
+def test_conjugated_rows_raise_the_per_point_loops_error():
+    # the elliptic fixture recentred at infinity, as `conjugate` runs it: the
+    # first point fails inside the base map (its ball image rounds onto the
+    # sphere), the second already in the chart (its defect there rounds to 0)
+    g = Conjugated(MAPS["elliptic"], geo.SiegelAutomorphism((geo.Inversion(),)))
+    first = SiegelPoint(1.0872783544808614e+17 - 0.0011598124681352145j,
+                        (337.48356356675237 + 116.95918486700253j,))
+    second = SiegelPoint(3.807338174239369 + 0.27462135033050644j,
+                         (1.064440403248307 - 1.6353301813921095j,))
+    assert outcome(evaluate, g, first) == ("raised", "InvalidPoint", "ball point with norm 1.0 >= 1")
+    assert outcome(evaluate, g, second)[2].startswith("defect 0.0 <= 0")
+    good = [SiegelPoint(3.0, (0.5,)), SiegelPoint(2.0 + 1j, (0.1j,))]
+    for pts in ([first, second], [second, first], good + [first] + good + [second]):
+        want = first_error(lambda p: evaluate(g, p), pts)
+        assert outcome(evaluate, g, siegel_rows(pts)) == want
+    assert rows_bits(evaluate(g, siegel_rows(good))) == [point_bits(evaluate(g, p)) for p in good]
+    # consecutive failing points of a random near-boundary sample, as two-row batches
+    rng, failing = np.random.default_rng(3), []
+    for _ in range(6000):
+        w = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-10, 10)
+        z = complex(10.0 ** rng.uniform(-20, 20) + abs(w) ** 2, rng.normal() * 10.0 ** rng.uniform(-5, 20))
+        if outcome(SiegelPoint, z, (w,))[0] == "ok" and outcome(evaluate, g, SiegelPoint(z, (w,)))[0] == "raised":
+            failing.append(SiegelPoint(z, (w,)))
+    pairs = [(a, b) for a, b in zip(failing, failing[1:])
+             if outcome(evaluate, g, a) != outcome(evaluate, g, b)]
+    assert len(pairs) >= 20
+    for a, b in pairs:
+        assert outcome(evaluate, g, siegel_rows([a, b])) == outcome(evaluate, g, a)
 
 
 @pytest.mark.parametrize("g", [BlaschkeDeg2(0.5), BlaschkeDeg2(0.999), DiskLinear(0.5),
