@@ -222,7 +222,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     admissible = [c for c in admissible if c[0] <= a * (1.0 + 1e-12)]
     if not admissible:
         raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
-    d, p = min(admissible, key=lambda c: (c[0], c[1].t))
+    d, p = admissible[0] if len(admissible) == 1 else min(admissible, key=lambda c: (c[0], c[1].t))
     if steps is not None:
         steps.append(d)
     return p
@@ -251,8 +251,8 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         limit: BoundaryPoint | None = INFINITY
         ratios = [defects[k + 1] / defects[k] for k in range(len(defects) - 1)]
     else:
-        pr_tail = [boundary_projection(p).array for p in points[-5:]]
-        limit = BoundaryPoint(v=CVector(tuple(np.mean(pr_tail, axis=0))), model="siegel")
+        pr_tail = [boundary_projection(p).coords for p in points[-5:]]
+        limit = BoundaryPoint(v=CVector(np.mean(pr_tail, axis=0).tolist()), model="siegel")
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
     tail = ratios[max(0, 3 * len(ratios) // 4):]
     alpha = float(statistics.median(tail))

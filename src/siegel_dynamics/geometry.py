@@ -148,9 +148,7 @@ class SiegelPoint:
         if not t > 0.0:  # also false for NaN
             raise InvalidPoint("NaN tangential coordinate" if t != t
                                else f"defect {t} <= 0: not in the Siegel domain")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "t", t)
+        self.__dict__.update(z=z, w=w, t=t)  # one call for the three frozen fields
 
     @property
     def dim(self) -> int:
@@ -749,7 +747,8 @@ class SiegelRows:
     @classmethod
     def of(cls, points: list[SiegelPoint]) -> "SiegelRows":
         """The points as rows, each with the t it stored."""
-        z, *w = ComplexRows.columns(np.array([p.coords for p in points]))
+        cols = [[p.z for p in points]] + [[p.w[j] for p in points] for j in range(len(points[0].w))]
+        z, *w = (ComplexRows(c.real, c.imag) for c in map(np.array, cols))
         return cls._checked(z, w, np.array([p.t for p in points]))
 
     def take(self, i) -> "SiegelRows":
