@@ -250,7 +250,7 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     # max over the pairs in order, as the per-point loops took it
     p, q = pairs()
     d_ball = geo.dist_ball_rows(geo.siegel_to_ball_rows(p), geo.siegel_to_ball_rows(q))
-    gap = max([0.0, *np.abs(geo.dist_siegel_rows(p, q) - d_ball).tolist()])
+    gap = max([0.0, *np.abs(geo.dist_siegel(p, q) - d_ball).tolist()])
     yield "metric_consistency", gap < 1e-12, ser.sig17(gap)
 
     # automorphism isometry
@@ -261,8 +261,8 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Inversion(),
     ))
     p, q = pairs()
-    d_auto = geo.dist_siegel_rows(*(geo.apply_automorphism(auto, r) for r in (p, q)))
-    gap = max([0.0, *np.abs(geo.dist_siegel_rows(p, q) - d_auto).tolist()])
+    d_auto = geo.dist_siegel(*(geo.apply_automorphism(auto, r) for r in (p, q)))
+    gap = max([0.0, *np.abs(geo.dist_siegel(p, q) - d_auto).tolist()])
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||), on ball points of

@@ -33,7 +33,6 @@ from .geometry import (
     compose_automorphisms,
     defect,
     dist_siegel,
-    dist_siegel_rows,
     invert_automorphism,
     recentering_translation,
 )
@@ -173,7 +172,7 @@ def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int,
     psi = _psi_rows(f, orbit, [apply_automorphism(eta, z) for z in grid] + list(grid), n_values,
                     L, variant, omega)
     at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
-    d = dist_siegel_rows(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
+    d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
     return [max(d[i * g:(i + 1) * g]) for i in range(m)], psi.take(slice(2 * g * (m - 1), None))
 

@@ -19,6 +19,8 @@ Numerics: per-point code is plain CPython arithmetic on tuples of `complex`;
 constructors convert their input to tuples once.  Where a complex division
 was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
 keep their bytes.  Most formulas also take many points at once (see "rows").
+`dist_siegel` is one formula for a point and for rows, a ratio of scaled sums
+of squares that holds from the smallest defect to the largest coordinate.
 numpy is for sampling, real arrays (grids, the Newton Jacobian, polynomial
 roots) and `dist_ball_rows` (see the comment there).
 """
@@ -153,10 +155,6 @@ class SiegelPoint:
     @property
     def dim(self) -> int:
         return 1 + len(self.w)
-
-    @property
-    def w_array(self) -> np.ndarray:
-        return np.array(self.w, dtype=complex)
 
     @property
     def coords(self) -> Complexes:
@@ -295,15 +293,15 @@ def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
         = ||Z - W||^2 - sum_{i<j} |z_i w_j - z_j w_i|^2
 
     with the cross terms rewritten as z_i d_j - z_j d_i, d = W - Z, so every
-    term is of order ||d||^2.  On `ComplexRows` coordinates it gives an array.
+    term is of order ||d||^2.
     """
     d = tuple(b - a for a, b in zip(za, zb))
     num = sq_norm(d)
     n = len(za)
     for i in range(n):
         for j in range(i + 1, n):
-            num -= _square(abs(za[i] * d[j] - za[j] * d[i]))
-    return _nonneg(num) / _square(abs(1.0 - herm(za, zb)))
+            num -= abs(za[i] * d[j] - za[j] * d[i]) ** 2
+    return max(0.0, num) / abs(1.0 - herm(za, zb)) ** 2
 
 
 def dist_ball(a: BallPoint, b: BallPoint) -> float:
@@ -338,27 +336,38 @@ def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> list[float]:
 
 
 def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
-    """Pseudo-hyperbolic distance in the Siegel domain:
+    """Pseudo-hyperbolic distance in the Siegel domain,
 
-    d^2 = 1 - 4 t_a t_b / |z_a + conj(z_b) - 2 <w_a, w_b>|^2.
+    d^2 = 1 - 4 t_a t_b / |s|^2,  s = z_a + conj(z_b) - 2 <w_a, w_b>,
+
+    from the identity |s|^2 - 4 t_a t_b = (t_a - t_b)^2 + (2 (t_a + t_b) + e) e + v^2
+    with e = ||w_a - w_b||^2, Re s = t_a + t_b + e and
+    v = Im s = Im z_a - Im z_b - 2 Im <w_a - w_b, w_b>.  Each term is divided by
+    m = Re s + |v| before it is squared, so d^2 is a ratio of sums of squares of
+    numbers at most 2: nothing cancels, underflows or overflows.  On
+    `SiegelRows` it gives an array, with the bits of each row as one point.
     """
     if len(a.w) != len(b.w):
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    try:
-        den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
-        d2 = 1.0 - 4.0 * a.t * b.t / den
-    except ZeroDivisionError:  # the scaled metric of ROADMAP item 1 avoids both
-        raise InvalidPoint("dist_siegel: |s|^2 underflows below t ~ 1e-170 (ROADMAP item 1)") from None
-    except OverflowError:
-        raise InvalidPoint("dist_siegel: |s|^2 overflows above |z| ~ 1e154 (ROADMAP item 1)") from None
-    if d2 < 1e-12:
-        d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
-    return math.sqrt(max(0.0, d2))
+    e = v = 0.0
+    for x, y in zip(a.w, b.w):
+        d = x - y
+        e += d.real * d.real + d.imag * d.imag
+        v += d.imag * y.real - d.real * y.imag  # Im <d, y>
+    ta, tb = a.t, b.t
+    v = a.z.imag - b.z.imag - 2.0 * v
+    m = ta + tb + e + abs(v)
+    dt, u, e, v = (ta - tb) / m, (ta + tb) / m, e / m, v / m
+    re = u + e
+    d2 = (dt * dt + (2.0 * u + e) * e + v * v) / (re * re + v * v)
+    return np.sqrt(d2) if type(d2) is np.ndarray else math.sqrt(d2)  # inline: a call costs the orbits
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
-    """1 - ||C^{-1}(p)||^2 = 4 t / |z + 1|^2, computed without cancellation."""
-    return 4.0 * p.t / _square(abs(p.z + 1.0))
+    """1 - ||C^{-1}(p)||^2 = 4 t / |z + 1|^2, computed without cancellation; it
+    divides by |z + 1| twice (t < |z + 1|), so no square over- or underflows."""
+    r = abs(p.z + 1.0)
+    return 4.0 * (p.t / r) / r
 
 
 def _ball_coords(z: complex, w: Complexes) -> Complexes:
@@ -417,7 +426,7 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
         return abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb) / one_minus_sq_ball_norm(p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return abs(s) * abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t * abs(zq + 1.0))
+    return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)  # no |s| |z + 1| to overflow
 
 
 def horosphere_contains(h: Horosphere, p: Point) -> bool:
@@ -777,21 +786,3 @@ def siegel_to_ball_rows(p: SiegelRows) -> np.ndarray:
     v = _ball_coords(p.z, p.w)
     ball_norm_rows(v)
     return np.stack([np.stack([c.real, c.imag], axis=-1) for c in v], axis=1).view(complex)[..., 0]
-
-
-def dist_siegel_rows(a: SiegelRows, b: SiegelRows) -> np.ndarray:
-    """`dist_siegel` between the rows of a and b.  The rows with d^2 < 1e-12
-    take the ball-coordinate fallback together; if one of their ball images
-    is not in the ball, the first such pair raises the scalar error."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    den = _square(abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)))
-    d2 = 1.0 - 4.0 * a.t * b.t / den
-    near = np.flatnonzero(d2 < 1e-12)
-    if near.size:
-        a, b = a.take(near), b.take(near)
-        za, zb = _ball_coords(a.z, a.w), _ball_coords(b.z, b.w)
-        _raise_first(~(sq_norm(za) < 1.0) | ~(sq_norm(zb) < 1.0),
-                     lambda i: (siegel_to_ball(a.point(i)), siegel_to_ball(b.point(i))))
-        d2[near] = _small_dist_ball_sq(za, zb)
-    return np.sqrt(_nonneg(d2))

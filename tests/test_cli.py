@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,15 +105,35 @@ def test_orbit_invalid_start_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("direction, start, cause", [("--backward", "1e-200,0", "underflows"),
-                                                     ("--forward", "1e155,0", "overflows")])
-def test_orbit_beyond_the_metrics_double_range_exit_1(direction, start, cause, tmp_path, capsys):
+def report_numbers(x):
+    """Every number of a JSON report, string-encoded floats included."""
+    if isinstance(x, dict):
+        return [v for k, y in x.items() if k != "config" for v in report_numbers(y)]
+    if isinstance(x, list):
+        return [v for y in x for v in report_numbers(y)]
+    if isinstance(x, str):
+        try:
+            return [float(x)]
+        except ValueError:
+            return []
+    return [x] if isinstance(x, float) else []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("direction, start", [("--backward", "1e-200,0"), ("--backward", "1e300,0"),
+                                              ("--forward", "1e155,0")])
+def test_orbit_far_from_unit_scale_exit_0_with_finite_output(direction, start, tmp_path, capsys):
+    # the metric, the ball gap and the Koranyi ratio neither under- nor overflow
     code, out, err = run(["orbit", "--map", "quadpol", direction, "--start", start, "--n", "3",
                           "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: dist_siegel: ") and cause in err and "ROADMAP item 1" in err
-    assert list(tmp_path.iterdir()) == []  # nothing written
+    assert code == 0 and err == ""
+    assert "inf" not in out and "nan" not in out
+    report = json.loads((tmp_path / "orbit.json").read_text())
+    numbers = report_numbers(report)
+    assert numbers and all(math.isfinite(x) for x in numbers)
+    assert report["orbit"]["steps"] == ["0.33333333333333331"] * len(report["orbit"]["steps"])
+    if start == "1e300,0":
+        assert float(report["orbit"]["koranyi_certificate"]) == pytest.approx(1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -175,14 +175,6 @@ def test_dist_siegel_axis_formula():
         assert abs(dist_siegel(one, SiegelPoint(t, (0.0,))) - (1 - t) / (1 + t)) < 1e-14
 
 
-@pytest.mark.parametrize("t, cause", [(1e-200, "underflows"), (1e-171, "underflows"),
-                                      (1e155, "overflows"), (1e300, "overflows")])
-def test_dist_siegel_beyond_its_double_range_raises_invalid_point(t, cause):
-    # |s|^2 = |z_a + conj(z_b)|^2 leaves the double range; no raw ArithmeticError
-    with pytest.raises(InvalidPoint, match=f"{cause}.*ROADMAP item 1"):
-        dist_siegel(SiegelPoint(t, (0.0,)), SiegelPoint(2.0 * t, (0.0,)))
-
-
 def test_dist_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dist_siegel(SiegelPoint(1.0, (0.0,)), SiegelPoint(1.0, ()))
@@ -236,8 +228,8 @@ def test_defect_examples():
     assert defect(SiegelPoint(1.0, (0.0,))) == 1.0
     p = SiegelPoint(3.0 + 2j, (0.5 + 0.5j,))
     d = Dilation(4.0)
-    z, w = d.apply(p.z, p.w_array)
-    assert abs(defect(SiegelPoint(z, tuple(w))) - defect(p) / 4.0) < 1e-15
+    z, w = d.apply(p.z, p.w)
+    assert abs(defect(SiegelPoint(z, w)) - defect(p) / 4.0) < 1e-15
 
 
 def test_siegel_point_stores_its_defect_outside_eq_hash_and_repr():

@@ -2,10 +2,11 @@
 
 `backward_orbit` takes each defect from the t its point stored, the preimage
 candidates as coordinate tuples, and the Koranyi certificate from one pass
-over the orbit's rows.  The references below are the earlier per-point code,
-kept verbatim (with the families' `preimages` returning `CVector`s, and the
-metric and the Koranyi ratio recomputing t from z and w); floats are compared
-by `float.hex`.
+over the orbit's rows.  The references below are the earlier per-point code
+(with the families' `preimages` returning `CVector`s, and the Koranyi ratio
+recomputing t from z and w); floats are compared by `float.hex`.  The metric
+is `geometry.dist_siegel` itself: this file checks how orbits are assembled,
+and `tests/test_boundary_accuracy.py` checks the metric against mpmath.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from siegel_dynamics import geometry as geo
 from siegel_dynamics import maps
 from siegel_dynamics import serialize as ser
 from siegel_dynamics.cli import FIXTURES, fixture_path
-from siegel_dynamics.errors import DimensionMismatch, InvalidPoint, NoBackwardStep, OrbitTooShort
+from siegel_dynamics.errors import InvalidPoint, NoBackwardStep, OrbitTooShort
 from siegel_dynamics.geometry import (
     INFINITY,
     BallPoint,
@@ -28,7 +29,6 @@ from siegel_dynamics.geometry import (
     CVector,
     SiegelPoint,
     _ball_coords,
-    _small_dist_ball_sq,
     boundary_projection,
     cayley_to_siegel,
     herm,
@@ -73,23 +73,12 @@ def ref_defect(p: SiegelPoint) -> float:
     return p.z.real - sq_norm(p.w)
 
 
-def ref_dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
-    try:
-        den = abs(a.z + b.z.conjugate() - 2.0 * herm(a.w, b.w)) ** 2
-        d2 = 1.0 - 4.0 * ref_defect(a) * ref_defect(b) / den
-    except ZeroDivisionError:  # the scaled metric of ROADMAP item 1 avoids both
-        raise InvalidPoint("dist_siegel: |s|^2 underflows below t ~ 1e-170 (ROADMAP item 1)") from None
-    except OverflowError:
-        raise InvalidPoint("dist_siegel: |s|^2 overflows above |z| ~ 1e154 (ROADMAP item 1)") from None
-    if d2 < 1e-12:
-        d2 = _small_dist_ball_sq(siegel_to_ball(a).v.coords, siegel_to_ball(b).v.coords)
-    return math.sqrt(max(0.0, d2))
+ref_dist_siegel = geo.dist_siegel
 
 
 def ref_one_minus_sq_ball_norm(p: SiegelPoint) -> float:
-    return 4.0 * ref_defect(p) / abs(p.z + 1.0) ** 2
+    r = abs(p.z + 1.0)
+    return 4.0 * (ref_defect(p) / r) / r
 
 
 def ref_ball_image_norm(p: SiegelPoint) -> float:
@@ -107,7 +96,7 @@ def ref_koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
         return abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb) / ref_one_minus_sq_ball_norm(p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return abs(s) * abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t * abs(zq + 1.0))
+    return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)
 
 
 def ref_preimage_candidates(f, p: SiegelPoint) -> list[CVector] | None:
@@ -230,12 +219,14 @@ def test_backward_orbit_matches_per_step_reference(case, n):
         assert [x.hex() for x in got] == [ref_koranyi_ratio(p, orbit.limit).hex() for p in orbit.points]
 
 
-def test_axis_orbit_past_the_underflow_raises_as_before():
-    # D1: t^2 underflows near t = 1e-162 and the ball fallback leaves the ball
+def test_axis_orbit_stops_at_the_smallest_double_defect():
+    # D1 up to the double range: t halves down to 2^-1074 = 5e-324, every step is
+    # fl(1/3), and the next preimage's t = 2^-1075 rounds to 0, so the orbit stops
     f, z0 = MAPS["quadpol"], SiegelPoint(1.0, (0.0,))
-    want = orbit_bits(ref_backward_orbit, f, z0, 0.34, 600)
-    assert want[:2] == ("raised", "InvalidPoint")
-    assert orbit_bits(dyn.backward_orbit, f, z0, 0.34, 600) == want
+    orbit = dyn.backward_orbit(f, z0, 0.34, 1100)
+    assert len(orbit.steps) == 1074 and orbit.defects[-1] == 5e-324
+    assert {s.hex() for s in orbit.steps} == {"0x1.5555555555555p-2"}
+    assert orbit_bits(dyn.backward_orbit, f, z0, 0.34, 1100) == orbit_bits(ref_backward_orbit, f, z0, 0.34, 1100)
 
 
 def step_bits(step_fn, f, zn, a):
