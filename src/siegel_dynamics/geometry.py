@@ -344,8 +344,9 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     with e = ||w_a - w_b||^2, Re s = t_a + t_b + e and
     v = Im s = Im z_a - Im z_b - 2 Im <w_a - w_b, w_b>.  Each term is divided by
     m = Re s + |v| before it is squared, so d^2 is a ratio of sums of squares of
-    numbers at most 2: nothing cancels, underflows or overflows.  On
-    `SiegelRows` it gives an array, with the bits of each row as one point.
+    numbers at most 2: nothing cancels, and nothing under- or overflows while m
+    is a finite double.  On `SiegelRows` it gives an array, with the bits of
+    each row as one point.
     """
     if len(a.w) != len(b.w):
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
@@ -360,7 +361,8 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     dt, u, e, v = (ta - tb) / m, (ta + tb) / m, e / m, v / m
     re = u + e
     d2 = (dt * dt + (2.0 * u + e) * e + v * v) / (re * re + v * v)
-    return np.sqrt(d2) if type(d2) is np.ndarray else math.sqrt(d2)  # inline: a call costs the orbits
+    # inline rather than a helper: orbits call this once per preimage candidate
+    return np.sqrt(d2) if type(d2) is np.ndarray else math.sqrt(d2)
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
