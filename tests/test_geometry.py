@@ -175,6 +175,14 @@ def test_dist_siegel_axis_formula():
         assert abs(dist_siegel(one, SiegelPoint(t, (0.0,))) - (1 - t) / (1 + t)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e-200, 1e-171, 1e155, 1e300])
+def test_dist_siegel_far_from_unit_scale_is_one_third(t):
+    # |s|^2 = |z_a + conj(z_b)|^2 alone would leave the double range here;
+    # d(t, 2t) = (2t - t) / (2t + t) for every t > 0
+    assert abs(dist_siegel(SiegelPoint(t, (0.0,)), SiegelPoint(2.0 * t, (0.0,))) - 1 / 3) < 1e-15
+
+
 def test_dist_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dist_siegel(SiegelPoint(1.0, (0.0,)), SiegelPoint(1.0, ()))
