@@ -228,23 +228,25 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         path = fixture_dir / f"{name}.json"
         maps_by_name[name] = ser.load_descriptor(str(path))
 
-    def uniform(lo: float, hi: float) -> float:
-        return lo + (hi - lo) * rng.random()  # how numpy's rng.uniform(lo, hi) draws
-
     def draw(k: int) -> tuple:
-        """Variates of one sampled Siegel point with k tangential coordinates,
-        in stream order: Re w, Im w ~ N(0, 1)^k, log10 t ~ U(-2, 2), Im z ~ N(0, 1)."""
+        """One sampled Siegel point's variates, a scalar call each (the metric and isometry
+        sections report sampled gaps, so they keep this stream): Re w, Im w ~ N(0, 1)^k,
+        log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
         re = [rng.standard_normal() for _ in range(k)]
         im = [rng.standard_normal() for _ in range(k)]
-        return 10.0 ** uniform(-2.0, 2.0), re, im, rng.standard_normal()
-
-    def points(draws: list) -> geo.SiegelRows:
-        t, re, im, y = zip(*draws)
-        return dyn._siegel_samples(t, re, im, 0.5, y)
+        return 10.0 ** (-2.0 + 4.0 * rng.random()), re, im, rng.standard_normal()
 
     def pairs() -> tuple[geo.SiegelRows, geo.SiegelRows]:
-        draws = [draw(1) for _ in range(2 * samples)]
-        return points(draws[0::2]), points(draws[1::2])
+        t, re, im, y = zip(*[draw(1) for _ in range(2 * samples)])
+        return tuple(dyn._siegel_samples(t[i::2], re[i::2], im[i::2], 0.5, y[i::2]) for i in (0, 1))
+
+    def ball_batch(m: int, dim: int) -> np.ndarray:
+        """m ball points of dim coordinates, cut from Siegel points of dim + 1 and
+        scaled by U(0.2, 1): `draw`'s variates as whole columns, then the scales."""
+        re, im = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
+        t = [10.0 ** e for e in (-2.0 + 4.0 * rng.random(m)).tolist()]
+        p = dyn._siegel_samples(t, re, im, 0.5, rng.standard_normal(m))
+        return geo.siegel_to_ball_rows(p)[:, :dim] * (0.2 + 0.8 * rng.random(m))[:, None]
 
     # metric consistency through the Cayley transform; the worst gap is Python's
     # max over the pairs in order, as the per-point loops took it
@@ -265,19 +267,11 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     gap = max([0.0, *np.abs(geo.dist_siegel(p, q) - d_auto).tolist()])
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
-    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||), on ball points of
-    # dim 1..3 cut from Siegel points of dim + 1 and scaled by U(0.2, 1)
-    by_dim: dict[int, list] = {1: [], 2: [], 3: []}
-    for _ in range(samples):
-        dim = int(rng.integers(1, 4))
-        by_dim[dim].append((draw(dim), uniform(0.2, 1.0), draw(dim), uniform(0.2, 1.0)))
+    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3:
+    # every pair's dimension is drawn first, then per dimension the Z batch and the W batch
     violations = 0
-    for dim, rows in by_dim.items():
-        if not rows:
-            continue
-        zdraws, zscale, wdraws, wscale = zip(*rows)
-        zb, wb = (geo.siegel_to_ball_rows(points(draws))[:, :dim] * np.array(scale)[:, None]
-                  for draws, scale in ((zdraws, zscale), (wdraws, wscale)))
+    for dim, m in zip(*np.unique(rng.integers(1, 4, size=samples), return_counts=True)):
+        zb, wb = ball_batch(m, dim), ball_batch(m, dim)
         d = np.array(geo.dist_ball_rows(zb, wb))
         zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
         lhs = (1.0 - wn) / (1.0 - zn)

@@ -78,7 +78,9 @@ def forward_orbit(f: MapDescriptor, z0: SiegelPoint, n_max: int = 100,
             converged = True
             break
         if boundary_gap(nxt) < tol:
-            dw = BoundaryPoint(v=boundary_projection(nxt), model="siegel")
+            # ball image within tol of the sphere; and of infinity's image (1, 0)?
+            near_inf = 2.0 * math.hypot(1.0, *map(abs, nxt.w)) < tol * abs(nxt.z + 1.0)
+            dw = INFINITY if near_inf else BoundaryPoint(v=boundary_projection(nxt), model="siegel")
             converged = True
             break
         if steps[-1] < tol:
@@ -311,15 +313,14 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     if not alpha > 0.0:  # alpha = 0 would make every ratio inf
         raise ValueError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
-    k, normal = f.dim - 1, rng.standard_normal
-    # per sample, in stream order: log10 t ~ U(-3, 3), Re w and Im w ~ N(0, 1)^k,
-    # a scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1); U(lo, hi) is drawn as
-    # lo + (hi - lo) * random(), which is how numpy's uniform(lo, hi) draws it
-    t, re, im, scale, y = zip(*[
-        (10.0 ** (-3.0 + 6.0 * rng.random()), [normal() for _ in range(k)],
-         [normal() for _ in range(k)], rng.random(), normal() * 2.0)
-        for _ in range(n_samples)])
-    p = _siegel_samples(t, re, im, np.array(scale)[:, None], y)
+    k = f.dim - 1
+    # whole columns, in this order: log10 t ~ U(-3, 3) as -3 + 6 random() (numpy's
+    # uniform; t = 10.0 ** x in CPython per element), Re w and Im w ~ N(0, 1)^k, a
+    # scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1)
+    t = [10.0 ** e for e in (-3.0 + 6.0 * rng.random(n_samples)).tolist()]
+    re, im = rng.standard_normal((n_samples, k)), rng.standard_normal((n_samples, k))
+    scale = rng.random(n_samples)
+    p = _siegel_samples(t, re, im, scale[:, None], 2.0 * rng.standard_normal(n_samples))
     q_in = julia_quotient(p, x)
     ratio = julia_quotient(evaluate(f, p), x) / (alpha * q_in)
     # Python's max over the rows in order, as the per-point loop took it (NaN skipped)

@@ -409,11 +409,11 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     if q.model == "siegel" and q.at_infinity:
         return 1.0 / defect(p)
     if q.model == "ball":
-        s = 1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)
-        return _square(abs(s)) / (4.0 * defect(p) / _square(abs(p.z + 1.0)))
+        s = 1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)  # |s| <= 2
+        return _square(abs(s)) / one_minus_sq_ball_norm(p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
-    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return _square(abs(s)) / (defect(p) * abs(zq + 1.0) ** 2)
+    s = abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq))
+    return s / defect(p) * s / abs(zq + 1.0) ** 2  # no |s|^2 to overflow
 
 
 def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:

@@ -15,7 +15,7 @@ import pytest
 from siegel_dynamics import dynamics as dyn
 from siegel_dynamics import serialize as ser
 from siegel_dynamics.cli import FIXTURES, fixture_path
-from siegel_dynamics.geometry import SiegelPoint, dist_siegel
+from siegel_dynamics.geometry import BoundaryPoint, CVector, SiegelPoint, dist_siegel, julia_quotient
 
 MAPS = {name: ser.load_descriptor(str(fixture_path(name))) for name in FIXTURES}
 
@@ -46,6 +46,37 @@ def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
             ref = mp_dist_siegel(a, b)
             worst = max(worst, float(abs(dist_siegel(a, b) - ref) / ref))
     assert worst <= 1e-13
+
+
+def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
+    """|1 - (Z, q)|^2 / (1 - ||Z||^2) of the exact ball image Z of p, at 700 digits
+    (1 - ||Z||^2 is about 4/|z| there)."""
+    with mpmath.workdps(700):
+        coords = [mpmath.mpc(c.real, c.imag) for c in p.coords]
+        zb = [(coords[0] - 1) / (coords[0] + 1)] + [2 * c / (coords[0] + 1) for c in coords[1:]]
+        qc = [mpmath.mpc(c.real, c.imag) for c in q.v.coords]
+        if q.model == "siegel":
+            qc = [(qc[0] - 1) / (qc[0] + 1)] + [2 * c / (qc[0] + 1) for c in qc[1:]]
+        s = 1 - sum(a * mpmath.conj(b) for a, b in zip(zb, qc))
+        return abs(s) ** 2 / (1 - sum(abs(a) ** 2 for a in zb))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_julia_quotient_far_from_unit_scale_matches_mpmath(scale):
+    # |s|^2 alone would overflow at both finite vertices
+    vertices = [BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel"),
+                BoundaryPoint(v=CVector((-1.0, 0.0)), model="ball"),
+                BoundaryPoint(v=CVector((complex(0.25, -1.5), 0.5)), model="siegel"),
+                BoundaryPoint(v=CVector((0.6, 0.8j)), model="ball")]
+    points = [SiegelPoint(scale, (0j,)),
+              SiegelPoint(complex(scale, 0.3 * scale), (0.2 * math.sqrt(scale),)),
+              SiegelPoint(complex(0.5 * scale, -scale), (0.5j * math.sqrt(scale),))]
+    for q in vertices:
+        for p in points:
+            got, ref = julia_quotient(p, q), mp_julia_quotient(p, q)
+            assert math.isfinite(got)
+            assert float(abs(got - ref) / ref) <= 1e-13, (q, p)
 
 
 def test_quadpol_axis_orbit_reaches_n_1000():

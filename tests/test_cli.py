@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import siegel_dynamics
+from siegel_dynamics import cli
 from siegel_dynamics.cli import fixture_path, main
 
 # keep the verify runs fast; determinism is what matters here
@@ -98,6 +100,18 @@ def test_orbit_forward_to_infinity(tmp_path, capsys):
     assert not (tmp_path / "orbit.json").exists()
 
 
+@pytest.mark.parametrize("start", ["10,0", "1e10,0", "1e150,0", "1e300,0"])
+def test_orbit_forward_from_far_out_reports_infinity(start, tmp_path, capsys):
+    # near infinity the ball gap is small too: the orbit must not be taken for
+    # one that reaches a finite boundary point
+    code, out, _ = run(["orbit", "--map", "quadpol", "--forward", "--start", start,
+                        "--format", "json", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "DW = infinity" in out
+    orbit = json.loads((tmp_path / "orbit.json").read_text())["orbit"]
+    assert orbit["dw_estimate"] == {"at_infinity": True} and orbit["converged"]
+
+
 def test_orbit_invalid_start_exit_1(tmp_path, capsys):
     code, _, err = run(["orbit", "--map", "quadpol", "--backward",
                         "--start=-1,0", "--out", str(tmp_path)], capsys)
@@ -127,7 +141,7 @@ def test_orbit_far_from_unit_scale_exit_0_with_finite_output(direction, start, t
     code, out, err = run(["orbit", "--map", "quadpol", direction, "--start", start, "--n", "3",
                           "--out", str(tmp_path)], capsys)
     assert code == 0 and err == ""
-    assert "inf" not in out and "nan" not in out
+    assert re.search(r"\b(inf|nan)\b", out) is None  # "DW = infinity" is the forward answer
     report = json.loads((tmp_path / "orbit.json").read_text())
     numbers = report_numbers(report)
     assert numbers and all(math.isfinite(x) for x in numbers)
@@ -189,6 +203,14 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     rep = json.loads(b1)
     assert rep["pass"] is True
     assert all(r["pass"] for r in rep["results"])
+
+
+def test_verify_checks_pass_on_spread_seeds():
+    # verify seeds are drawn from [0, 2^31); every check must pass on any of them
+    fixture_dir = fixture_path("quadpol").parent
+    failed = [(seed, name, detail) for seed in (7 + k * (2 ** 31 // 50) for k in range(50))
+              for name, ok, detail in cli._verify_checks(fixture_dir, seed, 200) if not ok]
+    assert failed == []
 
 
 def test_verify_seed_changes_report(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """The batched sampled checks, bit for bit against per-point references.
 
 `verify`'s sampled sections, `julia_inclusion_check`, `elliptic_growth_constant`
-and `dist_ball` draw their inputs one sample at a time but run their numpy
-arithmetic once per batch.  The references below are the per-point loops they
-replace, kept verbatim; every float is compared by `float.hex` (`verify` details
-are 17-significant-digit strings, which tell any two doubles apart).
+and `dist_ball` run their numpy arithmetic once per batch.  The references below
+are the per-point loops they replace: they draw the same variates (one at a time
+for `verify`'s metric and isometry sections, as whole columns for its
+distance-ratio section and the Julia check) and then compute point by point;
+every float is compared by `float.hex` (`verify` details are 17-significant-digit
+strings, which tell any two doubles apart).
 """
 
 import itertools
@@ -49,16 +51,23 @@ def ref_dist_ball(a: BallPoint, b: BallPoint) -> float:
     return math.sqrt(max(0.0, d2))
 
 
+def ref_siegel(re, im, log_t, y, scale):
+    """The sampled point (10^log_t + ||w||^2 + i y, w) with w = (re + i im) * scale."""
+    w = (re + 1j * im) * scale
+    return SiegelPoint(10.0 ** float(log_t) + np.sum(np.abs(w) ** 2) + 1j * y, tuple(w))
+
+
 def ref_julia_inclusion_check(f, x, alpha, n_samples=10000, seed=0):
     rng = np.random.default_rng(seed)
-    dim = f.dim
+    k = f.dim - 1
+    log_t = rng.uniform(-3, 3, n_samples)
+    re, im = rng.normal(size=(n_samples, k)), rng.normal(size=(n_samples, k))
+    scale = rng.uniform(0, 1, n_samples)
+    y = rng.normal(size=n_samples) * 2.0
     violations = 0
     max_ratio = 0.0
-    for _ in range(n_samples):
-        t = 10.0 ** rng.uniform(-3, 3)
-        w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * rng.uniform(0, 1)
-        y = rng.normal() * 2.0
-        p = SiegelPoint(t + np.sum(np.abs(w) ** 2) + 1j * y, tuple(w))
+    for i in range(n_samples):
+        p = ref_siegel(re[i], im[i], log_t[i], y[i], scale[i])
         q_in = julia_quotient(p, x)
         q_out = julia_quotient(evaluate(f, p), x)
         ratio = q_out / (alpha * q_in)
@@ -73,9 +82,8 @@ def ref_verify_sampled(seed, samples):
     rng = np.random.default_rng(seed)
 
     def rand_siegel(dim: int) -> geo.SiegelPoint:
-        w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * 0.5
-        t = 10.0 ** rng.uniform(-2, 2)
-        return geo.SiegelPoint(t + np.sum(np.abs(w) ** 2) + 1j * rng.normal(), tuple(w))
+        return ref_siegel(rng.normal(size=dim - 1), rng.normal(size=dim - 1),
+                          rng.uniform(-2, 2), rng.normal(), 0.5)
 
     # metric consistency through the Cayley transform
     worst = 0.0
@@ -101,11 +109,19 @@ def ref_verify_sampled(seed, samples):
     yield "automorphism_isometry", worst < 1e-12, ser.sig17(worst)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||)
+    # drawn as columns: every dimension, then per dimension those of the Z points
+    # and those of the W points (Re w, Im w, log10 t, Im z, scale)
+    dims = rng.integers(1, 4, size=samples)
+    rows = {}
+    for dim in (1, 2, 3):
+        m = int(np.sum(dims == dim))
+        zw = [(rng.normal(size=(m, dim)), rng.normal(size=(m, dim)), rng.uniform(-2, 2, m),
+               rng.normal(size=m), rng.uniform(0.2, 1.0, m)) for _ in range(2)]
+        rows[dim] = iter([[tuple(c[i] for c in cols) for cols in zw] for i in range(m)])
     violations = 0
-    for _ in range(samples):
-        dim = int(rng.integers(1, 4))
-        zb = geo.siegel_to_ball(rand_siegel(dim + 1)).array[:dim] * rng.uniform(0.2, 1.0)
-        wb = geo.siegel_to_ball(rand_siegel(dim + 1)).array[:dim] * rng.uniform(0.2, 1.0)
+    for dim in dims.tolist():
+        zb, wb = (geo.siegel_to_ball(ref_siegel(re, im, log_t, y, 0.5)).array[:dim] * scale
+                  for re, im, log_t, y, scale in next(rows[dim]))
         z = geo.BallPoint(geo.CVector(tuple(zb)))
         w = geo.BallPoint(geo.CVector(tuple(wb)))
         d = ref_dist_ball(z, w)
@@ -285,7 +301,8 @@ def test_dist_ball_rows_large_batch_matches_per_pair_formula():
 
 def test_draw_identities_hold():
     """The batched code draws U(lo, hi) as lo + (hi - lo) * random() and N(0, 1)
-    as standard_normal(); both reproduce numpy's own stream."""
+    as standard_normal(), one at a time or as whole columns; both reproduce
+    numpy's own stream."""
     a, b = np.random.default_rng(9), np.random.default_rng(9)
     for i in range(5000):
         for lo, hi in ((-2, 2), (-3, 3), (0, 1), (0.2, 1.0)):
@@ -293,6 +310,12 @@ def test_draw_identities_hold():
         k = 1 + i % 3
         assert hexes(a.normal(size=k).tolist()) == hexes(b.standard_normal() for _ in range(k))
         assert a.normal().hex() == b.standard_normal().hex()
+    for m, k in ((1, 1), (37, 2), (200, 3)):
+        for lo, hi in ((-2, 2), (-3, 3), (0, 1), (0.2, 1.0)):
+            assert (hexes(a.uniform(lo, hi, m).tolist())
+                    == hexes((lo + (hi - lo) * b.random(m)).tolist()))
+        assert hexes(a.normal(size=(m, k)).ravel().tolist()) == hexes(
+            b.standard_normal((m, k)).ravel().tolist())
 
 
 def test_julia_check_calls_numpy_abs_once_per_batch(monkeypatch):
