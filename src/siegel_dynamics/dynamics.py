@@ -78,7 +78,8 @@ def forward_orbit(f: MapDescriptor, z0: SiegelPoint, n_max: int = 100,
             converged = True
             break
         if boundary_gap(nxt) < tol:
-            # ball image within tol of the sphere; and of infinity's image (1, 0)?
+            # the ball gap is small near infinity too: the orbit tends to infinity when its
+            # ball image is within tol of infinity's image (1, 0), ||(2, 2w)|| / |z + 1|
             near_inf = 2.0 * math.hypot(1.0, *map(abs, nxt.w)) < tol * abs(nxt.z + 1.0)
             dw = INFINITY if near_inf else BoundaryPoint(v=boundary_projection(nxt), model="siegel")
             converged = True
