@@ -109,19 +109,19 @@ def ref_verify_sampled(seed, samples):
     yield "automorphism_isometry", worst < 1e-12, ser.sig17(worst)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||)
-    # drawn as columns: every dimension, then per dimension those of the Z points
-    # and those of the W points (Re w, Im w, log10 t, Im z, scale)
-    dims = rng.integers(1, 4, size=samples)
-    rows = {}
+    # drawn as columns: every pair's dimension, then per dimension those of the
+    # Z points and those of the W points (Re w, Im w, log10 t, Im z, scale)
+    dims = rng.integers(1, 4, size=samples).tolist()
+    columns = {}
     for dim in (1, 2, 3):
-        m = int(np.sum(dims == dim))
-        zw = [(rng.normal(size=(m, dim)), rng.normal(size=(m, dim)), rng.uniform(-2, 2, m),
-               rng.normal(size=m), rng.uniform(0.2, 1.0, m)) for _ in range(2)]
-        rows[dim] = iter([[tuple(c[i] for c in cols) for cols in zw] for i in range(m)])
+        m = dims.count(dim)
+        columns[dim] = [(rng.normal(size=(m, dim)), rng.normal(size=(m, dim)), rng.uniform(-2, 2, m),
+                         rng.normal(size=m), rng.uniform(0.2, 1.0, m)) for _ in "ZW"]
     violations = 0
-    for dim in dims.tolist():
-        zb, wb = (geo.siegel_to_ball(ref_siegel(re, im, log_t, y, 0.5)).array[:dim] * scale
-                  for re, im, log_t, y, scale in next(rows[dim]))
+    for n, dim in enumerate(dims):
+        i = dims[:n].count(dim)  # the row of this pair in its dimension's columns
+        zb, wb = (geo.siegel_to_ball(ref_siegel(re[i], im[i], log_t[i], y[i], 0.5)).array[:dim]
+                  * scale[i] for re, im, log_t, y, scale in columns[dim])
         z = geo.BallPoint(geo.CVector(tuple(zb)))
         w = geo.BallPoint(geo.CVector(tuple(wb)))
         d = ref_dist_ball(z, w)
