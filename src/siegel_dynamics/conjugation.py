@@ -135,8 +135,9 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
     """psi_n = f^n o tau_n o p_L at every point for each n of n_values, as rows:
     the points in order for each n in turn.  psi_n is computed once per depth
     and distinct p_L(Z), matched on exact bits (== would merge 0.0 and -0.0,
-    and a zero's sign can reach psi_n).  Step s applies f once to the rows of
-    every depth n >= s, a prefix of the rows sorted by descending depth."""
+    and a zero's sign can reach psi_n).  The rows are sorted by descending
+    depth, so step s applies f once to the prefix of depths n >= s; a finished
+    block is split off once, and the blocks are joined once at the end."""
     coords = np.array([z.coords for z in points], dtype=complex).reshape(len(points), orbit.points[0].dim)
     coords[:, 1 + L:] = 0.0  # p_L
     keys = [row.tobytes() for row in coords]
@@ -155,9 +156,14 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
         return quadratic_iterate_closed(f, n, rows) if closed else rows
 
     rows = SiegelRows.concat([start(n) for n in depths])
+    done, k = [], len(depths)  # the finished blocks, shallowest first; the blocks still deepening
     for step in range(1, 1 + (0 if closed else depths[0])):
-        e = u * sum(n >= step for n in depths)
-        rows = SiegelRows.concat([evaluate(f, rows.take(slice(0, e))), rows.take(slice(e, None))])
+        if depths[k - 1] < step:  # the shallowest blocks are finished: split them off once
+            k = sum(n >= step for n in depths)
+            done.append(rows.take(slice(u * k, None)))
+            rows = rows.take(slice(0, u * k))
+        rows = evaluate(f, rows)
+    rows = SiegelRows.concat([rows, *reversed(done)])
     block = {j: b for b, j in enumerate(order)}  # where the rows of n_values[j] went
     return rows.take([u * block[j] + slot[key] for j in range(len(n_values)) for key in keys])
 

@@ -211,24 +211,38 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
     cands = preimage_candidates(f, zn)
-    admissible: list[tuple[float, SiegelPoint]] = []
     if cands is None:
-        p = _newton_preimage(f, zn, zn)
-        admissible.append((dist_siegel(zn, p), p))
-    else:
-        for c in cands:
-            try:
-                p = SiegelPoint(c[0], c[1:])
-            except InvalidPoint:
-                continue
-            admissible.append((dist_siegel(zn, p), p))
-    admissible = [c for c in admissible if c[0] <= a * (1.0 + 1e-12)]
+        cands = [_newton_preimage(f, zn, zn).coords]
+    bound = a * (1.0 + 1e-12)
+    admissible: list[tuple[float, SiegelPoint]] = []
+    for c in cands:
+        try:
+            p = SiegelPoint(c[0], c[1:])
+        except InvalidPoint:
+            continue
+        d = dist_siegel(zn, p)
+        if d <= bound:
+            admissible.append((d, p))
     if not admissible:
         raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
     d, p = admissible[0] if len(admissible) == 1 else min(admissible, key=lambda c: (c[0], c[1].t))
     if steps is not None:
         steps.append(d)
     return p
+
+
+def _projection_mean(points: list[SiegelPoint]) -> CVector:
+    """The mean of the boundary projections (i Im z + ||w||^2, w) of up to 7
+    points, with np.mean's bits: numpy sums each column onto +0 in order (a
+    lone column is contiguous, and its pairwise sum adds the first four as
+    (a + b) + (c + d)), then divides by the count as `_cdiv` does."""
+    pr = [(1j * p.z.imag + sq_norm(p.w),) + p.w for p in points]
+    if len(pr[0]) == 1 and len(pr) >= 4:
+        pr[:4] = [((pr[0][0] + pr[1][0]) + (pr[2][0] + pr[3][0]),)]
+    total = (0j,) * len(pr[0])
+    for c in pr:
+        total = tuple(x + y for x, y in zip(total, c))
+    return CVector(tuple(_cdiv(x, len(points)) for x in total))
 
 
 def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
@@ -254,8 +268,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         limit: BoundaryPoint | None = INFINITY
         ratios = [defects[k + 1] / defects[k] for k in range(len(defects) - 1)]
     else:
-        pr_tail = [boundary_projection(p).coords for p in points[-5:]]
-        limit = BoundaryPoint(v=CVector(np.mean(pr_tail, axis=0).tolist()), model="siegel")
+        limit = BoundaryPoint(v=_projection_mean(points[-5:]), model="siegel")
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
     tail = ratios[max(0, 3 * len(ratios) // 4):]
     alpha = float(statistics.median(tail))
@@ -278,15 +291,20 @@ def verify_defect_decay(orbit: BackwardOrbit, c: float) -> DecayReport:
     """Check t_{n+k} <= c^k t_n for all index pairs of the orbit."""
     if not 0.0 < c < 1.0:
         raise ValueError("decay constant c must lie in (0, 1)")
-    t = orbit.defects
-    ok = True
-    margin = math.inf
-    for i in range(len(t)):
-        for k in range(1, len(t) - i):
-            m = c ** k * t[i] - t[i + k]
-            margin = min(margin, m)
-            if m < -1e-12 * t[i]:
-                ok = False
+    t = np.array(orbit.defects, dtype=float)
+    n = len(t)
+    if n < 2:
+        return DecayReport(True, math.inf)
+    ck = np.array([c ** k for k in range(1, n)])  # CPython's c ** k: np.power rounds otherwise
+    # row i holds t_{i+k} for k = 1 .. n - 1, NaN past the end: NaN fails every test
+    # below and fmin skips it, as the pairs' loop skips those k
+    later = np.lib.stride_tricks.sliding_window_view(np.concatenate([t[1:], np.full(n - 1, np.nan)]), n - 1)
+    ok, margin = True, math.inf
+    for i in range(0, n, 256):  # blocks of rows keep long orbits' temporaries small
+        ti = t[i:i + 256, None]
+        m = ck * ti - later[i:i + 256]
+        ok = ok and not (m < -1e-12 * ti).any()
+        margin = min(margin, float(np.fmin.reduce(m, axis=None, initial=math.inf)))
     return DecayReport(ok, margin)
 
 

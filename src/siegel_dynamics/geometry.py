@@ -142,15 +142,15 @@ class SiegelPoint:
     t: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        z = complex(self.z)
-        w = _as_tuple(self.w)
+        d = self.__dict__  # the frozen fields, set by item (cheaper than update or setattr)
+        z = d["z"] = complex(d["z"])
+        w = d["w"] = _as_tuple(d["w"])
         if not cmath.isfinite(z):
             raise InvalidPoint("non-finite z")
-        t = z.real - sq_norm(w)
+        t = d["t"] = z.real - sq_norm(w)
         if not t > 0.0:  # also false for NaN
             raise InvalidPoint("NaN tangential coordinate" if t != t
                                else f"defect {t} <= 0: not in the Siegel domain")
-        self.__dict__.update(z=z, w=w, t=t)  # one call for the three frozen fields
 
     @property
     def dim(self) -> int:
@@ -399,6 +399,15 @@ def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
     return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
+def _over_ball_gap(x, p: SiegelPoint) -> float:
+    """x / (1 - ||C^{-1}(p)||^2), or inf where that gap underflows to 0 (as the
+    quotients at a Siegel vertex overflow); on rows with no warning."""
+    g = one_minus_sq_ball_norm(p)
+    if type(g) is np.ndarray:
+        return np.divide(x, g, out=np.full(g.shape, math.inf), where=g > 0.0)
+    return x / g if g > 0.0 else math.inf
+
+
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     """Horosphere quotient |1 - (Z, q)|^2 / (1 - ||Z||^2) of the ball image of p.
 
@@ -410,7 +419,7 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
         return 1.0 / defect(p)
     if q.model == "ball":
         s = 1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)  # |s| <= 2
-        return _square(abs(s)) / one_minus_sq_ball_norm(p)
+        return _over_ball_gap(_square(abs(s)), p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq))
     return s / defect(p) * s / abs(zq + 1.0) ** 2  # no |s|^2 to overflow
@@ -425,7 +434,7 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
         return abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t)
     if q.model == "ball":
         zb = _ball_coords(p.z, p.w)
-        return abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb) / one_minus_sq_ball_norm(p)
+        return _over_ball_gap(abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb), p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
     return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)  # no |s| |z + 1| to overflow
@@ -769,10 +778,10 @@ class SiegelRows:
 
     @classmethod
     def concat(cls, parts: list["SiegelRows"]) -> "SiegelRows":
-        """The rows of each part in turn."""
+        """The rows of each part in turn; checked already."""
         z, *w = (ComplexRows(np.concatenate([c.real for c in col]), np.concatenate([c.imag for c in col]))
                  for col in zip(*((p.z,) + p.w for p in parts)))
-        return cls(z, w)
+        return cls._checked(z, w, np.concatenate([p.t for p in parts]))
 
 
 def ball_norm_rows(v: tuple[ComplexRows, ...]) -> np.ndarray:

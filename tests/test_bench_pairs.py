@@ -98,3 +98,30 @@ def test_out_starts_with_the_machine_line(tmp_path, monkeypatch, capsys):
         assert [(r["side"], r["seed"]) for r in run[1:]] == [
             ("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
     assert "| checks (2 pairs, seeds 5-6) |" in capsys.readouterr().out
+
+
+def test_workload_list_runs_each_after_one_machine_line(tmp_path, monkeypatch, capsys):
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_once(cwd, workload, seed, seconds):
+        calls.append(workload)
+        metrics = {m["name"]: {"value": float(seed), "unit": m["unit"]} for m in bench["end_to_end"]}
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "machine", lambda parent: {"machine": {"parent": parent}})
+    out = tmp_path / "pairs.jsonl"
+    argv = ["--parent", "abc", "--workload", "conjugate,checks", "--seeds", "5-6", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == ["conjugate"] * 4 + ["checks"] * 4
+    lines = [json.loads(s) for s in out.read_text().splitlines()]
+    assert lines[0] == {"machine": {"parent": "abc"}}
+    assert [(r["workload"], r["side"], r["pair"]) for r in lines[1:]] == [
+        (w, side, pair) for w in ("conjugate", "checks")
+        for pair, side in ((0, "parent"), (0, "change"), (1, "change"), (1, "parent"))]
+    text = capsys.readouterr().out
+    first, second = text.index("| conjugate (2 pairs, seeds 5-6) |"), text.index("| checks (2 pairs, seeds 5-6) |")
+    assert first < second and text.count("| | op_p50_ms |") == 2
+    assert "runs not correct or with failed > 0: 0 of 8" in text

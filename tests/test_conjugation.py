@@ -124,6 +124,39 @@ def test_psi_quadpol_is_projection():
             assert dist_siegel(val, project_first(z, 0)) < 1e-12
 
 
+def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
+    """A sweep of depths up to 12 concatenates rows twice (the starts, then the
+    finished blocks), not once per step, and applies f to a row of depth n
+    exactly n times."""
+    from siegel_dynamics import conjugation
+    from siegel_dynamics.geometry import SiegelRows
+
+    f = lift_one_dim(HalfPlaneLinear(2.0))
+    orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 20)
+    g, orb0, _ = recenter_orbit_at_zero(f, orb)
+    grid = default_grid(2)
+    concat, counts = SiegelRows.concat.__func__, {"concat": 0, "rows": 0}
+
+    def counting_concat(cls, parts):
+        counts["concat"] += 1
+        return concat(cls, parts)
+
+    def counting_evaluate(h, p):
+        counts["rows"] += len(p.t) if type(p) is SiegelRows else 1
+        return h.evaluate(p)
+
+    monkeypatch.setattr(SiegelRows, "concat", classmethod(counting_concat))
+    monkeypatch.setattr(conjugation, "evaluate", counting_evaluate)
+    for n_values in ((12,), (1, 12, 5, 5, 0), tuple(range(1, 13))):
+        counts.update(concat=0, rows=0)
+        conjugation._psi_rows(g, orb0, grid, n_values, 1, "basic", None)  # p_1 keeps w
+        assert counts["concat"] == 2
+        assert counts["rows"] == len(grid) * sum(n_values)  # the grid's points are distinct
+    counts.update(concat=0)
+    psi_interpolation_check(g, orb0, 12, 2.0)
+    assert counts["concat"] == 2
+
+
 def test_psi_diagonal_l0_is_projection():
     f = DiagonalLinear(2.0, (1.0,))
     orb = backward_orbit(f, ONE, 0.34, 30)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from siegel_dynamics.errors import NoBackwardStep
 from siegel_dynamics.dynamics import (
     BackwardOrbit,
     _newton_preimage,
+    _projection_mean,
     angular_ratio_diagnostics,
     backward_orbit,
     backward_step,
@@ -24,10 +26,12 @@ from siegel_dynamics.geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     Translation,
+    boundary_projection,
     cayley_to_siegel,
     dist_siegel,
     defect,
     recentering_translation,
+    sq_norm,
 )
 from siegel_dynamics.maps import (
     BallProduct,
@@ -166,6 +170,40 @@ def test_backward_orbit_lifted_constant_step():
     assert abs(orb.limit.v.coords[1] - 1.0) < 1e-9
 
 
+def _hex(coords):
+    return [(c.real.hex(), c.imag.hex()) for c in coords]
+
+
+def _np_mean_limit(points):
+    """The limit as np.mean of the boundary projections, the reference for its bits."""
+    return np.mean([boundary_projection(p).coords for p in points], axis=0).tolist()
+
+
+def test_limit_has_the_bits_of_np_mean_of_the_tail_projections():
+    rng = np.random.default_rng(12)
+
+    def part():  # signed zeros, cancelling magnitudes and spread scales
+        r = rng.random()
+        return (rng.choice([0.0, -0.0]) if r < 0.25 else rng.choice([-1.0, 1.0]) * (
+            rng.choice([1e16, 1.0, 3.0]) if r < 0.4 else 10.0 ** rng.uniform(-30, 30)))
+
+    for _ in range(3000):
+        k, n = int(rng.integers(0, 3)), int(rng.integers(3, 6))
+        tail = []
+        for _ in range(n):
+            w = tuple(complex(part(), part()) for _ in range(k))
+            re = sq_norm(w) * (1.0 + rng.random()) + 10.0 ** rng.uniform(-20, 20)
+            tail.append(SiegelPoint(complex(re, part()), w))
+        assert _hex(_projection_mean(tail).coords) == _hex(_np_mean_limit(tail))
+    # through the orbit: tails of 3, 4 and 5 points, in dimensions 2 and 1
+    for f, seed in ((QUADPOL, SiegelPoint(1.0, (0.0,))),
+                    (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(complex(2.0, -0.0), (1.0,))),
+                    (DiagonalLinear(2.0), SiegelPoint(complex(1.0, 0.25)))):
+        for n in (2, 3, 4, 40):
+            orb = backward_orbit(f, seed, 0.4, n)
+            assert len(orb.points) == n + 1 and _hex(orb.limit.v.coords) == _hex(_np_mean_limit(orb.points[-5:]))
+
+
 def test_backward_orbit_elliptic_fixture():
     p0 = cayley_to_siegel(BallPoint(CVector((0.5, 0.0))))
     orb = backward_orbit(ELLIPTIC, p0, 0.45, 60)
@@ -219,6 +257,36 @@ def test_defect_decay_quadpol_equality_branch():
 def test_defect_decay_loose_bound():
     orb = backward_orbit(QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34, 20)
     assert verify_defect_decay(orb, 0.99).ok
+
+
+def _decay_by_pairs(t, c):
+    """The pairs' loop that verify_defect_decay replaced, kept as its reference."""
+    ok, margin = True, math.inf
+    for i in range(len(t)):
+        for k in range(1, len(t) - i):
+            m = c ** k * t[i] - t[i + k]
+            margin = min(margin, m)
+            if m < -1e-12 * t[i]:
+                ok = False
+    return ok, margin
+
+
+def test_defect_decay_matches_the_pairs_loop():
+    rng = np.random.default_rng(21)
+    orb = backward_orbit(QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34, 20)
+    for n in (0, 1, 2, 3, 40, 255, 256, 257, 500):
+        for kind in ("geometric", "noisy", "random"):
+            c = float(rng.choice([0.5, 0.99, 1e-3, rng.random()]))
+            t0 = 10.0 ** rng.uniform(-5, 5)
+            if kind == "geometric":
+                t = [t0 * c ** k for k in range(n)]
+            elif kind == "noisy":
+                t = [t0 * (c * (1.0 + rng.uniform(-1e-3, 1e-3))) ** k for k in range(n)]
+            else:
+                t = (10.0 ** rng.uniform(-300, 300, n)).tolist()
+            rep = verify_defect_decay(dataclasses.replace(orb, defects=tuple(t)), c)
+            ok, margin = _decay_by_pairs(t, c)
+            assert (rep.ok, rep.min_margin.hex()) == (ok, margin.hex()), (n, kind, c)
 
 
 def test_defect_decay_negative_control():

@@ -65,6 +65,53 @@ def test_siegel_point_rejects_nonpositive_defect():
         SiegelPoint(-0.1, ())
 
 
+def test_siegel_point_converts_and_rejects_with_its_messages():
+    assert SiegelPoint(2, 1).coords == (2 + 0j, 1 + 0j)  # an int w is one coordinate
+    assert SiegelPoint(1.0, [0.5, 0.5j]).w == (0.5 + 0j, 0.5j)
+    p = SiegelPoint(3, 0.5j)  # so is a scalar w
+    assert (p.w, p.t) == ((0.5j,), 2.75) and type(p.z) is complex
+    cases = [
+        ((math.nan, (0j,)), "non-finite z"),
+        ((complex(1.0, math.inf), (0j,)), "non-finite z"),
+        ((math.inf, (math.nan,)), "non-finite z"),
+        ((1.0, (complex(0.0, math.nan),)), "NaN tangential coordinate"),
+        ((1.0, (math.inf,)), "defect -inf <= 0: not in the Siegel domain"),
+        ((1.0, [1.0]), "defect 0.0 <= 0: not in the Siegel domain"),
+        ((1.0 + 5j, (1.0, 1j)), "defect -1.0 <= 0: not in the Siegel domain"),
+        ((-0.0, ()), "defect -0.0 <= 0: not in the Siegel domain"),
+    ]
+    for (z, w), message in cases:
+        with pytest.raises(InvalidPoint) as err:
+            SiegelPoint(z, w)
+        assert type(err.value) is InvalidPoint and str(err.value) == message
+    with pytest.raises(TypeError):
+        SiegelPoint(1.0, None)
+    with pytest.raises(ValueError):
+        SiegelPoint(1.0, ["x"])
+
+
+def test_quotients_at_a_ball_vertex_are_inf_where_the_gap_underflows():
+    """1 - ||C^{-1}(p)||^2 = 4t/|z + 1|^2 underflows to 0 for t = 1e-300 at
+    |z| = 1e200; the quotients there exceed the double range, as at the
+    equivalent Siegel vertex (0, 0), which gives inf."""
+    import warnings
+
+    from siegel_dynamics.geometry import SiegelRows, koranyi_ratio
+
+    far = SiegelPoint(complex(1e-300, 1e200), (0j,))
+    near = SiegelPoint(2.0 + 1j, (0.3j,))
+    ball = BoundaryPoint(v=CVector((-1.0, 0.0)), model="ball")
+    siegel = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
+    assert one_minus_sq_ball_norm(far) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quotient in (julia_quotient, koranyi_ratio):
+            assert quotient(far, ball) == quotient(far, siegel) == math.inf
+            rows = quotient(SiegelRows.of([far, near, far]), ball).tolist()
+            assert rows[0] == rows[2] == math.inf and rows[1] == quotient(near, ball)
+            assert math.isfinite(rows[1])
+
+
 def test_boundary_point_validity():
     BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
     BoundaryPoint(v=CVector((1.0 + 2j, 1.0)), model="siegel")

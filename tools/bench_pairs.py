@@ -1,17 +1,18 @@
 """Alternating parent/change pairs of the repository benchmark, summarised.
 
-    python3 tools/bench_pairs.py --parent REF --workload conjugate --seeds 301-310
+    python3 tools/bench_pairs.py --parent REF --workload conjugate,checks --seeds 301-310
 
-For each seed it runs ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once on the parent commit REF and once on this
-working tree, alternating which side goes first.  The parent runs from a
+For each workload of the comma list, and each seed, it runs ``python3
+perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on the
+parent commit REF and once on this working tree, alternating which side goes
+first.  The parent runs from a
 temporary ``git archive`` export of REF (removed afterwards; an interrupted run
 leaves nothing registered in the repository).  Every raw JSON result line is
 appended to ``--out``, after one machine line: the Python and numpy versions of
 the ``python3`` that runs the benchmark, the processors this process may use,
 the parent commit, and the commit of the working tree with whether it has
-uncommitted changes.  The summary is a markdown table with each side's median
-and quartiles per end-to-end metric, the pairs the change won (ties count for
+uncommitted changes.  The summary is one markdown table per workload, with each
+side's median and quartiles per end-to-end metric, the pairs the change won (ties count for
 neither), and whether the gap between the medians exceeds the spread between
 the parent's quartiles.  Only the standard library is used.
 """
@@ -121,7 +122,7 @@ def export(ref: str, dest: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="e.g. conjugate or checks,conjugate")
     parser.add_argument("--seeds", required=True, help="e.g. 301-310 or 301,305")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", default=".perfbench_out/pairs.jsonl",
@@ -134,25 +135,29 @@ def main(argv: list[str] | None = None) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(machine(args.parent)) + "\n")
-    records = []
+    workloads = list(dict.fromkeys(args.workload.split(",")))
+    records: dict[str, list[dict]] = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(args.parent, Path(tmp))
         dirs = {"parent": Path(tmp), "change": ROOT}
-        for pair, seed in enumerate(seeds):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(dirs[side], args.workload, seed, args.seconds)
-                rec = {"workload": args.workload, "side": side, "pair": pair, "seed": seed,
-                       "result": result}
-                records.append(rec)
-                with out.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec) + "\n")
-                print(f"pair {pair} seed {seed} {side}: correct={result['correct']} "
-                      f"failed={result['failed']}", file=sys.stderr)
-    label = f"{args.workload} ({len(seeds)} pairs, seeds {args.seeds})"
-    print(markdown(summarize(records, better), label))
-    bad = [r for r in records if not r["result"]["correct"] or r["result"]["failed"]]
-    print(f"\nruns not correct or with failed > 0: {len(bad)} of {len(records)}")
+        for workload in workloads:
+            for pair, seed in enumerate(seeds):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(dirs[side], workload, seed, args.seconds)
+                    rec = {"workload": workload, "side": side, "pair": pair, "seed": seed,
+                           "result": result}
+                    records[workload].append(rec)
+                    with out.open("a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(rec) + "\n")
+                    print(f"{workload} pair {pair} seed {seed} {side}: correct={result['correct']} "
+                          f"failed={result['failed']}", file=sys.stderr)
+    for workload, recs in records.items():
+        label = f"{workload} ({len(seeds)} pairs, seeds {args.seeds})"
+        print(markdown(summarize(recs, better), label) + "\n")
+    runs = [r for recs in records.values() for r in recs]
+    bad = [r for r in runs if not r["result"]["correct"] or r["result"]["failed"]]
+    print(f"runs not correct or with failed > 0: {len(bad)} of {len(runs)}")
     return 1 if bad else 0
 
 
