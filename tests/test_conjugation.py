@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from siegel_dynamics import conjugation
 from siegel_dynamics.conjugation import (
     build_tau,
     conjugation_residual,
@@ -26,6 +27,7 @@ from siegel_dynamics.geometry import (
     Rotation,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     apply_automorphism,
     dist_siegel,
 )
@@ -128,9 +130,6 @@ def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
     """A sweep of depths up to 12 concatenates rows twice (the starts, then the
     finished blocks), not once per step, and applies f to a row of depth n
     exactly n times."""
-    from siegel_dynamics import conjugation
-    from siegel_dynamics.geometry import SiegelRows
-
     f = lift_one_dim(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 20)
     g, orb0, _ = recenter_orbit_at_zero(f, orb)

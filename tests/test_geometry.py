@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from siegel_dynamics.geometry import (
     Rotation,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     Translation,
     apply_automorphism,
     boundary_projection,
@@ -35,6 +37,7 @@ from siegel_dynamics.geometry import (
     invert_automorphism,
     julia_quotient,
     koranyi_contains,
+    koranyi_ratio,
     one_minus_sq_ball_norm,
     recentering_translation,
     siegel_inversion,
@@ -94,10 +97,6 @@ def test_quotients_at_a_ball_vertex_are_inf_where_the_gap_underflows():
     """1 - ||C^{-1}(p)||^2 = 4t/|z + 1|^2 underflows to 0 for t = 1e-300 at
     |z| = 1e200; the quotients there exceed the double range, as at the
     equivalent Siegel vertex (0, 0), which gives inf."""
-    import warnings
-
-    from siegel_dynamics.geometry import SiegelRows, koranyi_ratio
-
     far = SiegelPoint(complex(1e-300, 1e200), (0j,))
     near = SiegelPoint(2.0 + 1j, (0.3j,))
     ball = BoundaryPoint(v=CVector((-1.0, 0.0)), model="ball")
