@@ -21,8 +21,11 @@ was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
 keep their bytes.  Most formulas also take many points at once (see "rows").
 `dist_siegel` is one formula for a point and for rows, a ratio of scaled sums
 of squares that holds from the smallest defect to the largest coordinate.
-numpy is for sampling, real arrays (grids, the Newton Jacobian, polynomial
-roots) and `dist_ball_rows` (see the comment there).
+`dist_ball` is one elementwise formula on real arrays, a point being a batch
+of one, with no cancellation near the sphere: its three inputs are formed
+exactly or as if in twice the working precision (TwoSum, Dekker's TwoProduct,
+Dot2).  numpy is for that, sampling and real arrays (grids, the Newton
+Jacobian, polynomial roots).
 """
 
 from __future__ import annotations
@@ -104,10 +107,6 @@ class CVector:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=complex)
-
     def norm(self) -> float:
         return math.sqrt(sq_norm(self.coords))
 
@@ -127,10 +126,6 @@ class BallPoint:
     @property
     def dim(self) -> int:
         return self.v.dim
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.v.array
 
 
 @dataclass(frozen=True)
@@ -276,63 +271,68 @@ def defect(p: SiegelPoint) -> float:
     return p.t
 
 
-def _square(x):
-    """x ** 2 as CPython rounds it, also on an array (where x * x may not)."""
-    return np.float_power(x, 2.0) if type(x) is np.ndarray else x ** 2
-
-
 def _nonneg(x):
     """max(0.0, x), also on an array: NaN gives 0.0 (np.maximum would keep it)."""
     return np.where(x > 0.0, x, 0.0) if type(x) is np.ndarray else max(0.0, x)
 
 
-def _small_dist_ball_sq(za: Complexes, zb: Complexes) -> float:
-    """Cancellation-free d^2 for nearly equal ball points, from the identity
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
-    |1 - (Z,W)|^2 - (1 - ||Z||^2)(1 - ||W||^2)
-        = ||Z - W||^2 - sum_{i<j} |z_i w_j - z_j w_i|^2
 
-    with the cross terms rewritten as z_i d_j - z_j d_i, d = W - Z, so every
-    term is of order ||d||^2.
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995
+    (Dekker's TwoProduct, splitting at 2^27 + 1: Python 3.11 has no math.fma)."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d(Z, W) for (2, dim, n) arrays of the real [0] and imaginary [1] parts of
+    ball coordinates, one column per pair, elementwise (a column has the same
+    bits in any batch).  With D = W - Z, g = 1 - ||Z||^2 and c = <Z, D>,
+    |1 - <Z, W>|^2 - (1 - ||Z||^2)(1 - ||W||^2) = g ||D||^2 + |c|^2 and
+    1 - <Z, W> = g - c, so d^2 = (g ||D||^2 + |c|^2) / |g - c|^2.  Both terms on
+    top are >= 0 and Re(g - c) is at least g/2 and |Re c|, so nothing cancels
+    once D is exact (TwoSum) and g and c are sums of exact products (TwoProduct)
+    added as by Dot2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005).
     """
-    d = tuple(b - a for a, b in zip(za, zb))
-    num = sq_norm(d)
-    n = len(za)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num -= abs(za[i] * d[j] - za[j] * d[i]) ** 2
-    return max(0.0, num) / abs(1.0 - herm(za, zb)) ** 2
+    nz = -z
+    d, dl = _two_sum(w, nz)  # D = d + dl exactly
+    # g, Re c, Im c sum -x x - y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
+    a = np.stack((nz, z, np.stack((z[1], nz[0]))), axis=1)  # (2, 3, dim, n)
+    p, e = _two_prod(a, np.stack((z, d, d), axis=1))
+    e[:, 1:] += a[:, 1:] * dl[:, None]  # dl's share of c, of order eps |z d|
+    hi, lo = _two_sum(p[0], p[1])  # each coordinate's x and y terms, then the coordinates
+    lo += e.sum(0)
+    s, t, dd, e2 = np.array([[1.0], [0.0], [0.0]]), 0.0, (d * d).sum(0), 0.0  # s: g, Re c, Im c
+    for j in range(hi.shape[1]):
+        s, q = _two_sum(s, hi[:, j])
+        t, e2 = t + (q + lo[:, j]), e2 + dd[j]
+    g, cr, ci = s + t
+    hr, ci2 = g - cr, ci * ci
+    # >= 0 unless Z lies outside the ball while its rounded norm is below 1
+    return np.sqrt(_nonneg((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2)))
 
 
 def dist_ball(a: BallPoint, b: BallPoint) -> float:
-    """Pseudo-hyperbolic distance in the ball:
-
-    d^2 = 1 - (1 - ||Z||^2)(1 - ||W||^2) / |1 - (Z, W)|^2.
-    """
+    """Pseudo-hyperbolic distance in the ball, d^2 = 1 - (1 - ||Z||^2)(1 - ||W||^2) / |1 - (Z, W)|^2."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_ball: dims {a.dim} != {b.dim}")
-    return dist_ball_rows(a.array[None], b.array[None])[0]
+    z, w = (np.array([[[c.real] for c in p.v.coords], [[c.imag] for c in p.v.coords]]) for p in (a, b))
+    return _dist_ball(z, w).item()
 
 
-def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> list[float]:
-    """`dist_ball` between the rows of two (n, dim) arrays of ball coordinates,
-    which are taken to lie in the ball (nothing checks them)."""
-    # 1 - ||Z||^2 cancels near the sphere, so the result shows the last-bit rounding
-    # of numpy's SIMD |.| and complex product; kept on arrays so reports keep their
-    # bytes.  Those loops round alike at any row count, as do the row sums for
-    # dim <= 3 (wider rows may sum in another order than a single row).  Not
-    # `za * np.conj(zb)`: on large batches numpy would compute that in place in
-    # the temporary, and its in-place complex product rounds differently.
-    num = (1.0 - np.sum(np.abs(za) ** 2, axis=1)) * (1.0 - np.sum(np.abs(zb) ** 2, axis=1))
-    den = [abs(1.0 - h) ** 2 for h in np.sum(np.multiply(za, np.conj(zb)), axis=1).tolist()]
-    out = []
-    for i, d2 in enumerate((1.0 - num / den).tolist()):
-        if d2 < 1e-12:
-            # the subtraction above floors out at sqrt(eps); switch to the
-            # difference-based form, accurate for nearly equal points
-            d2 = _small_dist_ball_sq(za[i].tolist(), zb[i].tolist())
-        out.append(math.sqrt(max(0.0, d2)))
-    return out
+def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """`dist_ball` between the rows of two (n, dim) arrays of ball coordinates, taken
+    to lie in the ball (nothing checks them); a row has the bits of `dist_ball`."""
+    return _dist_ball(np.stack((za.real.T, za.imag.T)), np.stack((zb.real.T, zb.imag.T)))
 
 
 def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
@@ -399,15 +399,6 @@ def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
     return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
-def _over_ball_gap(x, p: SiegelPoint) -> float:
-    """x / (1 - ||C^{-1}(p)||^2), or inf where that gap underflows to 0 (as the
-    quotients at a Siegel vertex overflow); on rows with no warning."""
-    g = one_minus_sq_ball_norm(p)
-    if type(g) is np.ndarray:
-        return np.divide(x, g, out=np.full(g.shape, math.inf), where=g > 0.0)
-    return x / g if g > 0.0 else math.inf
-
-
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     """Horosphere quotient |1 - (Z, q)|^2 / (1 - ||Z||^2) of the ball image of p.
 
@@ -418,8 +409,10 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     if q.model == "siegel" and q.at_infinity:
         return 1.0 / defect(p)
     if q.model == "ball":
-        s = 1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)  # |s| <= 2
-        return _over_ball_gap(_square(abs(s)), p)
+        # |s|^2 / (4t/|z + 1|^2) as u/t u, forming neither |s|^2 nor the gap: both underflow
+        u = abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * abs(p.z + 1.0) / 2.0
+        with np.errstate(over="ignore"):  # a row beyond the double range gives inf, as a point does
+            return u / p.t * u
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq))
     return s / defect(p) * s / abs(zq + 1.0) ** 2  # no |s|^2 to overflow
@@ -430,14 +423,16 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     `SiegelRows` it gives an array."""
     nb = _ball_image_norm(p)
     t = p.t
+    r = abs(p.z + 1.0)
     if q.model == "siegel" and q.at_infinity:
-        return abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t)
+        return r * (1.0 + nb) / (2.0 * t)
     if q.model == "ball":
-        zb = _ball_coords(p.z, p.w)
-        return _over_ball_gap(abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb), p)
+        u = abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * r / 2.0  # as in `julia_quotient`
+        with np.errstate(over="ignore"):
+            return u / (2.0 * t) * r * (1.0 + nb)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)  # no |s| |z + 1| to overflow
+    return abs(s) / (2.0 * t) * r * (1.0 + nb) / abs(zq + 1.0)  # no |s| |z + 1| to overflow
 
 
 def horosphere_contains(h: Horosphere, p: Point) -> bool:
@@ -648,8 +643,7 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
 
 # ---------------------------------------------------------------------------
 # rows: many points at once, with the scalar core's bits.  `abs` is np.hypot
-# (CPython's complex abs), `x ** 2` is `_square`, and `_cdiv` as well as `/`
-# divide columns by `_smith`.
+# (CPython's complex abs), and `_cdiv` as well as `/` divide columns by `_smith`.
 # ---------------------------------------------------------------------------
 
 def _parts(x) -> tuple:

@@ -183,8 +183,13 @@ def descriptor_from_json(d: dict) -> MapDescriptor:
 
 
 def load_descriptor(path: str) -> MapDescriptor:
+    """The map a descriptor file describes; a malformed one raises `InvalidDescriptor`."""
     with open(path, encoding="utf-8") as fh:
-        return descriptor_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return descriptor_from_json(data)
+    except (KeyError, AttributeError, TypeError, ValueError) as err:
+        raise InvalidDescriptor(f"{path}: malformed map descriptor ({type(err).__name__}: {err})") from err
 
 
 # ---------------------------------------------------------------------------

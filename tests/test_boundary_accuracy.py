@@ -15,7 +15,15 @@ import pytest
 from siegel_dynamics import dynamics as dyn
 from siegel_dynamics import serialize as ser
 from siegel_dynamics.cli import FIXTURES, fixture_path
-from siegel_dynamics.geometry import BoundaryPoint, CVector, SiegelPoint, dist_siegel, julia_quotient
+from siegel_dynamics.geometry import (
+    INFINITY,
+    BoundaryPoint,
+    CVector,
+    SiegelPoint,
+    SiegelRows,
+    dist_siegel,
+    julia_quotient,
+)
 
 MAPS = {name: ser.load_descriptor(str(fixture_path(name))) for name in FIXTURES}
 
@@ -49,9 +57,10 @@ def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
 
 
 def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
-    """|1 - (Z, q)|^2 / (1 - ||Z||^2) of the exact ball image Z of p, at 700 digits
-    (1 - ||Z||^2 is about 4/|z| there)."""
-    with mpmath.workdps(700):
+    """|1 - (Z, q)|^2 / (1 - ||Z||^2) of the exact ball image Z of p, at 800 digits
+    (1 - ||Z||^2 = 4t/|z + 1|^2 is about 4/|z| below, and 4e-700 at t = 1e-300,
+    |z| = 1e200)."""
+    with mpmath.workdps(800):
         coords = [mpmath.mpc(c.real, c.imag) for c in p.coords]
         zb = [(coords[0] - 1) / (coords[0] + 1)] + [2 * c / (coords[0] + 1) for c in coords[1:]]
         qc = [mpmath.mpc(c.real, c.imag) for c in q.v.coords]
@@ -102,3 +111,15 @@ def test_elliptic_orbit_toward_infinity_keeps_alpha_4_3():
     orbit = dyn.backward_orbit(MAPS["elliptic"], SiegelPoint(5.0, (0j,)), 0.34, 500)
     assert len(orbit.points) == 501
     assert abs(orbit.multiplier_estimate - 4.0 / 3.0) <= 4.0 / 3.0 * 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_julia_quotient_at_the_ball_image_of_infinity_stays_finite():
+    # at t = 1e-300 and |z| = 1e200, |1 - (Z, q)|^2 (4e-400) and the gap
+    # 4t/|z + 1|^2 (4e-700) both underflow, but the quotient is 1/t, as at infinity
+    p = SiegelPoint(complex(1e-300, 1e200), (0j,))
+    q = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
+    got = julia_quotient(p, q)
+    for ref in (julia_quotient(p, INFINITY), mp_julia_quotient(p, q)):
+        assert float(abs(got - ref) / ref) <= 1e-15
+    assert julia_quotient(SiegelRows.of([p]), q).tolist() == [got]

@@ -253,6 +253,29 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     assert "fixture error" in err
 
 
+@pytest.mark.parametrize("text, cause", [
+    ('{"family": "quadratic", "A": 2}', "KeyError: 'B'"),
+    ("[]", "AttributeError"),
+    ('{"family": "quadratic", "A": "x", "B": 0, "C": 1}', "TypeError"),
+    ('{"family": "diagonal", "alpha": 2.0, "lam": {"re": [1.0]}}', "KeyError: 'im'"),
+], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im"])
+def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
+    # each command names the file and the cause on one line; verify keeps exit 4
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["classify"], ["orbit", "--backward", "--start", "1,0", "--out", str(tmp_path)],
+                 ["conjugate"]):
+        code, out, err = run([*argv, "--map", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(bad) in err and cause in err
+        assert err.count("\n") == 1
+    for name in cli.FIXTURES:
+        (tmp_path / f"{name}.json").write_text(text if name == "elliptic" else fixture_path(name).read_text())
+    code, _, err = run(["verify", "--fixtures", str(tmp_path), *FAST_VERIFY], capsys)
+    assert code == 4
+    assert err.startswith("fixture error: ") and cause in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_samples_below_one(samples, capsys):
     # checks that drew no point must not report a pass

@@ -207,8 +207,7 @@ def test_dist_ball_symmetric_zero_iff_equal():
     for _ in range(100):
         z, w = random_ball(rng), random_ball(rng)
         assert abs(dist_ball(z, w) - dist_ball(w, z)) < 1e-15
-        # d(Z, Z) = 0 up to the sqrt of double roundoff in the quotient
-        assert dist_ball(z, z) < 1e-7
+        assert dist_ball(z, z) == 0.0
 
 
 def test_dist_siegel_known_value_one_third():
@@ -237,8 +236,8 @@ def test_dist_dimension_mismatch():
 
 
 def mp_dist_ball(a, b):
-    """60-digit pseudo-hyperbolic distance between the exact ball coordinates."""
-    with mpmath.workdps(60):
+    """100-digit pseudo-hyperbolic distance between the exact ball coordinates."""
+    with mpmath.workdps(100):
         za = [mpmath.mpc(c.real, c.imag) for c in a.v.coords]
         zb = [mpmath.mpc(c.real, c.imag) for c in b.v.coords]
         herm = sum(x * mpmath.conj(y) for x, y in zip(za, zb))
@@ -246,8 +245,6 @@ def mp_dist_ball(a, b):
         return mpmath.sqrt(1 - num / abs(1 - herm) ** 2)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 1 - ||Z||^2 cancels in dist_ball "
-                                       "near the sphere (relative errors up to ~1e-9 here)")
 def test_dist_ball_accurate_near_the_sphere():
     # Cayley images of Siegel points with Re z ~ 1e2..1e4 and t in [1, 10]:
     # 1 - ||Z||^2 ~ 4t / |z + 1|^2 is 1e-3..1e-8 while d stays moderate
@@ -262,7 +259,7 @@ def test_dist_ball_accurate_near_the_sphere():
                 pts.append(siegel_to_ball(SiegelPoint(complex(x, rng.normal()), (w,))))
             ref = mp_dist_ball(*pts)
             worst = max(worst, float(abs(dist_ball(*pts) - ref) / ref))
-    assert worst <= 1e-14
+    assert worst <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,7 +349,7 @@ def test_julia_quotient_matches_ball_formula():
     qb = BoundaryPoint(v=CVector((0.0, 1.0)), model="ball")
     for _ in range(200):
         p = random_siegel(rng)
-        zb = siegel_to_ball(p).array
+        zb = np.array(siegel_to_ball(p).v.coords)
         direct = abs(1 - (zb * np.array([0, 1.0]).conjugate()).sum()) ** 2 / (1 - sq_norm(zb))
         assert abs(julia_quotient(p, qb) - direct) < 1e-10 * max(1, direct)
 

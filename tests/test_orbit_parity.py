@@ -176,7 +176,7 @@ def ref_backward_orbit(f, z0: SiegelPoint, a: float, n: int) -> dyn.BackwardOrbi
         limit: BoundaryPoint | None = INFINITY
         ratios = [defects[k + 1] / defects[k] for k in range(len(defects) - 1)]
     else:
-        pr_tail = [boundary_projection(p).array for p in points[-5:]]
+        pr_tail = [np.array(boundary_projection(p).coords) for p in points[-5:]]
         limit = BoundaryPoint(v=CVector(tuple(np.mean(pr_tail, axis=0))), model="siegel")
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
     tail = ratios[max(0, 3 * len(ratios) // 4):]

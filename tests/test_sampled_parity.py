@@ -1,12 +1,12 @@
 """The batched sampled checks, bit for bit against per-point references.
 
 `verify`'s sampled sections, `julia_inclusion_check`, `elliptic_growth_constant`
-and `dist_ball` run their numpy arithmetic once per batch.  The references below
-are the per-point loops they replace: they draw the same variates (one at a time
-for `verify`'s metric and isometry sections, as whole columns for its
-distance-ratio section and the Julia check) and then compute point by point;
-every float is compared by `float.hex` (`verify` details are 17-significant-digit
-strings, which tell any two doubles apart).
+and `dist_ball_rows` run their numpy arithmetic once per batch.  The references
+below are the per-point loops they replace: they draw the same variates (one at a
+time for `verify`'s metric and isometry sections, as whole columns for its
+distance-ratio section and the Julia check) and then compute point by point
+(`dist_ball` on each pair); every float is compared by `float.hex` (`verify`
+details are 17-significant-digit strings, which tell any two doubles apart).
 """
 
 import itertools
@@ -20,14 +20,7 @@ from siegel_dynamics import cli
 from siegel_dynamics import dynamics as dyn
 from siegel_dynamics import geometry as geo
 from siegel_dynamics import serialize as ser
-from siegel_dynamics.errors import DimensionMismatch
-from siegel_dynamics.geometry import (
-    BallPoint,
-    CVector,
-    SiegelPoint,
-    _small_dist_ball_sq,
-    julia_quotient,
-)
+from siegel_dynamics.geometry import BallPoint, CVector, SiegelPoint, julia_quotient
 from siegel_dynamics.maps import BallProduct, DiskLinear, evaluate, evaluate_ball
 
 FIXTURE_DIR = cli.fixture_path("quadpol").parent
@@ -39,16 +32,7 @@ ZERO2 = geo.BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
 # references: the per-point loops
 # ---------------------------------------------------------------------------
 
-def ref_dist_ball(a: BallPoint, b: BallPoint) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dist_ball: dims {a.dim} != {b.dim}")
-    za, zb = a.array, b.array
-    num = (1.0 - np.sum(np.abs(za) ** 2)) * (1.0 - np.sum(np.abs(zb) ** 2))
-    den = abs(1.0 - complex(np.sum(za * np.conj(zb)))) ** 2
-    d2 = float(1.0 - num / den)
-    if d2 < 1e-12:
-        d2 = _small_dist_ball_sq(a.v.coords, b.v.coords)
-    return math.sqrt(max(0.0, d2))
+ref_dist_ball = geo.dist_ball
 
 
 def ref_siegel(re, im, log_t, y, scale):
@@ -120,7 +104,7 @@ def ref_verify_sampled(seed, samples):
     violations = 0
     for n, dim in enumerate(dims):
         i = dims[:n].count(dim)  # the row of this pair in its dimension's columns
-        zb, wb = (geo.siegel_to_ball(ref_siegel(re[i], im[i], log_t[i], y[i], 0.5)).array[:dim]
+        zb, wb = (np.array(geo.siegel_to_ball(ref_siegel(re[i], im[i], log_t[i], y[i], 0.5)).v.coords[:dim])
                   * scale[i] for re, im, log_t, y, scale in columns[dim])
         z = geo.BallPoint(geo.CVector(tuple(zb)))
         w = geo.BallPoint(geo.CVector(tuple(wb)))
@@ -261,7 +245,7 @@ def test_growth_reports_match_per_point_loop(r0):
 
 def ball_pairs(rng, n, dim):
     """n ball pairs in dim coordinates: a third generic, a third near the sphere,
-    a third nearly equal (these take the d^2 < 1e-12 fallback)."""
+    a third nearly equal."""
     pairs = []
     for i in range(n):
         a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -283,7 +267,7 @@ def ball_pairs(rng, n, dim):
 def test_dist_ball_matches_per_pair_formula(dim):
     pairs = ball_pairs(np.random.default_rng(40 + dim), 600, dim)
     want = [ref_dist_ball(a, b) for a, b in pairs]
-    assert sum(d < 1e-6 for d in want) >= 150  # the fallback is exercised
+    assert sum(d < 1e-6 for d in want) >= 150  # nearly equal pairs are drawn
     assert hexes(geo.dist_ball(a, b) for a, b in pairs) == hexes(want)
     rows = geo.dist_ball_rows(np.array([a.v.coords for a, _ in pairs]),
                               np.array([b.v.coords for _, b in pairs]))
