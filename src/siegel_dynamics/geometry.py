@@ -284,8 +284,7 @@ def _two_sum(a, b):
 
 
 def _two_prod(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995
-    (Dekker's TwoProduct, splitting at 2^27 + 1: Python 3.11 has no math.fma)."""
+    """(p, e), p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995 (Dekker; no math.fma in 3.11)."""
     p = a * b
     ca, cb = 134217729.0 * a, 134217729.0 * b
     ah, bh = ca - (ca - a), cb - (cb - b)
@@ -303,19 +302,20 @@ def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     once D is exact (TwoSum) and g and c are sums of exact products (TwoProduct)
     added as by Dot2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005).
     """
-    nz = -z
-    d, dl = _two_sum(w, nz)  # D = d + dl exactly
-    # g, Re c, Im c sum -x x - y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
-    a = np.stack((nz, z, np.stack((z[1], nz[0]))), axis=1)  # (2, 3, dim, n)
+    d, dl = _two_sum(w, -z)  # D = d + dl exactly
+    # ||Z||^2, Re c, Im c sum x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
+    a = np.stack((z, z, np.stack((z[1], -z[0]))), axis=1)  # (2, 3, dim, n)
     p, e = _two_prod(a, np.stack((z, d, d), axis=1))
     e[:, 1:] += a[:, 1:] * dl[:, None]  # dl's share of c, of order eps |z d|
     hi, lo = _two_sum(p[0], p[1])  # each coordinate's x and y terms, then the coordinates
     lo += e.sum(0)
-    s, t, dd, e2 = np.array([[1.0], [0.0], [0.0]]), 0.0, (d * d).sum(0), 0.0  # s: g, Re c, Im c
-    for j in range(hi.shape[1]):
+    dd = (d * d).sum(0)
+    s, t, e2 = hi[:, 0], lo[:, 0], dd[0]
+    for j in range(1, hi.shape[1]):
         s, q = _two_sum(s, hi[:, j])
         t, e2 = t + (q + lo[:, j]), e2 + dd[j]
-    g, cr, ci = s + t
+    g = (1.0 - s[0]) - t[0]  # 1 - s[0] is exact where g is small (s[0] >= 1/2)
+    cr, ci = s[1:] + t[1:]
     hr, ci2 = g - cr, ci * ci
     # >= 0 unless Z lies outside the ball while its rounded norm is below 1
     return np.sqrt(_nonneg((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2)))
