@@ -300,20 +300,20 @@ def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     1 - <Z, W> = g - c, so d^2 = (g ||D||^2 + |c|^2) / |g - c|^2.  Both terms on
     top are >= 0 and Re(g - c) is at least g/2 and |Re c|, so nothing cancels
     once D is exact (TwoSum) and g and c are sums of exact products (TwoProduct)
-    added as by Dot2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005).
-    """
+    added as by Dot2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005)."""
     d, dl = _two_sum(w, -z)  # D = d + dl exactly
-    # ||Z||^2, Re c, Im c sum x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
-    a = np.stack((z, z, np.stack((z[1], -z[0]))), axis=1)  # (2, 3, dim, n)
-    p, e = _two_prod(a, np.stack((z, d, d), axis=1))
-    e[:, 1:] += a[:, 1:] * dl[:, None]  # dl's share of c, of order eps |z d|
+    # ||Z||^2, Re c, Im c sum a b = x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
+    a, b = z[:, :, None].repeat(3, axis=2), d[:, :, None].repeat(3, axis=2)  # (2, dim, 3, n)
+    a[0, :, 2], a[1, :, 2], b[:, :, 0] = z[1], -z[0], z
+    p, e = _two_prod(a, b)
+    e[:, :, 1:] += a[:, :, 1:] * dl[:, :, None]  # dl's share of c, of order eps |z d|
     hi, lo = _two_sum(p[0], p[1])  # each coordinate's x and y terms, then the coordinates
-    lo += e.sum(0)
-    dd = (d * d).sum(0)
-    s, t, e2 = hi[:, 0], lo[:, 0], dd[0]
-    for j in range(1, hi.shape[1]):
-        s, q = _two_sum(s, hi[:, j])
-        t, e2 = t + (q + lo[:, j]), e2 + dd[j]
+    lo += e[0] + e[1]
+    dd = d[0] * d[0] + d[1] * d[1]
+    s, t, e2 = hi[0], lo[0], dd[0]
+    for j in range(1, len(hi)):
+        s, q = _two_sum(s, hi[j])
+        t, e2 = t + (q + lo[j]), e2 + dd[j]
     g = (1.0 - s[0]) - t[0]  # 1 - s[0] is exact where g is small (s[0] >= 1/2)
     cr, ci = s[1:] + t[1:]
     hr, ci2 = g - cr, ci * ci
@@ -332,7 +332,7 @@ def dist_ball(a: BallPoint, b: BallPoint) -> float:
 def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """`dist_ball` between the rows of two (n, dim) arrays of ball coordinates, taken
     to lie in the ball (nothing checks them); a row has the bits of `dist_ball`."""
-    return _dist_ball(np.stack((za.real.T, za.imag.T)), np.stack((zb.real.T, zb.imag.T)))
+    return _dist_ball(np.array((za.real.T, za.imag.T)), np.array((zb.real.T, zb.imag.T)))
 
 
 def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
