@@ -4,9 +4,9 @@
 
 For each class of ball pairs and each dimension 1-3 it draws ``--pairs`` pairs
 and prints the largest |dist_ball - d| / d, with d the 100-digit mpmath value
-on the same double inputs; then the same for ``dist_siegel`` on pairs dilated
-to every defect scale t = 10^k, k = -300, -280, ..., 300.  The output is one
-markdown table (the one in the README's "Numerics" section).
+on the same double inputs; then the same for ``dist_siegel`` on ``--pairs`` / 31
+pairs, each dilated to every defect scale t = 10^k, k = -300, -280, ..., 300.
+The output is one markdown table (the one in the README's "Numerics" section).
 """
 
 from __future__ import annotations
@@ -17,7 +17,15 @@ import math
 import mpmath
 import numpy as np
 
-from siegel_dynamics.geometry import BallPoint, CVector, SiegelPoint, dist_ball, dist_siegel, siegel_to_ball, sq_norm
+from siegel_dynamics.geometry import (
+    BallPoint,
+    CVector,
+    SiegelPoint,
+    dist_ball,
+    dist_siegel,
+    siegel_to_ball,
+    sq_norm,
+)
 
 DIMS = (1, 2, 3)
 SIEGEL_SCALES = [10.0 ** k for k in range(-300, 301, 20)]
@@ -48,7 +56,8 @@ BALL_PAIR_CLASSES = {
         (z := _unit(rng, dim) * rng.uniform(0, 0.99)), z + _unit(rng, dim) * 10 ** rng.uniform(-14, -8)),
     # 1 - ||Z|| from 1e-12 to 1e-2, ||W - Z|| from 1e-14 to 1e-8 in any direction
     "near-sphere nearly equal": lambda rng, dim: (
-        (z := _unit(rng, dim) * (1 - 10 ** rng.uniform(-12, -2))), z + _unit(rng, dim) * 10 ** rng.uniform(-14, -8)),
+        (z := _unit(rng, dim) * (1 - 10 ** rng.uniform(-12, -2))),
+        z + _unit(rng, dim) * 10 ** rng.uniform(-14, -8)),
     "Cayley images near the sphere": lambda rng, dim: (_cayley_image(rng, dim), _cayley_image(rng, dim)),
 }
 
@@ -106,13 +115,16 @@ def worst_dist_siegel(dim: int, n: int, seed: int) -> float:
     return worst
 
 
+def _row(label: str, errs: list[float]) -> str:
+    return f"| {label} | " + " | ".join(f"{e:.1e}" for e in errs) + " |"
+
+
 def ledger(n: int, seed: int) -> str:
     lines = [f"| Pairs ({n} per class and dim) | dim 1 | dim 2 | dim 3 |", "|---|---|---|---|"]
     for kind in BALL_PAIR_CLASSES:
-        errs = [worst_dist_ball(kind, dim, n, seed) for dim in DIMS]
-        lines.append(f"| `dist_ball`, {kind} | " + " | ".join(f"{e:.1e}" for e in errs) + " |")
-    errs = [worst_dist_siegel(dim, max(1, n // len(SIEGEL_SCALES)), seed) for dim in DIMS]
-    lines.append("| `dist_siegel`, t from 1e-300 to 1e300 | " + " | ".join(f"{e:.1e}" for e in errs) + " |")
+        lines.append(_row(f"`dist_ball`, {kind}", [worst_dist_ball(kind, dim, n, seed) for dim in DIMS]))
+    bases = max(1, n // len(SIEGEL_SCALES))
+    lines.append(_row("`dist_siegel`, t from 1e-300 to 1e300", [worst_dist_siegel(dim, bases, seed) for dim in DIMS]))
     return "\n".join(lines)
 
 
