@@ -242,11 +242,14 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
     def ball_batch(m: int, dim: int) -> np.ndarray:
         """m ball points of dim coordinates, cut from Siegel points of dim + 1 and
-        scaled by U(0.2, 1): `draw`'s variates as whole columns, then the scales."""
+        scaled by U(0.2, 1): `draw`'s variates as whole columns, then the scales;
+        padded with zeros to dim 3, which change no bit of a norm or distance."""
         re, im = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
         t = [10.0 ** e for e in (-2.0 + 4.0 * rng.random(m)).tolist()]
         p = dyn._siegel_samples(t, re, im, 0.5, rng.standard_normal(m))
-        return geo.siegel_to_ball_rows(p)[:, :dim] * (0.2 + 0.8 * rng.random(m))[:, None]
+        out = np.zeros((m, 3), complex)
+        out[:, :dim] = geo.siegel_to_ball_rows(p)[:, :dim] * (0.2 + 0.8 * rng.random(m))[:, None]
+        return out
 
     # metric consistency through the Cayley transform; the worst gap is Python's
     # max over the pairs in order, as the per-point loops took it
@@ -268,15 +271,16 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3:
-    # every pair's dimension is drawn first, then per dimension the Z batch and the W batch
-    violations = 0
-    for dim, m in zip(*np.unique(rng.integers(1, 4, size=samples), return_counts=True)):
-        zb, wb = ball_batch(m, dim), ball_batch(m, dim)
-        d = geo.dist_ball_rows(zb, wb)
-        zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
-        lhs = (1.0 - wn) / (1.0 - zn)
-        rhs = (1.0 + d) / (1.0 - d * zn)
-        violations += int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
+    # every pair's dimension is drawn first, then per dimension the Z batch and the
+    # W batch; padded to dim 3, all the pairs are measured at once
+    batches = [ball_batch(m, dim) for dim, m in zip(*np.unique(rng.integers(1, 4, size=samples),
+                                                               return_counts=True)) for _ in "ZW"]
+    zb, wb = np.concatenate(batches[0::2]), np.concatenate(batches[1::2])
+    d = geo.dist_ball_rows(zb, wb)
+    zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
+    lhs = (1.0 - wn) / (1.0 - zn)
+    rhs = (1.0 + d) / (1.0 - d * zn)
+    violations = int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
     yield "distance_ratio_bound", violations == 0, str(violations)
 
     # Julia-type inclusions on the quadratic and diagonal fixtures

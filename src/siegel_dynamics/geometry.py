@@ -21,11 +21,11 @@ was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
 keep their bytes.  Most formulas also take many points at once (see "rows").
 `dist_siegel` is one formula for a point and for rows, a ratio of scaled sums
 of squares that holds from the smallest defect to the largest coordinate.
-`dist_ball` is one elementwise formula on real arrays, a point being a batch
-of one, with no cancellation near the sphere: its three inputs are formed
-exactly or as if in twice the working precision (TwoSum, Dekker's TwoProduct,
-Dot2).  numpy is for that, sampling and real arrays (grids, the Newton
-Jacobian, polynomial roots).
+`dist_ball` is one formula on arrays, a point being a batch of one, with no
+cancellation near the sphere: its inputs are formed exactly or as if in twice
+the working precision (TwoSum, Dekker's TwoProduct, an error-free summation).
+numpy is for that, sampling and real arrays (grids, the Newton Jacobian,
+polynomial roots).
 """
 
 from __future__ import annotations
@@ -276,13 +276,6 @@ def _nonneg(x):
     return np.where(x > 0.0, x, 0.0) if type(x) is np.ndarray else max(0.0, x)
 
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
 def _two_prod(a, b):
     """(p, e), p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995 (Dekker; no math.fma in 3.11)."""
     p = a * b
@@ -293,46 +286,49 @@ def _two_prod(a, b):
 
 
 def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d(Z, W) for (2, dim, n) arrays of the real [0] and imaginary [1] parts of
-    ball coordinates, one column per pair, elementwise (a column has the same
-    bits in any batch).  With D = W - Z, g = 1 - ||Z||^2 and c = <Z, D>,
+    """d(Z, W) between the rows of two C-contiguous (n, dim) complex arrays, each
+    row on its own (it has the same bits in any batch, and with zero coordinates
+    appended).  With D = W - Z, g = 1 - ||Z||^2 and c = <Z, D>,
     |1 - <Z, W>|^2 - (1 - ||Z||^2)(1 - ||W||^2) = g ||D||^2 + |c|^2 and
     1 - <Z, W> = g - c, so d^2 = (g ||D||^2 + |c|^2) / |g - c|^2.  Both terms on
     top are >= 0 and Re(g - c) is at least g/2 and |Re c|, so nothing cancels
-    once D is exact (TwoSum) and g and c are sums of exact products (TwoProduct)
-    added as by Dot2 (Ogita, Rump and Oishi, "Accurate sum and dot product", 2005)."""
-    d, dl = _two_sum(w, -z)  # D = d + dl exactly
-    # ||Z||^2, Re c, Im c sum a b = x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
-    a, b = z[:, :, None].repeat(3, axis=2), d[:, :, None].repeat(3, axis=2)  # (2, dim, 3, n)
-    a[0, :, 2], a[1, :, 2], b[:, :, 0] = z[1], -z[0], z
+    once D is exact (TwoSum) and g and c are as accurate as if summed in twice
+    the working precision: their terms are exact products (TwoProduct), each
+    split as q + r on the grid of a power of two sigma > 2 sum |p|, so that the
+    q add up exactly in any order and only the small r and product errors round
+    (Rump, Ogita and Oishi, "Accurate floating-point summation part I", 2008)."""
+    d = w - z  # TwoSum of w and -z: D = d + dl exactly
+    v = d - w
+    dl = (w - (d - v)) - (z + v)
+    zr, dr = z.view(float).T, d.view(float).T  # (2 dim, n): x0, y0, x1, y1, ...
+    # terms of ||Z||^2, Re c, Im c, ||D||^2: x x + y y, x u + y v, y u - x v, u u + v v
+    # over z_j = x + iy, d_j = u + iv
+    a = np.array((zr, zr, (z * -1j).view(float).T, dr))
+    b = np.array((zr, dr, dr, dr))
     p, e = _two_prod(a, b)
-    e[:, :, 1:] += a[:, :, 1:] * dl[:, :, None]  # dl's share of c, of order eps |z d|
-    hi, lo = _two_sum(p[0], p[1])  # each coordinate's x and y terms, then the coordinates
-    lo += e[0] + e[1]
-    dd = d[0] * d[0] + d[1] * d[1]
-    s, t, e2 = hi[0], lo[0], dd[0]
-    for j in range(1, len(hi)):
-        s, q = _two_sum(s, hi[j])
-        t, e2 = t + (q + lo[j]), e2 + dd[j]
-    g = (1.0 - s[0]) - t[0]  # 1 - s[0] is exact where g is small (s[0] >= 1/2)
-    cr, ci = s[1:] + t[1:]
+    e[1:3] += a[1:3] * dl.view(float).T  # dl's share of c, of order eps |z d|
+    s = np.abs(p).sum(1)
+    sig = (s.view(np.int64) & 0x7FF0000000000000).view(float)[:, None] * 4.0  # 4 * 2^floor(log2 s)
+    q = (sig + p) - sig  # p rounded to a multiple of 2^-53 sig: any sum of these is exact
+    tau, tail = q.sum(1), ((p - q) + e).sum(1)
+    g = (1.0 - tau[0]) - tail[0]  # 1 - tau[0] is exact where g is small
+    cr, ci, e2 = tau[1:] + tail[1:]
     hr, ci2 = g - cr, ci * ci
-    # >= 0 unless Z lies outside the ball while its rounded norm is below 1
-    return np.sqrt(_nonneg((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2)))
+    # >= 0 unless Z lies outside the ball; fmax, like max(0.0, x), also maps NaN to 0
+    return np.sqrt(np.fmax((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2), 0.0))
 
 
 def dist_ball(a: BallPoint, b: BallPoint) -> float:
     """Pseudo-hyperbolic distance in the ball, d^2 = 1 - (1 - ||Z||^2)(1 - ||W||^2) / |1 - (Z, W)|^2."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dist_ball: dims {a.dim} != {b.dim}")
-    z, w = (np.array([[[c.real] for c in p.v.coords], [[c.imag] for c in p.v.coords]]) for p in (a, b))
-    return _dist_ball(z, w).item()
+    return _dist_ball(np.array((a.v.coords,)), np.array((b.v.coords,))).item()
 
 
 def dist_ball_rows(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """`dist_ball` between the rows of two (n, dim) arrays of ball coordinates, taken
     to lie in the ball (nothing checks them); a row has the bits of `dist_ball`."""
-    return _dist_ball(np.array((za.real.T, za.imag.T)), np.array((zb.real.T, zb.imag.T)))
+    return _dist_ball(np.ascontiguousarray(za, complex), np.ascontiguousarray(zb, complex))
 
 
 def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:

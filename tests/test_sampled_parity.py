@@ -106,8 +106,9 @@ def ref_verify_sampled(seed, samples):
         i = dims[:n].count(dim)  # the row of this pair in its dimension's columns
         zb, wb = (np.array(geo.siegel_to_ball(ref_siegel(re[i], im[i], log_t[i], y[i], 0.5)).v.coords[:dim])
                   * scale[i] for re, im, log_t, y, scale in columns[dim])
-        z = geo.BallPoint(geo.CVector(tuple(zb)))
-        w = geo.BallPoint(geo.CVector(tuple(wb)))
+        # padded with zero coordinates to dim 3, as verify measures them
+        z = geo.BallPoint(geo.CVector(tuple(zb) + (0j,) * (3 - dim)))
+        w = geo.BallPoint(geo.CVector(tuple(wb) + (0j,) * (3 - dim)))
         d = ref_dist_ball(z, w)
         lhs = (1.0 - w.v.norm()) / (1.0 - z.v.norm())
         rhs = (1.0 + d) / (1.0 - d * z.v.norm())
@@ -271,6 +272,16 @@ def test_dist_ball_matches_per_pair_formula(dim):
     rows = geo.dist_ball_rows(np.array([a.v.coords for a, _ in pairs]),
                               np.array([b.v.coords for _, b in pairs]))
     assert hexes(rows) == hexes(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dist_ball_keeps_its_bits_under_zero_padding(dim):
+    # verify measures pairs of dims 1-3 in one call, padded to dim 3
+    pairs = ball_pairs(np.random.default_rng(50 + dim), 600, dim)
+    pad = (0j,) * (3 - dim)
+    padded = [ref_dist_ball(BallPoint(CVector(a.v.coords + pad)), BallPoint(CVector(b.v.coords + pad)))
+              for a, b in pairs]
+    assert hexes(padded) == hexes(ref_dist_ball(a, b) for a, b in pairs)
 
 
 def test_dist_ball_rows_large_batch_matches_per_pair_formula():
