@@ -271,50 +271,48 @@ def defect(p: SiegelPoint) -> float:
     return p.t
 
 
-def _nonneg(x):
-    """max(0.0, x), also on an array: NaN gives 0.0 (np.maximum would keep it)."""
-    return np.where(x > 0.0, x, 0.0) if type(x) is np.ndarray else max(0.0, x)
-
-
 def _two_prod(a, b):
-    """(p, e), p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995 (Dekker; no math.fma in 3.11)."""
+    """(p, e), p = fl(a b) and p + e = a b exactly for |a|, |b| < 2^995 (Dekker; no
+    math.fma in 3.11), in place on arrays: a and b end as their low halves."""
     p = a * b
-    ca, cb = 134217729.0 * a, 134217729.0 * b
-    ah, bh = ca - (ca - a), cb - (cb - b)
-    al, bl = a - ah, b - bh
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    ah, bh = a * 134217729.0, b * 134217729.0
+    ah -= ah - a
+    bh -= bh - b
+    a -= ah
+    b -= bh
+    # al bl - (((p - ah bh) - al bh) - ah bl), with the partial sums negated
+    return p, ah * bh - p + a * bh + ah * b + a * b
 
 
 def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d(Z, W) between the rows of two C-contiguous (n, dim) complex arrays, each
-    row on its own (it has the same bits in any batch, and with zero coordinates
-    appended).  With D = W - Z, g = 1 - ||Z||^2 and c = <Z, D>,
-    |1 - <Z, W>|^2 - (1 - ||Z||^2)(1 - ||W||^2) = g ||D||^2 + |c|^2 and
-    1 - <Z, W> = g - c, so d^2 = (g ||D||^2 + |c|^2) / |g - c|^2.  Both terms on
-    top are >= 0 and Re(g - c) is at least g/2 and |Re c|, so nothing cancels
-    once D is exact (TwoSum) and g and c are as accurate as if summed in twice
-    the working precision: their terms are exact products (TwoProduct), each
-    split as q + r on the grid of a power of two sigma > 2 sum |p|, so that the
-    q add up exactly in any order and only the small r and product errors round
-    (Rump, Ogita and Oishi, "Accurate floating-point summation part I", 2008)."""
+    """d(Z, W) between the rows of two C-contiguous (n, dim) complex arrays.  With
+    D = W - Z, g = 1 - ||Z||^2 and c = <Z, D>, |1 - <Z, W>|^2 - g (1 - ||W||^2) =
+    g ||D||^2 + |c|^2 and 1 - <Z, W> = g - c, so d^2 = (g ||D||^2 + |c|^2) / |g - c|^2,
+    where both terms on top are >= 0 and Re(g - c) >= g/2, |Re c|.  Nothing cancels:
+    D is exact (TwoSum), and g and c are sums of exact products (TwoProduct) split
+    as q + r on the grid of a power of two sigma > 2 sum |p|, so that the q add up
+    exactly (Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+    2008).  For dim <= 3 a row has the same bits in any batch and with zero
+    coordinates appended (numpy adds up to 7 terms in order)."""
     d = w - z  # TwoSum of w and -z: D = d + dl exactly
     v = d - w
     dl = (w - (d - v)) - (z + v)
     zr, dr = z.view(float).T, d.view(float).T  # (2 dim, n): x0, y0, x1, y1, ...
-    # terms of ||Z||^2, Re c, Im c, ||D||^2: x x + y y, x u + y v, y u - x v, u u + v v
-    # over z_j = x + iy, d_j = u + iv
-    a = np.array((zr, zr, (z * -1j).view(float).T, dr))
-    b = np.array((zr, dr, dr, dr))
+    # terms of ||Z||^2, Re c, Im c: x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
+    a = np.array((zr, zr, (z * -1j).view(float).T))
+    b = np.array((zr, dr, dr))
+    e2 = (b[1] * b[1]).sum(0)
+    dlc = a[1:] * dl.view(float).T  # dl's share of c, of order eps |z d|
     p, e = _two_prod(a, b)
-    e[1:3] += a[1:3] * dl.view(float).T  # dl's share of c, of order eps |z d|
+    e[1:] += dlc
     s = np.abs(p).sum(1)
     sig = (s.view(np.int64) & 0x7FF0000000000000).view(float)[:, None] * 4.0  # 4 * 2^floor(log2 s)
-    q = (sig + p) - sig  # p rounded to a multiple of 2^-53 sig: any sum of these is exact
-    tau, tail = q.sum(1), ((p - q) + e).sum(1)
+    q = (p + sig) - sig  # p on the grid of 2^-53 sig, where any sum is exact
+    tau, tail = q.sum(1), ((p - q) + e).sum(1)  # p - q is at most 2^-53 sig
     g = (1.0 - tau[0]) - tail[0]  # 1 - tau[0] is exact where g is small
-    cr, ci, e2 = tau[1:] + tail[1:]
+    cr, ci = tau[1:] + tail[1:]
     hr, ci2 = g - cr, ci * ci
-    # >= 0 unless Z lies outside the ball; fmax, like max(0.0, x), also maps NaN to 0
+    # >= 0 unless Z lies outside the ball
     return np.sqrt(np.fmax((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2), 0.0))
 
 
@@ -377,8 +375,8 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
 
 def _ball_image_norm(p: SiegelPoint) -> float:
     """||C^{-1}(p)||, from the cancellation-free gap formula."""
-    x = _nonneg(1.0 - one_minus_sq_ball_norm(p))
-    return np.sqrt(x) if type(x) is np.ndarray else math.sqrt(x)
+    x = 1.0 - one_minus_sq_ball_norm(p)  # np.fmax, as max(0.0, x), maps NaN to 0
+    return np.sqrt(np.fmax(x, 0.0)) if type(x) is np.ndarray else math.sqrt(max(0.0, x))
 
 
 def boundary_gap(p: SiegelPoint) -> float:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,18 @@ def random_ball(rng, dim=2, r_hi=0.999):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v *= rng.uniform(0.0, r_hi) / np.linalg.norm(v)
     return BallPoint(CVector(tuple(v)))
+
+
+def load_tool(name: str):
+    """A script of tools/ as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the mpmath references of the two metrics and the ball pair classes
+accuracy_ledger = load_tool("accuracy_ledger")
 
 
 @pytest.fixture

@@ -1,19 +1,12 @@
 """tools/accuracy_ledger.py: its table, and the bound it reports for `dist_ball`."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "accuracy_ledger", Path(__file__).resolve().parents[1] / "tools" / "accuracy_ledger.py")
-accuracy_ledger = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(accuracy_ledger)
+from conftest import accuracy_ledger
 
 
-def test_ledger_prints_one_row_per_pair_class_and_the_siegel_metric(capsys):
-    assert accuracy_ledger.main(["--pairs", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+def test_ledger_prints_one_row_per_pair_class_and_the_siegel_metric():
+    lines = accuracy_ledger.ledger(3, 0).splitlines()
     assert lines[:2] == ["| Pairs (3 per class and dim) | dim 1 | dim 2 | dim 3 |", "|---|---|---|---|"]
     rows = [line.strip("|").split(" | ") for line in lines[2:]]
     assert [r[0].strip() for r in rows] == (

@@ -25,19 +25,9 @@ from siegel_dynamics.geometry import (
     julia_quotient,
 )
 
+from conftest import accuracy_ledger
+
 MAPS = {name: ser.load_descriptor(str(fixture_path(name))) for name in FIXTURES}
-
-
-def mp_dist_siegel(a: SiegelPoint, b: SiegelPoint):
-    """60-digit pseudo-hyperbolic distance between the exact coordinates."""
-    with mpmath.workdps(60):
-        za, zb = mpmath.mpc(a.z.real, a.z.imag), mpmath.mpc(b.z.real, b.z.imag)
-        wa = [mpmath.mpc(c.real, c.imag) for c in a.w]
-        wb = [mpmath.mpc(c.real, c.imag) for c in b.w]
-        ta = za.real - sum(abs(c) ** 2 for c in wa)
-        tb = zb.real - sum(abs(c) ** 2 for c in wb)
-        s = za + mpmath.conj(zb) - 2 * sum(x * mpmath.conj(y) for x, y in zip(wa, wb))
-        return mpmath.sqrt(1 - 4 * ta * tb / abs(s) ** 2)
 
 
 def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
@@ -51,7 +41,7 @@ def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
         for (z0, w0), (z1, w1) in bases:
             a = SiegelPoint(t * z0, (math.sqrt(t) * w0,))
             b = SiegelPoint(t * z1, (math.sqrt(t) * w1,))
-            ref = mp_dist_siegel(a, b)
+            ref = accuracy_ledger.mp_dist_siegel(a, b)
             worst = max(worst, float(abs(dist_siegel(a, b) - ref) / ref))
     assert worst <= 1e-13
 

@@ -45,7 +45,7 @@ from siegel_dynamics.geometry import (
     sq_norm,
 )
 
-from conftest import random_ball, random_siegel
+from conftest import accuracy_ledger, random_ball, random_siegel
 
 RNG = np.random.default_rng(7)
 
@@ -235,16 +235,6 @@ def test_dist_dimension_mismatch():
         dist_ball(BallPoint(CVector((0.0,))), BallPoint(CVector((0.0, 0.0))))
 
 
-def mp_dist_ball(a, b):
-    """100-digit pseudo-hyperbolic distance between the exact ball coordinates."""
-    with mpmath.workdps(100):
-        za = [mpmath.mpc(c.real, c.imag) for c in a.v.coords]
-        zb = [mpmath.mpc(c.real, c.imag) for c in b.v.coords]
-        herm = sum(x * mpmath.conj(y) for x, y in zip(za, zb))
-        num = (1 - sum(abs(x) ** 2 for x in za)) * (1 - sum(abs(y) ** 2 for y in zb))
-        return mpmath.sqrt(1 - num / abs(1 - herm) ** 2)
-
-
 def test_dist_ball_accurate_near_the_sphere():
     # Cayley images of Siegel points with Re z ~ 1e2..1e4 and t in [1, 10]:
     # 1 - ||Z||^2 ~ 4t / |z + 1|^2 is 1e-3..1e-8 while d stays moderate
@@ -252,12 +242,9 @@ def test_dist_ball_accurate_near_the_sphere():
     worst = 0.0
     for scale in (1e2, 1e3, 1e4):
         for _ in range(10):
-            pts = []
-            for _ in range(2):
-                w = complex(*rng.normal(size=2)) * 0.5
-                x = scale * rng.uniform(0.9, 1.1) + 10.0 ** rng.uniform(0, 1) + abs(w) ** 2
-                pts.append(siegel_to_ball(SiegelPoint(complex(x, rng.normal()), (w,))))
-            ref = mp_dist_ball(*pts)
+            pts = [accuracy_ledger.cayley_image(rng, 2, lambda rng: scale * rng.uniform(0.9, 1.1))
+                   for _ in range(2)]
+            ref = accuracy_ledger.mp_dist_ball(*pts)
             worst = max(worst, float(abs(dist_ball(*pts) - ref) / ref))
     assert worst <= 1e-15
 

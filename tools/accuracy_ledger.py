@@ -1,17 +1,17 @@
 """Worst relative error of the two pseudo-hyperbolic metrics against mpmath.
 
-    PYTHONPATH=src python3 tools/accuracy_ledger.py [--pairs 600] [--seed 0]
+    PYTHONPATH=src python3 tools/accuracy_ledger.py
 
-For each class of ball pairs and each dimension 1-3 it draws ``--pairs`` pairs
+For each class of ball pairs and each dimension 1-3 it draws 600 pairs (seed 0)
 and prints the largest |dist_ball - d| / d, with d the 100-digit mpmath value
-on the same double inputs; then the same for ``dist_siegel`` on ``--pairs`` / 31
-pairs, each dilated to every defect scale t = 10^k, k = -300, -280, ..., 300.
-The output is one markdown table (the one in the README's "Numerics" section).
+on the same double inputs; then the same for ``dist_siegel`` on 600 / 31 pairs,
+each dilated to every defect scale t = 10^k, k = -300, -280, ..., 300.  The
+output is one markdown table (the one in the README's "Numerics" section).  The
+tests take their mpmath references and pair classes from here.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 
 import mpmath
@@ -36,12 +36,13 @@ def _unit(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _cayley_image(rng, dim: int) -> np.ndarray:
-    """The ball image of a Siegel point with Re z ~ 1e2..1e4 and t in [1, 10], so
-    1 - ||Z||^2 ~ 4t/|z + 1|^2 is 1e-3..1e-8 (the inputs that once failed)."""
+def cayley_image(rng, dim: int, lead=lambda rng: 10.0 ** rng.uniform(2, 4)) -> BallPoint:
+    """The ball image of a Siegel point with Re z = lead(rng) + t + ||w||^2, t in
+    [1, 10], so 1 - ||Z||^2 ~ 4t/|z + 1|^2 is 1e-3..1e-8 for a lead of 1e2..1e4
+    (the inputs that once failed)."""
     w = (rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)) * 0.5
-    x = 10.0 ** rng.uniform(2, 4) + 10.0 ** rng.uniform(0, 1) + sq_norm(w)
-    return np.array(siegel_to_ball(SiegelPoint(complex(x, rng.normal()), tuple(w))).v.coords)
+    x = lead(rng) + 10.0 ** rng.uniform(0, 1) + sq_norm(w)
+    return siegel_to_ball(SiegelPoint(complex(x, rng.normal()), tuple(w)))
 
 
 # each class draws one pair (Z, W) of ball coordinates
@@ -58,7 +59,8 @@ BALL_PAIR_CLASSES = {
     "near-sphere nearly equal": lambda rng, dim: (
         (z := _unit(rng, dim) * (1 - 10 ** rng.uniform(-12, -2))),
         z + _unit(rng, dim) * 10 ** rng.uniform(-14, -8)),
-    "Cayley images near the sphere": lambda rng, dim: (_cayley_image(rng, dim), _cayley_image(rng, dim)),
+    "Cayley images near the sphere": lambda rng, dim: (cayley_image(rng, dim).v.coords,
+                                                       cayley_image(rng, dim).v.coords),
 }
 
 
@@ -128,12 +130,8 @@ def ledger(n: int, seed: int) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pairs", type=int, default=600, help="pairs per class and dimension")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    print(ledger(args.pairs, args.seed))
+def main() -> int:
+    print(ledger(600, 0))
     return 0
 
 
