@@ -292,23 +292,23 @@ def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     D is exact (TwoSum), and g and c are sums of exact products (TwoProduct) split
     as q + r on the grid of a power of two sigma > 2 sum |p|, so that the q add up
     exactly (Rump, Ogita and Oishi, "Accurate floating-point summation part I",
-    2008).  For dim <= 3 a row has the same bits in any batch and with zero
-    coordinates appended (numpy adds up to 7 terms in order)."""
+    2008).  The terms lie along the first axis, which numpy adds in order for any
+    n, so a row has the same bits in any batch and with zero coordinates appended."""
     d = w - z  # TwoSum of w and -z: D = d + dl exactly
     v = d - w
     dl = (w - (d - v)) - (z + v)
-    zr, dr = z.view(float).T, d.view(float).T  # (2 dim, n): x0, y0, x1, y1, ...
-    # terms of ||Z||^2, Re c, Im c: x x + y y, x u + y v, y u - x v over z_j = x + iy, d_j = u + iv
-    a = np.array((zr, zr, (z * -1j).view(float).T))
-    b = np.array((zr, dr, dr))
-    e2 = (b[1] * b[1]).sum(0)
-    dlc = a[1:] * dl.view(float).T  # dl's share of c, of order eps |z d|
+    # (2 dim, 3, n) terms of ||Z||^2, Re c, Im c: x x + y y, x u + y v, y u - x v over
+    # z_j = x + iy, d_j = u + iv
+    a = np.array((z, z, z * -1j)).view(float).transpose(2, 0, 1).copy()
+    b = np.array((z, d, d)).view(float).transpose(2, 0, 1).copy()
+    e2 = (b[:, 1:] * b[:, 1:]).sum(0)[0]  # ||D||^2 twice: numpy adds a lone column pairwise
+    dlc = a[:, 1:] * dl.view(float).T[:, None]  # dl's share of c, of order eps |z d|
     p, e = _two_prod(a, b)
-    e[1:] += dlc
-    s = np.abs(p).sum(1)
-    sig = (s.view(np.int64) & 0x7FF0000000000000).view(float)[:, None] * 4.0  # 4 * 2^floor(log2 s)
+    e[:, 1:] += dlc
+    s = np.abs(p).sum(0)
+    sig = (s.view(np.int64) & 0x7FF0000000000000).view(float) * 4.0  # 4 * 2^floor(log2 s)
     q = (p + sig) - sig  # p on the grid of 2^-53 sig, where any sum is exact
-    tau, tail = q.sum(1), ((p - q) + e).sum(1)  # p - q is at most 2^-53 sig
+    tau, tail = q.sum(0), ((p - q) + e).sum(0)  # p - q is at most 2^-53 sig
     g = (1.0 - tau[0]) - tail[0]  # 1 - tau[0] is exact where g is small
     cr, ci = tau[1:] + tail[1:]
     hr, ci2 = g - cr, ci * ci
