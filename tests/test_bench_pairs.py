@@ -1,15 +1,12 @@
 """Summary code of tools/bench_pairs.py on canned benchmark result lines."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 BETTER = {"op_p50_ms": "lower", "work_per_s": "higher"}
 

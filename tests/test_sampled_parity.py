@@ -264,7 +264,7 @@ def ball_pairs(rng, n, dim):
     return pairs
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_dist_ball_matches_per_pair_formula(dim):
     pairs = ball_pairs(np.random.default_rng(40 + dim), 600, dim)
     want = [ref_dist_ball(a, b) for a, b in pairs]
