@@ -301,7 +301,7 @@ def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # z_j = x + iy, d_j = u + iv
     a = np.array((z, z, z * -1j)).view(float).transpose(2, 0, 1).copy()
     b = np.array((z, d, d)).view(float).transpose(2, 0, 1).copy()
-    e2 = (b[:, 1:] * b[:, 1:]).sum(0)[0]  # ||D||^2 twice: numpy adds a lone column pairwise
+    e2 = (b[:, 1:] * b[:, 1:]).sum(0)[0]  # ||D||^2 as two equal columns: one alone sums pairwise
     dlc = a[:, 1:] * dl.view(float).T[:, None]  # dl's share of c, of order eps |z d|
     p, e = _two_prod(a, b)
     e[:, 1:] += dlc
@@ -312,7 +312,7 @@ def _dist_ball(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     g = (1.0 - tau[0]) - tail[0]  # 1 - tau[0] is exact where g is small
     cr, ci = tau[1:] + tail[1:]
     hr, ci2 = g - cr, ci * ci
-    # >= 0 unless Z lies outside the ball
+    # >= 0 unless Z lies outside the ball; fmax also maps NaN to 0
     return np.sqrt(np.fmax((g * e2 + (cr * cr + ci2)) / (hr * hr + ci2), 0.0))
 
 

@@ -21,7 +21,8 @@ def random_ball(rng, dim=2, r_hi=0.999):
 
 def load_tool(name: str):
     """A script of tools/ as a module."""
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
