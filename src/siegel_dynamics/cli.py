@@ -1,9 +1,10 @@
 """Command-line interface: classify, orbit, conjugate, verify.
 
 Reports are JSON with deterministic byte layout (sorted keys, canonical
-separators); every report embeds the resolved configuration, the numeric
-policy, and the seed.  Seed precedence: --seed flag, then config file, then
-the SIEGEL_DYNAMICS_SEED environment variable, then 0.
+separators); `main` starts every report with the command, the resolved
+configuration, the numeric policy and (except for classify) the seed.  Seed
+precedence: --seed flag, then config file, then the SIEGEL_DYNAMICS_SEED
+environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import dynamics as dyn
 from . import geometry as geo
 from . import maps as mp
 from . import serialize as ser
-from .errors import ConstructionFailed, InvalidDescriptor, SiegelDynamicsError
+from .errors import InvalidDescriptor, SiegelDynamicsError
 from .policy import DEFAULT_POLICY
 
 FIXTURES = ("quadpol", "lifted2z", "diaglinear", "elliptic")
@@ -46,7 +47,7 @@ def _parse_start(s: str, dim: int = 2) -> geo.SiegelPoint:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     if "seed" in config:
         return int(config["seed"])
@@ -55,23 +56,34 @@ def _resolve_seed(args, config: dict) -> int:
 
 
 def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
+    if not args.config:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _load_map(args) -> mp.MapDescriptor:
-    if getattr(args, "map", None):
+    if args.map:
         path = args.map
         if not os.path.exists(path) and path in FIXTURES:
             path = str(fixture_path(path))
         return ser.load_descriptor(path)
-    if getattr(args, "A", None) is not None:
+    if args.A is not None:
         return mp.QuadraticSiegel(args.A, _parse_complex(args.B or "0"),
                                   _parse_complex(args.C or "0"))
     raise InvalidDescriptor("no map given: use --map FILE or --A/--B/--C")
+
+
+def _public_config(args, config: dict) -> dict:
+    keep = {}
+    for key in ("map", "A", "B", "C", "start", "a", "n", "tol", "seed", "format",
+                "fixtures", "n_conj", "samples"):
+        val = getattr(args, key, None)
+        if val is not None:
+            keep[key] = val
+    if config:
+        keep["config_file"] = config
+    return keep
 
 
 def fixture_path(name: str) -> Path:
@@ -79,30 +91,22 @@ def fixture_path(name: str) -> Path:
 
 
 def _emit(report: dict, args) -> None:
+    """Write report.json under --out, if given, then print the report."""
     text = ser.dumps_canonical(report)
-    sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    try:
-        config = _load_config(args)
-        f = _load_map(args)
-        report = mp.classify(f)
-    except (SiegelDynamicsError, OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    out = {"command": "classify", "config": _public_config(args, config),
-           "policy": DEFAULT_POLICY.as_dict(), "report": report.as_dict()}
-    _emit(out, args)
+def cmd_classify(args, head: dict) -> int:
+    report = mp.classify(_load_map(args))
+    _emit(head | {"report": report.as_dict()}, args)
     return 0 if report.is_self_map else 2
 
 
@@ -110,48 +114,38 @@ def cmd_classify(args) -> int:
 # orbit
 # ---------------------------------------------------------------------------
 
-def cmd_orbit(args) -> int:
-    try:
-        config = _load_config(args)
-        seed = _resolve_seed(args, config)
-        f = _load_map(args)
-        start = _parse_start(args.start, f.dim)
-        if args.backward:
-            orbit = dyn.backward_orbit(f, start, args.a, args.n)
-            orbit_json = ser.backward_orbit_to_json(orbit)
-            csv_text = ser.orbit_to_csv(orbit.points, orbit.steps)
-            limit_txt = "infinity" if orbit.at_infinity else (
-                "(" + ", ".join(f"{c:.6g}" for c in orbit.limit.v.coords) + ")")
-            summary = (f"backward orbit: {len(orbit.points)} points, q = {limit_txt}, "
-                       f"alpha ~ {orbit.multiplier_estimate:.9g}, "
-                       f"Koranyi M = {orbit.koranyi_certificate:.6g}")
+def cmd_orbit(args, head: dict) -> int:
+    f = _load_map(args)
+    start = _parse_start(args.start, f.dim)
+    if args.backward:
+        orbit = dyn.backward_orbit(f, start, args.a, args.n)
+        orbit_json = ser.backward_orbit_to_json(orbit)
+        limit_txt = "infinity" if orbit.at_infinity else (
+            "(" + ", ".join(f"{c:.6g}" for c in orbit.limit.v.coords) + ")")
+        summary = (f"backward orbit: {len(orbit.points)} points, q = {limit_txt}, "
+                   f"alpha ~ {orbit.multiplier_estimate:.9g}, "
+                   f"Koranyi M = {orbit.koranyi_certificate:.6g}")
+    else:
+        orbit = dyn.forward_orbit(f, start, args.n, args.tol)
+        orbit_json = ser.forward_orbit_to_json(orbit)
+        if orbit.dw_estimate is None and orbit.interior_limit is None:
+            dw_txt = "undetermined"
+        elif orbit.dw_estimate is None:
+            dw_txt = "interior fixed point"
+        elif orbit.dw_estimate.at_infinity:
+            dw_txt = "infinity"
         else:
-            orbit = dyn.forward_orbit(f, start, args.n, args.tol)
-            orbit_json = ser.forward_orbit_to_json(orbit)
-            csv_text = ser.orbit_to_csv(orbit.points, orbit.steps)
-            if orbit.dw_estimate is None and orbit.interior_limit is None:
-                dw_txt = "undetermined"
-            elif orbit.dw_estimate is None:
-                dw_txt = "interior fixed point"
-            elif orbit.dw_estimate.at_infinity:
-                dw_txt = "infinity"
-            else:
-                dw_txt = "(" + ", ".join(f"{c:.6g}" for c in orbit.dw_estimate.v.coords) + ")"
-            summary = f"forward orbit: {len(orbit.points)} points, DW = {dw_txt}"
-    except (SiegelDynamicsError, OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    report = {"command": "orbit", "config": _public_config(args, config),
-              "policy": DEFAULT_POLICY.as_dict(), "seed": seed, "orbit": orbit_json}
-    print(summary)
+            dw_txt = "(" + ", ".join(f"{c:.6g}" for c in orbit.dw_estimate.v.coords) + ")"
+        summary = f"forward orbit: {len(orbit.points)} points, DW = {dw_txt}"
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     if args.format in ("json", "both"):
         with open(os.path.join(out, "orbit.json"), "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps_canonical(report))
+            fh.write(ser.dumps_canonical(head | {"orbit": orbit_json}))
     if args.format in ("csv", "both"):
         with open(os.path.join(out, "orbit.csv"), "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+            fh.write(ser.orbit_to_csv(orbit.points, orbit.steps))
+    print(summary)
     return 0
 
 
@@ -159,38 +153,25 @@ def cmd_orbit(args) -> int:
 # conjugate
 # ---------------------------------------------------------------------------
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args, head: dict) -> int:
+    f = _load_map(args)
+    start = _parse_start(args.start or "1,0", f.dim)
+    orbit = dyn.backward_orbit(f, start, args.a, args.n)
+    alpha = orbit.multiplier_estimate
+    g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
+    variant, L, omega = "basic", 0, None
     try:
-        config = _load_config(args)
-        seed = _resolve_seed(args, config)
-        f = _load_map(args)
-        start = _parse_start(args.start or "1,0", f.dim)
-        orbit = dyn.backward_orbit(f, start, args.a, args.n)
-        alpha = orbit.multiplier_estimate
-        g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
-        variant, L, omega = "basic", 0, None
-        try:
-            exp = mp.expandable_decompose(f.base if isinstance(f, mp.Conjugated) else f)
-            if exp.L > 0:
-                variant, L, omega = "expandable", exp.L, exp.omega
-        except InvalidDescriptor:
-            pass
-        n_values = tuple(range(1, min(len(orbit0.points) - 1, args.n_conj + 1)))
-        run = cj.run_conjugation(g, orbit0, alpha, variant, L, omega, n_values=n_values)
-    except ConstructionFailed as err:
-        print(f"construction failed: {err}", file=sys.stderr)
-        return 3
-    except (SiegelDynamicsError, OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        exp = mp.expandable_decompose(f.base if isinstance(f, mp.Conjugated) else f)
+        if exp.L > 0:
+            variant, L, omega = "expandable", exp.L, exp.omega
+    except InvalidDescriptor:
+        pass
+    n_values = tuple(range(1, min(len(orbit0.points) - 1, args.n_conj + 1)))
+    run = cj.run_conjugation(g, orbit0, alpha, variant, L, omega, n_values=n_values)
     print(" n   residual")
     for n, r in zip(run.n_values, run.residuals):
         print(f"{n:3d}  {r:.3e}")
-    report = {
-        "command": "conjugate",
-        "config": _public_config(args, config),
-        "policy": DEFAULT_POLICY.as_dict(),
-        "seed": seed,
+    report = head | {
         "alpha": ser.sig17(alpha),
         "variant": run.variant,
         "L": run.L,
@@ -207,18 +188,6 @@ def cmd_conjugate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _public_config(args, config: dict) -> dict:
-    keep = {}
-    for key in ("map", "A", "B", "C", "start", "a", "n", "tol", "seed", "format",
-                "fixtures", "n_conj", "samples"):
-        val = getattr(args, key, None)
-        if val is not None:
-            keep[key] = val
-    if config:
-        keep["config_file"] = config
-    return keep
-
 
 def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     """Yield (name, passed, detail) tuples; raises on unreadable fixtures."""
@@ -311,28 +280,19 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     yield "conjugation_residual", res <= 1e-12, ser.sig17(res)
 
 
-def cmd_verify(args) -> int:
-    try:
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        config = _load_config(args)
-        seed = _resolve_seed(args, config)
-    except (OSError, json.JSONDecodeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+def cmd_verify(args, head: dict) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     fixture_dir = Path(args.fixtures) if args.fixtures else fixture_path("quadpol").parent
     results = []
     try:
-        for name, ok, detail in _verify_checks(fixture_dir, seed, args.samples):
+        for name, ok, detail in _verify_checks(fixture_dir, head["seed"], args.samples):
             results.append({"check": name, "pass": bool(ok), "detail": detail})
-    except (InvalidDescriptor, OSError, json.JSONDecodeError) as err:
+    except (InvalidDescriptor, OSError) as err:
         print(f"fixture error: {err}", file=sys.stderr)
         return 4
     all_pass = all(r["pass"] for r in results)
-    report = {"command": "verify", "config": _public_config(args, config),
-              "policy": DEFAULT_POLICY.as_dict(), "seed": seed,
-              "results": results, "pass": all_pass}
-    _emit(report, args)
+    _emit(head | {"results": results, "pass": all_pass}, args)
     return 0 if all_pass else 1
 
 
@@ -393,8 +353,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; package, OS and value errors print one `error:` line and exit 1."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        config = _load_config(args)
+        head = {"command": args.command, "config": _public_config(args, config),
+                "policy": DEFAULT_POLICY.as_dict()}
+        if args.command != "classify":
+            head["seed"] = _resolve_seed(args, config)
+        return args.func(args, head)
+    except (SiegelDynamicsError, OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

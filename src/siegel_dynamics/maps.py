@@ -54,7 +54,7 @@ class HalfPlaneLinear:
     """phi(z) = c z on the right half-plane, c > 0."""
 
     c: float
-    model: str = field(default="halfplane", init=False)
+    model = "halfplane"
 
     def __post_init__(self):
         if self.c <= 0:
@@ -73,7 +73,7 @@ class HalfPlaneAffine:
 
     c: float
     b: float
-    model: str = field(default="halfplane", init=False)
+    model = "halfplane"
 
     def __post_init__(self):
         if self.c <= 0:
@@ -95,7 +95,7 @@ class BlaschkeDeg2:
     """
 
     a: float
-    model: str = field(default="disk", init=False)
+    model = "disk"
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
@@ -117,7 +117,7 @@ class DiskLinear:
     """z |-> c z on the unit disk, |c| <= 1."""
 
     c: complex
-    model: str = field(default="disk", init=False)
+    model = "disk"
 
     def __post_init__(self):
         if abs(complex(self.c)) > 1.0:

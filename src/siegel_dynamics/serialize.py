@@ -1,14 +1,16 @@
 """JSON and CSV forms of points, automorphisms, map descriptors and orbits.
 
 Points serialize as {"re": [...], "im": [...]}; automorphisms as primitive
-chains; defects and steps as 17-significant-digit decimal strings so reports
-round-trip bit-for-bit.
+chains; a map or primitive as its tag ("family" or "kind") plus each dataclass
+field under its own name; defects and steps as 17-significant-digit decimal
+strings so reports round-trip bit-for-bit.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .errors import InvalidDescriptor
@@ -34,7 +36,6 @@ from .maps import (
     HalfPlaneLinear,
     Lifted,
     MapDescriptor,
-    OneDimMap,
     QuadraticSiegel,
 )
 
@@ -47,147 +48,96 @@ def complex_to_json(c: complex) -> dict:
     return {"re": c.real, "im": c.imag}
 
 
-def complex_from_json(d: Any) -> complex:
-    if isinstance(d, dict):
-        return complex(d.get("re", 0.0), d.get("im", 0.0))
-    return complex(d)
-
-
 def point_to_json(coords) -> dict:
     cs = coords.coords if isinstance(coords, CVector) else tuple(coords)
     return {"re": [c.real for c in cs], "im": [c.imag for c in cs]}
-
-
-def point_from_json(d: dict) -> CVector:
-    return CVector(tuple(complex(r, i) for r, i in zip(d["re"], d["im"])))
-
-
-def _tangential_from_json(d: dict | None) -> tuple[complex, ...]:
-    """A tangential block as a tuple, checked by CVector; a missing or empty
-    block (N = 1) gives (), which a CVector cannot hold."""
-    return point_from_json(d).coords if d and d["re"] else ()
 
 
 def siegel_point_to_json(p: SiegelPoint) -> dict:
     return point_to_json(p.coords)
 
 
-def siegel_point_from_json(d: dict) -> SiegelPoint:
-    v = point_from_json(d)
-    return SiegelPoint(v.coords[0], v.coords[1:])
-
-
 # ---------------------------------------------------------------------------
-# automorphisms
+# map descriptors and automorphisms: one tag table per place a tag may stand
 # ---------------------------------------------------------------------------
 
-def automorphism_to_json(a: SiegelAutomorphism) -> dict:
-    chain = []
-    for prim in a.chain:
-        if isinstance(prim, Translation):
-            chain.append({"kind": "translation", "y": prim.y,
-                          "w0": point_to_json(prim.w0)})
-        elif isinstance(prim, Dilation):
-            chain.append({"kind": "dilation", "t": prim.t})
-        elif isinstance(prim, Rotation):
-            chain.append({"kind": "rotation", "omega": point_to_json(prim.omega)})
-        elif isinstance(prim, LinearDiag):
-            chain.append({"kind": "linear_diag", "alpha": prim.alpha,
-                          "lam": point_to_json(prim.lam)})
-        elif isinstance(prim, Inversion):
-            chain.append({"kind": "inversion"})
-        else:
-            raise InvalidDescriptor(f"unknown primitive {type(prim).__name__}")
-    return {"chain": chain}
+FAMILIES = {"quadratic": QuadraticSiegel, "lifted": Lifted, "diagonal": DiagonalLinear,
+            "conjugated": Conjugated, "ball_product": BallProduct}
+ONE_DIM_MAPS = {"halfplane_linear": HalfPlaneLinear, "halfplane_affine": HalfPlaneAffine,
+                "blaschke2": BlaschkeDeg2, "disk_linear": DiskLinear}
+PRIMITIVES = {"translation": Translation, "dilation": Dilation, "rotation": Rotation,
+              "linear_diag": LinearDiag, "inversion": Inversion}
+_TAGS = {cls: ("family", name) for name, cls in FAMILIES.items()} | {
+    cls: ("kind", name) for name, cls in (ONE_DIM_MAPS | PRIMITIVES).items()}
 
 
-def automorphism_from_json(d: dict) -> SiegelAutomorphism:
-    prims: list = []
-    for item in d.get("chain", []):
-        kind = item["kind"]
-        if kind == "translation":
-            prims.append(Translation(item["y"], _tangential_from_json(item.get("w0"))))
-        elif kind == "dilation":
-            prims.append(Dilation(item["t"]))
-        elif kind == "rotation":
-            prims.append(Rotation(_tangential_from_json(item["omega"])))
-        elif kind == "linear_diag":
-            prims.append(LinearDiag(item["alpha"], _tangential_from_json(item["lam"])))
-        elif kind == "inversion":
-            prims.append(Inversion())
-        else:
-            raise InvalidDescriptor(f"unknown primitive kind {kind!r}")
-    return SiegelAutomorphism(tuple(prims))
+def descriptor_to_json(obj: Any) -> Any:
+    """A descriptor, one-dim map, primitive or automorphism as JSON: a tagged
+    object is its tag plus each dataclass field under its own name."""
+    if isinstance(obj, complex):
+        return complex_to_json(obj)
+    if isinstance(obj, SiegelAutomorphism):
+        return {"chain": [descriptor_to_json(p) for p in obj.chain]}
+    if isinstance(obj, tuple):  # a product's components, or coordinates
+        if obj and is_dataclass(obj[0]):
+            return [descriptor_to_json(g) for g in obj]
+        return point_to_json(obj)
+    if not is_dataclass(obj):
+        return obj  # a real parameter
+    if type(obj) not in _TAGS:
+        raise InvalidDescriptor(f"no JSON tag for {type(obj).__name__}")
+    key, name = _TAGS[type(obj)]
+    return {key: name} | {f.name: descriptor_to_json(getattr(obj, f.name)) for f in fields(obj)}
 
 
-# ---------------------------------------------------------------------------
-# one-dimensional maps and descriptors
-# ---------------------------------------------------------------------------
-
-def one_dim_to_json(g: OneDimMap) -> dict:
-    if isinstance(g, HalfPlaneLinear):
-        return {"kind": "halfplane_linear", "c": g.c}
-    if isinstance(g, HalfPlaneAffine):
-        return {"kind": "halfplane_affine", "c": g.c, "b": g.b}
-    if isinstance(g, BlaschkeDeg2):
-        return {"kind": "blaschke2", "a": g.a}
-    if isinstance(g, DiskLinear):
-        return {"kind": "disk_linear", "c": complex_to_json(g.c)}
-    raise InvalidDescriptor(f"unknown one-dim map {type(g).__name__}")
+automorphism_to_json = descriptor_to_json
 
 
-def one_dim_from_json(d: dict) -> OneDimMap:
-    kind = d.get("kind")
-    if kind == "halfplane_linear":
-        return HalfPlaneLinear(d["c"])
-    if kind == "halfplane_affine":
-        return HalfPlaneAffine(d["c"], d["b"])
-    if kind == "blaschke2":
-        return BlaschkeDeg2(d["a"])
-    if kind == "disk_linear":
-        return DiskLinear(complex_from_json(d["c"]))
-    raise InvalidDescriptor(f"unknown one-dim map kind {kind!r}")
+def _from_json(v: Any) -> Any:
+    """A field value read by its JSON shape."""
+    if isinstance(v, dict):
+        if "family" in v:
+            return _build(v, "family", FAMILIES, "family")
+        if "kind" in v:  # outside a chain, a kind names a one-dim map
+            return _build(v, "kind", ONE_DIM_MAPS, "one-dim map kind")
+        if "chain" in v:
+            return automorphism_from_json(v)
+        re, im = v["re"], v["im"]
+        if not isinstance(re, list):
+            return complex(re, im)
+        coords = tuple([complex(r, i) for r, i in zip(re, im, strict=True)])
+        return CVector(coords).coords if coords else ()  # CVector checks them; N = 1 has none
+    if isinstance(v, list):
+        return tuple([_from_json(x) for x in v])
+    return v
 
 
-def descriptor_to_json(f: MapDescriptor) -> dict:
-    if isinstance(f, QuadraticSiegel):
-        return {"family": "quadratic", "A": f.A,
-                "B": complex_to_json(f.B), "C": complex_to_json(f.C)}
-    if isinstance(f, Lifted):
-        return {"family": "lifted", "phi": one_dim_to_json(f.phi)}
-    if isinstance(f, DiagonalLinear):
-        return {"family": "diagonal", "alpha": f.alpha,
-                "lam": point_to_json(f.lam)}
-    if isinstance(f, Conjugated):
-        return {"family": "conjugated", "base": descriptor_to_json(f.base),
-                "by": automorphism_to_json(f.by)}
-    if isinstance(f, BallProduct):
-        return {"family": "ball_product",
-                "components": [one_dim_to_json(g) for g in f.components]}
-    raise InvalidDescriptor(f"unknown descriptor {type(f).__name__}")
+def _build(d: dict, tag: str, table: dict, what: str) -> Any:
+    """The class of `table` that d[tag] names, given d's other keys as fields."""
+    cls = table.get(d.get(tag))
+    if cls is None:
+        raise InvalidDescriptor(f"unknown {what} {d.get(tag)!r}")
+    kw = {}
+    for k, v in d.items():
+        if k != tag:
+            kw[k] = _from_json(v)
+    return cls(**kw)
 
 
 def descriptor_from_json(d: dict) -> MapDescriptor:
-    fam = d.get("family")
-    if fam == "quadratic":
-        return QuadraticSiegel(d["A"], complex_from_json(d["B"]), complex_from_json(d["C"]))
-    if fam == "lifted":
-        return Lifted(one_dim_from_json(d["phi"]))
-    if fam == "diagonal":
-        return DiagonalLinear(d["alpha"], _tangential_from_json(d.get("lam")))
-    if fam == "conjugated":
-        return Conjugated(descriptor_from_json(d["base"]), automorphism_from_json(d["by"]))
-    if fam == "ball_product":
-        return BallProduct(tuple(one_dim_from_json(g) for g in d["components"]))
-    raise InvalidDescriptor(f"unknown family {fam!r}")
+    return _build(d, "family", FAMILIES, "family")
+
+
+def automorphism_from_json(d: dict) -> SiegelAutomorphism:
+    chain = tuple([_build(p, "kind", PRIMITIVES, "primitive kind") for p in d["chain"]])
+    return SiegelAutomorphism(**(d | {"chain": chain}))  # any other key is an unknown field
 
 
 def load_descriptor(path: str) -> MapDescriptor:
     """The map a descriptor file describes; a malformed one raises `InvalidDescriptor`."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
-        return descriptor_from_json(data)
+        with open(path, encoding="utf-8") as fh:
+            return descriptor_from_json(json.load(fh))
     except (KeyError, AttributeError, TypeError, ValueError) as err:
         raise InvalidDescriptor(f"{path}: malformed map descriptor ({type(err).__name__}: {err})") from err
 

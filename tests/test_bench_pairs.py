@@ -1,6 +1,7 @@
 """Summary code of tools/bench_pairs.py on canned benchmark result lines."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -122,3 +123,19 @@ def test_workload_list_runs_each_after_one_machine_line(tmp_path, monkeypatch, c
     first, second = text.index("| conjugate (2 pairs, seeds 5-6) |"), text.index("| checks (2 pairs, seeds 5-6) |")
     assert first < second and text.count("| | op_p50_ms |") == 2
     assert "runs not correct or with failed > 0: 0 of 8" in text
+
+
+def test_machine_line_counts_only_tracked_edits_as_uncommitted(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                       capture_output=True, check=True)
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "untracked.txt").write_text("stray\n")
+    assert bench_pairs.machine("HEAD")["machine"]["change_uncommitted"] is False
+    (tmp_path / "tracked.txt").write_text("two\n")
+    assert bench_pairs.machine("HEAD")["machine"]["change_uncommitted"] is True

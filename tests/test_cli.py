@@ -254,11 +254,13 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, cause", [
-    ('{"family": "quadratic", "A": 2}', "KeyError: 'B'"),
+    ('{"family": "quadratic", "A": 2}', "TypeError: QuadraticSiegel.__init__() missing 2 required "
+                                        "positional arguments: 'B' and 'C'"),
     ("[]", "AttributeError"),
     ('{"family": "quadratic", "A": "x", "B": 0, "C": 1}', "TypeError"),
     ('{"family": "diagonal", "alpha": 2.0, "lam": {"re": [1.0]}}', "KeyError: 'im'"),
-], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im"])
+    ("{not json", "JSONDecodeError: Expecting property name"),
+], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im", "not_json"])
 def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     # each command names the file and the cause on one line; verify keeps exit 4
     bad = tmp_path / "bad.json"
@@ -274,6 +276,16 @@ def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     code, _, err = run(["verify", "--fixtures", str(tmp_path), *FAST_VERIFY], capsys)
     assert code == 4
     assert err.startswith("fixture error: ") and cause in err
+
+
+@pytest.mark.parametrize("argv", [["orbit", "--backward", "--start", "1,0"], ["classify"]],
+                         ids=["orbit", "classify"])
+def test_out_that_is_a_file_is_a_typed_error(argv, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run([*argv, "--map", "quadpol", "--out", str(taken)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

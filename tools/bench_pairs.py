@@ -10,11 +10,12 @@ temporary ``git archive`` export of REF (removed afterwards; an interrupted run
 leaves nothing registered in the repository).  Every raw JSON result line is
 appended to ``--out``, after one machine line: the Python and numpy versions of
 the ``python3`` that runs the benchmark, the processors this process may use,
-the parent commit, and the commit of the working tree with whether it has
-uncommitted changes.  The summary is one markdown table per workload, with each
-side's median and quartiles per end-to-end metric, the pairs the change won (ties count for
-neither), and whether the gap between the medians exceeds the spread between
-the parent's quartiles.  Only the standard library is used.
+the parent commit, and the commit of the working tree with whether its tracked
+files have uncommitted changes (untracked files do not count).  The summary is
+one markdown table per workload, with each side's median and quartiles per
+end-to-end metric, the pairs the change won (ties count for neither), and
+whether the gap between the medians exceeds the spread between the parent's
+quartiles.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def machine(parent: str) -> dict:
     return {"machine": {"python": versions[0], "numpy": versions[1], "nproc": nproc,
                         "parent": git("rev-parse", f"{parent}^{{commit}}"),
                         "change": git("rev-parse", "HEAD"),
-                        "change_uncommitted": bool(git("status", "--porcelain"))}}
+                        "change_uncommitted": bool(git("status", "--porcelain",
+                                                       "--untracked-files=no"))}}
 
 
 def export(ref: str, dest: Path) -> None:
