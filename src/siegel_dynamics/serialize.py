@@ -105,10 +105,10 @@ def _from_json(v: Any) -> Any:
         re, im = v["re"], v["im"]
         if not isinstance(re, list):
             return complex(re, im)
-        coords = tuple([complex(r, i) for r, i in zip(re, im, strict=True)])
+        coords = tuple(complex(r, i) for r, i in zip(re, im, strict=True))
         return CVector(coords).coords if coords else ()  # CVector checks them; N = 1 has none
     if isinstance(v, list):
-        return tuple([_from_json(x) for x in v])
+        return tuple(_from_json(x) for x in v)
     return v
 
 
@@ -117,11 +117,7 @@ def _build(d: dict, tag: str, table: dict, what: str) -> Any:
     cls = table.get(d.get(tag))
     if cls is None:
         raise InvalidDescriptor(f"unknown {what} {d.get(tag)!r}")
-    kw = {}
-    for k, v in d.items():
-        if k != tag:
-            kw[k] = _from_json(v)
-    return cls(**kw)
+    return cls(**{k: _from_json(v) for k, v in d.items() if k != tag})
 
 
 def descriptor_from_json(d: dict) -> MapDescriptor:
@@ -129,15 +125,15 @@ def descriptor_from_json(d: dict) -> MapDescriptor:
 
 
 def automorphism_from_json(d: dict) -> SiegelAutomorphism:
-    chain = tuple([_build(p, "kind", PRIMITIVES, "primitive kind") for p in d["chain"]])
+    chain = tuple(_build(p, "kind", PRIMITIVES, "primitive kind") for p in d["chain"])
     return SiegelAutomorphism(**(d | {"chain": chain}))  # any other key is an unknown field
 
 
 def load_descriptor(path: str) -> MapDescriptor:
     """The map a descriptor file describes; a malformed one raises `InvalidDescriptor`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return descriptor_from_json(json.load(fh))
+        with open(path, "rb") as fh:  # json.loads decodes the bytes; a text file object costs more
+            return descriptor_from_json(json.loads(fh.read()))
     except (KeyError, AttributeError, TypeError, ValueError) as err:
         raise InvalidDescriptor(f"{path}: malformed map descriptor ({type(err).__name__}: {err})") from err
 

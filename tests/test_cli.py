@@ -260,7 +260,14 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     ('{"family": "quadratic", "A": "x", "B": 0, "C": 1}', "TypeError"),
     ('{"family": "diagonal", "alpha": 2.0, "lam": {"re": [1.0]}}', "KeyError: 'im'"),
     ("{not json", "JSONDecodeError: Expecting property name"),
-], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im", "not_json"])
+    ('{"family": "diagonal", "alpha": 2.0, "lamda": {"re": [1.0], "im": [0.0]}}',
+     "unexpected keyword argument 'lamda'"),
+    ('{"family": "conjugated", "base": {"family": "diagonal", "alpha": 2.0}, "by": {"chain": '
+     '[{"kind": "translation", "y": 0.5, "wo": {"re": [0.1], "im": [0.0]}}]}}',
+     "unexpected keyword argument 'wo'"),
+    ('{"family": "quadratic", "A": 2.0, "B": 0.0, "C": 1.0, "D": 1.0}', "unexpected keyword argument 'D'"),
+], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im", "not_json", "misspelled_lam",
+        "misspelled_w0", "extra_key"])
 def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     # each command names the file and the cause on one line; verify keeps exit 4
     bad = tmp_path / "bad.json"
