@@ -90,14 +90,15 @@ def fixture_path(name: str) -> Path:
     return Path(str(importlib.resources.files("siegel_dynamics") / "fixtures" / f"{name}.json"))
 
 
-def _emit(report: dict, args) -> None:
-    """Write report.json under --out, if given, then print the report."""
+def _emit(report: dict, args, table: str = "") -> None:
+    """Write report.json under --out, if given, then print the table and the
+    report: a failing --out leaves stdout empty."""
     text = ser.dumps_canonical(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(table + text)
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +160,18 @@ def cmd_conjugate(args, head: dict) -> int:
     orbit = dyn.backward_orbit(f, start, args.a, args.n)
     alpha = orbit.multiplier_estimate
     g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
-    variant, L, omega = "basic", 0, None
+    L, omega = 0, None
     try:
         exp = mp.expandable_decompose(f.base if isinstance(f, mp.Conjugated) else f)
         if exp.L > 0:
-            variant, L, omega = "expandable", exp.L, exp.omega
+            L, omega = exp.L, exp.omega
     except InvalidDescriptor:
         pass
     n_values = tuple(range(1, min(len(orbit0.points) - 1, args.n_conj + 1)))
-    run = cj.run_conjugation(g, orbit0, alpha, variant, L, omega, n_values=n_values)
-    print(" n   residual")
-    for n, r in zip(run.n_values, run.residuals):
-        print(f"{n:3d}  {r:.3e}")
+    run = cj.run_conjugation(g, orbit0, alpha, L, omega, n_values=n_values)
     report = head | {
         "alpha": ser.sig17(alpha),
-        "variant": run.variant,
+        "variant": "expandable" if omega is not None else "basic",
         "L": run.L,
         "residuals": [ser.sig17(r) for r in run.residuals],
         "interp_errors": [ser.sig17(e) for e in run.interpolation.errors],
@@ -181,7 +179,8 @@ def cmd_conjugate(args, head: dict) -> int:
         "psi": [[ser.siegel_point_to_json(a), ser.siegel_point_to_json(b)]
                 for a, b in run.psi_samples],
     }
-    _emit(report, args)
+    table = " n   residual\n" + "".join(f"{n:3d}  {r:.3e}\n" for n, r in zip(run.n_values, run.residuals))
+    _emit(report, args, table)
     return 0 if run.residuals[-1] < args.tol else 3
 
 

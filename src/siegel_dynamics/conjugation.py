@@ -12,11 +12,11 @@ is the linear model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, InvalidDescriptor, NoBackwardStep, OrbitTooShort
+from .errors import ConstructionFailed, NoBackwardStep, OrbitTooShort
 from .geometry import (
     BoundaryPoint,
     ComplexRows,
@@ -31,7 +31,6 @@ from .geometry import (
     Translation,
     apply_automorphism,
     compose_automorphisms,
-    defect,
     dist_siegel,
     invert_automorphism,
     recentering_translation,
@@ -44,22 +43,17 @@ from .dynamics import BackwardOrbit, backward_orbit
 # tau_n and the linear model
 # ---------------------------------------------------------------------------
 
-def build_tau(orbit: BackwardOrbit, n: int, variant: str = "basic",
-              omega: tuple[complex, ...] | None = None) -> SiegelAutomorphism:
+def build_tau(orbit: BackwardOrbit, n: int, omega: tuple[complex, ...] | None = None) -> SiegelAutomorphism:
     """tau_n sending (1, 0) to Z_n: inverse dilation by t_n, then the inverse
-    of the translation that maps Z_n to (t_n, 0).  The expandable variant
-    appends the rotation Omega^(-n) on the tangential block."""
+    of the translation that maps Z_n to (t_n, 0).  A given Omega (the
+    expandable case) appends the rotation Omega^(-n) on the tangential block."""
     if not 0 <= n < len(orbit.points):
         raise IndexError(f"orbit index {n} out of range")
     p = orbit.points[n]
     t = orbit.defects[n]
     chain: list = [Dilation(1.0 / t), Translation(-p.z.imag, tuple(-c for c in p.w))]
-    if variant == "expandable":
-        if omega is None:
-            raise InvalidDescriptor("expandable variant needs Omega")
+    if omega is not None:
         chain.append(Rotation(tuple(c.conjugate() ** n for c in omega)))
-    elif variant != "basic":
-        raise InvalidDescriptor(f"unknown variant {variant!r}")
     return SiegelAutomorphism(tuple(chain))
 
 
@@ -88,8 +82,7 @@ class TauLimitReport:
     identity_errors: tuple[float, ...]  # sup_grid d(tau_{n+1}^{-1} eta^{-1} tau_n (Z), Z)
 
 
-def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int,
-                          grid: list[SiegelPoint], variant: str = "basic",
+def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int, grid: list[SiegelPoint],
                           omega: tuple[complex, ...] | None = None) -> TauLimitReport:
     """Convergence of the automorphism combinations that make psi well defined:
     tau_{n+k}^{-1} o tau_n -> eta_k and tau_{n+1}^{-1} o eta^{-1} o tau_n -> id."""
@@ -99,11 +92,11 @@ def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int,
     eta_errs: list[float] = []
     id_errs: list[float] = []
     for n in range(len(orbit.points) - max(k, 1)):
-        tau_n = build_tau(orbit, n, variant, omega)
+        tau_n = build_tau(orbit, n, omega)
         comb1 = compose_automorphisms(
-            invert_automorphism(build_tau(orbit, n + k, variant, omega)), tau_n)
+            invert_automorphism(build_tau(orbit, n + k, omega)), tau_n)
         comb2 = compose_automorphisms(
-            invert_automorphism(build_tau(orbit, n + 1, variant, omega)),
+            invert_automorphism(build_tau(orbit, n + 1, omega)),
             compose_automorphisms(eta_inv, tau_n))
         e1 = max(dist_siegel(apply_automorphism(comb1, z), apply_automorphism(eta_k, z))
                  for z in grid)
@@ -130,8 +123,7 @@ def default_grid(dim: int = 2) -> list[SiegelPoint]:
 
 
 def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
-              n_values: tuple[int, ...], L: int, variant: str,
-              omega: tuple[complex, ...] | None) -> SiegelRows:
+              n_values: tuple[int, ...], L: int, omega: tuple[complex, ...] | None) -> SiegelRows:
     """psi_n = f^n o tau_n o p_L at every point for each n of n_values, as rows:
     the points in order for each n in turn.  psi_n is computed once per depth
     and distinct p_L(Z), matched on exact bits (== would merge 0.0 and -0.0,
@@ -152,7 +144,7 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
     closed = isinstance(f, QuadraticSiegel)  # f^n in closed form instead of n steps
 
     def start(n: int) -> SiegelRows:
-        rows = apply_automorphism(build_tau(orbit, n, variant, omega), distinct)
+        rows = apply_automorphism(build_tau(orbit, n, omega), distinct)
         return quadratic_iterate_closed(f, n, rows) if closed else rows
 
     rows = SiegelRows.concat([start(n) for n in depths])
@@ -169,14 +161,13 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
-                    grid: list[SiegelPoint], alpha: float, L: int, variant: str,
-                    omega: tuple[complex, ...] | None) -> tuple[list[float], SiegelRows]:
+                    grid: list[SiegelPoint], alpha: float, L: int, omega: tuple[complex, ...] | None
+                    ) -> tuple[list[float], SiegelRows]:
     """The residual at each n of n_values from one sweep, and the rows of psi
     at the last n: at eta(Z), then at Z, in grid order."""
-    eta = eta_model(alpha, orbit.points[0].dim, 1, omega if variant == "expandable" else None)
+    eta = eta_model(alpha, orbit.points[0].dim, 1, omega)
     g, m = len(grid), len(n_values)
-    psi = _psi_rows(f, orbit, [apply_automorphism(eta, z) for z in grid] + list(grid), n_values,
-                    L, variant, omega)
+    psi = _psi_rows(f, orbit, [apply_automorphism(eta, z) for z in grid] + list(grid), n_values, L, omega)
     at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
@@ -184,19 +175,18 @@ def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int,
 
 
 def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint],
-               L: int = 0, variant: str = "basic",
-               omega: tuple[complex, ...] | None = None) -> list[tuple[SiegelPoint, SiegelPoint]]:
+               L: int = 0, omega: tuple[complex, ...] | None = None
+               ) -> list[tuple[SiegelPoint, SiegelPoint]]:
     """Samples of psi_n = f^n o tau_n o p_L on the grid."""
-    psi = _psi_rows(f, orbit, grid, (n,), L, variant, omega)
+    psi = _psi_rows(f, orbit, grid, (n,), L, omega)
     return [(z, psi.point(i)) for i, z in enumerate(grid)]
 
 
 def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                          grid: list[SiegelPoint], alpha: float, L: int = 0,
-                         variant: str = "basic",
                          omega: tuple[complex, ...] | None = None) -> float:
     """max over the grid of d(psi_n(eta(Z)), f(psi_n(Z)))."""
-    return _residual_sweep(f, orbit, (n,), grid, alpha, L, variant, omega)[0][0]
+    return _residual_sweep(f, orbit, (n,), grid, alpha, L, omega)[0][0]
 
 
 @dataclass(frozen=True)
@@ -206,25 +196,22 @@ class InterpolationReport:
 
 def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                             alpha: float, k_max: int | None = None, L: int = 0,
-                            variant: str = "basic",
                             omega: tuple[complex, ...] | None = None) -> InterpolationReport:
     """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0)."""
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
     a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
-    psi = _psi_rows(f, orbit, a, (n,), L, variant, omega)
+    psi = _psi_rows(f, orbit, a, (n,), L, omega)
     return InterpolationReport(tuple(dist_siegel(psi.point(k), orbit.points[k]) for k in range(len(a))))
 
 
 def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                   grid: list[SiegelPoint], alpha: float, L: int = 0,
-                  variant: str = "basic",
                   omega: tuple[complex, ...] | None = None) -> float:
     """Deviation of g_n = tau_n^{-1} o psi_n o eta_n^{-1} from the projection
     p_L, measured on the grid points whose eta^{-n} image stays usable."""
-    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega if variant == "expandable" else None)
-    tau_inv = invert_automorphism(build_tau(orbit, n, variant, omega))
-    psi = _psi_rows(f, orbit, [apply_automorphism(eta_inv_n, z) for z in grid], (n,), L,
-                    variant, omega)
+    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega)
+    tau_inv = invert_automorphism(build_tau(orbit, n, omega))
+    psi = _psi_rows(f, orbit, [apply_automorphism(eta_inv_n, z) for z in grid], (n,), L, omega)
     worst = 0.0
     for i, z in enumerate(grid):
         worst = max(worst, dist_siegel(apply_automorphism(tau_inv, psi.point(i)), project_first(z, L)))
@@ -236,7 +223,6 @@ class ConjugationRun:
     f: MapDescriptor
     orbit: BackwardOrbit
     alpha: float
-    variant: str
     L: int
     omega: tuple[complex, ...] | None
     grid: tuple[SiegelPoint, ...]
@@ -246,8 +232,7 @@ class ConjugationRun:
     psi_samples: tuple[tuple[SiegelPoint, SiegelPoint], ...]
 
 
-def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
-                    variant: str = "basic", L: int = 0,
+def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float, L: int = 0,
                     omega: tuple[complex, ...] | None = None,
                     grid: list[SiegelPoint] | None = None,
                     n_values: tuple[int, ...] | None = None) -> ConjugationRun:
@@ -259,10 +244,10 @@ def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
         n_values = tuple(range(1, len(orbit.points) - 1))
     if not n_values:
         raise ValueError("run_conjugation needs at least one n in n_values")
-    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, L, variant, omega)
-    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, None, L, variant, omega)
+    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, L, omega)
+    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, None, L, omega)
     samples = tuple((z, psi.point(len(grid) + i)) for i, z in enumerate(grid))
-    return ConjugationRun(f, orbit, alpha, variant, L, omega, tuple(grid),
+    return ConjugationRun(f, orbit, alpha, L, omega, tuple(grid),
                           tuple(n_values), tuple(residuals), interp, samples)
 
 
@@ -283,16 +268,9 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
     else:
         raise OrbitTooShort("orbit has no limit estimate")
     pts = tuple(apply_automorphism(chart, p) for p in orbit.points)
-    new_orbit = BackwardOrbit(
-        points=pts,
-        steps=orbit.steps,
-        defects=tuple(defect(p) for p in pts),
-        step_bound=orbit.step_bound,
-        limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
-        multiplier_estimate=orbit.multiplier_estimate,
-        koranyi_certificate=orbit.koranyi_certificate,
-        at_infinity=False,
-    )
+    new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts),
+                        limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
+                        at_infinity=False)
     g = Conjugated(base=f, by=chart) if len(chart.chain) else f
     return g, new_orbit, chart
 

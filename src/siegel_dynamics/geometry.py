@@ -241,9 +241,8 @@ class KoranyiRegion:
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
     """Map a ball point through C(z, w) = ((1+z)/(1-z), w/(1-z))."""
-    z, w = p.v.coords[0], p.v.coords[1:]
-    d = 1.0 - z
-    return SiegelPoint(_cdiv(1.0 + z, d), tuple(_cdiv(c, d) for c in w))
+    z, *w = _siegel_coords(p.v.coords)
+    return SiegelPoint(z, tuple(w))
 
 
 def siegel_to_ball(p: SiegelPoint) -> BallPoint:
@@ -371,6 +370,13 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
     sphere (and boundary points) stay usable."""
     d = z + 1.0
     return ((z - 1.0) / d,) + tuple(_cdiv(2.0 * c, d) for c in w)
+
+
+def _siegel_coords(v: Complexes) -> Complexes:
+    """C(v), the inverse of `_ball_coords`, without the domain check; the
+    coordinates may be `ComplexRows` columns."""
+    d = 1.0 - v[0]
+    return (_cdiv(1.0 + v[0], d),) + tuple(_cdiv(c, d) for c in v[1:])
 
 
 def _ball_image_norm(p: SiegelPoint) -> float:

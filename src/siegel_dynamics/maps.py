@@ -36,7 +36,7 @@ from .geometry import (
     SiegelRows,
     _as_tuple,
     _ball_coords,
-    _cdiv,
+    _siegel_coords,
     apply_automorphism,
     cayley_to_siegel,
     invert_automorphism,
@@ -312,16 +312,14 @@ class BallProduct:
             raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
         v = _ball_coords(p.z, p.w)  # the steps of the scalar path, on columns
         u = tuple(g.apply(c) for g, c in zip(self.components, v))
-        d = 1.0 - u[0]
-        return SiegelRows(_cdiv(1.0 + u[0], d), tuple(_cdiv(c, d) for c in u[1:]),
-                          ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0), lambda i: self.evaluate(p.point(i)))
+        z, *w = _siegel_coords(u)
+        return SiegelRows(z, tuple(w), ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
+                          lambda i: self.evaluate(p.point(i)))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         vb = siegel_to_ball(p).v.coords
         per_coord = [g.preimages(z) for g, z in zip(self.components, vb)]
-        return [cayley_to_siegel(BallPoint(CVector(cand))).coords
-                for cand in itertools.product(*per_coord)
-                if all(abs(c) < 1.0 for c in cand) and sum(abs(c) ** 2 for c in cand) < 1.0]
+        return [_siegel_coords(cand) for cand in itertools.product(*per_coord) if sq_norm(cand) < 1.0]
 
     def fixed_point_set(self) -> FixedPointSet:
         g = self.components[0]

@@ -134,7 +134,7 @@ def load_descriptor(path: str) -> MapDescriptor:
     try:
         with open(path, "rb") as fh:  # json.loads decodes the bytes; a text file object costs more
             return descriptor_from_json(json.loads(fh.read()))
-    except (KeyError, AttributeError, TypeError, ValueError) as err:
+    except (KeyError, AttributeError, TypeError, ValueError, InvalidDescriptor) as err:
         raise InvalidDescriptor(f"{path}: malformed map descriptor ({type(err).__name__}: {err})") from err
 
 

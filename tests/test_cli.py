@@ -266,8 +266,11 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
      '[{"kind": "translation", "y": 0.5, "wo": {"re": [0.1], "im": [0.0]}}]}}',
      "unexpected keyword argument 'wo'"),
     ('{"family": "quadratic", "A": 2.0, "B": 0.0, "C": 1.0, "D": 1.0}', "unexpected keyword argument 'D'"),
+    ('{"family": "nope"}', "InvalidDescriptor: unknown family 'nope'"),
+    ('{"family": "lifted", "phi": {"kind": "halfplane_linear", "c": -1.0}}',
+     "InvalidDescriptor: HalfPlaneLinear needs c > 0"),
 ], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im", "not_json", "misspelled_lam",
-        "misspelled_w0", "extra_key"])
+        "misspelled_w0", "extra_key", "unknown_family", "rejected_parameter"])
 def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     # each command names the file and the cause on one line; verify keeps exit 4
     bad = tmp_path / "bad.json"
@@ -285,8 +288,8 @@ def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     assert err.startswith("fixture error: ") and cause in err
 
 
-@pytest.mark.parametrize("argv", [["orbit", "--backward", "--start", "1,0"], ["classify"]],
-                         ids=["orbit", "classify"])
+@pytest.mark.parametrize("argv", [["orbit", "--backward", "--start", "1,0"], ["classify"], ["conjugate"]],
+                         ids=["orbit", "classify", "conjugate"])
 def test_out_that_is_a_file_is_a_typed_error(argv, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -78,7 +78,7 @@ def test_tau_base_point_property_all_orbits():
 def test_tau_expandable_adds_rotation():
     orb = quadpol_orbit(10)
     th = 0.6
-    tau = build_tau(orb, 3, "expandable", (cmath.exp(1j * th),))
+    tau = build_tau(orb, 3, (cmath.exp(1j * th),))
     assert isinstance(tau.chain[-1], Rotation)
     p = apply_automorphism(tau, SiegelPoint(2.0, (1.0,)))
     assert abs(p.w[0] - 2.0 ** -1.5 * cmath.exp(-3j * th)) < 1e-14
@@ -102,6 +102,15 @@ def test_tau_limit_diagnostics_k0_identity():
     orb = quadpol_orbit(10)
     rep = tau_limit_diagnostics(orb, 2.0, 0, default_grid(2))
     assert max(rep.eta_errors) < 1e-12
+
+
+def test_tau_limit_diagnostics_omega_rotates_tau_and_eta():
+    # a given Omega enters eta and every tau_n alike
+    f = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(0.3j),))
+    orb = backward_orbit(f, ONE, 0.34, 20)
+    rep = tau_limit_diagnostics(orb, 2.0, 1, default_grid(2), omega=expandable_decompose(f).omega)
+    assert max(rep.eta_errors) < 1e-12
+    assert max(rep.identity_errors) < 1e-12
 
 
 def test_tau_limit_diagnostics_lifted_decreasing():
@@ -148,7 +157,7 @@ def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
     monkeypatch.setattr(conjugation, "evaluate", counting_evaluate)
     for n_values in ((12,), (1, 12, 5, 5, 0), tuple(range(1, 13))):
         counts.update(concat=0, rows=0)
-        conjugation._psi_rows(g, orb0, grid, n_values, 1, "basic", None)  # p_1 keeps w
+        conjugation._psi_rows(g, orb0, grid, n_values, 1, None)  # p_1 keeps w
         assert counts["concat"] == 2
         assert counts["rows"] == len(grid) * sum(n_values)  # the grid's points are distinct
     counts.update(concat=0)
@@ -169,8 +178,7 @@ def test_psi_diagonal_expandable_is_identity():
     orb = backward_orbit(f, ONE, 0.34, 30)
     exp = expandable_decompose(f)
     assert exp.L == 1
-    for z, val in psi_approx(f, orb, 12, default_grid(2), L=1,
-                             variant="expandable", omega=exp.omega):
+    for z, val in psi_approx(f, orb, 12, default_grid(2), L=1, omega=exp.omega):
         assert dist_siegel(val, z) < 1e-12
 
 
@@ -186,8 +194,7 @@ def test_residual_diagonal_expandable_zero():
     f = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(1j * th),))
     orb = backward_orbit(f, ONE, 0.34, 30)
     exp = expandable_decompose(f)
-    res = conjugation_residual(f, orb, 10, default_grid(2), 2.0, L=1,
-                               variant="expandable", omega=exp.omega)
+    res = conjugation_residual(f, orb, 10, default_grid(2), 2.0, L=1, omega=exp.omega)
     assert res <= 1e-12
 
 
@@ -208,8 +215,8 @@ def test_expandable_l0_matches_basic():
     f = DiagonalLinear(2.0, (1.0,))
     orb = backward_orbit(f, ONE, 0.34, 20)
     grid = default_grid(2)
-    basic = psi_approx(f, orb, 8, grid, L=0, variant="basic")
-    expd = psi_approx(f, orb, 8, grid, L=0, variant="expandable", omega=(1.0 + 0j,))
+    basic = psi_approx(f, orb, 8, grid, L=0)
+    expd = psi_approx(f, orb, 8, grid, L=0, omega=(1.0 + 0j,))
     for (z1, v1), (z2, v2) in zip(basic, expd):
         assert v1.coords == v2.coords
 

@@ -48,49 +48,49 @@ TWINS = [
 
 
 def conjugation_setup(f):
-    """The map, orbit and variant that the `conjugate` command uses."""
+    """The map, orbit, L and Omega that the `conjugate` command uses."""
     orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,) * (f.dim - 1)), 0.34, 40)
     g, orbit0, _ = recenter_orbit_at_zero(f, orbit)
-    variant, L, omega = "basic", 0, None
+    L, omega = 0, None
     try:
         exp = expandable_decompose(f.base if isinstance(f, maps.Conjugated) else f)
         if exp.L > 0:
-            variant, L, omega = "expandable", exp.L, exp.omega
+            L, omega = exp.L, exp.omega
     except InvalidDescriptor:
         pass
-    return g, orbit0, orbit.multiplier_estimate, L, variant, omega
+    return g, orbit0, orbit.multiplier_estimate, L, omega
 
 
 CASES = {name: (lambda name=name: load_descriptor(str(fixture_path(name)))) for name in FIXTURES}
 CASES["expandable"] = lambda: EXPANDABLE
 
 
-def ref_psi(f, orbit, n, z, L, variant, omega):
-    p = apply_automorphism(build_tau(orbit, n, variant, omega), project_first(z, L))
+def ref_psi(f, orbit, n, z, L, omega):
+    p = apply_automorphism(build_tau(orbit, n, omega), project_first(z, L))
     return quadratic_iterate_closed(f, n, p) if isinstance(f, QuadraticSiegel) else iterate(f, n, p)
 
 
-def ref_residual(f, orbit, n, grid, alpha, L, variant, omega):
-    eta = eta_model(alpha, orbit.points[0].dim, 1, omega if variant == "expandable" else None)
-    return max(dist_siegel(ref_psi(f, orbit, n, apply_automorphism(eta, z), L, variant, omega),
-                           maps.evaluate(f, ref_psi(f, orbit, n, z, L, variant, omega)))
+def ref_residual(f, orbit, n, grid, alpha, L, omega):
+    eta = eta_model(alpha, orbit.points[0].dim, 1, omega)
+    return max(dist_siegel(ref_psi(f, orbit, n, apply_automorphism(eta, z), L, omega),
+                           maps.evaluate(f, ref_psi(f, orbit, n, z, L, omega)))
                for z in grid)
 
 
-def ref_interpolation(f, orbit, n, alpha, L, variant, omega):
+def ref_interpolation(f, orbit, n, alpha, L, omega):
     errs = []
     for k in range(min(n // 2, len(orbit.points) - 1) + 1):
         a_k = SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1))
-        errs.append(dist_siegel(ref_psi(f, orbit, n, a_k, L, variant, omega), orbit.points[k]))
+        errs.append(dist_siegel(ref_psi(f, orbit, n, a_k, L, omega), orbit.points[k]))
     return tuple(errs)
 
 
-def ref_gn(f, orbit, n, grid, alpha, L, variant, omega):
-    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega if variant == "expandable" else None)
-    tau_inv = invert_automorphism(build_tau(orbit, n, variant, omega))
+def ref_gn(f, orbit, n, grid, alpha, L, omega):
+    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega)
+    tau_inv = invert_automorphism(build_tau(orbit, n, omega))
     worst = 0.0
     for z in grid:
-        val = ref_psi(f, orbit, n, apply_automorphism(eta_inv_n, z), L, variant, omega)
+        val = ref_psi(f, orbit, n, apply_automorphism(eta_inv_n, z), L, omega)
         worst = max(worst, dist_siegel(apply_automorphism(tau_inv, val), project_first(z, L)))
     return worst
 
@@ -113,46 +113,46 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_psi_results_match_plain_formulas_bit_for_bit(case):
-    f, orbit, alpha, L, variant, omega = conjugation_setup(CASES[case]())
+    f, orbit, alpha, L, omega = conjugation_setup(CASES[case]())
     grid = default_grid(orbit.points[0].dim) + TWINS
     for n in N_VALUES:
-        args = (f, orbit, n, grid, alpha, L, variant, omega)
+        args = (f, orbit, n, grid, alpha, L, omega)
         assert outcome(conjugation_residual, *args) == outcome(ref_residual, *args)
         assert outcome(gn_diagnostic, *args) == outcome(ref_gn, *args)
-        assert outcome(psi_approx, f, orbit, n, grid, L, variant, omega) == outcome(
-            lambda: [(z, ref_psi(f, orbit, n, z, L, variant, omega)) for z in grid])
-        assert outcome(lambda: psi_interpolation_check(f, orbit, n, alpha, None, L, variant,
+        assert outcome(psi_approx, f, orbit, n, grid, L, omega) == outcome(
+            lambda: [(z, ref_psi(f, orbit, n, z, L, omega)) for z in grid])
+        assert outcome(lambda: psi_interpolation_check(f, orbit, n, alpha, None, L,
                                                        omega).errors) == outcome(
-            ref_interpolation, f, orbit, n, alpha, L, variant, omega)
+            ref_interpolation, f, orbit, n, alpha, L, omega)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_conjugation_matches_plain_formulas_at_every_depth(case):
     # one sweep serves every depth; each n also comes last once, for the samples
-    f, orbit, alpha, L, variant, omega = conjugation_setup(CASES[case]())
+    f, orbit, alpha, L, omega = conjugation_setup(CASES[case]())
     grid = default_grid(orbit.points[0].dim) + TWINS
     for last in N_VALUES:
         n_values = tuple(n for n in N_VALUES if n != last) + (last,)
-        run = run_conjugation(f, orbit, alpha, variant, L, omega, grid, n_values)
+        run = run_conjugation(f, orbit, alpha, L, omega, grid, n_values)
         assert bits(run.residuals) == tuple(
-            bits(ref_residual(f, orbit, n, grid, alpha, L, variant, omega)) for n in n_values)
+            bits(ref_residual(f, orbit, n, grid, alpha, L, omega)) for n in n_values)
         assert bits([v for _, v in run.psi_samples]) == bits(
-            [ref_psi(f, orbit, last, z, L, variant, omega) for z in grid])
+            [ref_psi(f, orbit, last, z, L, omega) for z in grid])
         assert [z for z, _ in run.psi_samples] == grid
         assert bits(run.interpolation.errors) == bits(
-            ref_interpolation(f, orbit, last, alpha, L, variant, omega))
+            ref_interpolation(f, orbit, last, alpha, L, omega))
 
 
 @pytest.mark.parametrize("case", ["quadpol", "expandable"])
 def test_signed_zero_twins_keep_their_own_psi(case):
     # at n = 0 the sign of a zero survives tau_0 (and, with L = 1, p_L), so
     # twins that compare equal under == have psi values with different bits
-    f, orbit, _, L, variant, omega = conjugation_setup(CASES[case]())
-    ref = [bits(ref_psi(f, orbit, 0, z, L, variant, omega)) for z in TWINS]
+    f, orbit, _, L, omega = conjugation_setup(CASES[case]())
+    ref = [bits(ref_psi(f, orbit, 0, z, L, omega)) for z in TWINS]
     assert ref[0] != ref[1] and ref[5] != ref[6]
     if L:
         assert len({ref[0], ref[2], ref[3]}) == 3
-    assert [bits(v) for _, v in psi_approx(f, orbit, 0, TWINS, L, variant, omega)] == ref
+    assert [bits(v) for _, v in psi_approx(f, orbit, 0, TWINS, L, omega)] == ref
 
 
 def test_sweeps_that_leave_the_domain_raise_invalid_point():
@@ -163,7 +163,7 @@ def test_sweeps_that_leave_the_domain_raise_invalid_point():
     f = QuadraticSiegel(0.5, 2.0, 1.0)
     grid = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
     for n in (1, 5, 12):
-        args = (f, orbit, n, grid, 2.0, 1, "basic", None)
+        args = (f, orbit, n, grid, 2.0, 1, None)
         want = outcome(ref_residual, *args)
         assert want[:2] == ("raised", "InvalidPoint")
         assert outcome(conjugation_residual, *args) == want
@@ -172,9 +172,9 @@ def test_sweeps_that_leave_the_domain_raise_invalid_point():
 
 
 def test_residual_on_empty_grid_raises_value_error():
-    f, orbit, alpha, L, variant, omega = conjugation_setup(CASES["quadpol"]())
+    f, orbit, alpha, L, omega = conjugation_setup(CASES["quadpol"]())
     with pytest.raises(ValueError):
-        conjugation_residual(f, orbit, 3, [], alpha, L, variant, omega)
+        conjugation_residual(f, orbit, 3, [], alpha, L, omega)
 
 
 def count_evaluates(monkeypatch) -> list:
