@@ -241,8 +241,8 @@ class KoranyiRegion:
 
 def cayley_to_siegel(p: BallPoint) -> SiegelPoint:
     """Map a ball point through C(z, w) = ((1+z)/(1-z), w/(1-z))."""
-    z, *w = _siegel_coords(p.v.coords)
-    return SiegelPoint(z, tuple(w))
+    c = _siegel_coords(p.v.coords)
+    return SiegelPoint(c[0], c[1:])
 
 
 def siegel_to_ball(p: SiegelPoint) -> BallPoint:

@@ -312,8 +312,8 @@ class BallProduct:
             raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
         v = _ball_coords(p.z, p.w)  # the steps of the scalar path, on columns
         u = tuple(g.apply(c) for g, c in zip(self.components, v))
-        z, *w = _siegel_coords(u)
-        return SiegelRows(z, tuple(w), ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
+        c = _siegel_coords(u)
+        return SiegelRows(c[0], c[1:], ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
                           lambda i: self.evaluate(p.point(i)))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
