@@ -16,7 +16,6 @@ from .errors import (
     NoBackwardStep,
     OrbitTooShort,
     SiegelDynamicsError,
-    SolverFailure,
 )
 from .geometry import (
     BallPoint,
@@ -54,9 +53,7 @@ from .maps import (
     classify_quadratic,
     evaluate,
     expandable_decompose,
-    known_brfp_set,
     lift_one_dim,
-    quadratic_inverse,
     quadratic_iterate_closed,
 )
 from .dynamics import (

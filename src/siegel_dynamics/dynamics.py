@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPoint, NoBackwardStep, OrbitTooShort, SolverFailure
+from .errors import InvalidPoint, NoBackwardStep, OrbitTooShort
 from .geometry import (
     INFINITY,
     BallPoint,
@@ -45,7 +45,6 @@ from .maps import (
     evaluate,
     preimage_candidates,
 )
-from .policy import DEFAULT_POLICY
 
 # ---------------------------------------------------------------------------
 # forward orbits
@@ -146,76 +145,22 @@ class BackwardOrbit:
     at_infinity: bool
 
 
-def _newton_preimage(f: MapDescriptor, target: SiegelPoint, seed: SiegelPoint) -> SiegelPoint:
-    """Damped Newton on the 2N real coordinates solving f(X) = target."""
-    n = target.dim
-
-    def residual_vec(coords: np.ndarray) -> np.ndarray:
-        p = SiegelPoint(complex(coords[0]), tuple(coords[1:]))
-        img = np.array(evaluate(f, p).coords)
-        tgt = np.array(target.coords)
-        d = img - tgt
-        return np.concatenate([d.real, d.imag])
-
-    x = np.array(seed.coords, dtype=complex)
-    res = residual_vec(x)
-    scale = 1.0 + abs(target.z)
-    for _ in range(DEFAULT_POLICY.solver_max_iter):
-        if np.max(np.abs(res)) <= DEFAULT_POLICY.solver_tol * scale:
-            return SiegelPoint(complex(x[0]), tuple(x[1:]))
-        # central-difference Jacobian in the 2N real variables
-        jac = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            h = DEFAULT_POLICY.fd_step * max(1.0, abs(x[j]))
-            for part, delta in ((0, h), (1, 1j * h)):
-                xp, xm = x.copy(), x.copy()
-                xp[j] += delta
-                xm[j] -= delta
-                try:
-                    col = (residual_vec(xp) - residual_vec(xm)) / (2.0 * h)
-                except InvalidPoint:
-                    raise SolverFailure("finite-difference stencil left the domain",
-                                        float(np.max(np.abs(res))))
-                jac[:, 2 * j + part] = col
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise SolverFailure("singular Jacobian", float(np.max(np.abs(res))))
-        step_c = step[0::2] + 1j * step[1::2]
-        lam = 1.0
-        for _ in range(40):
-            x_try = x + lam * step_c
-            try:
-                res_try = residual_vec(x_try)
-            except InvalidPoint:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(res_try)) < np.max(np.abs(res)):
-                x, res = x_try, res_try
-                break
-            lam *= 0.5
-        else:
-            raise SolverFailure("line search stalled", float(np.max(np.abs(res))))
-    raise SolverFailure("Newton iteration budget exhausted", float(np.max(np.abs(res))))
-
-
 def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
                   steps: list[float] | None = None) -> SiegelPoint:
     """One backward step: Z_{n+1} with f(Z_{n+1}) = Z_n and d(Z_n, Z_{n+1}) <= a.
 
-    Closed-form preimages are used when the family provides them; otherwise a
-    damped Newton solve seeded at Z_n.  Among admissible preimages the one
-    with the smallest step wins, ties broken by smallest defect.  When
-    `steps` is given, the chosen step d(Z_n, Z_{n+1}) is appended to it.
+    Among the family's closed-form preimages in the domain, the one with the
+    smallest step within the bound wins, ties broken by smallest defect.  When
+    `steps` is given, the chosen step d(Z_n, Z_{n+1}) is appended to it.  The
+    `NoBackwardStep` raised otherwise names the smallest step of an in-domain
+    preimage, when there is one.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
-    cands = preimage_candidates(f, zn)
-    if cands is None:
-        cands = [_newton_preimage(f, zn, zn).coords]
     bound = a * (1.0 + 1e-12)
     admissible: list[tuple[float, SiegelPoint]] = []
-    for c in cands:
+    nearest = math.inf  # the smallest step beyond the bound, for the error message
+    for c in preimage_candidates(f, zn):
         try:
             p = SiegelPoint(c[0], c[1:])
         except InvalidPoint:
@@ -223,8 +168,11 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
         d = dist_siegel(zn, p)
         if d <= bound:
             admissible.append((d, p))
+        elif d < nearest:
+            nearest = d
     if not admissible:
-        raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
+        near = f" (nearest at step {nearest:.3g})" if nearest < math.inf else ""
+        raise NoBackwardStep(f"no in-domain preimage within step bound {a}{near}")
     d, p = admissible[0] if len(admissible) == 1 else min(admissible, key=lambda c: (c[0], c[1].t))
     if steps is not None:
         steps.append(d)
@@ -255,14 +203,16 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
     """
     points = [z0]
     steps: list[float] = []
+    stop = ""
     for _ in range(n):
         try:
             points.append(backward_step(f, points[-1], a, steps))
-        except NoBackwardStep:
+        except NoBackwardStep as err:
+            stop = f"; {err}"
             break
     defects = tuple(p.t for p in points)
     if len(points) < 3:
-        raise OrbitTooShort("backward orbit too short to analyze")
+        raise OrbitTooShort(f"backward orbit too short to analyze: {len(steps)} of {n} steps{stop}")
     to_infinity = defects[-1] > defects[0]
     if to_infinity:
         limit: BoundaryPoint | None = INFINITY

@@ -25,14 +25,6 @@ class NoBackwardStep(SiegelDynamicsError):
     """No in-domain preimage within the pseudo-hyperbolic step bound."""
 
 
-class SolverFailure(SiegelDynamicsError):
-    """Newton solver did not converge; carries the final residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConstructionFailed(SiegelDynamicsError):
     """Special backward-sequence construction could not keep the step bound."""
 

@@ -5,9 +5,9 @@ f(z, w) = (phi(z - w^2) + w^2, w) of one-dimensional half-plane maps,
 diagonal linear maps (alpha z, Lambda w), conjugates by a Siegel
 automorphism, and coordinatewise products of one-dimensional maps acting on
 the ball model.  Each family is one class with the members `dim`,
-`evaluate(p)`, `preimages(p)` (closed-form preimages as coordinate tuples
-(z, w_1, ...), or None) and `fixed_point_set()`; the module functions of the
-same purpose delegate to them.
+`evaluate(p)`, `preimages(p)` (the list of closed-form preimages as
+coordinate tuples (z, w_1, ...)) and `fixed_point_set()`; the module
+functions of the same purpose delegate to them.
 `evaluate` takes a `SiegelPoint` or `SiegelRows` and returns the same type,
 each row with the bits of one point; the disk maps' `apply` takes a complex
 number or a `ComplexRows` column alike.
@@ -265,13 +265,10 @@ class Conjugated:
                     self.evaluate(p.point(i))
             raise
 
-    def preimages(self, p: SiegelPoint) -> list[Complexes] | None:
+    def preimages(self, p: SiegelPoint) -> list[Complexes]:
         inner = apply_automorphism(self.by_inverse, p)
-        base_cands = preimage_candidates(self.base, inner)
-        if base_cands is None:
-            return None
         out = []
-        for c in base_cands:
+        for c in preimage_candidates(self.base, inner):
             try:
                 sp = SiegelPoint(c[0], c[1:])
             except InvalidPoint:
@@ -280,7 +277,7 @@ class Conjugated:
         return out
 
     def fixed_point_set(self) -> FixedPointSet:
-        return known_brfp_set(self.base)
+        return self.base.fixed_point_set()
 
 
 @dataclass(frozen=True)
@@ -359,18 +356,6 @@ def iterate(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
 # ---------------------------------------------------------------------------
 # closed forms for the quadratic family
 # ---------------------------------------------------------------------------
-
-def quadratic_inverse(f: QuadraticSiegel, p: SiegelPoint) -> tuple[CVector, bool]:
-    """Preimage (z/A - Bw^2/(AC^2), w/C); returns (coords, in_domain).
-
-    The preimage of a Siegel point can land outside the domain, so the raw
-    coordinates are returned together with a domain flag.
-    """
-    if f.A == 0 or f.C == 0:
-        raise InvalidDescriptor("quadratic inverse needs A != 0 and C != 0")
-    [(z, w)] = f.preimages(p)
-    return CVector((z, w)), z.real - abs(w) ** 2 > 0.0
-
 
 def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> SiegelPoint:
     """f^n(z, w) = (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j).
@@ -532,11 +517,6 @@ def one_dim_brfp(phi: OneDimMap) -> complex:
     raise InvalidDescriptor("no closed-form boundary fixed point")
 
 
-def known_brfp_set(f: MapDescriptor) -> FixedPointSet:
-    """Closed-form fixed-point locus where the family provides one."""
-    return f.fixed_point_set()
-
-
 # ---------------------------------------------------------------------------
 # expandable structure
 # ---------------------------------------------------------------------------
@@ -579,7 +559,7 @@ def expandable_decompose(f: MapDescriptor) -> ExpandableData:
 # closed-form preimage candidates (used by the backward solver)
 # ---------------------------------------------------------------------------
 
-def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[Complexes] | None:
-    """Closed-form preimages of p under f as tuples (z, w_1, ...), or None if
-    the family has no closed form.  Candidates may lie outside the domain."""
+def preimage_candidates(f: MapDescriptor, p: SiegelPoint) -> list[Complexes]:
+    """Closed-form preimages of p under f as tuples (z, w_1, ...).  Candidates
+    may lie outside the domain."""
     return f.preimages(p)

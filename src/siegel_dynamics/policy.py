@@ -12,9 +12,11 @@ class NumericPolicy:
     validity_tol: float = 1e-12      # point/automorphism validity checks
     boundary_tol: float = 1e-12      # "is on the boundary" checks
     orbit_tol: float = 1e-10         # backward-orbit exactness f(Z_{k+1}) = Z_k
-    solver_tol: float = 1e-11        # Newton residual tolerance
+    # report-only: no code reads these three, but every canonical report
+    # prints the policy, so they stay until a change may alter report bytes
+    solver_tol: float = 1e-11
     solver_max_iter: int = 100
-    fd_step: float = 1e-6            # relative central-difference step
+    fd_step: float = 1e-6
 
     def as_dict(self) -> dict:
         return asdict(self)

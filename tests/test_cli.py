@@ -188,6 +188,15 @@ def test_conjugate_n_conj_zero_exit_1(capsys):
     assert err.startswith("error: ") and "n_values" in err
 
 
+def test_conjugate_short_orbit_says_how_far_it_got_and_why(capsys):
+    # both preimages of (0.5, 0) under the elliptic fixture, (1/3 +- 0.471i, 0),
+    # lie at step 0.522, above the default bound 0.34
+    code, out, err = run(["conjugate", "--map", "elliptic", "--start", "0.5,0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: backward orbit too short to analyze: 0 of 40 steps; no in-domain"
+                   " preimage within step bound 0.34 (nearest at step 0.522)\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

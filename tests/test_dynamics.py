@@ -7,7 +7,6 @@ import pytest
 from siegel_dynamics.errors import NoBackwardStep
 from siegel_dynamics.dynamics import (
     BackwardOrbit,
-    _newton_preimage,
     _projection_mean,
     angular_ratio_diagnostics,
     backward_orbit,
@@ -138,14 +137,6 @@ def test_backward_step_respects_step_bound():
     assert p.z == 0.5 and p.w[0] == 0.1
     with pytest.raises(NoBackwardStep):
         backward_step(f, zn, 0.1)  # the only preimage is farther than 0.1
-
-
-def test_newton_fallback_matches_closed_form():
-    target = SiegelPoint(1.0, (0.05,))
-    got = _newton_preimage(QUADPOL, target, target)
-    img = evaluate(QUADPOL, got)
-    assert abs(img.z - target.z) < 1e-9
-    assert abs(img.w[0] - target.w[0]) < 1e-9
 
 
 def test_backward_orbit_quadpol_axis():

@@ -46,7 +46,7 @@ def test_module_functions_delegate_to_the_family():
     assert maps.evaluate(F, P) == SiegelPoint(2.0 + 1.0j, (0.3 + 0.1j,))
     assert maps.iterate(F, 3, P) == SiegelPoint(8.0 + 4.0j, (0.3 + 0.1j,))
     assert maps.preimage_candidates(F, P) == [(0.5 + 0.25j, 0.3 + 0.1j)]
-    assert maps.known_brfp_set(F).kind == "origin_infinity"
+    assert F.fixed_point_set().kind == "origin_infinity"
 
 
 def test_backward_orbit_of_the_new_family():
@@ -67,7 +67,7 @@ def test_conjugated_wraps_the_new_family():
     assert len(cands) == 1
     img = maps.evaluate(g, SiegelPoint(cands[0][0], cands[0][1:]))
     assert abs(img.z - P.z) < 1e-14 and abs(img.w[0] - P.w[0]) < 1e-14
-    assert maps.known_brfp_set(g).kind == "origin_infinity"
+    assert g.fixed_point_set().kind == "origin_infinity"
     start = apply_automorphism(BY, SiegelPoint(1.0, (0.0,)))
     orbit = backward_orbit(g, start, 0.34, 20)
     assert len(orbit.points) == 21

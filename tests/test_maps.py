@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel_dynamics.errors import InvalidDescriptor
+from siegel_dynamics.errors import InvalidDescriptor, InvalidPoint
 from siegel_dynamics.geometry import (
     BallPoint,
     CVector,
@@ -34,11 +34,9 @@ from siegel_dynamics.maps import (
     evaluate,
     expandable_decompose,
     iterate,
-    known_brfp_set,
     lift_one_dim,
     one_dim_brfp,
     preimage_candidates,
-    quadratic_inverse,
     quadratic_iterate_closed,
 )
 
@@ -107,8 +105,7 @@ def test_quadratic_inverse_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         p = random_siegel(rng)
-        coords, in_domain = quadratic_inverse(QUADPOL, p)
-        z, w = coords.coords
+        [(z, w)] = QUADPOL.preimages(p)
         img_z = QUADPOL.A * z + QUADPOL.B * w * w
         img_w = QUADPOL.C * w
         assert abs(img_z - p.z) < 1e-12 * (1 + abs(p.z))
@@ -119,22 +116,23 @@ def test_quadratic_inverse_iterate_chain():
     # forward: (1.5, 1) -> (4, 1) -> (9, 1); inverse walks back
     p0 = SiegelPoint(1.5, (1.0,))
     p2 = iterate(QUADPOL, 2, p0)
-    coords, in_domain = quadratic_inverse(QUADPOL, p2)
-    assert in_domain
-    p1 = SiegelPoint(coords.coords[0], coords.coords[1:])
+    [(z, w)] = QUADPOL.preimages(p2)
+    p1 = SiegelPoint(z, (w,))  # raises InvalidPoint outside the domain
     assert abs(p1.z - evaluate(QUADPOL, p0).z) < 1e-12
 
 
 def test_quadratic_inverse_can_exit_domain():
     # preimage of (2.1, 1) under (2z + w^2, w) is (0.55, 1): defect < 0
-    coords, in_domain = quadratic_inverse(QUADPOL, SiegelPoint(2.1, (1.0,)))
-    assert not in_domain
-    assert coords.coords[0].real - abs(coords.coords[1]) ** 2 < 0
+    [(z, w)] = QUADPOL.preimages(SiegelPoint(2.1, (1.0,)))
+    assert z.real - abs(w) ** 2 < 0
+    with pytest.raises(InvalidPoint):
+        SiegelPoint(z, (w,))
 
 
 def test_quadratic_inverse_rejects_degenerate():
-    with pytest.raises(InvalidDescriptor):
-        quadratic_inverse(QuadraticSiegel(2.0, 0.0, 0.0), SiegelPoint(1.0, (0.0,)))
+    # A = 0 or C = 0: f is not invertible, and there is no preimage to offer
+    for f in (QuadraticSiegel(2.0, 0.0, 0.0), QuadraticSiegel(0.0, 0.0, 0.0)):
+        assert f.preimages(SiegelPoint(1.0, (0.0,))) == []
 
 
 def test_iterate_closed_known_value():
@@ -258,7 +256,7 @@ def test_lift_rejects_wrong_model_and_contracting():
 
 def test_lifted_fixed_curve_points():
     f = lift_one_dim(HalfPlaneLinear(2.0))
-    fps = known_brfp_set(f)
+    fps = f.fixed_point_set()
     assert fps.kind == "boundary_curve"
     for t in (0.5, 1.0, 2.0):
         z, w = fps.curve_point(t).coords
@@ -283,7 +281,7 @@ def test_lifted_iterates_closed_form():
 def test_lifted_affine_brfp():
     phi = HalfPlaneAffine(3.0, 1.5)
     assert one_dim_brfp(phi) == 1j * (-0.75)
-    fps = known_brfp_set(lift_one_dim(phi))
+    fps = lift_one_dim(phi).fixed_point_set()
     z, w = fps.curve_point(0.6).coords
     # on the shifted curve (y0 i + t^2, t), the point is fixed
     u = z - w * w
@@ -308,8 +306,8 @@ def test_blaschke_boundary_data():
 # ---------------------------------------------------------------------------
 
 def test_known_brfp_sets():
-    assert known_brfp_set(DiagonalLinear(2.0, (1.0,))).kind == "origin_infinity"
-    fps = known_brfp_set(ELLIPTIC)
+    assert DiagonalLinear(2.0, (1.0,)).fixed_point_set().kind == "origin_infinity"
+    fps = ELLIPTIC.fixed_point_set()
     assert fps.kind == "point"
     assert fps.data["ball_coords"] == (1.0, 0.0)
     assert abs(fps.data["multiplier"] - 4.0 / 3.0) < 1e-15
@@ -340,7 +338,7 @@ def test_preimage_candidates_forward_roundtrip(seed):
     f = fams[rng.integers(len(fams))]
     p = random_siegel(rng, t_lo=-1, t_hi=1)
     cands = preimage_candidates(f, p)
-    assert cands is not None
+    assert type(cands) is list
     for c in cands:
         try:
             q = SiegelPoint(c[0], c[1:])

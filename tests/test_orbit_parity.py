@@ -99,7 +99,7 @@ def ref_koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)
 
 
-def ref_preimage_candidates(f, p: SiegelPoint) -> list[CVector] | None:
+def ref_preimage_candidates(f, p: SiegelPoint) -> list[CVector]:
     """Each family's earlier `preimages`, which returned `CVector`s."""
     if isinstance(f, QuadraticSiegel):
         if f.A == 0 or f.C == 0:
@@ -117,11 +117,8 @@ def ref_preimage_candidates(f, p: SiegelPoint) -> list[CVector] | None:
         return [CVector((p.z / f.alpha,) + w)]
     if isinstance(f, Conjugated):
         inner = geo.apply_automorphism(f.by_inverse, p)
-        base_cands = ref_preimage_candidates(f.base, inner)
-        if base_cands is None:
-            return None
         out = []
-        for c in base_cands:
+        for c in ref_preimage_candidates(f.base, inner):
             try:
                 sp = SiegelPoint(c.coords[0], c.coords[1:])
             except InvalidPoint:
@@ -139,21 +136,18 @@ def ref_preimage_candidates(f, p: SiegelPoint) -> list[CVector] | None:
 def ref_backward_step(f, zn: SiegelPoint, a: float, steps: list[float] | None = None) -> SiegelPoint:
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
-    cands = ref_preimage_candidates(f, zn)
-    admissible: list[tuple[float, float, SiegelPoint]] = []
-    if cands is None:
-        p = dyn._newton_preimage(f, zn, zn)
-        admissible.append((ref_dist_siegel(zn, p), ref_defect(p), p))
-    else:
-        for c in cands:
-            try:
-                p = SiegelPoint(c.coords[0], c.coords[1:])
-            except InvalidPoint:
-                continue
-            admissible.append((ref_dist_siegel(zn, p), ref_defect(p), p))
-    admissible = [t for t in admissible if t[0] <= a * (1.0 + 1e-12)]
+    in_domain: list[tuple[float, float, SiegelPoint]] = []
+    for c in ref_preimage_candidates(f, zn):
+        try:
+            p = SiegelPoint(c.coords[0], c.coords[1:])
+        except InvalidPoint:
+            continue
+        in_domain.append((ref_dist_siegel(zn, p), ref_defect(p), p))
+    admissible = [t for t in in_domain if t[0] <= a * (1.0 + 1e-12)]
     if not admissible:
-        raise NoBackwardStep(f"no in-domain preimage within step bound {a}")
+        beyond = [t[0] for t in in_domain if t[0] > a * (1.0 + 1e-12)]
+        near = f" (nearest at step {min(beyond):.3g})" if beyond else ""
+        raise NoBackwardStep(f"no in-domain preimage within step bound {a}{near}")
     admissible.sort(key=lambda t: (t[0], t[1]))
     if steps is not None:
         steps.append(admissible[0][0])
@@ -163,14 +157,16 @@ def ref_backward_step(f, zn: SiegelPoint, a: float, steps: list[float] | None = 
 def ref_backward_orbit(f, z0: SiegelPoint, a: float, n: int) -> dyn.BackwardOrbit:
     points = [z0]
     steps: list[float] = []
+    stop = ""
     for _ in range(n):
         try:
             points.append(ref_backward_step(f, points[-1], a, steps))
-        except NoBackwardStep:
+        except NoBackwardStep as err:
+            stop = f"; {err}"
             break
     defects = tuple(ref_defect(p) for p in points)
     if len(points) < 3:
-        raise OrbitTooShort("backward orbit too short to analyze")
+        raise OrbitTooShort(f"backward orbit too short to analyze: {len(points) - 1} of {n} steps{stop}")
     to_infinity = defects[-1] > defects[0]
     if to_infinity:
         limit: BoundaryPoint | None = INFINITY
@@ -210,6 +206,8 @@ def orbit_bits(orbit_fn, *args):
 def test_backward_orbit_matches_per_step_reference(case, n):
     name, z0 = CASES[case]
     f = MAPS[name]
+    # the contract backward_step relies on: every family returns a list, never None
+    assert type(f.preimages(z0)) is list
     want = orbit_bits(ref_backward_orbit, f, z0, 0.34, n)
     assert orbit_bits(dyn.backward_orbit, f, z0, 0.34, n) == want
     if want[0] != "raised":
