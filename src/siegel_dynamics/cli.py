@@ -115,28 +115,24 @@ def cmd_classify(args, head: dict) -> int:
 # orbit
 # ---------------------------------------------------------------------------
 
+def _boundary_text(q: geo.BoundaryPoint) -> str:
+    return "infinity" if q.at_infinity else "(" + ", ".join(f"{c:.6g}" for c in q.v.coords) + ")"
+
+
 def cmd_orbit(args, head: dict) -> int:
     f = _load_map(args)
     start = _parse_start(args.start, f.dim)
     if args.backward:
         orbit = dyn.backward_orbit(f, start, args.a, args.n)
         orbit_json = ser.backward_orbit_to_json(orbit)
-        limit_txt = "infinity" if orbit.at_infinity else (
-            "(" + ", ".join(f"{c:.6g}" for c in orbit.limit.v.coords) + ")")
-        summary = (f"backward orbit: {len(orbit.points)} points, q = {limit_txt}, "
+        summary = (f"backward orbit: {len(orbit.points)} points, q = {_boundary_text(orbit.limit)}, "
                    f"alpha ~ {orbit.multiplier_estimate:.9g}, "
                    f"Koranyi M = {orbit.koranyi_certificate:.6g}")
     else:
         orbit = dyn.forward_orbit(f, start, args.n, args.tol)
         orbit_json = ser.forward_orbit_to_json(orbit)
-        if orbit.dw_estimate is None and orbit.interior_limit is None:
-            dw_txt = "undetermined"
-        elif orbit.dw_estimate is None:
-            dw_txt = "interior fixed point"
-        elif orbit.dw_estimate.at_infinity:
-            dw_txt = "infinity"
-        else:
-            dw_txt = "(" + ", ".join(f"{c:.6g}" for c in orbit.dw_estimate.v.coords) + ")"
+        dw_txt = (_boundary_text(orbit.dw_estimate) if orbit.dw_estimate is not None
+                  else "undetermined" if orbit.interior_limit is None else "interior fixed point")
         summary = f"forward orbit: {len(orbit.points)} points, DW = {dw_txt}"
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

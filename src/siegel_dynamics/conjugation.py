@@ -293,16 +293,12 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
         raise ConstructionFailed(f"repelling point needs alpha > 1, got {alpha}")
     a = (alpha - 1.0) / (alpha + 1.0) + 1e-9
     at_inf = q.model == "siegel" and q.at_infinity
-    ball_vertex = q.model == "ball" and not at_inf
-    if ball_vertex:
-        # ball boundary point (1, 0, ...) corresponds to the Siegel infinity
+    if q.model == "ball":  # the ball boundary point (1, 0, ...) is the Siegel infinity
         coords = q.v.coords
-        if abs(coords[0] - 1.0) < 1e-9 and all(abs(c) < 1e-9 for c in coords[1:]):
-            at_inf = True
-        else:
+        if not (abs(coords[0] - 1.0) < 1e-9 and all(abs(c) < 1e-9 for c in coords[1:])):
             raise ConstructionFailed("ball vertices other than (1, 0) are not supported; "
                                      "recenter with an automorphism first")
-    dim = 2 if at_inf else q.dim
+        at_inf = True
     # smallest depth whose horosphere fits inside the exclusion ball:
     # a hyperbolic/horospheric cap of level R has ball diameter about
     # sqrt((R/(1+R))^2 + R/(1+R)) around the vertex
@@ -313,19 +309,13 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
         if math.sqrt(u * u + u) <= exclusion_radius or n0 > 200:
             break
         n0 += 1
-    chart_inv = None
-    if not at_inf and q.model == "siegel":
-        chart_inv = invert_automorphism(recentering_translation(q))
-        dim = q.dim
+    chart_inv = None if at_inf else invert_automorphism(recentering_translation(q))
     last_err: Exception | None = None
     for attempt in range(4):
         depth = n0 + 5 * attempt
-        if at_inf:
-            seed = SiegelPoint(alpha ** depth, (0.0,) * (dim - 1))
-        else:
-            seed = SiegelPoint(alpha ** (-depth), (0.0,) * (dim - 1))
-            if chart_inv is not None:
-                seed = apply_automorphism(chart_inv, seed)
+        seed = SiegelPoint(alpha ** (depth if at_inf else -depth), (0.0,) * (f.dim - 1))
+        if chart_inv is not None:
+            seed = apply_automorphism(chart_inv, seed)
         try:
             orbit = backward_orbit(f, seed, a, n)
         except (NoBackwardStep, OrbitTooShort) as err:

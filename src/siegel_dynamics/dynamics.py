@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPoint, NoBackwardStep, OrbitTooShort
+from .errors import DimensionMismatch, InvalidPoint, NoBackwardStep, OrbitTooShort
 from .geometry import (
     INFINITY,
-    BallPoint,
     BoundaryPoint,
     ComplexRows,
     CVector,
@@ -27,12 +26,13 @@ from .geometry import (
     SiegelPoint,
     SiegelRows,
     _cdiv,
+    _projection,
+    _siegel_coords,
     apply_automorphism,
     ball_norm_rows,
     boundary_ball_coords,
     boundary_gap,
     boundary_projection,
-    cayley_to_siegel,
     defect,
     dist_siegel,
     julia_quotient,
@@ -94,24 +94,22 @@ def forward_orbit(f: MapDescriptor, z0: SiegelPoint, n_max: int = 100,
 # boundary multiplier
 # ---------------------------------------------------------------------------
 
-def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint,
-                           decay: float = 0.5, n_samples: int = 40) -> float:
+def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     """Dilatation coefficient of f at a boundary fixed point q.
 
     Samples the ratio (1 - ||f(Z)||) / (1 - ||Z||) along the radial ray
-    Z_k = (1 - decay^k) q in the ball model and extrapolates the tail
-    (Richardson step matched to the geometric grid).  Returns +inf when the
-    ratios diverge (no finite dilatation at q).
+    Z_k = (1 - decay^k) q, k = 1 .. 40, decay = 1/2, in the ball model and
+    extrapolates the tail (Richardson step matched to the geometric grid).
+    Returns +inf when the ratios diverge (no finite dilatation at q).
     """
-    if not 0.0 < decay < 1.0:
-        raise ValueError("decay must lie in (0, 1)")
-    dim = f.dim
-    qb = boundary_ball_coords(q, dim)
+    decay = 0.5
+    qb = boundary_ball_coords(q, f.dim)
     nq = math.sqrt(sq_norm(qb))
     ratios: list[float] = []
-    for k in range(1, n_samples + 1):
+    for k in range(1, 41):
         s = decay ** k
-        p = cayley_to_siegel(BallPoint(CVector(tuple((1.0 - s) * c for c in qb))))
+        c = _siegel_coords(tuple((1.0 - s) * x for x in qb))  # SiegelPoint checks the sample
+        p = SiegelPoint(c[0], c[1:])
         if defect(p) < 1e-300:
             break
         fp = evaluate(f, p)
@@ -184,7 +182,7 @@ def _projection_mean(points: list[SiegelPoint]) -> CVector:
     points, with np.mean's bits: numpy sums each column onto +0 in order (a
     lone column is contiguous, and its pairwise sum adds the first four as
     (a + b) + (c + d)), then divides by the count as `_cdiv` does."""
-    pr = [(1j * p.z.imag + sq_norm(p.w),) + p.w for p in points]
+    pr = [_projection(p) for p in points]
     if len(pr[0]) == 1 and len(pr) >= 4:
         pr[:4] = [((pr[0][0] + pr[1][0]) + (pr[2][0] + pr[3][0]),)]
     total = (0j,) * len(pr[0])
@@ -201,6 +199,10 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
     is the median tail defect ratio; the Koranyi certificate is the largest
     approach-region amplitude attained along the orbit.
     """
+    if n < 2:
+        raise ValueError(f"a backward orbit needs n >= 2 steps, got n = {n}")
+    if z0.dim != f.dim:
+        raise DimensionMismatch(f"backward orbit of a map of dim {f.dim} from a point of dim {z0.dim}")
     points = [z0]
     steps: list[float] = []
     stop = ""
@@ -220,11 +222,15 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
     else:
         limit = BoundaryPoint(v=_projection_mean(points[-5:]), model="siegel")
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
-    tail = ratios[max(0, 3 * len(ratios) // 4):]
-    alpha = float(statistics.median(tail))
+    alpha = _tail_median(ratios)
     # Python's max over the points in order, as a per-point loop takes it
     cert = max(koranyi_ratio(SiegelRows.of(points), limit).tolist())
     return BackwardOrbit(tuple(points), tuple(steps), defects, a, limit, alpha, cert, to_infinity)
+
+
+def _tail_median(ratios) -> float:
+    """The median of the last quarter of the ratios, the multiplier estimate of an orbit."""
+    return float(statistics.median(ratios[max(0, 3 * len(ratios) // 4):]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +326,13 @@ class AsymptoticsReport:
     special: bool = False           # ||w_n||^2 / Re z_n -> 0
 
 
-def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism,
-                      tol: float = 1e-6) -> AsymptoticsReport:
+def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism) -> AsymptoticsReport:
     """Ratio sequences of a backward orbit recentered at its limit.
 
     For a special backward orbit at a repelling point with multiplier alpha
-    the limits are (1, 0, 0, alpha).
+    the limits are (1, 0, 0, alpha); each is met to 1e-6.
     """
+    tol = 1e-6
     if len(orbit.points) < 5:
         raise OrbitTooShort("need at least 5 points for asymptotics")
     pts = [apply_automorphism(recenter, p) for p in orbit.points]
@@ -335,7 +341,7 @@ def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism,
     im_r = tuple(p.z.imag / tk for p, tk in zip(pts, t))
     w_r = tuple(sq_norm(p.w) / tk for p, tk in zip(pts, t))
     t_r = tuple(t[k] / t[k + 1] for k in range(len(t) - 1))
-    alpha = float(statistics.median(t_r[max(0, 3 * len(t_r) // 4):]))
+    alpha = _tail_median(t_r)
     limits_ok = {
         "re": abs(re_r[-1] - 1.0) < tol,
         "im": abs(im_r[-1]) < tol,

@@ -256,7 +256,7 @@ def siegel_inversion(p: SiegelPoint) -> SiegelPoint:
     alternative sign convention in which the ball point (1, 0) goes to the
     Siegel origin instead of infinity.
     """
-    return SiegelPoint(1.0 / p.z, tuple(_cdiv(c, p.z) for c in p.w))
+    return SiegelPoint(*Inversion().apply(p.z, p.w))
 
 
 def cayley_to_siegel_alt(p: BallPoint) -> SiegelPoint:
@@ -358,10 +358,13 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:
-    """1 - ||C^{-1}(p)||^2 = 4 t / |z + 1|^2, computed without cancellation; it
-    divides by |z + 1| twice (t < |z + 1|), so no square over- or underflows."""
-    r = abs(p.z + 1.0)
-    return 4.0 * (p.t / r) / r
+    """1 - ||C^{-1}(p)||^2 = 4 t / |z + 1|^2, computed without cancellation."""
+    return _sq_gap(p.t, abs(p.z + 1.0))
+
+
+def _sq_gap(t, r):
+    """4 t / r^2, dividing by r = |z + 1| twice (t < r): no square over- or underflows."""
+    return 4.0 * (t / r) / r
 
 
 def _ball_coords(z: complex, w: Complexes) -> Complexes:
@@ -371,6 +374,12 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
     return ((z - 1.0) / d,) + tuple(_cdiv(2.0 * c, d) for c in w)
 
 
+def _ball_check(v: Complexes) -> None:
+    """Raise what `BallPoint(CVector(v))` raises, building neither unless it fails."""
+    if not sq_norm(v) < 1.0:  # also true for NaN
+        BallPoint(CVector(v))
+
+
 def _siegel_coords(v: Complexes) -> Complexes:
     """C(v), the inverse of `_ball_coords`, without the domain check; the
     coordinates may be `ComplexRows` columns."""
@@ -378,15 +387,16 @@ def _siegel_coords(v: Complexes) -> Complexes:
     return (_cdiv(1.0 + v[0], d),) + tuple(_cdiv(c, d) for c in v[1:])
 
 
-def _ball_image_norm(p: SiegelPoint) -> float:
-    """||C^{-1}(p)||, from the cancellation-free gap formula."""
-    x = 1.0 - one_minus_sq_ball_norm(p)  # np.fmax, as max(0.0, x), maps NaN to 0
+def _ball_image_norm(g):
+    """||C^{-1}(p)|| from the cancellation-free g = 1 - ||C^{-1}(p)||^2."""
+    x = 1.0 - g  # np.fmax, as max(0.0, x), maps NaN to 0
     return np.sqrt(np.fmax(x, 0.0)) if type(x) is np.ndarray else math.sqrt(max(0.0, x))
 
 
 def boundary_gap(p: SiegelPoint) -> float:
     """1 - ||C^{-1}(p)|| computed stably from the defect."""
-    return one_minus_sq_ball_norm(p) / (1.0 + _ball_image_norm(p))
+    g = one_minus_sq_ball_norm(p)
+    return g / (1.0 + _ball_image_norm(g))
 
 
 def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
@@ -398,6 +408,15 @@ def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
     return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
+def _vertex_term(p: SiegelPoint, q: BoundaryPoint, r) -> tuple:
+    """(x, c), x / c = |1 - (Z, Q)| r / 2 for the ball images Z, Q of p and of a finite vertex q,
+    r = |z + 1|: c = 1 at a ball vertex, (|z + conj(z_q) - 2 <w, w_q>|, |z_q + 1|) at a Siegel one."""
+    if q.model == "ball":
+        return abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * r / 2.0, 1.0
+    zq, wq = q.v.coords[0], q.v.coords[1:]
+    return abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq)), abs(zq + 1.0)
+
+
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     """Horosphere quotient |1 - (Z, q)|^2 / (1 - ||Z||^2) of the ball image of p.
 
@@ -407,31 +426,21 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     """
     if q.model == "siegel" and q.at_infinity:
         return 1.0 / defect(p)
-    if q.model == "ball":
-        # |s|^2 / (4t/|z + 1|^2) as u/t u, forming neither |s|^2 nor the gap: both underflow
-        u = abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * abs(p.z + 1.0) / 2.0
-        with np.errstate(over="ignore"):  # a row beyond the double range gives inf, as a point does
-            return u / p.t * u
-    zq, wq = q.v.coords[0], q.v.coords[1:]
-    s = abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq))
-    return s / defect(p) * s / abs(zq + 1.0) ** 2  # no |s|^2 to overflow
+    x, c = _vertex_term(p, q, abs(p.z + 1.0))  # x^2 / (t c^2), forming neither x^2 nor the gap
+    with np.errstate(over="ignore"):  # a row beyond the double range gives inf, as a point does
+        return x / p.t * x / c ** 2
 
 
 def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     """|1 - (Z, q)| / (1 - ||Z||) for the ball image of p, stable near q.  On
     `SiegelRows` it gives an array."""
-    nb = _ball_image_norm(p)
-    t = p.t
-    r = abs(p.z + 1.0)
+    t, r = p.t, abs(p.z + 1.0)
+    nb = _ball_image_norm(_sq_gap(t, r))
     if q.model == "siegel" and q.at_infinity:
         return r * (1.0 + nb) / (2.0 * t)
-    if q.model == "ball":
-        u = abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * r / 2.0  # as in `julia_quotient`
-        with np.errstate(over="ignore"):
-            return u / (2.0 * t) * r * (1.0 + nb)
-    zq, wq = q.v.coords[0], q.v.coords[1:]
-    s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
-    return abs(s) / (2.0 * t) * r * (1.0 + nb) / abs(zq + 1.0)  # no |s| |z + 1| to overflow
+    x, c = _vertex_term(p, q, r)
+    with np.errstate(over="ignore"):  # x / 2t first: no x |z + 1| to overflow
+        return x / (2.0 * t) * r * (1.0 + nb) / c
 
 
 def horosphere_contains(h: Horosphere, p: Point) -> bool:
@@ -454,7 +463,12 @@ def koranyi_contains(k: KoranyiRegion, p: BallPoint) -> bool:
 
 def boundary_projection(p: SiegelPoint) -> CVector:
     """Euclidean projection on the Siegel boundary: pr(z, w) = (i Im z + ||w||^2, w)."""
-    return CVector((1j * p.z.imag + sq_norm(p.w),) + p.w)
+    return CVector(_projection(p))
+
+
+def _projection(p: SiegelPoint) -> Complexes:
+    """The coordinates of `boundary_projection(p)`."""
+    return (1j * p.z.imag + sq_norm(p.w),) + p.w
 
 
 def hyperbolic_ball_extremes(z: BallPoint, d: float) -> tuple[float, float]:
@@ -598,29 +612,29 @@ class SiegelAutomorphism:
 IDENTITY = SiegelAutomorphism()
 
 
+PRIMITIVES = {"translation": Translation, "dilation": Dilation, "rotation": Rotation,
+              "linear_diag": LinearDiag, "inversion": Inversion}
+
+
 def build_automorphism(kind: str, **params) -> SiegelAutomorphism:
-    """Build a single-primitive automorphism: kind in
-    {"translation", "dilation", "rotation", "linear_diag", "inversion", "identity"}."""
-    kinds = {
-        "translation": Translation,
-        "dilation": Dilation,
-        "rotation": Rotation,
-        "linear_diag": LinearDiag,
-        "inversion": Inversion,
-    }
+    """Build a single-primitive automorphism: kind is a key of `PRIMITIVES` or "identity"."""
     if kind == "identity":
         return IDENTITY
-    if kind not in kinds:
+    if kind not in PRIMITIVES:
         raise InvalidPoint(f"unknown automorphism kind {kind!r}")
-    return SiegelAutomorphism((kinds[kind](**params),))
+    return SiegelAutomorphism((PRIMITIVES[kind](**params),))
+
+
+def _apply_chain(a: SiegelAutomorphism, z, w) -> tuple:
+    """(z, w) through a's primitives, first to last: coordinates, or columns."""
+    for prim in a.chain:
+        z, w = prim.apply(z, w)
+    return z, w
 
 
 def apply_automorphism(a: SiegelAutomorphism, p: SiegelPoint) -> SiegelPoint:
     """The image of a `SiegelPoint`, or of each row of `SiegelRows`, as the same type."""
-    z, w = p.z, p.w
-    for prim in a.chain:
-        z, w = prim.apply(z, w)
-    return type(p)(z, w)
+    return type(p)(*_apply_chain(a, p.z, p.w))
 
 
 def compose_automorphisms(a: SiegelAutomorphism, b: SiegelAutomorphism) -> SiegelAutomorphism:

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDescriptor, InvalidPoint
+from .errors import DimensionMismatch, InvalidDescriptor
 from .geometry import (
     INFINITY,
     BallPoint,
@@ -34,15 +34,16 @@ from .geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     SiegelRows,
+    _apply_chain,
     _as_tuple,
+    _ball_check,
     _ball_coords,
     _siegel_coords,
     apply_automorphism,
-    cayley_to_siegel,
     invert_automorphism,
-    siegel_to_ball,
     sq_norm,
 )
+from .policy import DEFAULT_POLICY
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ class DiagonalLinear:
         if self.alpha <= 0:
             raise InvalidDescriptor("DiagonalLinear needs alpha > 0")
         lam = _as_tuple(self.lam)
-        if any(abs(c) ** 2 > self.alpha * (1.0 + 1e-12) for c in lam):
+        if any(abs(c) ** 2 > self.alpha * (1.0 + DEFAULT_POLICY.validity_tol) for c in lam):
             raise InvalidDescriptor("DiagonalLinear needs |Lambda_jj|^2 <= alpha")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "lam", lam)
@@ -266,15 +267,11 @@ class Conjugated:
             raise
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
+        # the base's in-domain candidates through `by`, as coordinates: the caller checks them
         inner = apply_automorphism(self.by_inverse, p)
-        out = []
-        for c in preimage_candidates(self.base, inner):
-            try:
-                sp = SiegelPoint(c[0], c[1:])
-            except InvalidPoint:
-                continue
-            out.append(apply_automorphism(self.by, sp).coords)
-        return out
+        images = (_apply_chain(self.by, c[0], c[1:]) for c in preimage_candidates(self.base, inner)
+                  if cmath.isfinite(c[0]) and c[0].real - sq_norm(c[1:]) > 0.0)
+        return [(z,) + w for z, w in images]
 
     def fixed_point_set(self) -> FixedPointSet:
         return self.base.fixed_point_set()
@@ -285,7 +282,7 @@ class BallProduct:
     """Coordinatewise ball map (z_1, ..., z_N) |-> (g_1(z_1), ..., g_N(z_N)).
 
     Each component must be a disk self-map.  Evaluation on Siegel points goes
-    through the Cayley transform.
+    through the Cayley transform, one formula for a point and for rows.
     """
 
     components: tuple[OneDimMap, ...]
@@ -303,18 +300,21 @@ class BallProduct:
         return len(self.components)
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if type(p) is not SiegelRows:
-            return cayley_to_siegel(evaluate_ball(self, siegel_to_ball(p)))
         if p.dim != self.dim:
             raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
-        v = _ball_coords(p.z, p.w)  # the steps of the scalar path, on columns
+        v = _ball_coords(p.z, p.w)  # a point and rows take the same steps
         u = tuple(g.apply(c) for g, c in zip(self.components, v))
+        if type(p) is SiegelRows:  # the first bad row raises through a point's steps
+            c = _siegel_coords(u)
+            return SiegelRows(c[0], c[1:], ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
+                              lambda i: self.evaluate(p.point(i)))
+        _ball_check(v)  # the disk maps stay finite near the ball, but C(u) divides by 1 - u_1
+        _ball_check(u)
         c = _siegel_coords(u)
-        return SiegelRows(c[0], c[1:], ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
-                          lambda i: self.evaluate(p.point(i)))
+        return SiegelPoint(c[0], c[1:])
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
-        vb = siegel_to_ball(p).v.coords
+        vb = _ball_coords(p.z, p.w)
         per_coord = [g.preimages(z) for g, z in zip(self.components, vb)]
         return [_siegel_coords(cand) for cand in itertools.product(*per_coord) if sq_norm(cand) < 1.0]
 
@@ -440,11 +440,9 @@ ORIGIN2 = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
 
 def classify_quadratic(A: float, B: complex, C: complex) -> ClassificationReport:
     """Full case analysis of f(z, w) = (Az + Bw^2, Cw) on H^2."""
-    A, B, C = float(A), complex(B), complex(C)
-    if A < 0:
-        raise InvalidDescriptor("quadratic family needs real A >= 0")
-    self_map = A - abs(B) >= abs(C) ** 2
-    if not self_map:
+    f = QuadraticSiegel(A, B, C)
+    A, B, C = f.A, f.B, f.C
+    if not f.is_self_map:
         return ClassificationReport(False, "not-self-map", None, None, FixedPointSet("none"))
     if A == 0:
         # then B = C = 0: the constant map to the boundary point 0 is not a
@@ -547,7 +545,7 @@ def expandable_decompose(f: MapDescriptor) -> ExpandableData:
     omega = []
     L = 0
     for a in diag:
-        if abs(abs(a) ** 2 - alpha) <= 1e-12 * max(1.0, alpha):
+        if abs(abs(a) ** 2 - alpha) <= DEFAULT_POLICY.validity_tol * max(1.0, alpha):
             omega.append(a / root)
             L += 1
         else:

@@ -15,17 +15,7 @@ from typing import Any
 
 from .errors import InvalidDescriptor
 from .dynamics import BackwardOrbit, ForwardOrbit
-from .geometry import (
-    CVector,
-    Dilation,
-    Inversion,
-    LinearDiag,
-    Rotation,
-    SiegelAutomorphism,
-    SiegelPoint,
-    Translation,
-    defect,
-)
+from .geometry import PRIMITIVES, BoundaryPoint, CVector, SiegelAutomorphism, SiegelPoint, defect
 from .maps import (
     BallProduct,
     BlaschkeDeg2,
@@ -65,8 +55,6 @@ FAMILIES = {"quadratic": QuadraticSiegel, "lifted": Lifted, "diagonal": Diagonal
             "conjugated": Conjugated, "ball_product": BallProduct}
 ONE_DIM_MAPS = {"halfplane_linear": HalfPlaneLinear, "halfplane_affine": HalfPlaneAffine,
                 "blaschke2": BlaschkeDeg2, "disk_linear": DiskLinear}
-PRIMITIVES = {"translation": Translation, "dilation": Dilation, "rotation": Rotation,
-              "linear_diag": LinearDiag, "inversion": Inversion}
 _TAGS = {cls: ("family", name) for name, cls in FAMILIES.items()} | {
     cls: ("kind", name) for name, cls in (ONE_DIM_MAPS | PRIMITIVES).items()}
 
@@ -142,38 +130,30 @@ def load_descriptor(path: str) -> MapDescriptor:
 # orbits
 # ---------------------------------------------------------------------------
 
+def boundary_point_to_json(q: BoundaryPoint | None) -> Any:
+    """None, {"at_infinity": true} or the coordinates of a Siegel boundary point."""
+    return None if q is None else {"at_infinity": True} if q.at_infinity else point_to_json(q.v)
+
+
 def backward_orbit_to_json(o: BackwardOrbit) -> dict:
-    limit: Any
-    if o.at_infinity:
-        limit = {"at_infinity": True}
-    elif o.limit is not None:
-        limit = point_to_json(o.limit.v)
-    else:
-        limit = None
     return {
         "kind": "backward",
         "points": [siegel_point_to_json(p) for p in o.points],
         "steps": [sig17(s) for s in o.steps],
         "defects": [sig17(t) for t in o.defects],
         "step_bound": sig17(o.step_bound),
-        "limit": limit,
+        "limit": boundary_point_to_json(o.limit),
         "multiplier_estimate": sig17(o.multiplier_estimate),
         "koranyi_certificate": sig17(o.koranyi_certificate),
     }
 
 
 def forward_orbit_to_json(o: ForwardOrbit) -> dict:
-    if o.dw_estimate is None:
-        dw: Any = None
-    elif o.dw_estimate.at_infinity:
-        dw = {"at_infinity": True}
-    else:
-        dw = point_to_json(o.dw_estimate.v)
     return {
         "kind": "forward",
         "points": [siegel_point_to_json(p) for p in o.points],
         "steps": [sig17(s) for s in o.steps],
-        "dw_estimate": dw,
+        "dw_estimate": boundary_point_to_json(o.dw_estimate),
         "interior_limit": siegel_point_to_json(o.interior_limit) if o.interior_limit else None,
         "converged": o.converged,
     }

@@ -72,8 +72,8 @@ def test_criterion_01_quadratic_backward_orbit_exact_steps():
 
 
 def test_criterion_02_quadratic_multipliers_at_both_fixed_points():
-    m0 = multiplier_at_boundary(QUADPOL, ZERO2, decay=0.5, n_samples=40)
-    minf = multiplier_at_boundary(QUADPOL, INF, decay=0.5, n_samples=40)
+    m0 = multiplier_at_boundary(QUADPOL, ZERO2)
+    minf = multiplier_at_boundary(QUADPOL, INF)
     e0, einf = abs(m0 - 2.0), abs(minf - 0.5)
     ok = e0 < 1e-6 and einf < 1e-6
     report(2, ok, f"mult at 0 err {e0:.2e}, at infinity err {einf:.2e}")

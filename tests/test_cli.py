@@ -112,6 +112,58 @@ def test_orbit_forward_from_far_out_reports_infinity(start, tmp_path, capsys):
     assert orbit["dw_estimate"] == {"at_infinity": True} and orbit["converged"]
 
 
+@pytest.mark.parametrize("argv, summary, dw, interior, converged", [
+    (["--map", "quadpol", "--start", "1,0", "--n", "1"],
+     "DW = undetermined", None, None, False),
+    # Siegel (1, 0) is the ball's origin, the elliptic fixture's interior fixed point
+    (["--map", "elliptic", "--start", "1,0", "--n", "1"],
+     "DW = interior fixed point", None, {"re": [1.0, 0.0], "im": [0.0, 0.0]}, True),
+])
+def test_orbit_forward_without_a_boundary_limit(argv, summary, dw, interior, converged, tmp_path, capsys):
+    code, out, err = run(["orbit", "--forward", *argv, "--format", "json", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, f"forward orbit: 2 points, {summary}\n", "")
+    orbit = json.loads((tmp_path / "orbit.json").read_text())["orbit"]
+    assert (orbit["dw_estimate"], orbit["interior_limit"], orbit["converged"]) == (dw, interior, converged)
+
+
+def test_orbit_forward_to_a_finite_boundary_point(tmp_path, capsys):
+    # the lift of phi(u) = u/2 + i: u tends to phi's fixed point 2i, so Z to (2i + w^2, w)
+    desc = tmp_path / "lifted_affine.json"
+    desc.write_text('{"family": "lifted", "phi": {"kind": "halfplane_affine", "c": 0.5, "b": 1.0}}')
+    code, out, err = run(["orbit", "--forward", "--map", str(desc), "--start", "1,0,0.5,0",
+                          "--format", "json", "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (0, "forward orbit: 30 points, DW = (0.25+2j, 0.5+0j)\n", "")
+    orbit = json.loads((tmp_path / "orbit.json").read_text())["orbit"]
+    assert orbit["dw_estimate"] == {"re": [0.25, 0.5], "im": [1.9999999962747097, 0.0]}
+    assert orbit["interior_limit"] is None and orbit["converged"] is True
+
+
+def test_orbit_backward_to_infinity(tmp_path, capsys):
+    # A < 1: the preimages (z/A, w/C) run off to infinity
+    code, out, err = run(["orbit", "--backward", "--A", "0.5", "--B", "0.25", "--C", "0.5",
+                          "--start", "1,0", "--format", "json", "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "backward orbit: 41 points, q = infinity, alpha ~ 2, Koranyi M = 1\n"
+    orbit = json.loads((tmp_path / "orbit.json").read_text())["orbit"]
+    assert orbit["limit"] == {"at_infinity": True} and orbit["multiplier_estimate"] == "2"
+
+
+@pytest.mark.parametrize("n", ["-1", "1"])
+def test_orbit_backward_needs_two_steps(n, tmp_path, capsys):
+    code, out, err = run(["orbit", "--backward", "--map", "quadpol", "--start", "1,0", "--n", n,
+                          "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: a backward orbit needs n >= 2 steps, got n = {n}\n"
+    assert not (tmp_path / "orbit.json").exists()
+
+
+def test_orbit_backward_start_of_another_dimension_exit_1(tmp_path, capsys):
+    code, out, err = run(["orbit", "--backward", "--map", "quadpol", "--start", "1,0,0,0,0,0",
+                          "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: backward orbit of a map of dim 2 from a point of dim 3\n"
+
+
 def test_orbit_invalid_start_exit_1(tmp_path, capsys):
     code, _, err = run(["orbit", "--map", "quadpol", "--backward",
                         "--start=-1,0", "--out", str(tmp_path)], capsys)

@@ -22,6 +22,7 @@ from siegel_dynamics.conjugation import (
 from siegel_dynamics.dynamics import backward_orbit, multiplier_at_boundary
 from siegel_dynamics.errors import ConstructionFailed
 from siegel_dynamics.geometry import (
+    INFINITY,
     BoundaryPoint,
     CVector,
     Rotation,
@@ -297,6 +298,15 @@ def test_special_construct_diagonal():
     for p in orb.points:
         assert abs(p.w[0]) < 1e-15
     assert abs(orb.steps[-1] - 1.0 / 3.0) < 1e-9
+
+
+def test_special_construct_at_infinity_seeds_in_the_map_dimension():
+    # DiagonalLinear(1/2, Lambda) on H^3 repels from infinity with alpha = 2
+    f = DiagonalLinear(0.5, (0.5, 0.5))
+    orb = special_backward_construct(f, INFINITY, 2.0, 0.5, 20)
+    assert orb.at_infinity and len(orb.points) == 21
+    assert all(p.dim == 3 for p in orb.points)
+    assert orb.multiplier_estimate == 2.0
 
 
 def test_special_construct_elliptic_steps_to_one_seventh():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siegel_dynamics.errors import NoBackwardStep
+from siegel_dynamics.errors import DimensionMismatch, NoBackwardStep
 from siegel_dynamics.dynamics import (
     BackwardOrbit,
     _projection_mean,
@@ -37,10 +37,13 @@ from siegel_dynamics.maps import (
     BlaschkeDeg2,
     DiagonalLinear,
     DiskLinear,
+    HalfPlaneAffine,
     HalfPlaneLinear,
+    Lifted,
     QuadraticSiegel,
     evaluate,
     lift_one_dim,
+    one_dim_brfp,
 )
 
 QUADPOL = QuadraticSiegel(2.0, 1.0, 1.0)
@@ -84,19 +87,19 @@ def test_forward_steps_non_increasing():
 # ---------------------------------------------------------------------------
 
 def test_multiplier_quadpol_at_zero_and_infinity():
-    assert abs(multiplier_at_boundary(QUADPOL, ZERO2, 0.5, 40) - 2.0) < 1e-6
-    assert abs(multiplier_at_boundary(QUADPOL, INF, 0.5, 40) - 0.5) < 1e-6
+    assert abs(multiplier_at_boundary(QUADPOL, ZERO2) - 2.0) < 1e-6
+    assert abs(multiplier_at_boundary(QUADPOL, INF) - 0.5) < 1e-6
 
 
 def test_multiplier_linear_model_is_alpha():
     for alpha in (1.5, 2.0, 3.0):
         eta = DiagonalLinear(alpha, (math.sqrt(alpha),))
-        assert abs(multiplier_at_boundary(eta, ZERO2, 0.5, 40) - alpha) < 1e-9
+        assert abs(multiplier_at_boundary(eta, ZERO2) - alpha) < 1e-9
 
 
 def test_multiplier_elliptic_fixture_matches_derivative_oracle():
     qb = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    got = multiplier_at_boundary(ELLIPTIC, qb, 0.5, 40)
+    got = multiplier_at_boundary(ELLIPTIC, qb)
     assert abs(got - 4.0 / 3.0) < 1e-6
 
 
@@ -104,11 +107,11 @@ def test_multiplier_divergent_reported_infinite():
     # infinity is not a fixed point of the contracting diagonal map in the
     # multiplier sense with finite ratio limit: (z/2, w/2) halves defects
     f = DiagonalLinear(0.5, (0.5,))
-    got = multiplier_at_boundary(f, ZERO2, 0.5, 40)
+    got = multiplier_at_boundary(f, ZERO2)
     assert abs(got - 0.5) < 1e-6  # attracting: multiplier below 1
     # at a vertex whose radial images stay interior the ratio diverges
     q_off = BoundaryPoint(v=CVector((0.0, 1.0)), model="ball")
-    got2 = multiplier_at_boundary(ELLIPTIC, q_off, 0.5, 40)
+    got2 = multiplier_at_boundary(ELLIPTIC, q_off)
     assert got2 > 10 or math.isinf(got2)
 
 
@@ -200,6 +203,37 @@ def test_backward_orbit_elliptic_fixture():
     orb = backward_orbit(ELLIPTIC, p0, 0.45, 60)
     assert orb.at_infinity
     assert abs(orb.multiplier_estimate - 4.0 / 3.0) < 1e-4
+
+
+def test_backward_orbit_of_a_lifted_affine_map_tends_to_its_boundary_fixed_curve():
+    # phi(u) = 2u + i: backward orbits of u tend to phi's boundary fixed point -i, so
+    # Z_k = (u_k + w^2, w) tends to the point (-i + w^2, w) of the lift's fixed curve
+    f = Lifted(HalfPlaneAffine(2.0, 1.0))
+    orb = backward_orbit(f, SiegelPoint(1.25 - 0.9j, (0.5,)), 0.34, 40)
+    assert len(orb.points) == 41 and not orb.at_infinity
+    for k in range(40):
+        img = evaluate(f, orb.points[k + 1])
+        assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(img.coords, orb.points[k].coords))
+    y0 = one_dim_brfp(f.phi).imag
+    assert y0 == -1.0 and f.fixed_point_set().data["y0"] == y0
+    want = f.fixed_point_set().curve_point(0.5).coords
+    assert all(abs(a - b) < 1e-9 for a, b in zip(orb.limit.v.coords, want))
+    assert orb.multiplier_estimate == 2.0
+
+
+@pytest.mark.parametrize("f, z0, dims", [
+    (DiagonalLinear(2.0, (1.0, 1.0)), SiegelPoint(1.0, (0.1,)), (3, 2)),  # w was cut to one coordinate
+    (QUADPOL, SiegelPoint(1.0, (0.0, 0.0)), (2, 3)),  # dist_siegel raised on the first candidate
+])
+def test_backward_orbit_start_of_another_dimension_is_a_dimension_mismatch(f, z0, dims):
+    with pytest.raises(DimensionMismatch, match=f"map of dim {dims[0]} from a point of dim {dims[1]}"):
+        backward_orbit(f, z0, 0.34, 10)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_backward_orbit_needs_two_steps(n):
+    with pytest.raises(ValueError, match=f"needs n >= 2 steps, got n = {n}$"):
+        backward_orbit(QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34, n)
 
 
 def test_backward_orbit_exactness_and_monotonicity():
