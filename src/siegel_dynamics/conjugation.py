@@ -292,7 +292,7 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
     if alpha <= 1.0:
         raise ConstructionFailed(f"repelling point needs alpha > 1, got {alpha}")
     a = (alpha - 1.0) / (alpha + 1.0) + 1e-9
-    at_inf = q.model == "siegel" and q.at_infinity
+    at_inf = q.at_infinity
     if q.model == "ball":  # the ball boundary point (1, 0, ...) is the Siegel infinity
         coords = q.v.coords
         if not (abs(coords[0] - 1.0) < 1e-9 and all(abs(c) < 1e-9 for c in coords[1:])):

@@ -45,6 +45,7 @@ from .maps import (
     evaluate,
     preimage_candidates,
 )
+from .policy import DEFAULT_POLICY
 
 # ---------------------------------------------------------------------------
 # forward orbits
@@ -63,6 +64,8 @@ def forward_orbit(f: MapDescriptor, z0: SiegelPoint, n_max: int = 100,
                   tol: float = 1e-9) -> ForwardOrbit:
     """Iterate f until the orbit reaches the boundary (gap < tol), settles at
     an interior fixed point (step < tol), or n_max is exhausted."""
+    if n_max < 1:
+        raise ValueError(f"a forward orbit needs n >= 1 steps, got n = {n_max}")
     points = [z0]
     steps: list[float] = []
     dw: BoundaryPoint | None = None
@@ -109,21 +112,12 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     for k in range(1, 41):
         s = decay ** k
         c = _siegel_coords(tuple((1.0 - s) * x for x in qb))  # SiegelPoint checks the sample
-        p = SiegelPoint(c[0], c[1:])
-        if defect(p) < 1e-300:
-            break
-        fp = evaluate(f, p)
-        gap_in = s * nq + (1.0 - nq)
-        ratios.append(boundary_gap(fp) / gap_in)
+        fp = evaluate(f, SiegelPoint(c[0], c[1:]))
+        ratios.append(boundary_gap(fp) / (s * nq + (1.0 - nq)))
         if not math.isfinite(ratios[-1]) or ratios[-1] > 1e9:
             return math.inf
-    if len(ratios) < 2:
-        raise OrbitTooShort("not enough radial samples for a multiplier estimate")
-    # pick the deepest pair whose sample points are above the noise floor
-    idx = len(ratios) - 1
-    while idx >= 1 and decay ** (idx + 1) < 1e-8:
-        idx -= 1
-    r1, r0 = ratios[idx], ratios[idx - 1]
+    # the pair k = 25, 26: 2^-26 is the deepest gap above the 1e-8 noise floor
+    r0, r1 = ratios[24:26]
     return (r1 - decay * r0) / (1.0 - decay)
 
 
@@ -155,7 +149,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     """
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
-    bound = a * (1.0 + 1e-12)
+    bound = a * (1.0 + DEFAULT_POLICY.validity_tol)
     admissible: list[tuple[float, SiegelPoint]] = []
     nearest = math.inf  # the smallest step beyond the bound, for the error message
     for c in preimage_candidates(f, zn):
@@ -259,7 +253,7 @@ def verify_defect_decay(orbit: BackwardOrbit, c: float) -> DecayReport:
     for i in range(0, n, 256):  # blocks of rows keep long orbits' temporaries small
         ti = t[i:i + 256, None]
         m = ck * ti - later[i:i + 256]
-        ok = ok and not (m < -1e-12 * ti).any()
+        ok = ok and not (m < -DEFAULT_POLICY.validity_tol * ti).any()
         margin = min(margin, float(np.fmin.reduce(m, axis=None, initial=math.inf)))
     return DecayReport(ok, margin)
 
@@ -407,7 +401,7 @@ def angular_ratio_diagnostics(f: MapDescriptor, q: BoundaryPoint,
     point q, evaluated in the chart where q sits at the point at infinity."""
     from .geometry import Inversion, invert_automorphism, recentering_translation
 
-    if q.model == "siegel" and q.at_infinity:
+    if q.at_infinity:
         chart = SiegelAutomorphism()
     elif q.model == "siegel":
         chart = SiegelAutomorphism(recentering_translation(q).chain + (Inversion(),))

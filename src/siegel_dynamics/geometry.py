@@ -183,10 +183,6 @@ class BoundaryPoint:
             if abs(z.real - sq_norm(w)) > tol:
                 raise InvalidPoint("Siegel boundary point with nonzero defect")
 
-    @property
-    def dim(self) -> int:
-        return self.v.dim if self.v is not None else 0
-
 
 INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
 
@@ -375,8 +371,11 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
 
 
 def _ball_check(v: Complexes) -> None:
-    """Raise what `BallPoint(CVector(v))` raises, building neither unless it fails."""
-    if not sq_norm(v) < 1.0:  # also true for NaN
+    """Raise what `BallPoint(CVector(v))` raises, building neither unless it fails;
+    on `ComplexRows` columns, for the first row that fails."""
+    if type(v[0]) is ComplexRows:
+        ball_norm_rows(v)
+    elif not sq_norm(v) < 1.0:  # also true for NaN
         BallPoint(CVector(v))
 
 
@@ -408,13 +407,14 @@ def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
     return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
-def _vertex_term(p: SiegelPoint, q: BoundaryPoint, r) -> tuple:
-    """(x, c), x / c = |1 - (Z, Q)| r / 2 for the ball images Z, Q of p and of a finite vertex q,
-    r = |z + 1|: c = 1 at a ball vertex, (|z + conj(z_q) - 2 <w, w_q>|, |z_q + 1|) at a Siegel one."""
+def _vertex_term(p: SiegelPoint, q: BoundaryPoint) -> tuple:
+    """(x, c), x / c = |1 - (Z, Q)| |z + 1| / 2 for the ball images Z, Q of p and of a finite
+    vertex q, from Siegel coordinates: (|z (1 - conj(q_0)) + 1 + conj(q_0) - 2 <w, q'>|, 2) at a
+    ball vertex (q_0, q'), (|z + conj(z_q) - 2 <w, w_q>|, |z_q + 1|) at a Siegel one (z_q, w_q)."""
+    q0, qw = q.v.coords[0], q.v.coords[1:]
     if q.model == "ball":
-        return abs(1.0 - herm(_ball_coords(p.z, p.w), q.v.coords)) * r / 2.0, 1.0
-    zq, wq = q.v.coords[0], q.v.coords[1:]
-    return abs(p.z + zq.conjugate() - 2.0 * herm(p.w, wq)), abs(zq + 1.0)
+        return abs(p.z * (1.0 - q0.conjugate()) + (1.0 + q0.conjugate()) - 2.0 * herm(p.w, qw)), 2.0
+    return abs(p.z + q0.conjugate() - 2.0 * herm(p.w, qw)), abs(q0 + 1.0)
 
 
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
@@ -424,9 +424,9 @@ def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
     is {defect > t}).  Evaluated from Siegel coordinates so it stays accurate
     arbitrarily close to the boundary.  On `SiegelRows` it gives an array.
     """
-    if q.model == "siegel" and q.at_infinity:
+    if q.at_infinity:
         return 1.0 / defect(p)
-    x, c = _vertex_term(p, q, abs(p.z + 1.0))  # x^2 / (t c^2), forming neither x^2 nor the gap
+    x, c = _vertex_term(p, q)  # x^2 / (t c^2), forming neither x^2 nor the gap
     with np.errstate(over="ignore"):  # a row beyond the double range gives inf, as a point does
         return x / p.t * x / c ** 2
 
@@ -436,9 +436,9 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     `SiegelRows` it gives an array."""
     t, r = p.t, abs(p.z + 1.0)
     nb = _ball_image_norm(_sq_gap(t, r))
-    if q.model == "siegel" and q.at_infinity:
+    if q.at_infinity:
         return r * (1.0 + nb) / (2.0 * t)
-    x, c = _vertex_term(p, q, r)
+    x, c = _vertex_term(p, q)
     with np.errstate(over="ignore"):  # x / 2t first: no x |z + 1| to overflow
         return x / (2.0 * t) * r * (1.0 + nb) / c
 
@@ -748,18 +748,15 @@ def _raise_first(bad: np.ndarray, check) -> None:
 
 class SiegelRows:
     """Siegel points (z, w) as columns, z and each w_j a `ComplexRows`.  Every
-    row is checked as `SiegelPoint` checks a point, and t holds the defects.
-    Rows marked in `bad` failed an earlier step of the formula that made them:
-    the first row bad either way raises through `check(i)`, that formula's
-    scalar path, when one is given."""
+    row is checked as `SiegelPoint` checks a point, the first bad row raising
+    its error, and t holds the defects."""
 
     __slots__ = ("z", "w", "t", "dim")
 
-    def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = (), bad=False, check=None):
+    def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = ()):
         self.z, self.w = z, tuple(w)
         self.dim, self.t = 1 + len(self.w), z.real - sq_norm(self.w)
-        _raise_first(bad | ~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)),
-                     check or self.point)
+        _raise_first(~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)), self.point)
 
     def point(self, i: int) -> SiegelPoint:
         return SiegelPoint(self.z[i], tuple(c[i] for c in self.w))

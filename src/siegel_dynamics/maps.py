@@ -9,8 +9,9 @@ the ball model.  Each family is one class with the members `dim`,
 coordinate tuples (z, w_1, ...)) and `fixed_point_set()`; the module
 functions of the same purpose delegate to them.
 `evaluate` takes a `SiegelPoint` or `SiegelRows` and returns the same type,
-each row with the bits of one point; the disk maps' `apply` takes a complex
-number or a `ComplexRows` column alike.
+each row with the bits of one point, and may take the same steps for both:
+the module function `evaluate` gives a failed batch the per-point error.  The
+disk maps' `apply` takes a complex number or a `ComplexRows` column alike.
 """
 
 from __future__ import annotations
@@ -255,16 +256,7 @@ class Conjugated:
         return self.base.dim
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        try:
-            inner = apply_automorphism(self.by_inverse, p)
-            return apply_automorphism(self.by, evaluate(self.base, inner))
-        except Exception:
-            # rows check one step at a time: raise what the per-point steps raise
-            # for the first row that fails any of them
-            if type(p) is SiegelRows:
-                for i in range(len(p.t)):
-                    self.evaluate(p.point(i))
-            raise
+        return apply_automorphism(self.by, evaluate(self.base, apply_automorphism(self.by_inverse, p)))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         # the base's in-domain candidates through `by`, as coordinates: the caller checks them
@@ -304,14 +296,10 @@ class BallProduct:
             raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
         v = _ball_coords(p.z, p.w)  # a point and rows take the same steps
         u = tuple(g.apply(c) for g, c in zip(self.components, v))
-        if type(p) is SiegelRows:  # the first bad row raises through a point's steps
-            c = _siegel_coords(u)
-            return SiegelRows(c[0], c[1:], ~(sq_norm(v) < 1.0) | ~(sq_norm(u) < 1.0),
-                              lambda i: self.evaluate(p.point(i)))
         _ball_check(v)  # the disk maps stay finite near the ball, but C(u) divides by 1 - u_1
         _ball_check(u)
         c = _siegel_coords(u)
-        return SiegelPoint(c[0], c[1:])
+        return type(p)(c[0], c[1:])
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         vb = _ball_coords(p.z, p.w)
@@ -343,8 +331,19 @@ def evaluate_ball(f: BallProduct, p: BallPoint) -> BallPoint:
 
 
 def evaluate(f: MapDescriptor, p: SiegelPoint) -> SiegelPoint:
-    """Apply a map descriptor to a Siegel point, or to each row of `SiegelRows`."""
-    return f.evaluate(p)
+    """Apply a map descriptor to a Siegel point, or to each row of `SiegelRows`.
+
+    A batch raises what the per-point loop raises for its first failing row: a
+    family's rows may check one step at a time, so a failed batch is replayed
+    point by point, and the batch's own error stands only if no point fails.
+    """
+    try:
+        return f.evaluate(p)
+    except Exception:
+        if type(p) is SiegelRows:
+            for i in range(len(p.t)):
+                f.evaluate(p.point(i))
+        raise
 
 
 def iterate(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
@@ -406,7 +405,7 @@ class FixedPointSet:
 class ClassificationReport:
     is_self_map: bool
     type: str  # hyperbolic | elliptic | identity | zero-map | degenerate-projection | not-self-map
-    denjoy_wolff: BoundaryPoint | SiegelPoint | None
+    denjoy_wolff: BoundaryPoint | None
     multiplier_at_dw: float | None
     fixed_point_set: FixedPointSet
     brfp: BoundaryPoint | None = None
@@ -416,8 +415,6 @@ class ClassificationReport:
         def pt(p):
             if p is None:
                 return None
-            if isinstance(p, SiegelPoint):
-                return {"model": "siegel", "coords": [[c.real, c.imag] for c in p.coords]}
             if p.at_infinity:
                 return {"model": "siegel", "at_infinity": True}
             return {"model": p.model, "coords": [[c.real, c.imag] for c in p.v.coords]}

@@ -23,6 +23,7 @@ from siegel_dynamics.geometry import (
     SiegelRows,
     dist_siegel,
     julia_quotient,
+    koranyi_ratio,
 )
 
 from conftest import accuracy_ledger
@@ -76,6 +77,37 @@ def test_julia_quotient_far_from_unit_scale_matches_mpmath(scale):
             got, ref = julia_quotient(p, q), mp_julia_quotient(p, q)
             assert math.isfinite(got)
             assert float(abs(got - ref) / ref) <= 1e-13, (q, p)
+
+
+def mp_ball_vertex_quotients(p: SiegelPoint, q: BoundaryPoint) -> tuple:
+    """(Julia quotient, Koranyi ratio) of p at a ball vertex q at 120 digits, from the
+    exact ball image Z of p and the stored defect: 1 - ||Z||^2 = 4 p.t / |z + 1|^2, so
+    the rounding of t itself does not count."""
+    with mpmath.workdps(120):
+        c = [mpmath.mpc(x.real, x.imag) for x in p.coords]
+        zb = [(c[0] - 1) / (c[0] + 1)] + [2 * x / (c[0] + 1) for x in c[1:]]
+        s = abs(1 - sum(a * mpmath.conj(mpmath.mpc(b.real, b.imag)) for a, b in zip(zb, q.v.coords)))
+        g = 4 * mpmath.mpf(p.t) / abs(c[0] + 1) ** 2
+        return s ** 2 / g, s / (1 - mpmath.sqrt(1 - g))
+
+
+@pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8j), (-1.0, 0.0)])
+def test_ball_vertex_quotients_match_mpmath(v):
+    # near (1, 0), the ball image of infinity, 1 - (Z, q) cancels in ball coordinates
+    q = BoundaryPoint(v=CVector(v), model="ball")
+    rng = np.random.default_rng(0)
+    worst_julia = worst_koranyi = 0.0
+    for _ in range(400):
+        t = 10.0 ** rng.uniform(-10, 6)
+        w = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 2)
+        y = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 8)
+        p = SiegelPoint(complex(t + abs(w) ** 2, y), (w,))
+        julia, koranyi = mp_ball_vertex_quotients(p, q)
+        worst_julia = max(worst_julia, float(abs(julia_quotient(p, q) - julia) / julia))
+        worst_koranyi = max(worst_koranyi, float(abs(koranyi_ratio(p, q) - koranyi) / koranyi))
+    assert worst_julia <= 2e-15
+    # the Koranyi ratio's 1 + ||Z|| factor takes ||Z|| from 1 - 4t/|z + 1|^2, a few ulps here
+    assert worst_koranyi <= 4e-15
 
 
 def test_quadpol_axis_orbit_reaches_n_1000():

@@ -157,6 +157,15 @@ def test_orbit_backward_needs_two_steps(n, tmp_path, capsys):
     assert not (tmp_path / "orbit.json").exists()
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_orbit_forward_needs_one_step(n, tmp_path, capsys):
+    code, out, err = run(["orbit", "--forward", "--map", "quadpol", "--start", "1,0", "--n", n,
+                          "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: a forward orbit needs n >= 1 steps, got n = {n}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_backward_start_of_another_dimension_exit_1(tmp_path, capsys):
     code, out, err = run(["orbit", "--backward", "--map", "quadpol", "--start", "1,0,0,0,0,0",
                           "--out", str(tmp_path)], capsys)

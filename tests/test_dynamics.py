@@ -236,6 +236,12 @@ def test_backward_orbit_needs_two_steps(n):
         backward_orbit(QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34, n)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_forward_orbit_needs_one_step(n):
+    with pytest.raises(ValueError, match=f"needs n >= 1 steps, got n = {n}$"):
+        forward_orbit(QUADPOL, SiegelPoint(1.0, (0.0,)), n)
+
+
 def test_backward_orbit_exactness_and_monotonicity():
     for f, seed, a in ((QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34),
                        (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.4)):

@@ -1,7 +1,8 @@
 """A map family defined only here: one class with the four protocol members
 (`dim`, `evaluate`, `preimages`, `fixed_point_set`) is enough for the module
 functions of `maps`, the backward solver, `Conjugated` and, with an `evaluate`
-that returns `type(p)`, the batched Julia check."""
+that returns `type(p)`, the batched Julia check.  A batch that fails in a
+family's own way still raises the per-point error of its first failing row."""
 
 from dataclasses import dataclass
 
@@ -9,13 +10,16 @@ import pytest
 
 from siegel_dynamics import maps
 from siegel_dynamics.dynamics import backward_orbit, julia_inclusion_check
+from siegel_dynamics.errors import InvalidPoint
 from siegel_dynamics.geometry import (
     INFINITY,
     SiegelAutomorphism,
     SiegelPoint,
+    SiegelRows,
     Translation,
     apply_automorphism,
     invert_automorphism,
+    sq_norm,
 )
 
 from test_sampled_parity import julia_bits, ref_julia_inclusion_check
@@ -82,3 +86,31 @@ def test_julia_check_runs_the_new_family_on_rows(x, alpha):
         got = julia_bits(julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)
         assert got[1] == 0
         assert got == julia_bits(ref_julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)
+
+
+@dataclass(frozen=True)
+class ShiftZ:
+    """(z, w) |-> (z - 1, w), not a self-map.  Its rows fail with one generic error,
+    and whenever a row's new defect is below 1e-3, a stricter test than its points'."""
+
+    dim = 2
+
+    def evaluate(self, p: SiegelPoint) -> SiegelPoint:
+        if type(p) is SiegelRows:
+            if not (p.t - 1.0 >= 1e-3).all():
+                raise InvalidPoint("some row left the domain")
+            return SiegelRows(p.z - 1.0, p.w)
+        return SiegelPoint(p.z - 1.0, p.w)
+
+
+def test_a_failed_batch_raises_the_first_failing_points_error():
+    good, tight = SiegelPoint(3.0, (0.5,)), SiegelPoint(1.2505, (0.5,))  # defects 1.75, 5e-4
+    first, second = SiegelPoint(1.0 + 2j, (0.5j,)), SiegelPoint(1.5, (0.9,))
+    rows = SiegelRows.of([good, tight, first, good, second])
+    with pytest.raises(InvalidPoint) as err:
+        maps.evaluate(ShiftZ(), rows)
+    assert str(err.value) == "defect -0.25 <= 0: not in the Siegel domain"
+    # no point fails: the batch's own error stands
+    with pytest.raises(InvalidPoint, match="^some row left the domain$"):
+        maps.evaluate(ShiftZ(), SiegelRows.of([good, tight]))
+    assert maps.evaluate(ShiftZ(), SiegelRows.of([good])).point(0) == SiegelPoint(2.0, (0.5,))
