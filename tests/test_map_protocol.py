@@ -19,7 +19,6 @@ from siegel_dynamics.geometry import (
     Translation,
     apply_automorphism,
     invert_automorphism,
-    sq_norm,
 )
 
 from test_sampled_parity import julia_bits, ref_julia_inclusion_check
@@ -104,7 +103,7 @@ class ShiftZ:
 
 
 def test_a_failed_batch_raises_the_first_failing_points_error():
-    good, tight = SiegelPoint(3.0, (0.5,)), SiegelPoint(1.2505, (0.5,))  # defects 1.75, 5e-4
+    good, tight = SiegelPoint(3.0, (0.5,)), SiegelPoint(1.2505, (0.5,))  # images' defects 1.75, 5e-4
     first, second = SiegelPoint(1.0 + 2j, (0.5j,)), SiegelPoint(1.5, (0.9,))
     rows = SiegelRows.of([good, tight, first, good, second])
     with pytest.raises(InvalidPoint) as err:
