@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
-import numpy as np
-
 from .errors import DimensionMismatch, InvalidDescriptor
 from .geometry import (
     INFINITY,
@@ -107,8 +105,11 @@ class BlaschkeDeg2:
         return z * (z + self.a) / (1.0 + self.a * z)
 
     def preimages(self, z: complex) -> list[complex]:
-        # b(xi) = z  <=>  xi^2 + a (1 - z) xi - z = 0
-        return [complex(r) for r in np.roots([1.0, self.a * (1.0 - z), -z])]
+        # b(xi) = z <=> xi^2 + p xi - z = 0: the larger root r = -(p +- s) / 2 adds, then Vieta
+        p = self.a * (1.0 - z)
+        s = cmath.sqrt(p * p + 4.0 * z)
+        r = -0.5 * (p + s if p.real * s.real + p.imag * s.imag >= 0.0 else p - s)
+        return [r, -z / r]
 
     def boundary_derivative(self) -> float:
         return 2.0 / (1.0 + self.a)
@@ -302,8 +303,7 @@ class BallProduct:
         return type(p)(c[0], c[1:])
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
-        vb = _ball_coords(p.z, p.w)
-        per_coord = [g.preimages(z) for g, z in zip(self.components, vb)]
+        per_coord = [g.preimages(z) for g, z in zip(self.components, _ball_coords(p.z, p.w))]
         return [_siegel_coords(cand) for cand in itertools.product(*per_coord) if sq_norm(cand) < 1.0]
 
     def fixed_point_set(self) -> FixedPointSet:

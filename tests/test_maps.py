@@ -301,6 +301,55 @@ def test_blaschke_boundary_data():
             assert abs(b.apply(xi) - x) < 1e-12
 
 
+def blaschke_root_errors(a: float, z: complex) -> list[tuple[float, float, float]]:
+    """For each root xi of b(xi) = z: its distance to the nearest root of
+    xi^2 + a (1 - z) xi - z = 0 at 50 digits (the given doubles taken exactly), that
+    root's modulus, and the round trip |b(xi) - z| / |z| in double."""
+    b = BlaschkeDeg2(a)
+    got = b.preimages(z)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(a) * (1 - mpmath.mpc(z.real, z.imag))
+        s = mpmath.sqrt(p * p + 4 * mpmath.mpc(z.real, z.imag))
+        ref = [(-p + s) / 2, (-p - s) / 2]
+        gaps = [[float(abs(mpmath.mpc(xi.real, xi.imag) - r)) for r in ref] for xi in got]
+    nearest = [min((0, 1), key=g.__getitem__) for g in gaps]
+    assert sorted(nearest) == [0, 1]  # one root each
+    return [(g[k], float(abs(ref[k])), abs(b.apply(xi) - z) / abs(z))
+            for xi, g, k in zip(got, gaps, nearest)]
+
+
+def test_blaschke_preimages_match_mpmath_to_1e_15():
+    # 3,000 roots: a in (0.05, 0.95), z anywhere in the disk with 1 - |z| from 1e-12 to 1,
+    # plus z just inside 1 (where p = a (1 - z) -> 0) and just inside -1
+    rng = np.random.default_rng(19)
+    zs = [cmath.rect(1.0 - 10.0 ** float(rng.uniform(-12.0, 0.0)), float(rng.uniform(-math.pi, math.pi)))
+          for _ in range(1476)]
+    zs += [complex(s * (1.0 - 10.0 ** -k)) for s in (1.0, -1.0) for k in range(1, 13)]
+    worst = 0.0
+    for z in zs:
+        for gap, size, trip in blaschke_root_errors(float(rng.uniform(0.05, 0.95)), z):
+            worst = max(worst, gap / size)
+            assert trip < 1e-14  # b's own rounding, amplified by |b'| up to 2 / (1 - a)
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_blaschke_preimages_at_a_double_root(a):
+    # p^2 + 4z = 0 at z = ((a^2 - 2) + 2 sqrt(1 - a^2)) / a^2; rounding z leaves a
+    # discriminant of a few ulps of p^2, so each root is only determined to about
+    # sqrt(eps (|p|^2 + 4|z|)), but b(xi) = z still holds to 1e-15
+    z = complex(((a * a - 2.0) + 2.0 * math.sqrt(1.0 - a * a)) / (a * a))
+    cond = math.sqrt(2.0 ** -52 * (abs(a * (1.0 - z)) ** 2 + 4.0 * abs(z)))
+    for gap, _, trip in blaschke_root_errors(a, z):
+        assert gap < cond and trip < 1e-15
+
+
+def test_blaschke_preimages_of_the_centre_are_minus_a_and_0():
+    # the stationary start: Siegel (1, 0) is the ball's origin, whose preimages are -a and 0
+    for a in (0.05, 0.5, 0.95):
+        assert BlaschkeDeg2(a).preimages(0j) == [complex(-a), 0j]
+
+
 # ---------------------------------------------------------------------------
 # fixed-point sets and expandable structure
 # ---------------------------------------------------------------------------
