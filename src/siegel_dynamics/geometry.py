@@ -24,7 +24,7 @@ of squares that holds from the smallest defect to the largest coordinate.
 `dist_ball` is one formula on arrays, a point being a batch of one, with no
 cancellation near the sphere: its inputs are formed exactly or as if in twice
 the working precision (TwoSum, Dekker's TwoProduct, an error-free summation).
-numpy is for that, sampling and real arrays (grids, polynomial roots).
+numpy is for that, sampling and real arrays (grids).
 """
 
 from __future__ import annotations
