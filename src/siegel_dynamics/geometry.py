@@ -370,13 +370,15 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
     return ((z - 1.0) / d,) + tuple(_cdiv(2.0 * c, d) for c in w)
 
 
-def _ball_check(v: Complexes) -> None:
-    """Raise what `BallPoint(CVector(v))` raises, building neither unless it fails;
-    on `ComplexRows` columns, for the first row that fails."""
-    if type(v[0]) is ComplexRows:
-        ball_norm_rows(v)
-    elif not sq_norm(v) < 1.0:  # also true for NaN
+def _ball_check(v: Complexes):
+    """||v||^2, raising what `BallPoint(CVector(v))` raises, building neither
+    unless it fails; on `ComplexRows` columns, for the first row that fails."""
+    s = sq_norm(v)
+    if type(s) is np.ndarray:
+        _raise_first(~(s < 1.0), lambda i: BallPoint(CVector(tuple(c[i] for c in v))))
+    elif not s < 1.0:  # also true for NaN
         BallPoint(CVector(v))
+    return s
 
 
 def _siegel_coords(v: Complexes) -> Complexes:
@@ -500,6 +502,8 @@ class Translation:
     def __post_init__(self):
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "w0", _as_tuple(self.w0))
+        if not all(map(cmath.isfinite, (self.y,) + self.w0)):
+            raise InvalidPoint(f"translation needs finite y and w0; got y = {self.y!r}, w0 = {self.w0!r}")
 
     def apply(self, z: complex, w: Complexes) -> tuple[complex, Complexes]:
         return (z - 1j * self.y + sq_norm(self.w0) - 2.0 * herm(w, self.w0),
@@ -519,8 +523,8 @@ class Dilation:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise InvalidPoint("dilation parameter must be positive")
+        if not 0 < self.t < math.inf:
+            raise InvalidPoint(f"dilation parameter must be positive, finite; got t = {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
 
     def apply(self, z, w):
@@ -541,8 +545,8 @@ class Rotation:
 
     def __post_init__(self):
         om = _as_tuple(self.omega)
-        if any(abs(abs(c) - 1.0) > DEFAULT_POLICY.validity_tol for c in om):
-            raise InvalidPoint("rotation entries must have unit modulus")
+        if not all(abs(abs(c) - 1.0) <= DEFAULT_POLICY.validity_tol for c in om):
+            raise InvalidPoint(f"rotation entries must have unit modulus; got omega = {om!r}")
         object.__setattr__(self, "omega", om)
 
     def apply(self, z, w):
@@ -563,12 +567,12 @@ class LinearDiag:
     lam: Complexes = ()
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidPoint("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise InvalidPoint(f"alpha must be positive, finite; got alpha = {self.alpha!r}")
         lam = _as_tuple(self.lam)
         root = math.sqrt(self.alpha)
-        if any(abs(abs(c) - root) > DEFAULT_POLICY.validity_tol * max(1.0, root) for c in lam):
-            raise InvalidPoint("LinearDiag automorphism needs |Lambda_jj| = sqrt(alpha)")
+        if not all(abs(abs(c) - root) <= DEFAULT_POLICY.validity_tol * max(1.0, root) for c in lam):
+            raise InvalidPoint(f"LinearDiag needs |Lambda_jj| = sqrt(alpha); got lam = {lam!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "lam", lam)
 
@@ -665,23 +669,36 @@ def _parts(x) -> tuple:
     return x.real, x.imag
 
 
+@np.errstate(all="ignore")  # where CPython raises, a row gets inf or NaN without a warning
 def _smith(a, b, reciprocal: bool) -> "ComplexRows":
     """a / b on every row by Smith's method: as CPython's `complex` divides, or
-    with `reciprocal` as `_cdiv` does (multiplying by the reciprocal)."""
-    (ar, ai), (br, bi) = _parts(a), _parts(b)
-    with np.errstate(all="ignore"):
+    with `reciprocal` as `_cdiv` does (multiplying by the reciprocal).  The
+    divisor's part (branch, ratio, denominator and its reciprocal) is made once
+    per `ComplexRows` divisor and kept on it: nothing writes a `ComplexRows`
+    array in place (`take`, `concat` and `columns` build new objects)."""
+    rows = type(b) is ComplexRows
+    prep = b._divisor if rows else None
+    if prep is None:
         # the branch for |Im b| > |Re b| is the other one on (-i a) / (-i b), so swap into it
-        if type(b) is ComplexRows:
+        br, bi = _parts(b)
+        if rows:
             by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: either branch gives NaN
-            ar, ai, br, bi = (np.where(by_real, x, y) for x, y in ((ar, ai), (ai, -ar), (br, bi), (bi, -br)))
-        elif not abs(br) >= abs(bi):
-            ar, ai, br, bi = ai, -ar, bi, -br
+            by_real = None if by_real.all() else by_real  # None: no row to swap
+        else:
+            by_real = None if abs(br) >= abs(bi) else False
+        if by_real is not None:
+            br, bi = np.where(by_real, br, bi), np.where(by_real, bi, -br)
         rat = np.divide(bi, br)
-        den, re, im = br + bi * rat, ar + ai * rat, ai - ar * rat
-        if reciprocal:
-            den = 1.0 / den
-            return ComplexRows(re * den, im * den)
-        return ComplexRows(re / den, im / den)
+        den = br + bi * rat
+        prep = by_real, rat, den, 1.0 / den
+        if rows:
+            b._divisor = prep
+    by_real, rat, den, inv = prep
+    ar, ai = _parts(a)
+    if by_real is not None:
+        ar, ai = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
+    re, im = ar + ai * rat, ai - ar * rat
+    return ComplexRows(re * inv, im * inv) if reciprocal else ComplexRows(re / den, im / den)
 
 
 class ComplexRows:
@@ -693,11 +710,11 @@ class ComplexRows:
     raises (a zero divisor, an overflow), a row gets inf or NaN instead.
     """
 
-    __slots__ = ("real", "imag")
+    __slots__ = ("real", "imag", "_divisor")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
     def __init__(self, real, imag):
-        self.real, self.imag = real, imag
+        self.real, self.imag, self._divisor = real, imag, None
 
     @classmethod
     def columns(cls, v: np.ndarray) -> tuple["ComplexRows", ...]:
@@ -791,13 +808,11 @@ class SiegelRows:
 def ball_norm_rows(v: tuple[ComplexRows, ...]) -> np.ndarray:
     """||v|| of every row of ball coordinates, each row checked as
     `BallPoint(CVector(row))` checks one (a non-finite row has no ||v||^2 < 1)."""
-    s = sq_norm(v)
-    _raise_first(~(s < 1.0), lambda i: BallPoint(CVector(tuple(c[i] for c in v))))
-    return np.sqrt(s)
+    return np.sqrt(_ball_check(v))
 
 
 def siegel_to_ball_rows(p: SiegelRows) -> np.ndarray:
     """`siegel_to_ball` of every row, as an (n, dim) complex array."""
     v = _ball_coords(p.z, p.w)
-    ball_norm_rows(v)
+    _ball_check(v)
     return np.stack([np.stack([c.real, c.imag], axis=-1) for c in v], axis=1).view(complex)[..., 0]

@@ -57,8 +57,8 @@ class HalfPlaneLinear:
     model = "halfplane"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidDescriptor("HalfPlaneLinear needs c > 0")
+        if not 0 < self.c < math.inf:
+            raise InvalidDescriptor(f"HalfPlaneLinear needs c > 0, finite; got c = {self.c!r}")
 
     def apply(self, z: complex) -> complex:
         return self.c * z
@@ -76,8 +76,9 @@ class HalfPlaneAffine:
     model = "halfplane"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise InvalidDescriptor("HalfPlaneAffine needs c > 0")
+        if not (0 < self.c < math.inf and cmath.isfinite(self.b)):
+            raise InvalidDescriptor(f"HalfPlaneAffine needs c > 0 and b, finite; got c = {self.c!r}, "
+                                    f"b = {self.b!r}")
 
     def apply(self, z: complex) -> complex:
         return self.c * z + 1j * self.b
@@ -123,8 +124,8 @@ class DiskLinear:
     model = "disk"
 
     def __post_init__(self):
-        if abs(complex(self.c)) > 1.0:
-            raise InvalidDescriptor("DiskLinear needs |c| <= 1")
+        if not abs(complex(self.c)) <= 1.0:
+            raise InvalidDescriptor(f"DiskLinear needs |c| <= 1; got c = {self.c!r}")
         object.__setattr__(self, "c", complex(self.c))
 
     def apply(self, z: complex) -> complex:
@@ -153,11 +154,14 @@ class QuadraticSiegel:
     dim = 2
 
     def __post_init__(self):
-        if self.A < 0:
-            raise InvalidDescriptor("quadratic family needs real A >= 0")
+        if not 0 <= self.A < math.inf:
+            raise InvalidDescriptor(f"quadratic family needs real A >= 0, finite; got A = {self.A!r}")
         object.__setattr__(self, "A", float(self.A))
         object.__setattr__(self, "B", complex(self.B))
         object.__setattr__(self, "C", complex(self.C))
+        if not (cmath.isfinite(self.B) and cmath.isfinite(self.C)):
+            raise InvalidDescriptor(f"quadratic family needs finite B and C; got B = {self.B!r}, "
+                                    f"C = {self.C!r}")
 
     @property
     def is_self_map(self) -> bool:
@@ -213,11 +217,11 @@ class DiagonalLinear:
     lam: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidDescriptor("DiagonalLinear needs alpha > 0")
+        if not 0 < self.alpha < math.inf:
+            raise InvalidDescriptor(f"DiagonalLinear needs alpha > 0, finite; got alpha = {self.alpha!r}")
         lam = _as_tuple(self.lam)
-        if any(abs(c) ** 2 > self.alpha * (1.0 + DEFAULT_POLICY.validity_tol) for c in lam):
-            raise InvalidDescriptor("DiagonalLinear needs |Lambda_jj|^2 <= alpha")
+        if not all(abs(c) ** 2 <= self.alpha * (1.0 + DEFAULT_POLICY.validity_tol) for c in lam):
+            raise InvalidDescriptor(f"DiagonalLinear needs |Lambda_jj|^2 <= alpha; got lam = {lam!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "lam", lam)
 

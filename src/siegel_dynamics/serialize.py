@@ -13,7 +13,7 @@ import json
 from dataclasses import fields, is_dataclass
 from typing import Any
 
-from .errors import InvalidDescriptor
+from .errors import InvalidDescriptor, InvalidPoint
 from .dynamics import BackwardOrbit, ForwardOrbit
 from .geometry import PRIMITIVES, BoundaryPoint, CVector, SiegelAutomorphism, SiegelPoint, defect
 from .maps import (
@@ -122,7 +122,7 @@ def load_descriptor(path: str) -> MapDescriptor:
     try:
         with open(path, "rb") as fh:  # json.loads decodes the bytes; a text file object costs more
             return descriptor_from_json(json.loads(fh.read()))
-    except (KeyError, AttributeError, TypeError, ValueError, InvalidDescriptor) as err:
+    except (KeyError, AttributeError, TypeError, ValueError, InvalidDescriptor, InvalidPoint) as err:
         raise InvalidDescriptor(f"{path}: malformed map descriptor ({type(err).__name__}: {err})") from err
 
 

@@ -50,6 +50,19 @@ def test_classify_not_self_map_exit_2(capsys):
     assert json.loads(out)["report"]["is_self_map"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--A", "nan", "--B", "0", "--C", "1"],
+    ["classify", "--A", "2", "--B", "1e999", "--C", "1"],  # parses to inf
+    ["orbit", "--backward", "--A", "2", "--B", "0", "--C", "nan", "--start", "1,0"],
+    ["conjugate", "--A", "inf", "--B", "0", "--C", "1"],
+], ids=["classify_A", "classify_B", "orbit_C", "conjugate_A"])
+def test_non_finite_quadratic_parameters_are_one_error_line(argv, tmp_path, capsys):
+    # classify used to print "A":NaN, which is not JSON, and exit 2
+    code, out, err = run([*argv, "--out", str(tmp_path)] if argv[0] == "orbit" else argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: quadratic family needs") and "finite" in err and err.count("\n") == 1
+
+
 def test_classify_bad_descriptor_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "no_such_map"}')
@@ -339,8 +352,14 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     ('{"family": "nope"}', "InvalidDescriptor: unknown family 'nope'"),
     ('{"family": "lifted", "phi": {"kind": "halfplane_linear", "c": -1.0}}',
      "InvalidDescriptor: HalfPlaneLinear needs c > 0"),
+    ('{"family": "quadratic", "A": NaN, "B": 0.0, "C": 1.0}',
+     "InvalidDescriptor: quadratic family needs real A >= 0, finite; got A = nan"),
+    ('{"family": "conjugated", "base": {"family": "diagonal", "alpha": 2.0}, "by": {"chain": '
+     '[{"kind": "dilation", "t": Infinity}]}}',
+     "InvalidPoint: dilation parameter must be positive, finite; got t = inf"),
 ], ids=["missing_key", "not_an_object", "wrong_type", "lam_without_im", "not_json", "misspelled_lam",
-        "misspelled_w0", "extra_key", "unknown_family", "rejected_parameter"])
+        "misspelled_w0", "extra_key", "unknown_family", "rejected_parameter", "non_finite_parameter",
+        "non_finite_primitive"])
 def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     # each command names the file and the cause on one line; verify keeps exit 4
     bad = tmp_path / "bad.json"

@@ -363,6 +363,27 @@ def _random_automorphism(rng):
     return SiegelAutomorphism(tuple(prims[: rng.integers(1, 5)]))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_COMPLEX = NON_FINITE + [complex(1.0, math.nan), complex(0.0, -math.inf)]
+PRIMITIVE_PARAMETERS = [
+    (Dilation, {"t": 2.0}, "t", NON_FINITE),
+    (Translation, {"y": 0.5, "w0": (0.3,)}, "y", NON_FINITE),
+    (Translation, {"y": 0.5, "w0": (0.3,)}, "w0", [(0.3, x) for x in NON_FINITE_COMPLEX]),
+    (Rotation, {"omega": (1j,)}, "omega", [(1j, x) for x in NON_FINITE_COMPLEX]),
+    (LinearDiag, {"alpha": 4.0, "lam": (2.0,)}, "alpha", NON_FINITE),
+    (LinearDiag, {"alpha": 4.0, "lam": (2.0,)}, "lam", [(2.0, x) for x in NON_FINITE_COMPLEX]),
+]
+
+
+@pytest.mark.parametrize("cls, good, name, bads", PRIMITIVE_PARAMETERS,
+                         ids=[f"{c.__name__}.{name}" for c, _, name, _ in PRIMITIVE_PARAMETERS])
+def test_primitives_reject_non_finite_parameters(cls, good, name, bads):
+    cls(**good)
+    for bad in bads:
+        with pytest.raises(InvalidPoint, match=rf"\b{name} = "):
+            cls(**(good | {name: bad}))
+
+
 def test_build_automorphism_kinds():
     assert build_automorphism("dilation", t=1.0).chain == ()  # identity dropped
     a = build_automorphism("translation", y=0.5, w0=(1j,))

@@ -35,6 +35,13 @@ def test_golden_conjugate(name, capsys):
     assert run_stdout(["conjugate", "--map", name], capsys) == golden(f"conjugate_{name}.txt")
 
 
+def test_golden_conjugate_elliptic_from_5(capsys):
+    # from (5, 0) the orbit tends to infinity: the run conjugates in the Inversion chart,
+    # where every row division of the psi sweep has a divisor with |Re b| >= |Im b|
+    out = run_stdout(["conjugate", "--map", "elliptic", "--start", "5,0"], capsys)
+    assert out == golden("conjugate_elliptic_start5.txt")
+
+
 def test_golden_conjugate_expandable(capsys):
     # (z, w) -> (2z, sqrt(2) w): the expandable variant with L = 1, where p_L
     # keeps w and every grid point is a distinct input of psi_n

@@ -1,0 +1,35 @@
+"""tools/layer_times.py: one short run on one fixture, its JSON line and its summary table."""
+
+import json
+
+from conftest import load_tool
+
+layer_times = load_tool("layer_times")
+
+
+def test_one_run_appends_one_line_with_every_layer(tmp_path, capsys):
+    out = tmp_path / "layers.jsonl"
+    for label in ("parent", "change"):
+        argv = ["--repeats", "1", "--fixtures", "elliptic", "--label", label, "--out", str(out)]
+        assert layer_times.main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0] == "| fixture | " + " | ".join(layer_times.LAYERS) + " |"
+    assert table[2].startswith("| elliptic | ")
+    lines = [json.loads(s) for s in out.read_text().splitlines()]
+    assert [rec["label"] for rec in lines] == ["parent", "change"]
+    for rec in lines:
+        assert rec["unit"] == "us" and rec["repeats"] == 1
+        assert list(rec["layers"]) == ["elliptic"]
+        assert list(rec["layers"]["elliptic"]) == list(layer_times.LAYERS)
+        assert all(t > 0.0 for t in rec["layers"]["elliptic"].values())
+    assert layer_times.main(["--summary", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[0] == "| fixture | layer | parent µs | change µs | change |"
+    assert len(summary) == 2 + len(layer_times.LAYERS)
+
+
+def test_summary_takes_the_median_of_each_label():
+    lines = [{"label": label, "layers": {"quadpol": {"backward_step": t}}}
+             for label, t in [("parent", 10.0), ("change", 8.0), ("parent", 12.0), ("change", 6.0),
+                              ("parent", 11.0), ("change", 7.0)]]
+    assert layer_times.summary(lines).splitlines()[2] == "| quadpol | backward_step | 11 | 7 | -36.4% |"

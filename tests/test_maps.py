@@ -244,6 +244,35 @@ def test_classify_conjugation_covariance():
 
 
 # ---------------------------------------------------------------------------
+# parameters
+# ---------------------------------------------------------------------------
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_COMPLEX = NON_FINITE + [complex(1.0, math.nan), complex(0.0, -math.inf)]
+QUADRATIC = {"A": 2.0, "B": 0.5, "C": 1.0}
+MAP_PARAMETERS = [
+    (QuadraticSiegel, QUADRATIC, "A", NON_FINITE),
+    (QuadraticSiegel, QUADRATIC, "B", NON_FINITE_COMPLEX),
+    (QuadraticSiegel, QUADRATIC, "C", NON_FINITE_COMPLEX),
+    (DiagonalLinear, {"alpha": 2.0, "lam": (1.0,)}, "alpha", NON_FINITE),
+    (DiagonalLinear, {"alpha": 2.0, "lam": (1.0,)}, "lam", [(1.0, x) for x in NON_FINITE_COMPLEX]),
+    (HalfPlaneLinear, {"c": 2.0}, "c", NON_FINITE),
+    (HalfPlaneAffine, {"c": 2.0, "b": 0.5}, "c", NON_FINITE),
+    (HalfPlaneAffine, {"c": 2.0, "b": 0.5}, "b", NON_FINITE),
+    (DiskLinear, {"c": 0.5}, "c", NON_FINITE_COMPLEX),
+]
+
+
+@pytest.mark.parametrize("cls, good, name, bads", MAP_PARAMETERS,
+                         ids=[f"{c.__name__}.{name}" for c, _, name, _ in MAP_PARAMETERS])
+def test_map_constructors_reject_non_finite_parameters(cls, good, name, bads):
+    cls(**good)
+    for bad in bads:
+        with pytest.raises(InvalidDescriptor, match=rf"\b{name} = "):
+            cls(**(good | {name: bad}))
+
+
+# ---------------------------------------------------------------------------
 # lifted maps
 # ---------------------------------------------------------------------------
 

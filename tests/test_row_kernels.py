@@ -19,6 +19,7 @@ from siegel_dynamics import dynamics as dyn
 from siegel_dynamics import geometry as geo
 from siegel_dynamics import serialize as ser
 from siegel_dynamics.cli import FIXTURES, fixture_path
+from siegel_dynamics.conjugation import recenter_orbit_at_zero
 from siegel_dynamics.errors import DimensionMismatch
 from siegel_dynamics.geometry import (
     BallPoint,
@@ -157,6 +158,84 @@ def test_smith_reciprocal_matches_cdiv():
     for s in (2.0, math.sqrt(2.5), 0.3 + 4j):
         got = geo._cdiv(column(a), s)
         assert column_bits(got) == [cbits(geo._cdiv(p, s)) for p in a]
+
+
+def quotient(fn, a, b) -> complex:
+    """fn(a, b) for one row, or NaN in both parts where the scalar raises (a zero divisor)."""
+    try:
+        return fn(a, b)
+    except ZeroDivisionError:
+        return complex(math.nan, math.nan)
+
+
+def cpython_div(a, b):
+    return a / b
+
+
+# divisor batches by the branch of Smith's method their rows take
+REAL_BRANCH = [complex(3.0, -0.0), complex(-2.0, 2.0), complex(1e-300, -0.0), complex(5.0, -4.9),
+               complex(-7e200, 1e-200), complex(math.inf, 1.0), complex(1.0, 0.0), complex(0.5, -0.5)]
+IMAG_BRANCH = [complex(-0.0, 2.0), complex(0.0, -3.0), complex(1.0, -1.5), complex(-4.9, 5.0),
+               complex(1e-200, 7e200), complex(1.0, -math.inf), complex(-1e-310, 2e-310)]
+ODD_ROWS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(math.nan, 0.0),
+            complex(0.0, math.nan), complex(math.inf, math.inf), complex(-math.inf, 0.0),
+            complex(math.nan, math.inf)]
+DIVISOR_BATCHES = {
+    "real_branch": REAL_BRANCH * 3,
+    "imag_branch": IMAG_BRANCH * 3,
+    "one_real_row": REAL_BRANCH[3:4],
+    "one_imag_row": IMAG_BRANCH[3:4],
+    "mixed": REAL_BRANCH + IMAG_BRANCH,
+    "mixed_odd": REAL_BRANCH + ODD_ROWS + IMAG_BRANCH,
+    "real_and_odd": REAL_BRANCH + ODD_ROWS,
+    "real_and_zeros": REAL_BRANCH + ODD_ROWS[:4],  # zero rows take the |Re b| >= |Im b| branch
+}
+
+
+SPECIAL_PAIRS = [complex(x, y) for x in SPECIAL for y in SPECIAL]
+
+
+@pytest.mark.parametrize("batch", sorted(DIVISOR_BATCHES))
+def test_division_rows_match_per_row_division(batch):
+    # a row's quotient must not depend on the branches the other rows of its batch take
+    b = DIVISOR_BATCHES[batch]
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        a = [complex(x) for x in random_complex(rng, len(b))]
+        a[::3] = [SPECIAL_PAIRS[i] for i in rng.integers(len(SPECIAL_PAIRS), size=len(a[::3]))]
+        want = [cbits(quotient(cpython_div, p, q)) for p, q in zip(a, b)]
+        assert column_bits(column(a) / column(b)) == want
+        want = [cbits(quotient(geo._cdiv, p, q)) for p, q in zip(a, b)]
+        assert column_bits(geo._cdiv(column(a), column(b))) == want
+    for s in (1.0, -0.0, 2.5 - 0.5j, complex(-0.0, 3.0), math.inf, complex(0.0, math.nan)):
+        assert column_bits(s / column(b)) == [cbits(quotient(cpython_div, s, q)) for q in b]
+
+
+@pytest.mark.parametrize("s", [2.5, -0.0 + 3j, 0.7 - 0.1j, complex(0.1, -5.0), complex(-0.0, -0.0),
+                               complex(math.inf, 2.0), complex(0.0, math.nan)])
+def test_division_by_a_scalar_matches_per_row_division(s):
+    # both branches of a scalar divisor, and divisors where the scalar division raises
+    a = [complex(x) for x in random_complex(np.random.default_rng(7), 600)] + SPECIAL_PAIRS
+    assert column_bits(column(a) / s) == [cbits(quotient(cpython_div, p, s)) for p in a]
+    assert column_bits(geo._cdiv(column(a), s)) == [cbits(quotient(geo._cdiv, p, s)) for p in a]
+
+
+@pytest.mark.parametrize("batch", ["real_branch", "imag_branch", "mixed_odd"])
+def test_one_divisor_serves_several_numerators(batch):
+    # one divisor object divided into in both modes, in turn, as the inverse
+    # Cayley map, the Cayley map and the inversion divide z and each w by one d
+    b = DIVISOR_BATCHES[batch]
+    d = column(b)
+    rng = np.random.default_rng(8)
+    for k in range(6):
+        a = [complex(x) for x in random_complex(rng, len(b))]
+        if k % 2:
+            got, fresh, fn = geo._cdiv(column(a), d), geo._cdiv(column(a), column(b)), geo._cdiv
+        else:
+            got, fresh, fn = column(a) / d, column(a) / column(b), cpython_div
+        assert column_bits(got) == column_bits(fresh) == [cbits(quotient(fn, p, q)) for p, q in zip(a, b)]
+        assert column_bits(a[0] / d) == [cbits(quotient(cpython_div, a[0], q)) for q in b]
+    assert column_bits(d) == [cbits(q) for q in b]  # the divisor itself is left as it was
 
 
 def test_herm_and_sq_norm_run_on_columns():
@@ -369,6 +448,7 @@ def test_apply_automorphism_rows_match_per_point(auto):
 FAMILIES = {
     **MAPS,
     "conjugated": Conjugated(MAPS["quadpol"], VERIFY_CHAIN),
+    "conjugated_elliptic": Conjugated(MAPS["elliptic"], geo.SiegelAutomorphism((geo.Inversion(),))),
     "diag3": DiagonalLinear(3.0, (1.5j, -1.0)),
     "diag1": DiagonalLinear(0.5),
 }
@@ -380,6 +460,15 @@ def test_evaluate_rows_match_per_point(name):
     pts = siegel_sample(np.random.default_rng(60), 300, f.dim, -4.0, 3.0)
     got = evaluate(f, siegel_rows(pts))
     assert rows_bits(got) == [point_bits(evaluate(f, p)) for p in pts]
+
+
+def test_elliptic_chart_rows_match_per_point_on_the_conjugate_orbit():
+    # the chart `conjugate --map elliptic --start 5,0` runs, on its recentred
+    # orbit: every divisor of the batch on the |Re b| >= |Im b| branch
+    f = MAPS["elliptic"]
+    g, orbit, _chart = recenter_orbit_at_zero(f, dyn.backward_orbit(f, SiegelPoint(5.0, (0j,)), 0.34, 40))
+    assert isinstance(g, Conjugated) and len(orbit.points) == 41
+    assert rows_bits(evaluate(g, siegel_rows(orbit.points))) == [point_bits(evaluate(g, p)) for p in orbit.points]
 
 
 @pytest.mark.parametrize("f", [QuadraticSiegel(0.5, 2.0, 1.0), DiagonalLinear(1.0, (1.0 + 1e-13,))],
