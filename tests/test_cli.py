@@ -57,8 +57,8 @@ def test_classify_not_self_map_exit_2(capsys):
     ["conjugate", "--A", "inf", "--B", "0", "--C", "1"],
 ], ids=["classify_A", "classify_B", "orbit_C", "conjugate_A"])
 def test_non_finite_quadratic_parameters_are_one_error_line(argv, tmp_path, capsys):
-    # classify used to print "A":NaN, which is not JSON, and exit 2
-    code, out, err = run([*argv, "--out", str(tmp_path)] if argv[0] == "orbit" else argv, capsys)
+    # one error line, never a report holding "A":NaN (which is not JSON)
+    code, out, err = run([*argv, "--out", str(tmp_path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: quadratic family needs") and "finite" in err and err.count("\n") == 1
 

@@ -161,7 +161,7 @@ def test_smith_reciprocal_matches_cdiv():
 
 
 def quotient(fn, a, b) -> complex:
-    """fn(a, b) for one row, or NaN in both parts where the scalar raises (a zero divisor)."""
+    """fn(a, b) for one row, or NaN in both parts where the scalar division raises ZeroDivisionError."""
     try:
         return fn(a, b)
     except ZeroDivisionError:
@@ -463,12 +463,13 @@ def test_evaluate_rows_match_per_point(name):
 
 
 def test_elliptic_chart_rows_match_per_point_on_the_conjugate_orbit():
-    # the chart `conjugate --map elliptic --start 5,0` runs, on its recentred
-    # orbit: every divisor of the batch on the |Re b| >= |Im b| branch
+    # the chart `conjugate --map elliptic --start 5,0` sweeps, on its recentred
+    # orbit: each row division has every row on the |Re b| >= |Im b| branch
     f = MAPS["elliptic"]
     g, orbit, _chart = recenter_orbit_at_zero(f, dyn.backward_orbit(f, SiegelPoint(5.0, (0j,)), 0.34, 40))
-    assert isinstance(g, Conjugated) and len(orbit.points) == 41
-    assert rows_bits(evaluate(g, siegel_rows(orbit.points))) == [point_bits(evaluate(g, p)) for p in orbit.points]
+    pts = orbit.points
+    assert isinstance(g, Conjugated) and len(pts) == 41
+    assert rows_bits(evaluate(g, siegel_rows(pts))) == [point_bits(evaluate(g, p)) for p in pts]
 
 
 @pytest.mark.parametrize("f", [QuadraticSiegel(0.5, 2.0, 1.0), DiagonalLinear(1.0, (1.0 + 1e-13,))],

@@ -10,7 +10,9 @@ after each timing, as the benchmark scales its jobs):
 - ``backward_step`` and an n = 40 ``backward_orbit`` from (5, 0), bound 0.34,
   the benchmark's start;
 - ``evaluate`` at the orbit's start, and on 7 and on 120 rows (``SiegelRows``)
-  of its points, repeated from the start as often as needed;
+  of its points, repeated from the start as often as needed; each call gets
+  new row objects (``take``), as each step of a ψ sweep does, so no row
+  division finds its divisor prepared by an earlier call;
 - ``chart_rows120``: ``evaluate`` on 120 rows of the recentred orbit, of the
   map that ``conjugate`` hands to ``run_conjugation`` (the fixture recentred
   at the orbit's limit, e.g. ``Conjugated(elliptic, Inversion)``);
@@ -52,6 +54,7 @@ from siegel_dynamics.errors import InvalidDescriptor  # noqa: E402
 from siegel_dynamics.geometry import SiegelPoint, SiegelRows  # noqa: E402
 
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
+ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120",
           "backward_step", "backward_orbit_n40", "run_conjugation")
 
@@ -86,17 +89,18 @@ def fixture_jobs(name: str) -> dict:
     L, omega = 0, None
     try:
         exp = mp.expandable_decompose(f)
-        L, omega = (exp.L, exp.omega) if exp.L > 0 else (0, None)
-    except InvalidDescriptor:  # families without the decomposition run the basic variant
+        if exp.L > 0:
+            L, omega = exp.L, exp.omega
+    except InvalidDescriptor:  # families without the decomposition run the basic variant, as `conjugate` does
         pass
     n_values = tuple(range(1, min(len(orbit0.points) - 1, N_CONJ + 1)))
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
     return {
         "evaluate_point": lambda: mp.evaluate(f, START),
-        "evaluate_rows7": lambda: mp.evaluate(f, rows7),
-        "evaluate_rows120": lambda: mp.evaluate(f, rows120),
-        "chart_rows120": lambda: mp.evaluate(g, chart_rows),
+        "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
+        "evaluate_rows120": lambda: mp.evaluate(f, rows120.take(ALL)),
+        "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, L, omega, n_values=n_values),
