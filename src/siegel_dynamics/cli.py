@@ -32,7 +32,8 @@ FIXTURES = ("quadpol", "lifted2z", "diaglinear", "elliptic")
 
 
 def _parse_complex(s: str) -> complex:
-    return complex(s.replace(" ", "").replace("i", "j"))
+    s = s.replace(" ", "")  # Python's form, or with a final i for j: 1+2i, -0.5i, inf
+    return complex(s[:-1] + "j" if s.endswith("i") else s)
 
 
 def _parse_start(s: str, dim: int = 2) -> geo.SiegelPoint:
@@ -192,21 +193,18 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         path = fixture_dir / f"{name}.json"
         maps_by_name[name] = ser.load_descriptor(str(path))
 
-    def draw(k: int) -> tuple:
-        """One sampled Siegel point's variates, a scalar call each (the metric and isometry
-        sections report sampled gaps, so they keep this stream): Re w, Im w ~ N(0, 1)^k,
-        log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
-        re = [rng.standard_normal() for _ in range(k)]
-        im = [rng.standard_normal() for _ in range(k)]
-        return 10.0 ** (-2.0 + 4.0 * rng.random()), re, im, rng.standard_normal()
-
     def pairs() -> tuple[geo.SiegelRows, geo.SiegelRows]:
-        t, re, im, y = zip(*[draw(1) for _ in range(2 * samples)])
+        """`samples` pairs of sampled points, a point's variates drawn in turn by scalar calls (the
+        metric and isometry sections report sampled gaps, so they keep this stream): Re w, Im w
+        ~ N(0, 1), log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
+        normal, uniform = rng.standard_normal, rng.random
+        re, im, t, y = zip(*[([normal()], [normal()], 10.0 ** (-2.0 + 4.0 * uniform()), normal())
+                             for _ in range(2 * samples)])
         return tuple(dyn._siegel_samples(t[i::2], re[i::2], im[i::2], 0.5, y[i::2]) for i in (0, 1))
 
     def ball_batch(m: int, dim: int) -> np.ndarray:
         """m ball points of dim coordinates, cut from Siegel points of dim + 1 and
-        scaled by U(0.2, 1): `draw`'s variates as whole columns, then the scales;
+        scaled by U(0.2, 1): `pairs`'s variates as whole columns, then the scales;
         padded with zeros to dim 3, which change no bit of a norm or distance."""
         re, im = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
         t = [10.0 ** e for e in (-2.0 + 4.0 * rng.random(m)).tolist()]

@@ -29,13 +29,15 @@ from .geometry import (
     SiegelPoint,
     SiegelRows,
     Translation,
+    _apply_chain,
     apply_automorphism,
     compose_automorphisms,
     dist_siegel,
     invert_automorphism,
     recentering_translation,
+    stack_parameters,
 )
-from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, quadratic_iterate_closed
+from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, quadratic_power
 from .dynamics import BackwardOrbit, backward_orbit
 
 
@@ -86,24 +88,16 @@ def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int, grid: list
                           omega: tuple[complex, ...] | None = None) -> TauLimitReport:
     """Convergence of the automorphism combinations that make psi well defined:
     tau_{n+k}^{-1} o tau_n -> eta_k and tau_{n+1}^{-1} o eta^{-1} o tau_n -> id."""
-    dim = orbit.points[0].dim
-    eta_k = eta_model(alpha, dim, k, omega)
-    eta_inv = eta_model(alpha, dim, -1, omega)
-    eta_errs: list[float] = []
-    id_errs: list[float] = []
-    for n in range(len(orbit.points) - max(k, 1)):
-        tau_n = build_tau(orbit, n, omega)
-        comb1 = compose_automorphisms(
-            invert_automorphism(build_tau(orbit, n + k, omega)), tau_n)
-        comb2 = compose_automorphisms(
-            invert_automorphism(build_tau(orbit, n + 1, omega)),
-            compose_automorphisms(eta_inv, tau_n))
-        e1 = max(dist_siegel(apply_automorphism(comb1, z), apply_automorphism(eta_k, z))
-                 for z in grid)
-        e2 = max(dist_siegel(apply_automorphism(comb2, z), z) for z in grid)
-        eta_errs.append(e1)
-        id_errs.append(e2)
-    return TauLimitReport(tuple(eta_errs), tuple(id_errs))
+    dim, errors = orbit.points[0].dim, ([], [])
+    rows = SiegelRows.of(grid, dim)
+    at_eta, eta_inv = apply_automorphism(eta_model(alpha, dim, k, omega), rows), eta_model(alpha, dim, -1, omega)
+    taus = [build_tau(orbit, n, omega) for n in range(len(orbit.points))]
+    for n in range(len(orbit.points) - max(k, 1)):  # Python's max over the grid in order, as per point
+        comb1 = compose_automorphisms(invert_automorphism(taus[n + k]), taus[n])
+        comb2 = compose_automorphisms(invert_automorphism(taus[n + 1]), compose_automorphisms(eta_inv, taus[n]))
+        errors[0].append(max(dist_siegel(apply_automorphism(comb1, rows), at_eta).tolist()))
+        errors[1].append(max(dist_siegel(apply_automorphism(comb2, rows), rows).tolist()))
+    return TauLimitReport(tuple(errors[0]), tuple(errors[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +116,27 @@ def default_grid(dim: int = 2) -> list[SiegelPoint]:
     return [SiegelPoint(complex(z), w) for z in zs for w in offs]
 
 
-def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
+def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, depths: list[int],
+                omega: tuple[complex, ...] | None) -> SiegelRows:
+    """tau_n of the distinct rows for each n of depths (descending) in turn, then f^n where it
+    has a closed form: one pass per kind of tau_n chain, with the parameters as columns."""
+    u, taus, kinds, parts = len(distinct.t), [build_tau(orbit, n, omega) for n in depths], {}, []
+    for b, tau in enumerate(taus):  # a chain drops a zero translation, which would turn -0.0 into 0.0
+        kinds.setdefault(tuple(map(type, tau.chain)), []).append(b)
+    for blocks in kinds.values():  # each primitive of the kind with its parameters as columns
+        rows = distinct.take(np.tile(np.arange(u), len(blocks)))
+        chain = [stack_parameters(prims, u) for prims in zip(*(taus[b].chain for b in blocks))]
+        parts.append(SiegelRows(*_apply_chain(chain, rows.z, rows.w)))
+    at = np.argsort(sum(kinds.values(), []))  # the blocks back in depth order
+    rows = parts[0] if len(parts) == 1 else SiegelRows.concat(parts).take((u * at[:, None] + np.arange(u)).ravel())
+    k = u * sum(n > 0 for n in depths)  # f^0 is the identity, and depth 0 comes last
+    if isinstance(f, QuadraticSiegel) and k:  # f^n is the quadratic map of the coefficients
+        head = stack_parameters([quadratic_power(f, n) for n in depths if n], u).evaluate(rows.take(slice(0, k)))
+        rows = SiegelRows.concat([head, rows.take(slice(k, None))]) if k < len(rows.t) else head
+    return rows
+
+
+def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows,
               n_values: tuple[int, ...], L: int, omega: tuple[complex, ...] | None) -> SiegelRows:
     """psi_n = f^n o tau_n o p_L at every point for each n of n_values, as rows:
     the points in order for each n in turn.  psi_n is computed once per depth
@@ -130,34 +144,31 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: list[SiegelPoint],
     and a zero's sign can reach psi_n).  The rows are sorted by descending
     depth, so step s applies f once to the prefix of depths n >= s; a finished
     block is split off once, and the blocks are joined once at the end."""
-    coords = np.array([z.coords for z in points], dtype=complex).reshape(len(points), orbit.points[0].dim)
-    coords[:, 1 + L:] = 0.0  # p_L
-    keys = [row.tobytes() for row in coords]
+    kept = (points.z,) + points.w[:L]  # p_L keeps these coordinates and zeroes the rest
+    keys = [row.tobytes() for row in np.stack([a for c in kept for a in (c.real, c.imag)], axis=1)]
     first: dict[bytes, int] = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)  # each distinct p_L(Z), at the first point that has it
-    slot = dict(zip(first, range(len(first))))
-    z, *w = ComplexRows.columns(coords[list(first.values())])
-    distinct, u = SiegelRows(z, w), len(first)
+    slot, u, rows = dict(zip(first, range(len(first)))), len(first), points.take(list(first.values()))
+    distinct = SiegelRows(rows.z, rows.w[:L] + (ComplexRows(np.zeros(u), np.zeros(u)),) * (points.dim - 1 - L))
     order = sorted(range(len(n_values)), key=lambda j: -n_values[j])
     depths = [n_values[j] for j in order]
-    closed = isinstance(f, QuadraticSiegel)  # f^n in closed form instead of n steps
-
-    def start(n: int) -> SiegelRows:
-        rows = apply_automorphism(build_tau(orbit, n, omega), distinct)
-        return quadratic_iterate_closed(f, n, rows) if closed else rows
-
-    rows = SiegelRows.concat([start(n) for n in depths])
+    try:
+        rows = _start_rows(f, orbit, distinct, depths, omega)
+    except Exception:
+        for n in depths:  # a failed batch raises what the first failing depth raises alone
+            _start_rows(f, orbit, distinct, [n], omega)
+        raise
     done, k = [], len(depths)  # the finished blocks, shallowest first; the blocks still deepening
-    for step in range(1, 1 + (0 if closed else depths[0])):
+    for step in range(1, 1 + (0 if isinstance(f, QuadraticSiegel) else depths[0])):
         if depths[k - 1] < step:  # the shallowest blocks are finished: split them off once
             k = sum(n >= step for n in depths)
             done.append(rows.take(slice(u * k, None)))
             rows = rows.take(slice(0, u * k))
         rows = evaluate(f, rows)
     rows = SiegelRows.concat([rows, *reversed(done)])
-    block = {j: b for b, j in enumerate(order)}  # where the rows of n_values[j] went
-    return rows.take([u * block[j] + slot[key] for j in range(len(n_values)) for key in keys])
+    block = np.argsort(order)  # where the rows of n_values[j] went
+    return rows.take((u * block[:, None] + np.array([slot[key] for key in keys], dtype=int)).ravel())
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
@@ -165,9 +176,9 @@ def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int,
                     ) -> tuple[list[float], SiegelRows]:
     """The residual at each n of n_values from one sweep, and the rows of psi
     at the last n: at eta(Z), then at Z, in grid order."""
-    eta = eta_model(alpha, orbit.points[0].dim, 1, omega)
-    g, m = len(grid), len(n_values)
-    psi = _psi_rows(f, orbit, [apply_automorphism(eta, z) for z in grid] + list(grid), n_values, L, omega)
+    g, m, rows = len(grid), len(n_values), SiegelRows.of(grid, orbit.points[0].dim)
+    eta = apply_automorphism(eta_model(alpha, orbit.points[0].dim, 1, omega), rows)
+    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows]), n_values, L, omega)
     at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
@@ -178,7 +189,7 @@ def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[Siegel
                L: int = 0, omega: tuple[complex, ...] | None = None
                ) -> list[tuple[SiegelPoint, SiegelPoint]]:
     """Samples of psi_n = f^n o tau_n o p_L on the grid."""
-    psi = _psi_rows(f, orbit, grid, (n,), L, omega)
+    psi = _psi_rows(f, orbit, SiegelRows.of(grid, orbit.points[0].dim), (n,), L, omega)
     return [(z, psi.point(i)) for i, z in enumerate(grid)]
 
 
@@ -200,7 +211,7 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0)."""
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
     a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
-    psi = _psi_rows(f, orbit, a, (n,), L, omega)
+    psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), L, omega)
     return InterpolationReport(tuple(dist_siegel(psi.point(k), orbit.points[k]) for k in range(len(a))))
 
 
@@ -209,13 +220,12 @@ def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                   omega: tuple[complex, ...] | None = None) -> float:
     """Deviation of g_n = tau_n^{-1} o psi_n o eta_n^{-1} from the projection
     p_L, measured on the grid points whose eta^{-n} image stays usable."""
-    eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega)
+    dim = orbit.points[0].dim
     tau_inv = invert_automorphism(build_tau(orbit, n, omega))
-    psi = _psi_rows(f, orbit, [apply_automorphism(eta_inv_n, z) for z in grid], (n,), L, omega)
-    worst = 0.0
-    for i, z in enumerate(grid):
-        worst = max(worst, dist_siegel(apply_automorphism(tau_inv, psi.point(i)), project_first(z, L)))
-    return worst
+    psi = _psi_rows(f, orbit, apply_automorphism(eta_model(alpha, dim, -n, omega), SiegelRows.of(grid, dim)),
+                    (n,), L, omega)
+    d = dist_siegel(apply_automorphism(tau_inv, psi), SiegelRows.of([project_first(z, L) for z in grid], dim))
+    return max([0.0, *d.tolist()])  # Python's max over the points in order, as the scalar loop took it
 
 
 @dataclass(frozen=True)
@@ -267,8 +277,8 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
         chart = recentering_translation(orbit.limit)
     else:
         raise OrbitTooShort("orbit has no limit estimate")
-    pts = tuple(apply_automorphism(chart, p) for p in orbit.points)
-    new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts),
+    pts = tuple(apply_automorphism(chart, p) for p in orbit.points) if chart.chain else orbit.points
+    new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts) if chart.chain else orbit.defects,
                         limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
                         at_infinity=False)
     g = Conjugated(base=f, by=chart) if len(chart.chain) else f

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -528,7 +528,8 @@ class Dilation:
         object.__setattr__(self, "t", float(self.t))
 
     def apply(self, z, w):
-        return z / self.t, tuple(_cdiv(c, math.sqrt(self.t)) for c in w)
+        root = np.sqrt(self.t) if type(self.t) is np.ndarray else math.sqrt(self.t)  # a column: stacked
+        return z / self.t, tuple(_cdiv(c, root) for c in w)
 
     def inverse(self) -> "Dilation":
         return Dilation(1.0 / self.t)
@@ -629,16 +630,16 @@ def build_automorphism(kind: str, **params) -> SiegelAutomorphism:
     return SiegelAutomorphism((PRIMITIVES[kind](**params),))
 
 
-def _apply_chain(a: SiegelAutomorphism, z, w) -> tuple:
-    """(z, w) through a's primitives, first to last: coordinates, or columns."""
-    for prim in a.chain:
+def _apply_chain(chain: tuple[Primitive, ...], z, w) -> tuple:
+    """(z, w) through the primitives, first to last: coordinates, or columns."""
+    for prim in chain:
         z, w = prim.apply(z, w)
     return z, w
 
 
 def apply_automorphism(a: SiegelAutomorphism, p: SiegelPoint) -> SiegelPoint:
     """The image of a `SiegelPoint`, or of each row of `SiegelRows`, as the same type."""
-    return type(p)(*_apply_chain(a, p.z, p.w))
+    return type(p)(*_apply_chain(a.chain, p.z, p.w))
 
 
 def compose_automorphisms(a: SiegelAutomorphism, b: SiegelAutomorphism) -> SiegelAutomorphism:
@@ -664,9 +665,21 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
 # ---------------------------------------------------------------------------
 
 def _parts(x) -> tuple:
-    """(real, imag) of a column or of a number; a real number has imag 0.0."""
-    x = x if isinstance(x, ComplexRows) else complex(x)
+    """(real, imag) of a column or of a number; a real number or array has imag 0.0."""
+    x = x if isinstance(x, (ComplexRows, np.ndarray)) else complex(x)
     return x.real, x.imag
+
+
+def stack_parameters(items: list, u: int):
+    """One object of the dataclass of items (primitives, maps) for len(items) blocks of u rows, block
+    i holding items[i]'s fields as columns: real arrays, else `ComplexRows`, one per coordinate of
+    a tuple.  Nothing checks the columns: each item was checked."""
+    stacked = object.__new__(type(items[0]))
+    for f in fields(stacked):
+        v = np.repeat(np.array([getattr(item, f.name) for item in items]), u, axis=0)
+        stacked.__dict__[f.name] = (ComplexRows.columns(v) if v.ndim == 2 else v if v.dtype.kind == "f"
+                                    else ComplexRows(v.real, v.imag))
+    return stacked
 
 
 @np.errstate(all="ignore")  # where CPython raises, a row gets inf or NaN without a warning
@@ -681,7 +694,7 @@ def _smith(a, b, reciprocal: bool) -> "ComplexRows":
     if prep is None:
         # the branch for |Im b| > |Re b| is the other one on (-i a) / (-i b), so swap into it
         br, bi = _parts(b)
-        if rows:
+        if type(br) is np.ndarray:
             by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: either branch gives NaN
             by_real = None if by_real.all() else by_real  # None: no row to swap
         else:
@@ -786,9 +799,9 @@ class SiegelRows:
         return rows
 
     @classmethod
-    def of(cls, points: list[SiegelPoint]) -> "SiegelRows":
-        """The points as rows, each with the t it stored."""
-        cols = [[p.z for p in points]] + [[p.w[j] for p in points] for j in range(len(points[0].w))]
+    def of(cls, points: list[SiegelPoint], dim: int | None = None) -> "SiegelRows":
+        """The points as rows, each with the t it stored; dim is theirs, needed if there are none."""
+        cols = [[p.z for p in points]] + [[p.w[j] for p in points] for j in range((dim or points[0].dim) - 1)]
         z, *w = (ComplexRows(c.real, c.imag) for c in map(np.array, cols))
         return cls._checked(z, w, np.array([p.t for p in points]))
 

@@ -266,7 +266,7 @@ class Conjugated:
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         # the base's in-domain candidates through `by`, as coordinates: the caller checks them
         inner = apply_automorphism(self.by_inverse, p)
-        images = (_apply_chain(self.by, c[0], c[1:]) for c in preimage_candidates(self.base, inner)
+        images = (_apply_chain(self.by.chain, c[0], c[1:]) for c in preimage_candidates(self.base, inner)
                   if cmath.isfinite(c[0]) and c[0].real - sq_norm(c[1:]) > 0.0)
         return [(z,) + w for z, w in images]
 
@@ -361,27 +361,31 @@ def iterate(f: MapDescriptor, n: int, p: SiegelPoint) -> SiegelPoint:
 # ---------------------------------------------------------------------------
 
 def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> SiegelPoint:
-    """f^n(z, w) = (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j).
+    """f^n(p), f^n being the quadratic map `quadratic_power(f, n)`."""
+    if n < 0:
+        raise InvalidDescriptor("iterate count must be >= 0")
+    if p.dim != 2:
+        raise DimensionMismatch("quadratic family lives on H^2")
+    return quadratic_power(f, n).evaluate(p) if n else p
+
+
+def quadratic_power(f: QuadraticSiegel, n: int) -> QuadraticSiegel:
+    """f^n for n >= 1: (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j), unchecked
+    (f passed its checks; a coefficient that overflows shows in the points, as f^n(p) would).
 
     S_n is summed term by term, in O(n), on purpose: the quotient
     (A^n - C^(2n)) / (A - C^2) is 0/0 at A = C^2 and cancels near it (about
     1e-9 relative error at A = 4, C = 2(1 + 1e-9), where the sum has 1e-15).
     """
-    if n < 0:
-        raise InvalidDescriptor("iterate count must be >= 0")
-    if p.dim != 2:
-        raise DimensionMismatch("quadratic family lives on H^2")
-    if n == 0:
-        return p
-    a_pow = f.A ** n
     c2 = f.C * f.C
     s = 0.0 + 0.0j
     term = f.A ** (n - 1)
     for _ in range(n):
         s += term
         term = term * c2 / f.A if f.A != 0 else 0.0
-    w = p.w[0]
-    return type(p)(a_pow * p.z + f.B * s * w * w, (f.C ** n * w,))
+    power = object.__new__(QuadraticSiegel)
+    power.__dict__.update(A=f.A ** n, B=f.B * s, C=f.C ** n)
+    return power
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,24 @@ def test_non_finite_quadratic_parameters_are_one_error_line(argv, tmp_path, caps
     assert err.startswith("error: quadratic family needs") and "finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, text, overflow", [
+    ("--B", "inf", "1e999"), ("--C", "-inf", "-1e999"), ("--B", "-infi", "-1e999i")])
+def test_infinite_quadratic_parameters_fail_as_overflowing_ones_do(flag, text, overflow, capsys):
+    # an "inf" once read as "jnf" and failed to parse instead
+    base = ["classify", "--A", "2", "--B", "1", "--C", "1"]
+    got, want = (run([*base, f"{flag}={v}"], capsys) for v in (text, overflow))
+    assert got == want
+    assert (got[0], got[1]) == (1, "") and got[2].startswith("error: quadratic family needs finite B and C")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1+2i", 1 + 2j), ("2i", 2j), ("-0.5i", complex(0.0, -0.5)), (" 1 - 2i ", 1 - 2j), ("1+2j", 1 + 2j), ("i", 1j),
+    ("0.3", 0.3 + 0j), ("inf", complex(math.inf, 0.0))])
+def test_parse_complex_reads_a_final_i_as_the_imaginary_unit(text, value):
+    got = cli._parse_complex(text)
+    assert (got.real.hex(), got.imag.hex()) == (value.real.hex(), value.imag.hex())
+
+
 def test_classify_bad_descriptor_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "no_such_map"}')

@@ -17,7 +17,10 @@ after each timing, as the benchmark scales its jobs):
   map that ``conjugate`` hands to ``run_conjugation`` (the fixture recentred
   at the orbit's limit, e.g. ``Conjugated(elliptic, Inversion)``);
 - ``run_conjugation`` on the recentred orbit, as ``conjugate --start 5,0
-  --n-conj 12`` runs it.
+  --n-conj 12`` runs it;
+- ``conjugate_cli``: the benchmark's ``conjugate`` job, ``cli.main`` on
+  ``conjugate --map NAME --start 5,0 --n 40 --n-conj 12 --tol 1e-3``, its
+  stdout discarded.
 
 Each figure is the median of ``--repeats`` timings, each timing a loop long
 enough to take about 2 ms.  The library is whatever ``siegel_dynamics`` the
@@ -32,6 +35,8 @@ so that a drift of the machine's speed hits both.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import statistics
 import sys
@@ -45,6 +50,7 @@ sys.path.insert(0, str(ROOT))  # perfbench only; the library comes from PYTHONPA
 
 import siegel_dynamics  # noqa: E402
 from perfbench.calibration import kernel_seconds, reference_seconds  # noqa: E402
+from siegel_dynamics import cli  # noqa: E402
 from siegel_dynamics import conjugation as cj  # noqa: E402
 from siegel_dynamics import dynamics as dyn  # noqa: E402
 from siegel_dynamics import maps as mp  # noqa: E402
@@ -56,7 +62,7 @@ from siegel_dynamics.geometry import SiegelPoint, SiegelRows  # noqa: E402
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120",
-          "backward_step", "backward_orbit_n40", "run_conjugation")
+          "backward_step", "backward_orbit_n40", "run_conjugation", "conjugate_cli")
 
 
 def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
@@ -78,6 +84,13 @@ def timed_us(fn, repeats: int) -> float:
         wall = (time.perf_counter() - t0) / loops
         times.append(reference_seconds(wall, before, kernel_seconds()) * 1e6)
     return statistics.median(times)
+
+
+def conjugate_job(name: str) -> None:
+    """The benchmark's `conjugate` job on one fixture, stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["conjugate", "--map", name, "--start", "5,0", "--n", str(N), "--n-conj", str(N_CONJ),
+                  "--tol", "1e-3"])
 
 
 def fixture_jobs(name: str) -> dict:
@@ -104,6 +117,7 @@ def fixture_jobs(name: str) -> dict:
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, L, omega, n_values=n_values),
+        "conjugate_cli": lambda: conjugate_job(name),
     }
 
 
