@@ -92,7 +92,7 @@ def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int, grid: list
     rows = SiegelRows.of(grid, dim)
     at_eta, eta_inv = apply_automorphism(eta_model(alpha, dim, k, omega), rows), eta_model(alpha, dim, -1, omega)
     taus = [build_tau(orbit, n, omega) for n in range(len(orbit.points))]
-    for n in range(len(orbit.points) - max(k, 1)):  # Python's max over the grid in order, as per point
+    for n in range(len(orbit.points) - max(k, 1)):  # each max over the grid in order, as per point
         comb1 = compose_automorphisms(invert_automorphism(taus[n + k]), taus[n])
         comb2 = compose_automorphisms(invert_automorphism(taus[n + 1]), compose_automorphisms(eta_inv, taus[n]))
         errors[0].append(max(dist_siegel(apply_automorphism(comb1, rows), at_eta).tolist()))
@@ -124,7 +124,7 @@ def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, de
     for b, tau in enumerate(taus):  # a chain drops a zero translation, which would turn -0.0 into 0.0
         kinds.setdefault(tuple(map(type, tau.chain)), []).append(b)
     for blocks in kinds.values():  # each primitive of the kind with its parameters as columns
-        rows = distinct.take(np.tile(np.arange(u), len(blocks)))
+        rows = distinct.take(np.tile(np.arange(u), len(blocks))) if len(blocks) > 1 else distinct
         chain = [stack_parameters(prims, u) for prims in zip(*(taus[b].chain for b in blocks))]
         parts.append(SiegelRows(*_apply_chain(chain, rows.z, rows.w)))
     at = np.argsort(sum(kinds.values(), []))  # the blocks back in depth order
@@ -166,7 +166,7 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows,
             done.append(rows.take(slice(u * k, None)))
             rows = rows.take(slice(0, u * k))
         rows = evaluate(f, rows)
-    rows = SiegelRows.concat([rows, *reversed(done)])
+    rows = SiegelRows.concat([rows, *reversed(done)]) if done else rows
     block = np.argsort(order)  # where the rows of n_values[j] went
     return rows.take((u * block[:, None] + np.array([slot[key] for key in keys], dtype=int)).ravel())
 

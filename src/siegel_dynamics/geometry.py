@@ -671,9 +671,11 @@ def _parts(x) -> tuple:
 
 
 def stack_parameters(items: list, u: int):
-    """One object of the dataclass of items (primitives, maps) for len(items) blocks of u rows, block
-    i holding items[i]'s fields as columns: real arrays, else `ComplexRows`, one per coordinate of
-    a tuple.  Nothing checks the columns: each item was checked."""
+    """An object of the dataclass of items (primitives, maps) for len(items) blocks of u rows, block i
+    holding items[i]'s fields as columns (real arrays, else `ComplexRows`, one per coordinate of a
+    tuple), unchecked: each item was checked.  One item serves every row as it is."""
+    if len(items) == 1:
+        return items[0]
     stacked = object.__new__(type(items[0]))
     for f in fields(stacked):
         v = np.repeat(np.array([getattr(item, f.name) for item in items]), u, axis=0)

@@ -137,9 +137,9 @@ def test_psi_quadpol_is_projection():
 
 
 def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
-    """A sweep of depths up to 12 joins its blocks once at the end, not once per
-    step, and its first rows once more only when tau_n chains of two kinds make
-    them; it applies f to a row of depth n exactly n times."""
+    """A sweep of depths up to 12 joins its finished blocks once at the end, not
+    once per step, and its first rows once more only when tau_n chains of two
+    kinds make them; it applies f to a row of depth n exactly n times."""
     f = lift_one_dim(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 20)
     g, orb0, _ = recenter_orbit_at_zero(f, orb)
@@ -157,14 +157,14 @@ def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
     monkeypatch.setattr(SiegelRows, "concat", classmethod(counting_concat))
     monkeypatch.setattr(conjugation, "evaluate", counting_evaluate)
     assert build_tau(orb0, 0).chain == ()  # t_0 = 1: tau_0 is a chain of its own kind
-    for n_values, joins in (((12,), 1), (tuple(range(1, 13)), 1), ((1, 12, 5, 5, 0), 2)):
+    for n_values, joins in (((12,), 0), (tuple(range(1, 13)), 1), ((1, 12, 5, 5, 0), 2)):
         counts.update(concat=0, rows=0)
         conjugation._psi_rows(g, orb0, SiegelRows.of(grid), n_values, 1, None)  # p_1 keeps w
         assert counts["concat"] == joins
         assert counts["rows"] == len(grid) * sum(n_values)  # the grid's points are distinct
     counts.update(concat=0)
     psi_interpolation_check(g, orb0, 12, 2.0)
-    assert counts["concat"] == 1
+    assert counts["concat"] == 0
 
 
 def test_psi_diagonal_l0_is_projection():

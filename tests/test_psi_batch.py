@@ -6,7 +6,6 @@ the plain formulas, with the per-depth loop's error when a sweep fails.
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from siegel_dynamics import conjugation, geometry, maps
@@ -33,13 +32,15 @@ def synthetic_orbit(points) -> BackwardOrbit:
 
 
 def mixed_orbit(n=13) -> BackwardOrbit:
-    """Z_k = (2^-k, 0) at even k, off the axis at odd k, with t_0 = 1: tau_0 is the
-    identity, tau_k a dilation at even k and a dilation and a translation at odd k."""
+    """Z_k = (2^-k, 0) at even k, off the axis at odd k, with t_0 = t_5 = 1: tau_0 is the
+    identity, tau_5 a translation, tau_k a dilation at other even k and a dilation and a
+    translation at other odd k."""
     pts = []
     for k in range(n):
         s = 2.0 ** -k
         pts.append(SiegelPoint(s, (0j,)) if k % 2 == 0 else
                    SiegelPoint(complex(s + 0.01 * s, 0.3 * s), (complex(0.1, -0.05) * math.sqrt(s),)))
+    pts[5] = SiegelPoint(complex(1.25, 0.3), (0.5 + 0j,))  # t = 1.25 - 0.25 = 1 exactly
     return synthetic_orbit(pts)
 
 
@@ -52,7 +53,7 @@ CASES = {
     "quadratic": (QuadraticSiegel(2.0, 0.3 - 0.2j, 1.1), 1, None),
     "expandable": (DiagonalLinear(2.0, (math.sqrt(2.0) * ROT,)), 1, (ROT,)),
 }
-N_VALUES = (0, 3, 1, 12, 2, 7, 8)
+N_VALUES = (0, 3, 1, 12, 2, 5, 7, 8)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -60,10 +61,12 @@ def test_depths_whose_chains_differ_in_kind_keep_their_bits(case):
     f, L, omega = CASES[case]
     orbit = mixed_orbit()
     kinds = chain_kinds(orbit, N_VALUES, omega)
-    # tau_0 is the identity (t_0 = 1, Z_0 on the axis, Omega^0 = 1); only odd depths translate
-    assert len(kinds) == 3 and () in kinds and sum("Translation" in k for k in kinds) == 1
+    # tau_0 is the identity (t_0 = 1, Z_0 on the axis, Omega^0 = 1), and tau_5 and tau_2 have
+    # chains of one length but of different kinds
+    assert len(kinds) == 4 and () in kinds and sum("Translation" in k for k in kinds) == 2
+    assert len(build_tau(orbit, 5, omega).chain) == len(build_tau(orbit, 2, omega).chain)
     grid = default_grid(2) + TWINS
-    for last in (12, 0, 3):
+    for last in (12, 0, 5):
         n_values = tuple(n for n in N_VALUES if n != last) + (last,)
         run = run_conjugation(f, orbit, 2.0, L, omega, grid, n_values)
         assert bits(run.residuals) == tuple(
@@ -139,7 +142,7 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
         orbit = recenter_orbit_at_zero(f, backward_orbit(f, SiegelPoint(5.0, (0j,)), 0.34, 40))[1]
         L, kinds = 0, 1
     else:
-        (f, L, _), orbit, kinds = CASES[case], mixed_orbit(), 2
+        (f, L, _), orbit, kinds = CASES[case], mixed_orbit(), 3
     assert len(chain_kinds(orbit, n_values, None)) == kinds
     counts, built = {"tau": 0, "eta": 0, "power": 0}, []
     apply_chain, apply_auto, evaluate = conjugation._apply_chain, conjugation.apply_automorphism, QuadraticSiegel.evaluate
@@ -153,7 +156,7 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
         return apply_auto(a, p)
 
     def power(g, p):
-        counts["power"] += isinstance(g.A, np.ndarray)  # a stack of f^n, not f
+        counts["power"] += g is not f  # f^n: stacked for the residual sweep, f^12 for the interpolation
         return evaluate(g, p)
 
     monkeypatch.setattr(conjugation, "_apply_chain", tau_pass)
