@@ -666,7 +666,7 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
 
 def _parts(x) -> tuple:
     """(real, imag) of a column or of a number; a real number or array has imag 0.0."""
-    x = x if isinstance(x, (ComplexRows, np.ndarray)) else complex(x)
+    x = x if type(x) is ComplexRows or type(x) is np.ndarray else complex(x)
     return x.real, x.imag
 
 
