@@ -371,7 +371,7 @@ def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> Sieg
 
 def quadratic_power(f: QuadraticSiegel, n: int) -> QuadraticSiegel:
     """f^n for n >= 1: (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j), unchecked
-    (f passed its checks; a coefficient that overflows shows in the points, as f^n(p) would).
+    (f passed its checks; a B S_n that overflows to inf fails in the points, as f^n(p) did).
     S_n is summed term by term, in O(n), on purpose: the quotient (A^n - C^(2n)) / (A - C^2)
     is 0/0 at A = C^2 and cancels near it (about 1e-9 relative error at A = 4,
     C = 2(1 + 1e-9), where the sum has 1e-15)."""
