@@ -157,18 +157,11 @@ def cmd_conjugate(args, head: dict) -> int:
     orbit = dyn.backward_orbit(f, start, args.a, args.n)
     alpha = orbit.multiplier_estimate
     g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
-    L, omega = 0, None
-    try:
-        exp = mp.expandable_decompose(f.base if isinstance(f, mp.Conjugated) else f)
-        if exp.L > 0:
-            L, omega = exp.L, exp.omega
-    except InvalidDescriptor:
-        pass
     n_values = tuple(range(1, min(len(orbit0.points) - 1, args.n_conj + 1)))
-    run = cj.run_conjugation(g, orbit0, alpha, L, omega, n_values=n_values)
+    run = cj.run_conjugation(g, orbit0, alpha, n_values=n_values)
     report = head | {
         "alpha": ser.sig17(alpha),
-        "variant": "expandable" if omega is not None else "basic",
+        "variant": "expandable" if run.omega is not None else "basic",
         "L": run.L,
         "residuals": [ser.sig17(r) for r in run.residuals],
         "interp_errors": [ser.sig17(e) for e in run.interpolation.errors],
@@ -345,9 +338,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """`--B -0.5i` as `--B=-0.5i`: argparse takes a value such as -0.5i, -1e-3 or -inf for an option."""
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] in ("--A", "--B", "--C") and a.startswith("-") and not a.startswith("--"):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; package, OS and value errors print one `error:` line and exit 1."""
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _load_config(args)
         head = {"command": args.command, "config": _public_config(args, config),

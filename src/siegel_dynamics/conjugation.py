@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, NoBackwardStep, OrbitTooShort
+from .errors import ConstructionFailed, InvalidDescriptor, NoBackwardStep, OrbitTooShort
 from .geometry import (
     BoundaryPoint,
     ComplexRows,
@@ -37,7 +37,7 @@ from .geometry import (
     recentering_translation,
     stack_parameters,
 )
-from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, quadratic_power
+from .maps import Conjugated, MapDescriptor, QuadraticSiegel, evaluate, expandable_decompose, quadratic_power
 from .dynamics import BackwardOrbit, backward_orbit
 
 
@@ -72,10 +72,9 @@ def eta_model(alpha: float, dim: int, k: int = 1,
     return SiegelAutomorphism((LinearDiag(alpha ** k, lam),))
 
 
-def project_first(p: SiegelPoint, L: int) -> SiegelPoint:
-    """p_L: keep z and the first L tangential coordinates, zero the rest."""
-    w = tuple(p.w[:L]) + (0.0 + 0.0j,) * (len(p.w) - L)
-    return SiegelPoint(p.z, w)
+def project(p: SiegelPoint, mask: tuple[bool, ...]) -> SiegelPoint:
+    """p_L: keep z and the tangential coordinates the mask marks, zero the rest."""
+    return SiegelPoint(p.z, tuple(c if keep else 0.0 + 0.0j for c, keep in zip(p.w, mask)))
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,20 @@ def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int, grid: list
 # ---------------------------------------------------------------------------
 # psi approximants
 # ---------------------------------------------------------------------------
+
+def _variant(f: MapDescriptor) -> tuple[tuple[bool, ...], tuple[complex, ...] | None]:
+    """p_L's mask and Omega for psi of f: those of f's family (`Conjugated` unwrapped) at 0 when it has
+    expandable directions, else the basic variant, which keeps no tangential coordinate, Omega None."""
+    while isinstance(f, Conjugated):
+        f = f.base
+    try:
+        exp = expandable_decompose(f)
+        if exp.L:
+            return exp.mask, exp.omega
+    except InvalidDescriptor:
+        pass
+    return (False,) * (f.dim - 1), None
+
 
 def default_grid(dim: int = 2) -> list[SiegelPoint]:
     """Log-spaced axis grid Re z in [0.1, 10] with small tangential offsets."""
@@ -136,21 +149,22 @@ def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, de
     return rows
 
 
-def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows,
-              n_values: tuple[int, ...], L: int, omega: tuple[complex, ...] | None) -> SiegelRows:
+def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows, n_values: tuple[int, ...],
+              mask: tuple[bool, ...], omega: tuple[complex, ...] | None) -> SiegelRows:
     """psi_n = f^n o tau_n o p_L at every point for each n of n_values, as rows:
     the points in order for each n in turn.  psi_n is computed once per depth
     and distinct p_L(Z), matched on exact bits (== would merge 0.0 and -0.0,
     and a zero's sign can reach psi_n).  The rows are sorted by descending
     depth, so step s applies f once to the prefix of depths n >= s; a finished
     block is split off once, and the blocks are joined once at the end."""
-    kept = (points.z,) + points.w[:L]  # p_L keeps these coordinates and zeroes the rest
+    kept = (points.z,) + tuple(c for c, keep in zip(points.w, mask) if keep)  # p_L zeroes the rest
     keys = [row.tobytes() for row in np.stack([a for c in kept for a in (c.real, c.imag)], axis=1)]
     first: dict[bytes, int] = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)  # each distinct p_L(Z), at the first point that has it
     slot, u, rows = dict(zip(first, range(len(first)))), len(first), points.take(list(first.values()))
-    distinct = SiegelRows(rows.z, rows.w[:L] + (ComplexRows(np.zeros(u), np.zeros(u)),) * (points.dim - 1 - L))
+    zero = ComplexRows(np.zeros(u), np.zeros(u))
+    distinct = SiegelRows(rows.z, tuple(c if keep else zero for c, keep in zip(rows.w, mask)))
     order = sorted(range(len(n_values)), key=lambda j: -n_values[j])
     depths = [n_values[j] for j in order]
     try:
@@ -172,32 +186,30 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows,
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
-                    grid: list[SiegelPoint], alpha: float, L: int, omega: tuple[complex, ...] | None
-                    ) -> tuple[list[float], SiegelRows]:
+                    grid: list[SiegelPoint], alpha: float, mask: tuple[bool, ...],
+                    omega: tuple[complex, ...] | None) -> tuple[list[float], SiegelRows]:
     """The residual at each n of n_values from one sweep, and the rows of psi
     at the last n: at eta(Z), then at Z, in grid order."""
     g, m, rows = len(grid), len(n_values), SiegelRows.of(grid, orbit.points[0].dim)
     eta = apply_automorphism(eta_model(alpha, orbit.points[0].dim, 1, omega), rows)
-    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows]), n_values, L, omega)
+    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows]), n_values, mask, omega)
     at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
     return [max(d[i * g:(i + 1) * g]) for i in range(m)], psi.take(slice(2 * g * (m - 1), None))
 
 
-def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint],
-               L: int = 0, omega: tuple[complex, ...] | None = None
+def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint]
                ) -> list[tuple[SiegelPoint, SiegelPoint]]:
     """Samples of psi_n = f^n o tau_n o p_L on the grid."""
-    psi = _psi_rows(f, orbit, SiegelRows.of(grid, orbit.points[0].dim), (n,), L, omega)
+    psi = _psi_rows(f, orbit, SiegelRows.of(grid, orbit.points[0].dim), (n,), *_variant(f))
     return [(z, psi.point(i)) for i, z in enumerate(grid)]
 
 
 def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
-                         grid: list[SiegelPoint], alpha: float, L: int = 0,
-                         omega: tuple[complex, ...] | None = None) -> float:
+                         grid: list[SiegelPoint], alpha: float) -> float:
     """max over the grid of d(psi_n(eta(Z)), f(psi_n(Z)))."""
-    return _residual_sweep(f, orbit, (n,), grid, alpha, L, omega)[0][0]
+    return _residual_sweep(f, orbit, (n,), grid, alpha, *_variant(f))[0][0]
 
 
 @dataclass(frozen=True)
@@ -206,25 +218,23 @@ class InterpolationReport:
 
 
 def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
-                            alpha: float, k_max: int | None = None, L: int = 0,
-                            omega: tuple[complex, ...] | None = None) -> InterpolationReport:
+                            alpha: float, k_max: int | None = None) -> InterpolationReport:
     """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0)."""
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
     a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
-    psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), L, omega)
+    psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), *_variant(f))
     return InterpolationReport(tuple(dist_siegel(psi.point(k), orbit.points[k]) for k in range(len(a))))
 
 
 def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
-                  grid: list[SiegelPoint], alpha: float, L: int = 0,
-                  omega: tuple[complex, ...] | None = None) -> float:
+                  grid: list[SiegelPoint], alpha: float) -> float:
     """Deviation of g_n = tau_n^{-1} o psi_n o eta_n^{-1} from the projection
     p_L, measured on the grid points whose eta^{-n} image stays usable."""
-    dim = orbit.points[0].dim
+    dim, (mask, omega) = orbit.points[0].dim, _variant(f)
     tau_inv = invert_automorphism(build_tau(orbit, n, omega))
     psi = _psi_rows(f, orbit, apply_automorphism(eta_model(alpha, dim, -n, omega), SiegelRows.of(grid, dim)),
-                    (n,), L, omega)
-    d = dist_siegel(apply_automorphism(tau_inv, psi), SiegelRows.of([project_first(z, L) for z in grid], dim))
+                    (n,), mask, omega)
+    d = dist_siegel(apply_automorphism(tau_inv, psi), SiegelRows.of([project(z, mask) for z in grid], dim))
     return max([0.0, *d.tolist()])  # Python's max over the points in order, as the scalar loop took it
 
 
@@ -242,22 +252,22 @@ class ConjugationRun:
     psi_samples: tuple[tuple[SiegelPoint, SiegelPoint], ...]
 
 
-def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float, L: int = 0,
-                    omega: tuple[complex, ...] | None = None,
+def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
                     grid: list[SiegelPoint] | None = None,
                     n_values: tuple[int, ...] | None = None) -> ConjugationRun:
     """Compute residuals over a range of n and the interpolation check at the
-    deepest n."""
+    deepest n, in the variant that f's first-order data at 0 gives."""
     if grid is None:
         grid = default_grid(orbit.points[0].dim)
     if n_values is None:
         n_values = tuple(range(1, len(orbit.points) - 1))
     if not n_values:
         raise ValueError("run_conjugation needs at least one n in n_values")
-    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, L, omega)
-    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, None, L, omega)
+    mask, omega = _variant(f)
+    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, mask, omega)
+    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha)
     samples = tuple((z, psi.point(len(grid) + i)) for i, z in enumerate(grid))
-    return ConjugationRun(f, orbit, alpha, L, omega, tuple(grid),
+    return ConjugationRun(f, orbit, alpha, sum(mask), omega, tuple(grid),
                           tuple(n_values), tuple(residuals), interp, samples)
 
 

@@ -245,21 +245,6 @@ def siegel_to_ball(p: SiegelPoint) -> BallPoint:
     return BallPoint(CVector(_ball_coords(p.z, p.w)))
 
 
-def siegel_inversion(p: SiegelPoint) -> SiegelPoint:
-    """The automorphism (z, w) |-> (1/z, w/z), swapping 0 and infinity.
-
-    Composing the standard Cayley transform with this inversion yields the
-    alternative sign convention in which the ball point (1, 0) goes to the
-    Siegel origin instead of infinity.
-    """
-    return SiegelPoint(*Inversion().apply(p.z, p.w))
-
-
-def cayley_to_siegel_alt(p: BallPoint) -> SiegelPoint:
-    """Alternative-convention Cayley transform (ball (1,0) -> Siegel 0)."""
-    return siegel_inversion(cayley_to_siegel(p))
-
-
 def defect(p: SiegelPoint) -> float:
     """The stored t = Re z - ||w||^2 (> 0 on the domain; the horosphere height at infinity)."""
     return p.t

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
-from .errors import DimensionMismatch, InvalidDescriptor
+from .errors import DimensionMismatch, InvalidDescriptor, InvalidPoint
 from .geometry import (
     INFINITY,
     BallPoint,
@@ -371,18 +371,22 @@ def quadratic_iterate_closed(f: QuadraticSiegel, n: int, p: SiegelPoint) -> Sieg
 
 def quadratic_power(f: QuadraticSiegel, n: int) -> QuadraticSiegel:
     """f^n for n >= 1: (A^n z + B S_n w^2, C^n w) with S_n = sum_j A^(n-1-j) C^(2j), unchecked
-    (f passed its checks; a B S_n that overflows to inf fails in the points, as f^n(p) did).
+    (f passed its checks; a B S_n that overflows to inf fails in the points, as f^n(p) did),
+    but an A^n or C^n beyond the double range raises `InvalidPoint`.
     S_n is summed term by term, in O(n), on purpose: the quotient (A^n - C^(2n)) / (A - C^2)
     is 0/0 at A = C^2 and cancels near it (about 1e-9 relative error at A = 4,
     C = 2(1 + 1e-9), where the sum has 1e-15)."""
     c2 = f.C * f.C
     s = 0.0 + 0.0j
-    term = f.A ** (n - 1)
+    try:
+        term, a_n, c_n = f.A ** (n - 1), f.A ** n, f.C ** n
+    except OverflowError:
+        raise InvalidPoint(f"f^{n} of the quadratic family: A^{n} or C^{n} is beyond the double range") from None
     for _ in range(n):
         s += term
         term = term * c2 / f.A if f.A != 0 else 0.0
     power = object.__new__(QuadraticSiegel)
-    power.__dict__.update(A=f.A ** n, B=f.B * s, C=f.C ** n)
+    power.__dict__.update(A=a_n, B=f.B * s, C=c_n)
     return power
 
 
@@ -528,13 +532,14 @@ class ExpandableData:
     tangential: tuple[complex, ...]  # diagonal of the tangential linear part
     omega: tuple[complex, ...]       # unitary diagonal, entries a_jj/sqrt(alpha) or 1
     L: int
+    mask: tuple[bool, ...]           # which tangential coordinates are expandable
 
 
 def expandable_decompose(f: MapDescriptor) -> ExpandableData:
     """First-order data (alpha z + ..., A w + ...) of f at the fixed point 0.
 
-    L counts the tangential eigenvalues of maximal modulus sqrt(alpha); the
-    rotation Omega carries their phases and is trivial elsewhere.
+    The mask marks the tangential eigenvalues of maximal modulus sqrt(alpha), L counts
+    them; the rotation Omega carries their phases and is trivial elsewhere.
     """
     if isinstance(f, DiagonalLinear):
         alpha, diag = f.alpha, f.lam
@@ -544,16 +549,9 @@ def expandable_decompose(f: MapDescriptor) -> ExpandableData:
             raise InvalidDescriptor("expansion at 0 needs a repelling fixed point (A > 1)")
     else:
         raise InvalidDescriptor(f"{type(f).__name__} is not expandable at 0")
-    root = math.sqrt(alpha)
-    omega = []
-    L = 0
-    for a in diag:
-        if abs(abs(a) ** 2 - alpha) <= DEFAULT_POLICY.validity_tol * max(1.0, alpha):
-            omega.append(a / root)
-            L += 1
-        else:
-            omega.append(1.0 + 0.0j)
-    return ExpandableData(alpha, tuple(diag), tuple(omega), L)
+    mask = tuple(abs(abs(a) ** 2 - alpha) <= DEFAULT_POLICY.validity_tol * max(1.0, alpha) for a in diag)
+    omega = tuple(a / math.sqrt(alpha) if keep else 1.0 + 0.0j for a, keep in zip(diag, mask))
+    return ExpandableData(alpha, tuple(diag), omega, sum(mask), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,7 @@ def test_criterion_09_conjugation_exactness():
     f = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(0.7j),))
     orb_d = backward_orbit(f, ONE, 0.34, 40)
     exp = expandable_decompose(f)
-    res_d = max(conjugation_residual(f, orb_d, n, grid, 2.0, L=exp.L, omega=exp.omega)
-                for n in range(1, 16))
+    res_d = max(conjugation_residual(f, orb_d, n, grid, 2.0) for n in range(1, 16))
     ok = res_q <= 1e-12 and res_d <= 1e-12 and exp.L == 1 and interp_err <= 1e-10
     report(9, ok, f"residuals {res_q:.2e} / {res_d:.2e}, interpolation err {interp_err:.2e}")
 

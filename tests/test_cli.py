@@ -73,6 +73,15 @@ def test_infinite_quadratic_parameters_fail_as_overflowing_ones_do(flag, text, o
     assert (got[0], got[1]) == (1, "") and got[2].startswith("error: quadratic family needs finite B and C")
 
 
+@pytest.mark.parametrize("flag, value", [("--B", "-0.5i"), ("--B", "-1e-3"), ("--C", "-inf"), ("--A", "-1")])
+def test_a_value_that_starts_with_a_minus_reads_as_its_equals_form(flag, value, capsys):
+    # argparse took "--B -0.5i" for an option "-0.5i" and exited 2 ("expected one argument")
+    base = ["classify", "--A", "2"] if flag != "--A" else ["classify"]
+    got, want = (run([*base, *arg], capsys) for arg in ([flag, value], [f"{flag}={value}"]))
+    assert got[:2] == want[:2]
+    assert got[0] in (0, 1) and got[2] == want[2]
+
+
 @pytest.mark.parametrize("text, value", [
     ("1+2i", 1 + 2j), ("2i", 2j), ("-0.5i", complex(0.0, -0.5)), (" 1 - 2i ", 1 - 2j), ("1+2j", 1 + 2j), ("i", 1j),
     ("0.3", 0.3 + 0j), ("inf", complex(math.inf, 0.0))])

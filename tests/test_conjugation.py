@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from siegel_dynamics.conjugation import (
     default_grid,
     eta_model,
     gn_diagnostic,
-    project_first,
+    project,
     psi_approx,
     psi_interpolation_check,
     recenter_orbit_at_zero,
@@ -21,6 +22,7 @@ from siegel_dynamics.conjugation import (
 )
 from siegel_dynamics.dynamics import backward_orbit, multiplier_at_boundary
 from siegel_dynamics.errors import ConstructionFailed
+from siegel_dynamics.serialize import descriptor_to_json, load_descriptor
 from siegel_dynamics.geometry import (
     INFINITY,
     BoundaryPoint,
@@ -29,12 +31,14 @@ from siegel_dynamics.geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     SiegelRows,
+    Translation,
     apply_automorphism,
     dist_siegel,
 )
 from siegel_dynamics.maps import (
     BallProduct,
     BlaschkeDeg2,
+    Conjugated,
     DiagonalLinear,
     DiskLinear,
     HalfPlaneLinear,
@@ -133,7 +137,7 @@ def test_psi_quadpol_is_projection():
     grid = default_grid(2)
     for n in (2, 10, 20):
         for z, val in psi_approx(QUADPOL, orb, n, grid):
-            assert dist_siegel(val, project_first(z, 0)) < 1e-12
+            assert dist_siegel(val, project(z, (False,))) < 1e-12
 
 
 def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
@@ -159,7 +163,7 @@ def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
     assert build_tau(orb0, 0).chain == ()  # t_0 = 1: tau_0 is a chain of its own kind
     for n_values, joins in (((12,), 0), (tuple(range(1, 13)), 1), ((1, 12, 5, 5, 0), 2)):
         counts.update(concat=0, rows=0)
-        conjugation._psi_rows(g, orb0, SiegelRows.of(grid), n_values, 1, None)  # p_1 keeps w
+        conjugation._psi_rows(g, orb0, SiegelRows.of(grid), n_values, (True,), None)  # p_L keeps w
         assert counts["concat"] == joins
         assert counts["rows"] == len(grid) * sum(n_values)  # the grid's points are distinct
     counts.update(concat=0)
@@ -171,7 +175,7 @@ def test_psi_diagonal_l0_is_projection():
     f = DiagonalLinear(2.0, (1.0,))
     orb = backward_orbit(f, ONE, 0.34, 30)
     for z, val in psi_approx(f, orb, 10, default_grid(2)):
-        assert dist_siegel(val, project_first(z, 0)) < 1e-12
+        assert dist_siegel(val, project(z, (False,))) < 1e-12
 
 
 def test_psi_diagonal_expandable_is_identity():
@@ -180,7 +184,7 @@ def test_psi_diagonal_expandable_is_identity():
     orb = backward_orbit(f, ONE, 0.34, 30)
     exp = expandable_decompose(f)
     assert exp.L == 1
-    for z, val in psi_approx(f, orb, 12, default_grid(2), L=1, omega=exp.omega):
+    for z, val in psi_approx(f, orb, 12, default_grid(2)):  # the variant comes from f
         assert dist_siegel(val, z) < 1e-12
 
 
@@ -195,9 +199,70 @@ def test_residual_diagonal_expandable_zero():
     th = 0.4
     f = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(1j * th),))
     orb = backward_orbit(f, ONE, 0.34, 30)
-    exp = expandable_decompose(f)
-    res = conjugation_residual(f, orb, 10, default_grid(2), 2.0, L=1, omega=exp.omega)
+    res = conjugation_residual(f, orb, 10, default_grid(2), 2.0)
     assert res <= 1e-12
+
+
+def test_expandable_direction_second_is_kept():
+    # Lambda = (1, sqrt 2): the expandable direction is w_2, not the first one.  From
+    # (5, 0, 0), tau_n is a dilation by t_n = 5 / 2^n, so psi_n = (5z, 0, sqrt(5) w_2)
+    # at every n, and the residual is 0 with w_1 dropped and w_2 kept
+    f = DiagonalLinear(2.0, (1.0, math.sqrt(2.0)))
+    orb = backward_orbit(f, SiegelPoint(5.0, (0j, 0j)), 0.34, 40)
+    g, orb0, _ = recenter_orbit_at_zero(f, orb)
+    pts = [SiegelPoint(2.0, (0.3, 0.4j)), SiegelPoint(0.7 + 0.2j, (-0.1, 0.2 + 0.1j))]
+    run = run_conjugation(g, orb0, orb.multiplier_estimate, default_grid(3) + pts, tuple(range(1, 14)))
+    assert (run.L, run.omega) == (1, (1.0, 1.0))
+    assert max(run.residuals) <= 1e-12
+    for n in range(1, 14):
+        for z, val in psi_approx(g, orb0, n, pts):
+            assert dist_siegel(val, SiegelPoint(5.0 * z.z, (0j, math.sqrt(5.0) * z.w[1]))) < 1e-12
+
+
+def test_expandable_directions_with_phases_in_dimension_four():
+    # expandable only at w_2 and w_3, each with its own phase
+    f = DiagonalLinear(2.0, (0.5, math.sqrt(2.0) * cmath.exp(0.4j), math.sqrt(2.0) * cmath.exp(-1.1j)))
+    exp = expandable_decompose(f)
+    assert exp.mask == (False, True, True) and exp.L == 2
+    orb = backward_orbit(f, SiegelPoint(5.0, (0j,) * 3), 0.34, 40)
+    g, orb0, _ = recenter_orbit_at_zero(f, orb)
+    pts = [SiegelPoint(2.0, (0.3, 0.4j, -0.2 + 0.1j)), SiegelPoint(0.7 + 0.2j, (-0.1, 0.2 + 0.1j, 0.05))]
+    run = run_conjugation(g, orb0, orb.multiplier_estimate, default_grid(4) + pts, tuple(range(1, 14)))
+    assert (run.L, run.omega) == (2, exp.omega)
+    assert max(run.residuals) <= 1e-12
+    for z, val in run.psi_samples[-2:]:  # psi = (5z, 0, sqrt(5) w_2, sqrt(5) w_3) up to the phases
+        assert val.w[0] == 0 and abs(abs(val.w[1]) - math.sqrt(5.0) * abs(z.w[1])) < 1e-12
+        assert abs(abs(val.w[2]) - math.sqrt(5.0) * abs(z.w[2])) < 1e-12
+
+
+def assert_base_familys_variant(f, orb):
+    """run_conjugation on the recentred Conjugated map takes the variant of the
+    family under the Conjugated layers, as `conjugate` took it."""
+    exp = expandable_decompose(f.base if isinstance(f, Conjugated) else f)
+    g, orb0, _ = recenter_orbit_at_zero(f, orb)
+    assert isinstance(g, Conjugated) and exp.L == 1
+    n_values, grid = tuple(range(1, 13)), default_grid(2)
+    run = run_conjugation(g, orb0, orb.multiplier_estimate, grid, n_values)
+    assert (run.L, run.omega) == (exp.L, exp.omega)
+    assert list(run.residuals) == conjugation._residual_sweep(
+        g, orb0, n_values, grid, orb.multiplier_estimate, exp.mask, exp.omega)[0]
+    assert max(run.residuals) < 1e-11
+
+
+def test_conjugated_by_inversion_takes_the_base_familys_variant():
+    # the orbit tends to infinity, so the run is on Conjugated(f, Inversion)
+    f = DiagonalLinear(0.5, (math.sqrt(0.5) * cmath.exp(0.3j),))
+    assert_base_familys_variant(f, backward_orbit(f, ONE, 0.34, 40))
+
+
+def test_loaded_conjugated_descriptor_takes_the_base_familys_variant(tmp_path):
+    # recentring wraps the loaded Conjugated map in a second Conjugated layer
+    by = SiegelAutomorphism((Translation(0.5, (0.2 + 0j,)),))
+    base = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(0.7j),))
+    path = tmp_path / "conjugated.json"
+    path.write_text(json.dumps(descriptor_to_json(Conjugated(base, by))))
+    f = load_descriptor(str(path))
+    assert_base_familys_variant(f, backward_orbit(f, apply_automorphism(by, SiegelPoint(5.0, (0j,))), 0.34, 40))
 
 
 def test_residual_elliptic_fixture_decreases():
@@ -212,15 +277,17 @@ def test_residual_elliptic_fixture_decreases():
 
 
 def test_expandable_l0_matches_basic():
-    # all tangential eigenvalues below sqrt(alpha): expandable with L = 0
-    # reproduces the basic run exactly
+    # all tangential eigenvalues below sqrt(alpha): an expandable sweep with an
+    # empty mask and trivial Omega reproduces the basic run exactly, which is the
+    # variant psi takes for such a map
     f = DiagonalLinear(2.0, (1.0,))
     orb = backward_orbit(f, ONE, 0.34, 20)
-    grid = default_grid(2)
-    basic = psi_approx(f, orb, 8, grid, L=0)
-    expd = psi_approx(f, orb, 8, grid, L=0, omega=(1.0 + 0j,))
-    for (z1, v1), (z2, v2) in zip(basic, expd):
-        assert v1.coords == v2.coords
+    rows = SiegelRows.of(default_grid(2))
+    assert conjugation._variant(f) == ((False,), None)
+    basic = [v for _, v in psi_approx(f, orb, 8, default_grid(2))]
+    expd = conjugation._psi_rows(f, orb, rows, (8,), (False,), (1.0 + 0j,))
+    for i, v in enumerate(basic):
+        assert v.coords == expd.point(i).coords
 
 
 def test_eta_model_properties():
@@ -233,8 +300,8 @@ def test_eta_model_properties():
     # p_L and eta^{-1} are diagonal, hence commute
     inv = eta_model(2.0, 2, -1)
     for z in default_grid(2):
-        a = project_first(apply_automorphism(inv, z), 0)
-        b = apply_automorphism(inv, project_first(z, 0))
+        a = project(apply_automorphism(inv, z), (False,))
+        b = apply_automorphism(inv, project(z, (False,)))
         assert a.coords == b.coords
 
 

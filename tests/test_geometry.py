@@ -27,7 +27,6 @@ from siegel_dynamics.geometry import (
     boundary_projection,
     build_automorphism,
     cayley_to_siegel,
-    cayley_to_siegel_alt,
     compose_automorphisms,
     defect,
     dist_ball,
@@ -40,7 +39,6 @@ from siegel_dynamics.geometry import (
     koranyi_ratio,
     one_minus_sq_ball_norm,
     recentering_translation,
-    siegel_inversion,
     siegel_to_ball,
     sq_norm,
 )
@@ -169,23 +167,26 @@ def test_one_minus_sq_ball_norm_identity():
         assert abs(one_minus_sq_ball_norm(p) - direct) < 1e-12
 
 
+INVERSION = SiegelAutomorphism((Inversion(),))  # (z, w) |-> (1/z, w/z)
+
+
 def test_inversion_swaps_zero_and_infinity_isometrically():
     rng = np.random.default_rng(3)
     for _ in range(200):
         p, q = random_siegel(rng), random_siegel(rng)
-        sp, sq_ = siegel_inversion(p), siegel_inversion(q)
+        sp, sq_ = apply_automorphism(INVERSION, p), apply_automorphism(INVERSION, q)
         assert abs(dist_siegel(sp, sq_) - dist_siegel(p, q)) < 1e-12
-        back = siegel_inversion(sp)
+        back = apply_automorphism(INVERSION, sp)
         assert abs(back.z - p.z) < 1e-12 * (1 + abs(p.z))
     # defect transforms as t / |z|^2
     p = SiegelPoint(2.0 + 1j, (0.5,))
-    assert abs(defect(siegel_inversion(p)) - defect(p) / abs(p.z) ** 2) < 1e-15
+    assert abs(defect(apply_automorphism(INVERSION, p)) - defect(p) / abs(p.z) ** 2) < 1e-15
 
 
 def test_alternative_cayley_sends_one_to_origin_side():
-    # the composed convention maps the ball point approaching (1, 0) to
-    # Siegel points approaching 0
-    p = cayley_to_siegel_alt(BallPoint(CVector((0.999, 0.0))))
+    # the Cayley transform followed by the inversion maps the ball point
+    # approaching (1, 0) to Siegel points approaching 0
+    p = apply_automorphism(INVERSION, cayley_to_siegel(BallPoint(CVector((0.999, 0.0)))))
     assert abs(p.z) < 1e-2
     assert defect(p) > 0
 

@@ -38,6 +38,7 @@ from siegel_dynamics.maps import (
     one_dim_brfp,
     preimage_candidates,
     quadratic_iterate_closed,
+    quadratic_power,
 )
 
 from conftest import random_siegel
@@ -178,6 +179,20 @@ def test_iterate_closed_sum_exact_at_a_equal_c_squared(n):
     got = quadratic_iterate_closed(QuadraticSiegel(4.0, 1.0, 2.0), n, SiegelPoint(2.0, (1.0,)))
     assert got.z == complex(4 ** (n - 1) * (8 + n))
     assert got.w == (complex(2 ** n),)
+
+
+@pytest.mark.parametrize("f, n", [
+    (QuadraticSiegel(1e30, 0j, 1.0), 11),  # A^11 = 1e330
+    (QuadraticSiegel(2.0, 0j, 1e200), 2),  # C^2 = 1e400
+    (QuadraticSiegel(2.0, 1.0, 1.0), 1024),  # A^1024 = 2^1024
+], ids=["A", "C", "deep"])
+def test_power_beyond_the_double_range_is_a_typed_error(f, n):
+    # once a raw OverflowError; f^(n - 1) is still in range
+    quadratic_power(f, n - 1)
+    with pytest.raises(InvalidPoint, match=rf"^f\^{n} .*A\^{n} or C\^{n}"):
+        quadratic_power(f, n)
+    with pytest.raises(InvalidPoint, match=rf"^f\^{n} "):
+        quadratic_iterate_closed(f, n, SiegelPoint(2.0, (1.0,)))
 
 
 @pytest.mark.parametrize("n", [2, 10, 60, 300])

@@ -48,17 +48,20 @@ def chain_kinds(orbit, n_values, omega):
     return {tuple(type(p).__name__ for p in build_tau(orbit, n, omega).chain) for n in n_values}
 
 
-CASES = {
-    "diagonal": (DiagonalLinear(2.0, (1.0,)), 0, None),
-    "quadratic": (QuadraticSiegel(2.0, 0.3 - 0.2j, 1.1), 1, None),
-    "expandable": (DiagonalLinear(2.0, (math.sqrt(2.0) * ROT,)), 1, (ROT,)),
+CASES = {  # each map's psi takes its variant from the map: the basic one, or p_L keeps w with Omega
+    "diagonal": DiagonalLinear(2.0, (1.0,)),
+    # expandable at 0 (|C|^2 = A), and with B != 0, so f^n's B S_n w^2 meets the kept w;
+    # not a self-map, which the synthetic orbit does not need
+    "quadratic": QuadraticSiegel(2.0, 0.3 - 0.2j, math.sqrt(2.0) * ROT.conjugate()),
+    "expandable": DiagonalLinear(2.0, (math.sqrt(2.0) * ROT,)),
 }
 N_VALUES = (0, 3, 1, 12, 2, 5, 7, 8)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_depths_whose_chains_differ_in_kind_keep_their_bits(case):
-    f, L, omega = CASES[case]
+    f = CASES[case]
+    mask, omega = conjugation._variant(f)
     orbit = mixed_orbit()
     kinds = chain_kinds(orbit, N_VALUES, omega)
     # tau_0 is the identity (t_0 = 1, Z_0 on the axis, Omega^0 = 1), and tau_5 and tau_2 have
@@ -68,29 +71,30 @@ def test_depths_whose_chains_differ_in_kind_keep_their_bits(case):
     grid = default_grid(2) + TWINS
     for last in (12, 0, 5):
         n_values = tuple(n for n in N_VALUES if n != last) + (last,)
-        run = run_conjugation(f, orbit, 2.0, L, omega, grid, n_values)
+        run = run_conjugation(f, orbit, 2.0, grid, n_values)
         assert bits(run.residuals) == tuple(
-            bits(ref_residual(f, orbit, n, grid, 2.0, L, omega)) for n in n_values)
+            bits(ref_residual(f, orbit, n, grid, 2.0, mask, omega)) for n in n_values)
         assert bits([v for _, v in run.psi_samples]) == bits(
-            [ref_psi(f, orbit, last, z, L, omega) for z in grid])
+            [ref_psi(f, orbit, last, z, mask, omega) for z in grid])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_signed_zero_twins_keep_their_own_psi_in_the_batch(case):
-    # at n = 0 the sign of a zero survives tau_0, and with L = 1 also p_L
-    f, L, omega = CASES[case]
+    # at n = 0 the sign of a zero survives tau_0, and where p_L keeps w also p_L
+    f = CASES[case]
+    mask, omega = conjugation._variant(f)
     orbit = mixed_orbit()
-    ref = [bits(ref_psi(f, orbit, 0, z, L, omega)) for z in TWINS]
+    ref = [bits(ref_psi(f, orbit, 0, z, mask, omega)) for z in TWINS]
     assert ref[0] != ref[1] and ref[5] != ref[6]
     for n in (0, 1, 2):
-        assert [bits(v) for _, v in psi_approx(f, orbit, n, TWINS, L, omega)] == [
-            bits(ref_psi(f, orbit, n, z, L, omega)) for z in TWINS]
+        assert [bits(v) for _, v in psi_approx(f, orbit, n, TWINS)] == [
+            bits(ref_psi(f, orbit, n, z, mask, omega)) for z in TWINS]
 
 
-def per_depth_error(f, orbit, points, depths, L):
+def per_depth_error(f, orbit, points, depths, mask):
     """What the per-depth loop raised: for each depth, deepest first, tau_n of every
     distinct projected point, then f^n of each in closed form."""
-    distinct = list({bits(conjugation.project_first(z, L)): conjugation.project_first(z, L)
+    distinct = list({bits(conjugation.project(z, mask)): conjugation.project(z, mask)
                      for z in points}.values())
     for n in sorted(depths, reverse=True):
         starts = [apply_automorphism(build_tau(orbit, n), p) for p in distinct]
@@ -106,16 +110,24 @@ LEAVES = QuadraticSiegel(0.5, 2.0, 1.0)  # not a self-map: psi_n of points with 
 WIDE = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
 
 
-@pytest.mark.parametrize("f, grid, L, error", [
-    (QuadraticSiegel(1e30, 0j, 1.0), default_grid(2), 0, "OverflowError"),  # A^n overflows from n = 11
-    (LEAVES, WIDE, 1, "InvalidPoint"),
+def sweep_residuals(f, orbit, grid, n_values, mask):
+    """The residual sweep with p_L's mask given: LEAVES's own variant is the basic one,
+    and only a p_L that keeps w takes its psi_n out of the domain."""
+    return conjugation._residual_sweep(f, orbit, n_values, grid, 2.0, mask, None)[0]
+
+
+@pytest.mark.parametrize("f, grid, mask, message", [
+    (QuadraticSiegel(1e30, 0j, 1.0), default_grid(2), (False,), "A^12"),  # A^n overflows from n = 11
+    (LEAVES, WIDE, (True,), "Siegel domain"),
 ], ids=["overflow", "leaves_domain"])
-def test_a_failing_sweep_raises_what_the_per_depth_loop_raised(f, grid, L, error):
+def test_a_failing_sweep_raises_what_the_per_depth_loop_raised(f, grid, mask, message):
     orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(1.0, (0.0,)), 0.34, 40)
     for n_values in ((12,), (1, 5, 12), tuple(range(1, 13)), (3, 12, 1)):
-        want = outcome(per_depth_error, f, orbit, residual_points(grid, 2.0), n_values, L)
-        assert want[:2] == ("raised", error)
-        assert outcome(run_conjugation, f, orbit, 2.0, L, None, grid, n_values) == want
+        want = outcome(per_depth_error, f, orbit, residual_points(grid, 2.0), n_values, mask)
+        assert want[:2] == ("raised", "InvalidPoint") and message in want[2]
+        assert outcome(sweep_residuals, f, orbit, grid, n_values, mask) == want
+    if not any(mask):  # the map's own variant: run_conjugation raises the same
+        assert outcome(run_conjugation, f, orbit, 2.0, grid, (1, 5, 12)) == want
 
 
 def test_a_bad_dilation_at_a_shallow_depth_does_not_hide_a_deeper_failure():
@@ -125,10 +137,10 @@ def test_a_bad_dilation_at_a_shallow_depth_does_not_hide_a_deeper_failure():
     pts[3] = SiegelPoint(1e-310, (0j,))
     orbit = synthetic_orbit(pts)
     for n_values in ((3, 12), (1, 2, 3, 4, 12), (3,), (2, 3)):
-        want = outcome(per_depth_error, LEAVES, orbit, residual_points(WIDE, 2.0), n_values, 1)
+        want = outcome(per_depth_error, LEAVES, orbit, residual_points(WIDE, 2.0), n_values, (True,))
         assert want[:2] == ("raised", "InvalidPoint")
         assert ("dilation" in want[2]) is (max(n_values) == 3)
-        assert outcome(run_conjugation, LEAVES, orbit, 2.0, 1, None, WIDE, n_values) == want
+        assert outcome(sweep_residuals, LEAVES, orbit, WIDE, n_values, (True,)) == want
 
 
 @pytest.mark.parametrize("case", ["diagonal", "quadratic", "axis_diagonal", "axis_quadratic"])
@@ -140,10 +152,10 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
     if case.startswith("axis"):
         f = QuadraticSiegel(2.0, 1.0, 1.0) if case == "axis_quadratic" else DiagonalLinear(2.0, (1.0,))
         orbit = recenter_orbit_at_zero(f, backward_orbit(f, SiegelPoint(5.0, (0j,)), 0.34, 40))[1]
-        L, kinds = 0, 1
+        kinds = 1
     else:
-        (f, L, _), orbit, kinds = CASES[case], mixed_orbit(), 3
-    assert len(chain_kinds(orbit, n_values, None)) == kinds
+        f, orbit, kinds = CASES[case], mixed_orbit(), 3
+    assert len(chain_kinds(orbit, n_values, conjugation._variant(f)[1])) == kinds
     counts, built = {"tau": 0, "eta": 0, "power": 0}, []
     apply_chain, apply_auto, evaluate = conjugation._apply_chain, conjugation.apply_automorphism, QuadraticSiegel.evaluate
 
@@ -164,7 +176,7 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
     monkeypatch.setattr(QuadraticSiegel, "evaluate", power)
     monkeypatch.setattr(conjugation, "build_tau", lambda *a: built.append(a[1]) or build_tau(*a))
     monkeypatch.setattr(maps, "quadratic_iterate_closed", None)  # no longer called per depth
-    run_conjugation(f, orbit, 2.0, L, None, default_grid(2), n_values)
+    run_conjugation(f, orbit, 2.0, default_grid(2), n_values)
     assert built == list(range(12, 0, -1)) + [12]  # the residual sweep's depths, then the interpolation's
     assert counts == {"tau": kinds + 1, "eta": 1, "power": 2 if isinstance(f, QuadraticSiegel) else 0}
 

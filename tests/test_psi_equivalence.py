@@ -1,5 +1,6 @@
 """psi_n samples, residuals and diagnostics, bit for bit against the plain
-formulas: psi_n(Z) = f^n(tau_n(p_L(Z))) evaluated afresh at every point.
+formulas: psi_n(Z) = f^n(tau_n(p_L(Z))) evaluated afresh at every point, in
+the variant (p_L's mask and Omega) that the psi functions take from the map.
 
 The grids include points that differ only in the sign of a zero, so a result
 that is shared between two inputs whose bits differ shows up here.
@@ -15,19 +16,18 @@ from siegel_dynamics.conjugation import (
     default_grid,
     eta_model,
     gn_diagnostic,
-    project_first,
+    project,
     psi_approx,
     psi_interpolation_check,
     recenter_orbit_at_zero,
     run_conjugation,
 )
 from siegel_dynamics.dynamics import backward_orbit
-from siegel_dynamics.errors import InvalidDescriptor, InvalidPoint
+from siegel_dynamics.errors import InvalidPoint
 from siegel_dynamics.geometry import SiegelPoint, apply_automorphism, dist_siegel, invert_automorphism
 from siegel_dynamics.maps import (
     DiagonalLinear,
     QuadraticSiegel,
-    expandable_decompose,
     iterate,
     quadratic_iterate_closed,
 )
@@ -48,50 +48,44 @@ TWINS = [
 
 
 def conjugation_setup(f):
-    """The map, orbit, L and Omega that the `conjugate` command uses."""
+    """The map, orbit and multiplier that the `conjugate` command uses, and the
+    mask and Omega that the psi functions take from that map."""
     orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,) * (f.dim - 1)), 0.34, 40)
     g, orbit0, _ = recenter_orbit_at_zero(f, orbit)
-    L, omega = 0, None
-    try:
-        exp = expandable_decompose(f.base if isinstance(f, maps.Conjugated) else f)
-        if exp.L > 0:
-            L, omega = exp.L, exp.omega
-    except InvalidDescriptor:
-        pass
-    return g, orbit0, orbit.multiplier_estimate, L, omega
+    return (g, orbit0, orbit.multiplier_estimate, *conjugation._variant(g))
 
 
 CASES = {name: (lambda name=name: load_descriptor(str(fixture_path(name)))) for name in FIXTURES}
 CASES["expandable"] = lambda: EXPANDABLE
 
 
-def ref_psi(f, orbit, n, z, L, omega):
-    p = apply_automorphism(build_tau(orbit, n, omega), project_first(z, L))
+def ref_psi(f, orbit, n, z, mask, omega):
+    p = apply_automorphism(build_tau(orbit, n, omega), project(z, mask))
     return quadratic_iterate_closed(f, n, p) if isinstance(f, QuadraticSiegel) else iterate(f, n, p)
 
 
-def ref_residual(f, orbit, n, grid, alpha, L, omega):
+def ref_residual(f, orbit, n, grid, alpha, mask, omega):
     eta = eta_model(alpha, orbit.points[0].dim, 1, omega)
-    return max(dist_siegel(ref_psi(f, orbit, n, apply_automorphism(eta, z), L, omega),
-                           maps.evaluate(f, ref_psi(f, orbit, n, z, L, omega)))
+    return max(dist_siegel(ref_psi(f, orbit, n, apply_automorphism(eta, z), mask, omega),
+                           maps.evaluate(f, ref_psi(f, orbit, n, z, mask, omega)))
                for z in grid)
 
 
-def ref_interpolation(f, orbit, n, alpha, L, omega):
+def ref_interpolation(f, orbit, n, alpha, mask, omega):
     errs = []
     for k in range(min(n // 2, len(orbit.points) - 1) + 1):
         a_k = SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1))
-        errs.append(dist_siegel(ref_psi(f, orbit, n, a_k, L, omega), orbit.points[k]))
+        errs.append(dist_siegel(ref_psi(f, orbit, n, a_k, mask, omega), orbit.points[k]))
     return tuple(errs)
 
 
-def ref_gn(f, orbit, n, grid, alpha, L, omega):
+def ref_gn(f, orbit, n, grid, alpha, mask, omega):
     eta_inv_n = eta_model(alpha, orbit.points[0].dim, -n, omega)
     tau_inv = invert_automorphism(build_tau(orbit, n, omega))
     worst = 0.0
     for z in grid:
-        val = ref_psi(f, orbit, n, apply_automorphism(eta_inv_n, z), L, omega)
-        worst = max(worst, dist_siegel(apply_automorphism(tau_inv, val), project_first(z, L)))
+        val = ref_psi(f, orbit, n, apply_automorphism(eta_inv_n, z), mask, omega)
+        worst = max(worst, dist_siegel(apply_automorphism(tau_inv, val), project(z, mask)))
     return worst
 
 
@@ -113,68 +107,69 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_psi_results_match_plain_formulas_bit_for_bit(case):
-    f, orbit, alpha, L, omega = conjugation_setup(CASES[case]())
+    f, orbit, alpha, mask, omega = conjugation_setup(CASES[case]())
     grid = default_grid(orbit.points[0].dim) + TWINS
     for n in N_VALUES:
-        args = (f, orbit, n, grid, alpha, L, omega)
-        assert outcome(conjugation_residual, *args) == outcome(ref_residual, *args)
-        assert outcome(gn_diagnostic, *args) == outcome(ref_gn, *args)
-        assert outcome(psi_approx, f, orbit, n, grid, L, omega) == outcome(
-            lambda: [(z, ref_psi(f, orbit, n, z, L, omega)) for z in grid])
-        assert outcome(lambda: psi_interpolation_check(f, orbit, n, alpha, None, L,
-                                                       omega).errors) == outcome(
-            ref_interpolation, f, orbit, n, alpha, L, omega)
+        args = (f, orbit, n, grid, alpha)
+        assert outcome(conjugation_residual, *args) == outcome(ref_residual, *args, mask, omega)
+        assert outcome(gn_diagnostic, *args) == outcome(ref_gn, *args, mask, omega)
+        assert outcome(psi_approx, f, orbit, n, grid) == outcome(
+            lambda: [(z, ref_psi(f, orbit, n, z, mask, omega)) for z in grid])
+        assert outcome(lambda: psi_interpolation_check(f, orbit, n, alpha).errors) == outcome(
+            ref_interpolation, f, orbit, n, alpha, mask, omega)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_run_conjugation_matches_plain_formulas_at_every_depth(case):
     # one sweep serves every depth; each n also comes last once, for the samples
-    f, orbit, alpha, L, omega = conjugation_setup(CASES[case]())
+    f, orbit, alpha, mask, omega = conjugation_setup(CASES[case]())
     grid = default_grid(orbit.points[0].dim) + TWINS
     for last in N_VALUES:
         n_values = tuple(n for n in N_VALUES if n != last) + (last,)
-        run = run_conjugation(f, orbit, alpha, L, omega, grid, n_values)
+        run = run_conjugation(f, orbit, alpha, grid, n_values)
+        assert (run.L, run.omega) == (sum(mask), omega)
         assert bits(run.residuals) == tuple(
-            bits(ref_residual(f, orbit, n, grid, alpha, L, omega)) for n in n_values)
+            bits(ref_residual(f, orbit, n, grid, alpha, mask, omega)) for n in n_values)
         assert bits([v for _, v in run.psi_samples]) == bits(
-            [ref_psi(f, orbit, last, z, L, omega) for z in grid])
+            [ref_psi(f, orbit, last, z, mask, omega) for z in grid])
         assert [z for z, _ in run.psi_samples] == grid
         assert bits(run.interpolation.errors) == bits(
-            ref_interpolation(f, orbit, last, alpha, L, omega))
+            ref_interpolation(f, orbit, last, alpha, mask, omega))
 
 
 @pytest.mark.parametrize("case", ["quadpol", "expandable"])
 def test_signed_zero_twins_keep_their_own_psi(case):
-    # at n = 0 the sign of a zero survives tau_0 (and, with L = 1, p_L), so
+    # at n = 0 the sign of a zero survives tau_0 (and, where p_L keeps w, p_L), so
     # twins that compare equal under == have psi values with different bits
-    f, orbit, _, L, omega = conjugation_setup(CASES[case]())
-    ref = [bits(ref_psi(f, orbit, 0, z, L, omega)) for z in TWINS]
+    f, orbit, _, mask, omega = conjugation_setup(CASES[case]())
+    ref = [bits(ref_psi(f, orbit, 0, z, mask, omega)) for z in TWINS]
     assert ref[0] != ref[1] and ref[5] != ref[6]
-    if L:
+    assert any(mask) is (case == "expandable")
+    if any(mask):
         assert len({ref[0], ref[2], ref[3]}) == 3
-    assert [bits(v) for _, v in psi_approx(f, orbit, 0, TWINS, L, omega)] == ref
+    assert [bits(v) for _, v in psi_approx(f, orbit, 0, TWINS)] == ref
 
 
 def test_sweeps_that_leave_the_domain_raise_invalid_point():
-    # f is not a self-map, so psi_n of points with large w leaves the domain;
-    # one depth names the same point as the plain formulas, several depths
-    # raise for whichever point their sweep meets first
+    # f is not a self-map, so psi_n of points with large w leaves the domain once
+    # p_L keeps w (the residual sweep is given that mask: f's own variant is the
+    # basic one); one depth names the same point as the plain formulas, several
+    # depths raise for whichever point their sweep meets first
     orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(1.0, (0.0,)), 0.34, 40)
     f = QuadraticSiegel(0.5, 2.0, 1.0)
     grid = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
     for n in (1, 5, 12):
-        args = (f, orbit, n, grid, 2.0, 1, None)
-        want = outcome(ref_residual, *args)
+        want = outcome(ref_residual, f, orbit, n, grid, 2.0, (True,), None)
         assert want[:2] == ("raised", "InvalidPoint")
-        assert outcome(conjugation_residual, *args) == want
+        assert outcome(lambda: conjugation._residual_sweep(f, orbit, (n,), grid, 2.0, (True,), None)[0]) == want
     with pytest.raises(InvalidPoint):
-        run_conjugation(f, orbit, 2.0, L=1, grid=grid, n_values=(1, 5, 12))
+        conjugation._residual_sweep(f, orbit, (1, 5, 12), grid, 2.0, (True,), None)
 
 
 def test_residual_on_empty_grid_raises_value_error():
-    f, orbit, alpha, L, omega = conjugation_setup(CASES["quadpol"]())
+    f, orbit, alpha, _, _ = conjugation_setup(CASES["quadpol"]())
     with pytest.raises(ValueError):
-        conjugation_residual(f, orbit, 3, [], alpha, L, omega)
+        conjugation_residual(f, orbit, 3, [], alpha)
 
 
 def count_evaluates(monkeypatch) -> list:

@@ -56,7 +56,6 @@ from siegel_dynamics import dynamics as dyn  # noqa: E402
 from siegel_dynamics import maps as mp  # noqa: E402
 from siegel_dynamics import serialize as ser  # noqa: E402
 from siegel_dynamics.cli import FIXTURES, fixture_path  # noqa: E402
-from siegel_dynamics.errors import InvalidDescriptor  # noqa: E402
 from siegel_dynamics.geometry import SiegelPoint, SiegelRows  # noqa: E402
 
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
@@ -99,13 +98,6 @@ def fixture_jobs(name: str) -> dict:
     orbit = dyn.backward_orbit(f, START, BOUND, N)
     rows7, rows120 = rows(orbit.points, 7), rows(orbit.points, 120)
     g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
-    L, omega = 0, None
-    try:
-        exp = mp.expandable_decompose(f)
-        if exp.L > 0:
-            L, omega = exp.L, exp.omega
-    except InvalidDescriptor:  # families without the decomposition run the basic variant, as `conjugate` does
-        pass
     n_values = tuple(range(1, min(len(orbit0.points) - 1, N_CONJ + 1)))
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
@@ -116,7 +108,7 @@ def fixture_jobs(name: str) -> dict:
         "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
-        "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, L, omega, n_values=n_values),
+        "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": lambda: conjugate_job(name),
     }
 
