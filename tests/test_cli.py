@@ -75,7 +75,7 @@ def test_infinite_quadratic_parameters_fail_as_overflowing_ones_do(flag, text, o
 
 @pytest.mark.parametrize("flag, value", [("--B", "-0.5i"), ("--B", "-1e-3"), ("--C", "-inf"), ("--A", "-1")])
 def test_a_value_that_starts_with_a_minus_reads_as_its_equals_form(flag, value, capsys):
-    # argparse took "--B -0.5i" for an option "-0.5i" and exited 2 ("expected one argument")
+    # argparse alone takes -0.5i, -1e-3 or -inf for an option and exits 2 ("expected one argument")
     base = ["classify", "--A", "2"] if flag != "--A" else ["classify"]
     got, want = (run([*base, *arg], capsys) for arg in ([flag, value], [f"{flag}={value}"]))
     assert got[:2] == want[:2]

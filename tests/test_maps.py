@@ -187,7 +187,7 @@ def test_iterate_closed_sum_exact_at_a_equal_c_squared(n):
     (QuadraticSiegel(2.0, 1.0, 1.0), 1024),  # A^1024 = 2^1024
 ], ids=["A", "C", "deep"])
 def test_power_beyond_the_double_range_is_a_typed_error(f, n):
-    # once a raw OverflowError; f^(n - 1) is still in range
+    # f^(n - 1) is in range; f^n is the package's typed error, not CPython's OverflowError
     quadratic_power(f, n - 1)
     with pytest.raises(InvalidPoint, match=rf"^f\^{n} .*A\^{n} or C\^{n}"):
         quadratic_power(f, n)
