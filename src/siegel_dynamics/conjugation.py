@@ -118,15 +118,12 @@ def _variant(f: MapDescriptor) -> tuple[tuple[bool, ...], tuple[complex, ...] | 
 
 
 def default_grid(dim: int = 2) -> list[SiegelPoint]:
-    """Log-spaced axis grid Re z in [0.1, 10] with small tangential offsets."""
-    zs = np.logspace(-1, 1, 5)
-    offs: list[tuple[complex, ...]] = [(0.0,) * (dim - 1)]
-    if dim > 1:
-        for val in (0.05, -0.05, 0.05j, -0.05j):
-            off = [0.0 + 0.0j] * (dim - 1)
-            off[0] = complex(val)
-            offs.append(tuple(off))
-    return [SiegelPoint(complex(z), w) for z in zs for w in offs]
+    """Log-spaced axis grid Re z in [0.1, 10], and at each Re z the offsets +-0.05 and
+    +-0.05i in each tangential coordinate in turn (w_1 first)."""
+    zero = (0j,) * (dim - 1)
+    offs = [zero] + [zero[:j] + (val,) + zero[j + 1:] for j in range(dim - 1)
+                     for val in (0.05, -0.05, 0.05j, -0.05j)]
+    return [SiegelPoint(complex(z), w) for z in np.logspace(-1, 1, 5) for w in offs]
 
 
 def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, depths: list[int],
@@ -223,7 +220,7 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
     a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
     psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), *_variant(f))
-    return InterpolationReport(tuple(dist_siegel(psi.point(k), orbit.points[k]) for k in range(len(a))))
+    return InterpolationReport(tuple(dist_siegel(psi, SiegelRows.of(orbit.points[:k_max + 1])).tolist()))
 
 
 def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
@@ -287,8 +284,11 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
         chart = recentering_translation(orbit.limit)
     else:
         raise OrbitTooShort("orbit has no limit estimate")
-    pts = tuple(apply_automorphism(chart, p) for p in orbit.points) if chart.chain else orbit.points
-    new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts) if chart.chain else orbit.defects,
+    if chart.chain:  # the orbit through the chart as rows, each row back as a point with its bits
+        rows = apply_automorphism(chart, SiegelRows.of(orbit.points))
+        cols = (np.stack([c.real, c.imag], axis=-1).view(complex)[:, 0].tolist() for c in (rows.z,) + rows.w)
+    pts = tuple(SiegelPoint(z, w) for z, *w in zip(*cols)) if chart.chain else orbit.points
+    new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts),
                         limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
                         at_infinity=False)
     g = Conjugated(base=f, by=chart) if len(chart.chain) else f

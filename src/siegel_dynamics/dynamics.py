@@ -27,6 +27,7 @@ from .geometry import (
     SiegelRows,
     _cdiv,
     _projection,
+    _raise_first,
     _siegel_coords,
     apply_automorphism,
     ball_norm_rows,
@@ -103,22 +104,40 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     Samples the ratio (1 - ||f(Z)||) / (1 - ||Z||) along the radial ray
     Z_k = (1 - decay^k) q, k = 1 .. 40, decay = 1/2, in the ball model and
     extrapolates the tail (Richardson step matched to the geometric grid).
-    Returns +inf when the ratios diverge (no finite dilatation at q).
+    Returns +inf when the ratios diverge (no finite dilatation at q).  The samples
+    are one batch, read as a loop over them: a divergent ratio wins over a later error.
     """
     decay = 0.5
     qb = boundary_ball_coords(q, f.dim)
     nq = math.sqrt(sq_norm(qb))
-    ratios: list[float] = []
-    for k in range(1, 41):
-        s = decay ** k
-        c = _siegel_coords(tuple((1.0 - s) * x for x in qb))  # SiegelPoint checks the sample
-        fp = evaluate(f, SiegelPoint(c[0], c[1:]))
-        ratios.append(boundary_gap(fp) / (s * nq + (1.0 - nq)))
-        if not math.isfinite(ratios[-1]) or ratios[-1] > 1e9:
-            return math.inf
+    s = [decay ** k for k in range(1, 41)]
+
+    def ratios(m: int) -> list[float]:  # the first m samples' ratios, (1 - s) q rounded as float * complex
+        c = _siegel_coords(tuple(ComplexRows(1.0 - np.array(s[:m]), np.zeros(m)) * x for x in qb))
+        fp = evaluate(f, SiegelRows(c[0], c[1:]))
+        _raise_first(np.isinf(abs(fp.z + 1.0)), lambda i: boundary_gap(fp.point(i)))  # abs overflows in CPython
+        return [g / (sk * nq + (1.0 - nq)) for g, sk in zip(boundary_gap(fp).tolist(), s)]
+
+    r, error = _until_failure(ratios, len(s))
+    if any(not math.isfinite(x) or x > 1e9 for x in r):
+        return math.inf
+    if error is not None:  # the first failing sample's error; C(Z) divides by 0 where its row gets NaN
+        _siegel_coords(tuple((1.0 - s[len(r)]) * x for x in qb))
+        raise error
     # the pair k = 25, 26: 2^-26 is the deepest gap above the 1e-8 noise floor
-    r0, r1 = ratios[24:26]
-    return (r1 - decay * r0) / (1.0 - decay)
+    return (r[25] - decay * r[24]) / (1.0 - decay)
+
+
+def _until_failure(batch, n: int) -> tuple[list, Exception | None]:
+    """(batch(m), what batch(m + 1) raised): m <= n the largest that does not raise, by bisection."""
+    lo, hi, values, error = 0, n, [], None  # batch(lo) passes; batch(hi + 1) raises unless hi = n
+    while lo < hi:
+        mid = hi if error is None else (lo + hi + 1) // 2
+        try:
+            values, lo = batch(mid), mid
+        except Exception as err:
+            error, hi = err, mid - 1
+    return values, error
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +348,9 @@ def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism) -> Asy
     tol = 1e-6
     if len(orbit.points) < 5:
         raise OrbitTooShort("need at least 5 points for asymptotics")
-    pts = [apply_automorphism(recenter, p) for p in orbit.points]
-    t = [defect(p) for p in pts]
-    re_r = tuple(p.z.real / tk for p, tk in zip(pts, t))
-    im_r = tuple(p.z.imag / tk for p, tk in zip(pts, t))
-    w_r = tuple(sq_norm(p.w) / tk for p, tk in zip(pts, t))
-    t_r = tuple(t[k] / t[k + 1] for k in range(len(t) - 1))
+    pts = apply_automorphism(recenter, SiegelRows.of(orbit.points))
+    t, w = pts.t, np.broadcast_to(sq_norm(pts.w), len(pts.t))  # ||w||^2 of each point, 0.0 in dimension 1
+    re_r, im_r, w_r, t_r = (tuple(c.tolist()) for c in (pts.z.real / t, pts.z.imag / t, w / t, t[:-1] / t[1:]))
     alpha = _tail_median(t_r)
     limits_ok = {
         "re": abs(re_r[-1] - 1.0) < tol,
@@ -342,7 +358,7 @@ def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism) -> Asy
         "w": abs(w_r[-1]) < tol,
         "t": abs(t_r[-1] - alpha) < tol * max(1.0, alpha),
     }
-    special = sq_norm(pts[-1].w) / pts[-1].z.real < tol
+    special = bool(w[-1] / pts.z.real[-1] < tol)
     return AsymptoticsReport(re_r, im_r, w_r, t_r, limits_ok, special)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siegel_dynamics import conjugation
+from siegel_dynamics import cli, conjugation
 from siegel_dynamics.conjugation import (
     build_tau,
     conjugation_residual,
@@ -217,6 +217,34 @@ def test_expandable_direction_second_is_kept():
     for n in range(1, 14):
         for z, val in psi_approx(g, orb0, n, pts):
             assert dist_siegel(val, SiegelPoint(5.0 * z.z, (0j, math.sqrt(5.0) * z.w[1]))) < 1e-12
+
+
+def test_default_grid_offsets_each_tangential_coordinate():
+    # at each Re z: no offset, then +-0.05 and +-0.05i in w_1, w_2, ... in turn; dimension 2
+    # keeps the grid it always had, bit for bit (0.05j and -0.05j carry a real part +0.0 and -0.0)
+    zs = np.logspace(-1, 1, 5)
+    old2 = [SiegelPoint(complex(z), w) for z in zs for w in [(0.0,), (0.05 + 0j,), (-0.05 + 0j,), (0.05j,), (-0.05j,)]]
+    bits = lambda grid: [tuple((c.real.hex(), c.imag.hex()) for c in p.coords) for p in grid]
+    assert bits(default_grid(2)) == bits(old2)
+    assert [p.coords for p in default_grid(1)] == [(complex(z),) for z in zs]
+    grid3 = default_grid(3)
+    assert len(grid3) == 5 * 9 and grid3[0].w == (0j, 0j)
+    assert [p.w for p in grid3[1:9]] == [(0.05, 0j), (-0.05, 0j), (0.05j, 0j), (-0.05j, 0j),
+                                         (0j, 0.05), (0j, -0.05), (0j, 0.05j), (0j, -0.05j)]
+
+
+def test_conjugate_report_samples_psi_on_the_second_tangential_direction(tmp_path, capsys):
+    # DiagonalLinear(2, (1, sqrt 2)) is expandable in w_2 only: psi = (5z, 0, sqrt(5) w_2), so the
+    # report's psi samples read w_2 != 0 where the grid has a w_2 offset (the grid once had none)
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(descriptor_to_json(DiagonalLinear(2.0, (1.0, math.sqrt(2.0))))))
+    assert cli.main(["conjugate", "--map", str(path), "--start", "5,0"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])  # after the residual table
+    assert report["L"] == 1 and max(float(r) for r in report["residuals"]) == 0.0
+    moved = [psi for z, psi in report["psi"] if z["re"][2] != 0.0 or z["im"][2] != 0.0]
+    assert len(moved) == 20 and all(psi["re"][2] != 0.0 or psi["im"][2] != 0.0 for psi in moved)
+    assert all(psi["re"][1] == psi["im"][1] == 0.0 for _, psi in report["psi"])
 
 
 def test_expandable_directions_with_phases_in_dimension_four():

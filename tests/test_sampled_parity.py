@@ -320,3 +320,290 @@ def test_julia_check_calls_numpy_abs_once_per_batch(monkeypatch):
         dyn.julia_inclusion_check(MAPS["quadpol"], ZERO2, 2.0, n_samples=n, seed=3)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+# ---------------------------------------------------------------------------
+# per-sample loops of the checks job: the multiplier's radial samples, the
+# orbit's exactness, its asymptotics, and the orbit maps of the conjugation
+# ---------------------------------------------------------------------------
+
+def ref_multiplier_at_boundary(f, q):
+    """The per-sample loop: one point, one evaluate and one gap per sample, in order."""
+    decay = 0.5
+    qb = geo.boundary_ball_coords(q, f.dim)
+    nq = math.sqrt(geo.sq_norm(qb))
+    ratios = []
+    for k in range(1, 41):
+        s = decay ** k
+        c = geo._siegel_coords(tuple((1.0 - s) * x for x in qb))
+        fp = evaluate(f, SiegelPoint(c[0], c[1:]))
+        ratios.append(geo.boundary_gap(fp) / (s * nq + (1.0 - nq)))
+        if not math.isfinite(ratios[-1]) or ratios[-1] > 1e9:
+            return math.inf
+    r0, r1 = ratios[24:26]
+    return (r1 - decay * r0) / (1.0 - decay)
+
+
+def outcome(fn, *args):
+    """A float's bits, a tuple's, a bool, or the exception that came out."""
+    try:
+        value = fn(*args)
+    except Exception as err:  # the same exception must come out of both sides
+        return "raised", type(err).__name__, str(err)
+    return value.hex() if isinstance(value, float) else value
+
+
+INFINITY2 = geo.INFINITY
+REPELLING = {name: INFINITY2 if name == "elliptic" else ZERO2 for name in cli.FIXTURES}
+
+
+@pytest.mark.parametrize("name", cli.FIXTURES)
+def test_fixture_multipliers_match_per_sample_loop(name):
+    f = MAPS[name]
+    for q in (ZERO2, INFINITY2):
+        assert outcome(dyn.multiplier_at_boundary, f, q) == outcome(ref_multiplier_at_boundary, f, q)
+    known = {"quadpol": "0x1.0000000000001p+1", "lifted2z": "0x1.0000000000001p+1",
+             "diaglinear": "0x1.0000000000001p+1", "elliptic": "0x1.5555554000000p+0"}
+    assert dyn.multiplier_at_boundary(f, REPELLING[name]).hex() == known[name]
+
+
+def sweep_cases(rng, n):
+    """(map, q) pairs: every family (and `Conjugated` layers on them) in dimensions 1 to 4,
+    at 0, at infinity, at finite Siegel boundary points and at ball points off the sphere by up
+    to the boundary tolerance."""
+    from siegel_dynamics import maps as mp
+
+    def rc(s):
+        return complex(rng.normal(0, s), rng.normal(0, s))
+
+    def family(dim):
+        kind = rng.integers(5) if dim == 2 else rng.choice([2, 3, 4])
+        if kind == 0:
+            return mp.QuadraticSiegel(10 ** rng.uniform(-1, 1.5), rc(0.5), rc(0.7))
+        if kind == 1:
+            c = 10 ** rng.uniform(-1, 1)
+            return mp.Lifted(mp.HalfPlaneAffine(c, rng.normal()) if rng.random() < 0.5 else mp.HalfPlaneLinear(c))
+        if kind == 2:
+            a = 10 ** rng.uniform(-1, 1.2)
+            return mp.DiagonalLinear(a, tuple(math.sqrt(a) * rng.random() * np.exp(1j * rng.uniform(0, 6))
+                                              for _ in range(dim - 1)))
+        if kind == 3:
+            return BallProduct((mp.BlaschkeDeg2(rng.uniform(0.05, 0.95)),)
+                               + tuple(DiskLinear(0.9 * rng.random() * np.exp(1j * rng.uniform(0, 6)))
+                                       for _ in range(dim - 1)))
+        chain = [(geo.Inversion(),), (geo.Translation(rng.normal(), tuple(rc(0.3) for _ in range(dim - 1))),),
+                 (geo.Dilation(10 ** rng.uniform(-1, 1)), geo.Inversion())][rng.integers(3)]
+        return mp.Conjugated(family(dim), geo.SiegelAutomorphism(chain))
+
+    def point(dim):
+        kind = rng.integers(4)
+        if kind == 0:
+            return geo.BoundaryPoint(v=CVector((0.0,) * dim), model="siegel")
+        if kind == 1:
+            return INFINITY2
+        if kind == 2:
+            w = tuple(rc(rng.choice([0.01, 0.3, 2.0])) for _ in range(dim - 1))
+            return geo.BoundaryPoint(v=CVector((1j * rng.normal() + geo.sq_norm(w),) + w), model="siegel")
+        v = [rc(1.0) for _ in range(dim)]
+        r = math.sqrt(geo.sq_norm(v)) * (1.0 - rng.choice([0.0, 9e-13, -9e-13]))
+        return geo.BoundaryPoint(v=CVector(tuple(c / r for c in v)), model="ball")
+
+    for _ in range(n):
+        dim = int(rng.choice([1, 2, 2, 2, 3, 4]))
+        yield family(dim), point(dim)
+
+
+def test_multiplier_sweep_matches_per_sample_loop():
+    results = []
+    for f, q in sweep_cases(np.random.default_rng(2023), 300):
+        got = outcome(dyn.multiplier_at_boundary, f, q)
+        assert got == outcome(ref_multiplier_at_boundary, f, q), (f, q)
+        results.append(got)
+    infinite = results.count(math.inf.hex())
+    raised = sum(isinstance(r, tuple) for r in results)
+    assert infinite >= 30 and raised >= 5 and len(results) - infinite - raised >= 100
+
+
+def test_a_sample_whose_coordinates_divide_by_zero_raises_its_own_error():
+    # the ball point (1 + 2^-40, 0) lies within the boundary tolerance; its sample k = 40 is
+    # (1 - 2^-40)(1 + 2^-40) = 1 - 2^-80, which rounds to 1, so C(Z) divides by 1 - 1 = 0:
+    # the loop raised ZeroDivisionError there, where the rows get NaN
+    q = geo.BoundaryPoint(v=CVector((1.0 + 2.0 ** -40, 0.0)), model="ball")
+    for f in MAPS.values():
+        got = outcome(dyn.multiplier_at_boundary, f, q)
+        assert got == outcome(ref_multiplier_at_boundary, f, q)
+        assert got[:2] == ("raised", "ZeroDivisionError")
+
+
+def test_a_sample_whose_image_overflows_abs_raises_as_the_loop_did():
+    # f(Z) = 1.2e308 Z at the first sample toward (2i) is finite, but |z + 1| is beyond the double
+    # range: CPython's abs raised OverflowError in the loop, where the rows' np.hypot gives inf
+    from siegel_dynamics.maps import DiagonalLinear
+
+    q = geo.BoundaryPoint(v=CVector((2j,)), model="siegel")
+    with np.errstate(all="ignore"):
+        got = outcome(dyn.multiplier_at_boundary, DiagonalLinear(1.2e308), q)
+    assert got == outcome(ref_multiplier_at_boundary, DiagonalLinear(1.2e308), q)
+    assert got == ("raised", "OverflowError", "absolute value too large")
+
+
+class RadialStub:
+    """The identity on H^2, except that a point with Re z >= big goes to (1, 0) (the ratio at
+    the sample is then about 1/s) and one with Re z >= fail raises a ValueError naming it.
+    Rows that hold a failing point raise a ValueError of their own, which `evaluate`'s replay
+    must turn into the first failing point's."""
+
+    dim = 2
+
+    def __init__(self, big: float, fail: float):
+        self.big, self.fail = big, fail
+
+    def evaluate(self, p):
+        if type(p) is geo.SiegelRows:
+            if (p.z.real >= self.fail).any():
+                raise ValueError("a batch with a failing row")
+            deep = p.z.real >= self.big
+            z = geo.ComplexRows(np.where(deep, 1.0, p.z.real), np.where(deep, 0.0, p.z.imag))
+            return geo.SiegelRows(z, (geo.ComplexRows(np.where(deep, 0.0, p.w[0].real),
+                                                      np.where(deep, 0.0, p.w[0].imag)),))
+        if p.z.real >= self.fail:
+            raise ValueError(f"sample at Re z = {p.z.real!r}")
+        return SiegelPoint(1.0, (0j,)) if p.z.real >= self.big else p
+
+
+@pytest.mark.parametrize("big, fail, expected", [
+    (2.0 ** 29, 2.0 ** 34, math.inf.hex()),  # ratio 2^30 > 1e9 at k = 30, a raise from k = 34
+    (2.0 ** 29, 2.0 ** 20, ("raised", "ValueError", "sample at Re z = 2097151.0")),  # k = 20 first
+    (2.0 ** 29, 2.0 ** 29, ("raised", "ValueError", "sample at Re z = 1073741823.0")),  # ratio 2^29 before
+    (2.0 ** 50, 2.0 ** 50, (2.0).hex()),  # the identity: alpha = 1 + ... reads 2 on the ray to infinity
+])
+def test_a_divergent_ratio_wins_over_a_later_samples_error(big, fail, expected):
+    # at infinity the sample k is (2^(k+1) - 1, 0)
+    f = RadialStub(big, fail)
+    got = outcome(dyn.multiplier_at_boundary, f, INFINITY2)
+    assert got == outcome(ref_multiplier_at_boundary, f, INFINITY2)
+    if expected != (2.0).hex():
+        assert got == expected
+
+
+def ref_asymptotics(orbit, recenter):
+    """The per-point loop of `orbit_asymptotics`: the four ratio tuples and `special`."""
+    pts = [geo.apply_automorphism(recenter, p) for p in orbit.points]
+    t = [geo.defect(p) for p in pts]
+    return (tuple(p.z.real / tk for p, tk in zip(pts, t)), tuple(p.z.imag / tk for p, tk in zip(pts, t)),
+            tuple(geo.sq_norm(p.w) / tk for p, tk in zip(pts, t)),
+            tuple(t[k] / t[k + 1] for k in range(len(t) - 1)), geo.sq_norm(pts[-1].w) / pts[-1].z.real < 1e-6)
+
+
+def asymptotics_bits(orbit, recenter):
+    rep = dyn.orbit_asymptotics(orbit, recenter)
+    return [hexes(r) for r in (rep.re_ratio, rep.im_ratio, rep.w_ratio, rep.t_ratio)], rep.special
+
+
+def test_asymptotics_match_per_point_loop_in_each_chart():
+    from siegel_dynamics.maps import DiagonalLinear, HalfPlaneLinear, lift_one_dim
+
+    quadpol, elliptic = MAPS["quadpol"], MAPS["elliptic"]
+    lifted = lift_one_dim(HalfPlaneLinear(2.0))
+    curve = geo.recentering_translation(geo.BoundaryPoint(v=CVector((0.64, 0.8j)), model="siegel"))
+    cases = [
+        (dyn.backward_orbit(quadpol, SiegelPoint(1.0, (0.0,)), 0.34, 40), geo.SiegelAutomorphism()),
+        (dyn.backward_orbit(quadpol, geo.apply_automorphism(geo.invert_automorphism(curve), SiegelPoint(1.0, (0j,))),
+                            0.34, 40), curve),
+        (dyn.backward_orbit(DiagonalLinear(2.0), SiegelPoint(3.0 + 1j), 0.5, 40), geo.SiegelAutomorphism()),
+        (dyn.backward_orbit(elliptic, SiegelPoint(3.5 + 0.5j, (0j,)), 0.34, 40),
+         geo.SiegelAutomorphism((geo.Inversion(),))),
+    ]
+    lifted_orbit = dyn.backward_orbit(lifted, SiegelPoint(2.0, (1.0,)), 0.34, 40)
+    near_curve = dyn.backward_orbit(quadpol, SiegelPoint(1.0, (0.1j,)), 0.34, 40)  # w = 0.1i throughout
+    cases += [(lifted_orbit, geo.recentering_translation(lifted_orbit.limit)),
+              (near_curve, geo.SiegelAutomorphism()), (near_curve, geo.recentering_translation(near_curve.limit))]
+    for orbit, chart in cases:
+        rep = ref_asymptotics(orbit, chart)
+        assert asymptotics_bits(orbit, chart) == ([hexes(r) for r in rep[:4]], rep[4])
+
+
+def test_asymptotics_raise_what_the_first_failing_point_raises():
+    # Dilation(1e-303) sends a defect above about 1.8e5 beyond the double range
+    orbit = dyn.backward_orbit(MAPS["elliptic"], SiegelPoint(5.0, (0j,)), 0.34, 40)
+    chart = geo.SiegelAutomorphism((geo.Dilation(1e-303),))
+    ref = outcome(lambda: ref_asymptotics(orbit, chart))
+    assert ref[:2] == ("raised", "InvalidPoint")
+    assert outcome(lambda: asymptotics_bits(orbit, chart)) == ref
+
+
+def point_bits(p):
+    return tuple((c.real.hex(), c.imag.hex()) for c in p.coords) + (p.t.hex(),)
+
+
+@pytest.mark.parametrize("start", [(5.0, 0j), (2.0, 0j), (3.5 + 0.5j, 0j), (20.0, 0j), (5.0, 0.05)])
+def test_recentering_maps_the_orbit_with_the_per_point_bits(start):
+    from siegel_dynamics.conjugation import recenter_orbit_at_zero
+
+    f = MAPS["elliptic"]
+    orbit = dyn.backward_orbit(f, SiegelPoint(start[0], start[1:]), 0.34, 40)
+    _, moved, chart = recenter_orbit_at_zero(f, orbit)
+    assert chart.chain  # the Inversion chart: the orbit runs to infinity
+    ref = [geo.apply_automorphism(chart, p) for p in orbit.points]
+    assert [point_bits(p) for p in moved.points] == [point_bits(p) for p in ref]
+    assert hexes(moved.defects) == hexes(p.t for p in ref)
+
+
+@pytest.mark.parametrize("name, k_max", [("quadpol", None), ("lifted2z", 6), ("diaglinear", 0), ("elliptic", None)])
+def test_interpolation_errors_match_per_point_distances(name, k_max):
+    from siegel_dynamics.conjugation import psi_approx, psi_interpolation_check, recenter_orbit_at_zero
+
+    f = MAPS[name]
+    g, orbit, _ = recenter_orbit_at_zero(f, dyn.backward_orbit(f, SiegelPoint(5.0, (0j,)), 0.34, 40))
+    alpha, n = 2.0 if name != "elliptic" else 4.0 / 3.0, 12
+    k = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
+    a = [SiegelPoint(alpha ** (-j), (0.0,)) for j in range(k + 1)]
+    ref = [geo.dist_siegel(v, orbit.points[j]) for j, (_, v) in enumerate(psi_approx(g, orbit, n, a))]
+    assert hexes(psi_interpolation_check(g, orbit, n, alpha, k_max).errors) == hexes(ref)
+
+
+def exactness(monkeypatch, evaluate_stub):
+    """The `backward_exactness` outcome of `verify`, and that of the per-point loop it
+    replaced, with `maps.evaluate` (as `cli` calls it) replaced by evaluate_stub."""
+    from siegel_dynamics import maps as mp
+    from siegel_dynamics.policy import DEFAULT_POLICY
+
+    orbit = dyn.backward_orbit(MAPS["quadpol"], SiegelPoint(1.0, (0.0,)), 0.34, 40)
+    monkeypatch.setattr(mp, "evaluate", evaluate_stub)
+
+    def batch():
+        for name, ok, _ in cli._verify_checks(FIXTURE_DIR, 0, 5):
+            if name == "backward_exactness":
+                return ok
+
+    def loop():
+        return all(geo.dist_siegel(mp.evaluate(MAPS["quadpol"], orbit.points[k + 1]), orbit.points[k])
+                   < DEFAULT_POLICY.orbit_tol for k in range(len(orbit.points) - 1))
+
+    return outcome(batch), outcome(loop), orbit.points
+
+
+@pytest.mark.parametrize("off, fail, expected", [
+    (3, 10, False),  # f(Z_4) is off before Z_11 raises: False
+    (10, 3, ("raised", "ValueError", "point 3")),  # the raise comes first
+    (None, None, True),
+    (None, 40, ("raised", "ValueError", "point 40")),  # the last point raises
+    (39, None, False),  # the last distance fails
+])
+def test_exactness_stops_where_the_per_point_loop_stopped(monkeypatch, off, fail, expected):
+    from siegel_dynamics import maps as mp
+
+    real = mp.evaluate
+    points = dyn.backward_orbit(MAPS["quadpol"], SiegelPoint(1.0, (0.0,)), 0.34, 40).points
+
+    def stub(f, p):
+        if type(p) is geo.SiegelRows:  # row by row, in order: a failing row raises its point's error
+            return geo.SiegelRows.of([stub(f, p.point(i)) for i in range(len(p.t))])
+        k = points.index(p)
+        if k == fail:
+            raise ValueError(f"point {k}")
+        q = real(f, p)
+        return SiegelPoint(q.z + 1e-6, q.w) if k == (off if off is None else off + 1) else q
+
+    batch, loop, _ = exactness(monkeypatch, stub)
+    assert batch == loop == expected

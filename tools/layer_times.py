@@ -9,6 +9,9 @@ after each timing, as the benchmark scales its jobs):
 
 - ``backward_step`` and an n = 40 ``backward_orbit`` from (5, 0), bound 0.34,
   the benchmark's start;
+- ``multiplier``: ``multiplier_at_boundary`` at the fixture's repelling point
+  (infinity for ``elliptic``, 0 for the others), as the benchmark's ``checks``
+  job calls it;
 - ``evaluate`` at the orbit's start, and on 7 and on 120 rows (``SiegelRows``)
   of its points, repeated from the start as often as needed; each call gets
   new row objects (``take``), as each step of a ψ sweep does, so no row
@@ -56,12 +59,12 @@ from siegel_dynamics import dynamics as dyn  # noqa: E402
 from siegel_dynamics import maps as mp  # noqa: E402
 from siegel_dynamics import serialize as ser  # noqa: E402
 from siegel_dynamics.cli import FIXTURES, fixture_path  # noqa: E402
-from siegel_dynamics.geometry import SiegelPoint, SiegelRows  # noqa: E402
+from siegel_dynamics.geometry import INFINITY, BoundaryPoint, CVector, SiegelPoint, SiegelRows  # noqa: E402
 
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120",
-          "backward_step", "backward_orbit_n40", "run_conjugation", "conjugate_cli")
+          "backward_step", "backward_orbit_n40", "multiplier", "run_conjugation", "conjugate_cli")
 
 
 def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
@@ -101,6 +104,7 @@ def fixture_jobs(name: str) -> dict:
     n_values = tuple(range(1, min(len(orbit0.points) - 1, N_CONJ + 1)))
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
+    q = INFINITY if name == "elliptic" else BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
     return {
         "evaluate_point": lambda: mp.evaluate(f, START),
         "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
@@ -108,6 +112,7 @@ def fixture_jobs(name: str) -> dict:
         "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
+        "multiplier": lambda: dyn.multiplier_at_boundary(f, q),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": lambda: conjugate_job(name),
     }
