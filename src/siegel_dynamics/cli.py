@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from .errors import InvalidDescriptor, SiegelDynamicsError
 from .policy import DEFAULT_POLICY
 
 FIXTURES = ("quadpol", "lifted2z", "diaglinear", "elliptic")
+FIXTURE_DIR = Path(__file__).parent / "fixtures"  # the bundled fixtures, beside this module
 
 
 def _parse_complex(s: str) -> complex:
@@ -88,7 +88,7 @@ def _public_config(args, config: dict) -> dict:
 
 
 def fixture_path(name: str) -> Path:
-    return Path(str(importlib.resources.files("siegel_dynamics") / "fixtures" / f"{name}.json"))
+    return FIXTURE_DIR / f"{name}.json"
 
 
 def _emit(report: dict, args, table: str = "") -> None:

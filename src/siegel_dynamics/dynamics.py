@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, truediv
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     SiegelRows,
-    _cdiv,
+    _cdivs,
     _projection,
     _raise_first,
     _siegel_coords,
@@ -134,7 +136,8 @@ def _until_failure(batch, n: int) -> tuple[list, Exception | None]:
     while lo < hi:
         mid = hi if error is None else (lo + hi + 1) // 2
         try:
-            values, lo = batch(mid), mid
+            with np.errstate(all="ignore"):  # where a point raises, a row gets inf or NaN silently
+                values, lo = batch(mid), mid
         except Exception as err:
             error, hi = err, mid - 1
     return values, error
@@ -169,7 +172,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
     bound = a * (1.0 + DEFAULT_POLICY.validity_tol)
-    admissible: list[tuple[float, SiegelPoint]] = []
+    best: SiegelPoint | None = None
     nearest = math.inf  # the smallest step beyond the bound, for the error message
     for c in preimage_candidates(f, zn):
         try:
@@ -178,16 +181,16 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
             continue
         d = dist_siegel(zn, p)
         if d <= bound:
-            admissible.append((d, p))
+            if best is None or d < best_d or d == best_d and p.t < best.t:  # first of equal (d, t) stays
+                best, best_d = p, d
         elif d < nearest:
             nearest = d
-    if not admissible:
+    if best is None:
         near = f" (nearest at step {nearest:.3g})" if nearest < math.inf else ""
         raise NoBackwardStep(f"no in-domain preimage within step bound {a}{near}")
-    d, p = admissible[0] if len(admissible) == 1 else min(admissible, key=lambda c: (c[0], c[1].t))
     if steps is not None:
-        steps.append(d)
-    return p
+        steps.append(best_d)
+    return best
 
 
 def _projection_mean(points: list[SiegelPoint]) -> CVector:
@@ -198,10 +201,7 @@ def _projection_mean(points: list[SiegelPoint]) -> CVector:
     pr = [_projection(p) for p in points]
     if len(pr[0]) == 1 and len(pr) >= 4:
         pr[:4] = [((pr[0][0] + pr[1][0]) + (pr[2][0] + pr[3][0]),)]
-    total = (0j,) * len(pr[0])
-    for c in pr:
-        total = tuple(x + y for x, y in zip(total, c))
-    return CVector(tuple(_cdiv(x, len(points)) for x in total))
+    return CVector(_cdivs([reduce(add, column, 0j) for column in zip(*pr)], len(points)))
 
 
 def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
@@ -225,25 +225,26 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         except NoBackwardStep as err:
             stop = f"; {err}"
             break
-    defects = tuple(p.t for p in points)
     if len(points) < 3:
         raise OrbitTooShort(f"backward orbit too short to analyze: {len(steps)} of {n} steps{stop}")
+    rows = SiegelRows.of(points)
+    defects = tuple(rows.t.tolist())
     to_infinity = defects[-1] > defects[0]
     if to_infinity:
         limit: BoundaryPoint | None = INFINITY
-        ratios = [defects[k + 1] / defects[k] for k in range(len(defects) - 1)]
+        alpha = _tail_median(defects[1:], defects[:-1])
     else:
         limit = BoundaryPoint(v=_projection_mean(points[-5:]), model="siegel")
-        ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
-    alpha = _tail_median(ratios)
+        alpha = _tail_median(defects[:-1], defects[1:])
     # Python's max over the points in order, as a per-point loop takes it
-    cert = max(koranyi_ratio(SiegelRows.of(points), limit).tolist())
+    cert = max(koranyi_ratio(rows, limit).tolist())
     return BackwardOrbit(tuple(points), tuple(steps), defects, a, limit, alpha, cert, to_infinity)
 
 
-def _tail_median(ratios) -> float:
-    """The median of the last quarter of the ratios, the multiplier estimate of an orbit."""
-    return float(statistics.median(ratios[max(0, 3 * len(ratios) // 4):]))
+def _tail_median(num, den) -> float:
+    """The median of the ratios num[k] / den[k] over the last quarter of the k, an orbit's multiplier estimate."""
+    k = 3 * len(num) // 4
+    return statistics.median(map(truediv, num[k:], den[k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def orbit_asymptotics(orbit: BackwardOrbit, recenter: SiegelAutomorphism) -> Asy
     pts = apply_automorphism(recenter, SiegelRows.of(orbit.points))
     t, w = pts.t, np.broadcast_to(sq_norm(pts.w), len(pts.t))  # ||w||^2 of each point, 0.0 in dimension 1
     re_r, im_r, w_r, t_r = (tuple(c.tolist()) for c in (pts.z.real / t, pts.z.imag / t, w / t, t[:-1] / t[1:]))
-    alpha = _tail_median(t_r)
+    alpha = _tail_median(t[:-1].tolist(), t[1:].tolist())
     limits_ok = {
         "re": abs(re_r[-1] - 1.0) < tol,
         "im": abs(im_r[-1]) < tol,
@@ -436,7 +437,7 @@ def angular_ratio_diagnostics(f: MapDescriptor, q: BoundaryPoint,
         one_minus_in = 2.0 / (pc.z + 1.0)
         one_minus_out = 2.0 / (img.z + 1.0)
         radial.append(abs(one_minus_out) / abs(one_minus_in))
-        wb = tuple(_cdiv(2.0 * c, img.z + 1.0) for c in img.w)
+        wb = _cdivs([2.0 * c for c in img.w], img.z + 1.0)
         tangential.append(math.sqrt(sq_norm(wb)) / math.sqrt(abs(one_minus_in)))
     bounded = bool(radial) and max(radial) < 1e6 and max(tangential) < 1e6
     return AngularReport(tuple(radial), tuple(tangential), tuple(rejected), bounded,

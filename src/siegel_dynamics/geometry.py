@@ -54,16 +54,29 @@ def _cdiv(a: complex, b: complex) -> complex:
     """a / b rounded as numpy's complex division (Smith's method, multiplying
     by the reciprocal), which differs from CPython's `/` in the last bit; a
     `ComplexRows` dividend is divided row by row the same way."""
-    if type(a) is ComplexRows:
-        return _smith(a, b, reciprocal=True)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _smith(a, b, reciprocal=True) if type(a) is ComplexRows else _cdivs((a,), b)[0]
+
+
+def _cdivs(nums, b) -> Complexes:
+    """Each of nums divided by b as `_cdiv` divides, Smith's branch, ratio and scale prepared once;
+    `ComplexRows` numerators come with a `ComplexRows` b, on which `_smith` keeps them."""
+    if type(b) is ComplexRows:
+        return tuple([_smith(a, b, reciprocal=True) for a in nums])
+    br, bi = b.real, b.imag
+    out = []
     if abs(br) >= abs(bi):
         rat = bi / br
         scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+        for a in nums:
+            ar, ai = a.real, a.imag
+            out.append(complex((ar + ai * rat) * scl, (ai - ar * rat) * scl))
+    else:
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        for a in nums:
+            ar, ai = a.real, a.imag
+            out.append(complex((ar * rat + ai) * scl, (ai * rat - ar) * scl))
+    return tuple(out)
 
 
 def herm(u, v) -> complex:
@@ -127,13 +140,18 @@ class BallPoint:
         return self.v.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SiegelPoint:
     """Point (z, w) of the Siegel domain, Re z > ||w||^2 strictly; t is its defect."""
 
     z: complex
     w: Complexes = ()
     t: float = field(init=False, compare=False, repr=False)
+
+    def __init__(self, z, w=()):
+        d = self.__dict__  # frozen: no object.__setattr__ per field
+        d["z"], d["w"] = z, w
+        self.__post_init__()
 
     def __post_init__(self):
         d = self.__dict__  # the frozen fields, set by item (cheaper than update or setattr)
@@ -321,10 +339,10 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     is a finite double.  On `SiegelRows` it gives an array, with the bits of
     each row as one point.
     """
-    if len(a.w) != len(b.w):
+    if len(aw := a.w) != len(bw := b.w):
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
     e = v = 0.0
-    for x, y in zip(a.w, b.w):
+    for x, y in zip(aw, bw):
         d = x - y
         e += d.real * d.real + d.imag * d.imag
         v += d.imag * y.real - d.real * y.imag  # Im <d, y>
@@ -352,7 +370,7 @@ def _ball_coords(z: complex, w: Complexes) -> Complexes:
     """C^{-1}(z, w) without the norm check, so points within rounding of the
     sphere (and boundary points) stay usable."""
     d = z + 1.0
-    return ((z - 1.0) / d,) + tuple(_cdiv(2.0 * c, d) for c in w)
+    return ((z - 1.0) / d,) + _cdivs([2.0 * c for c in w], d)
 
 
 def _ball_check(v: Complexes):
@@ -370,7 +388,7 @@ def _siegel_coords(v: Complexes) -> Complexes:
     """C(v), the inverse of `_ball_coords`, without the domain check; the
     coordinates may be `ComplexRows` columns."""
     d = 1.0 - v[0]
-    return (_cdiv(1.0 + v[0], d),) + tuple(_cdiv(c, d) for c in v[1:])
+    return _cdivs((1.0 + v[0], *v[1:]), d)
 
 
 def _ball_image_norm(g):
@@ -789,8 +807,8 @@ class SiegelRows:
     def of(cls, points: list[SiegelPoint], dim: int | None = None) -> "SiegelRows":
         """The points as rows, each with the t it stored; dim is theirs, needed if there are none."""
         cols = [[p.z for p in points]] + [[p.w[j] for p in points] for j in range((dim or points[0].dim) - 1)]
-        z, *w = (ComplexRows(c.real, c.imag) for c in map(np.array, cols))
-        return cls._checked(z, w, np.array([p.t for p in points]))
+        z, *w = (ComplexRows(c.real, c.imag) for c in np.array(cols, complex))
+        return cls._checked(z, w, np.array([p.t for p in points], float))
 
     def take(self, i) -> "SiegelRows":
         """The rows i (a slice or an index array), in that order; checked already."""

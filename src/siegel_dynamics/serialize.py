@@ -8,7 +8,6 @@ strings so reports round-trip bit-for-bit.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import fields, is_dataclass
 from typing import Any
@@ -161,20 +160,12 @@ def forward_orbit_to_json(o: ForwardOrbit) -> dict:
 
 def orbit_to_csv(points, steps) -> str:
     """Rows: n, Re z, Im z, Re w_j, Im w_j ..., t_n, d_n (d_n empty on the last row)."""
-    buf = io.StringIO()
-    dim = points[0].dim
-    wcols = []
-    for j in range(1, dim):
-        wcols += [f"re_w{j}", f"im_w{j}"]
-    buf.write(",".join(["n", "re_z", "im_z"] + wcols + ["t", "d"]) + "\n")
+    rows = [["n", "re_z", "im_z", *(f"{part}_w{j}" for j in range(1, points[0].dim) for part in ("re", "im")),
+             "t", "d"]]
     for k, p in enumerate(points):
-        row = [str(k), sig17(p.z.real), sig17(p.z.imag)]
-        for c in p.w:
-            row += [sig17(c.real), sig17(c.imag)]
-        row.append(sig17(defect(p)))
-        row.append(sig17(steps[k]) if k < len(steps) else "")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        rows.append([str(k), *(sig17(x) for c in p.coords for x in (c.real, c.imag)), sig17(defect(p)),
+                     sig17(steps[k]) if k < len(steps) else ""])
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def dumps_canonical(obj: Any) -> str:

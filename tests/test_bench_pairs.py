@@ -139,3 +139,47 @@ def test_machine_line_counts_only_tracked_edits_as_uncommitted(tmp_path, monkeyp
     assert bench_pairs.machine("HEAD")["machine"]["change_uncommitted"] is False
     (tmp_path / "tracked.txt").write_text("two\n")
     assert bench_pairs.machine("HEAD")["machine"]["change_uncommitted"] is True
+
+
+def test_change_export_holds_tracked_edits_but_no_untracked_file(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                              capture_output=True, check=True, text=True).stdout
+
+    git("init", "-q")
+    (repo / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.export(None, tmp_path / "clean")  # no edits: HEAD
+    assert (tmp_path / "clean" / "tracked.txt").read_text() == "one\n"
+    (repo / "tracked.txt").write_text("two\n")
+    (repo / "untracked.txt").write_text("stray\n")
+    bench_pairs.export(None, tmp_path / "edited")
+    assert (tmp_path / "edited" / "tracked.txt").read_text() == "two\n"
+    assert not (tmp_path / "edited" / "untracked.txt").exists()
+    # the working tree, the index and the stash list are as they were
+    assert (repo / "tracked.txt").read_text() == "two\n" and (repo / "untracked.txt").exists()
+    assert git("stash", "list") == "" and git("status", "--porcelain") == " M tracked.txt\n?? untracked.txt\n"
+
+
+def test_both_sides_run_from_their_own_export(tmp_path, monkeypatch):
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
+    exports, cwds = {}, {}
+
+    def run_once(cwd, workload, seed, seconds):
+        cwds.setdefault(cwd, []).append(seed)
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: exports.setdefault(ref, dest))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "machine", lambda parent: {"machine": {"parent": parent}})
+    argv = ["--parent", "abc", "--workload", "checks", "--seeds", "5-6", "--out", str(tmp_path / "p.jsonl")]
+    assert bench_pairs.main(argv) == 0
+    assert set(exports) == {"abc", None}  # None: the working tree's tracked files
+    assert cwds == {exports["abc"]: [5, 6], exports[None]: [5, 6]}
+    assert bench_pairs.ROOT not in cwds and exports["abc"] != exports[None]

@@ -464,3 +464,18 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         fresh = subprocess.run([sys.executable, "-m", "siegel_dynamics.cli", *argv],
                                capture_output=True, text=True, env=env, check=False)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_fixture_paths_are_the_bundled_files_without_a_resource_lookup(monkeypatch):
+    import importlib.resources
+
+    before = {name: Path(str(importlib.resources.files("siegel_dynamics") / "fixtures" / f"{name}.json"))
+              for name in cli.FIXTURES}
+
+    def no_lookup(*args):
+        raise AssertionError("fixture_path looked the package up again")
+
+    monkeypatch.setattr(importlib.resources, "files", no_lookup)
+    for name, path in before.items():
+        assert fixture_path(name) == path and path.is_file()
+        assert str(fixture_path(name)) == str(path)

@@ -18,6 +18,7 @@ sample, with that sample's own error.
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,18 @@ def test_a_sample_whose_image_overflows_abs_raises_as_the_loop_did():
         got = outcome(dyn.multiplier_at_boundary, DiagonalLinear(1.2e308), q)
     assert got == outcome(ref_multiplier_at_boundary, DiagonalLinear(1.2e308), q)
     assert got == ("raised", "OverflowError", "absolute value too large")
+
+
+def test_a_batch_that_overflows_raises_without_numpy_warnings():
+    # the same overflow in dimension 2: the rows' multiply and hypot overflow, and the batch
+    # runs under np.errstate(all="ignore"), so with warnings as errors only the loop's error comes out
+    from siegel_dynamics.maps import DiagonalLinear
+
+    q = geo.BoundaryPoint(v=CVector((2j, 0j)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            dyn.multiplier_at_boundary(DiagonalLinear(1.2e308, (1,)), q)
 
 
 class RadialStub:

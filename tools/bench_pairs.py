@@ -5,9 +5,12 @@
 For each workload of the comma list, and each seed, it runs ``python3
 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on the
 parent commit REF and once on this working tree, alternating which side goes
-first.  The parent runs from a
-temporary ``git archive`` export of REF (removed afterwards; an interrupted run
-leaves nothing registered in the repository).  Every raw JSON result line is
+first.  Each side runs from a temporary ``git archive`` export, so both trees
+sit alike: the parent's of REF, the change's of the working tree's tracked
+files with their uncommitted edits (a ``git stash create`` commit, which
+touches neither the tree nor the stash list; HEAD when there are no edits).
+Untracked files are left out.  The exports are removed afterwards; an
+interrupted run leaves nothing registered in the repository.  Every raw JSON result line is
 appended to ``--out``, after one machine line: the Python and numpy versions of
 the ``python3`` that runs the benchmark, the processors this process may use,
 the parent commit, and the commit of the working tree with whether its tracked
@@ -114,7 +117,9 @@ def machine(parent: str) -> dict:
                                                        "--untracked-files=no"))}}
 
 
-def export(ref: str, dest: Path) -> None:
+def export(ref: str | None, dest: Path) -> None:
+    """Extract commit ref into dest; with None, the working tree's tracked files as they are."""
+    ref = ref or git("stash", "create") or "HEAD"
     tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
@@ -139,9 +144,11 @@ def main(argv: list[str] | None = None) -> int:
         fh.write(json.dumps(machine(args.parent)) + "\n")
     workloads = list(dict.fromkeys(args.workload.split(",")))
     records: dict[str, list[dict]] = {w: [] for w in workloads}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        export(args.parent, Path(tmp))
-        dirs = {"parent": Path(tmp), "change": ROOT}
+    with (tempfile.TemporaryDirectory(prefix="bench-parent-") as parent,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change):
+        export(args.parent, Path(parent))
+        export(None, Path(change))
+        dirs = {"parent": Path(parent), "change": Path(change)}
         for workload in workloads:
             for pair, seed in enumerate(seeds):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

@@ -7,8 +7,10 @@ For each bundled fixture it times, in microseconds at the reference speed of
 ``perfbench/calibration.py`` (a fixed kernel timed right before and right
 after each timing, as the benchmark scales its jobs):
 
-- ``backward_step`` and an n = 40 ``backward_orbit`` from (5, 0), bound 0.34,
-  the benchmark's start;
+- ``backward_step`` and an n = 40 and an n = 500 ``backward_orbit`` from
+  (5, 0), bound 0.34, the benchmark's start;
+- a step's primitives: ``siegel_point``, the ``SiegelPoint`` of its first
+  preimage candidate, and ``dist_siegel``, its distance to the point it takes;
 - ``multiplier``: ``multiplier_at_boundary`` at the fixture's repelling point
   (infinity for ``elliptic``, 0 for the others), as the benchmark's ``checks``
   job calls it;
@@ -56,6 +58,7 @@ from perfbench.calibration import kernel_seconds, reference_seconds  # noqa: E40
 from siegel_dynamics import cli  # noqa: E402
 from siegel_dynamics import conjugation as cj  # noqa: E402
 from siegel_dynamics import dynamics as dyn  # noqa: E402
+from siegel_dynamics import geometry as geo  # noqa: E402
 from siegel_dynamics import maps as mp  # noqa: E402
 from siegel_dynamics import serialize as ser  # noqa: E402
 from siegel_dynamics.cli import FIXTURES, fixture_path  # noqa: E402
@@ -63,8 +66,9 @@ from siegel_dynamics.geometry import INFINITY, BoundaryPoint, CVector, SiegelPoi
 
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
-LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120",
-          "backward_step", "backward_orbit_n40", "multiplier", "run_conjugation", "conjugate_cli")
+LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "siegel_point",
+          "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500", "multiplier",
+          "run_conjugation", "conjugate_cli")
 
 
 def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
@@ -105,13 +109,17 @@ def fixture_jobs(name: str) -> dict:
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
     q = INFINITY if name == "elliptic" else BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
+    c, step = mp.preimage_candidates(f, START)[0], dyn.backward_step(f, START, BOUND)
     return {
         "evaluate_point": lambda: mp.evaluate(f, START),
         "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
         "evaluate_rows120": lambda: mp.evaluate(f, rows120.take(ALL)),
         "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
+        "siegel_point": lambda: SiegelPoint(c[0], c[1:]),
+        "dist_siegel": lambda: geo.dist_siegel(START, step),
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
+        "backward_orbit_n500": lambda: dyn.backward_orbit(f, START, BOUND, 500),
         "multiplier": lambda: dyn.multiplier_at_boundary(f, q),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": lambda: conjugate_job(name),
