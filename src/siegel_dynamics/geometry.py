@@ -59,7 +59,7 @@ def _cdiv(a: complex, b: complex) -> complex:
 
 def _cdivs(nums, b) -> Complexes:
     """Each of nums divided by b as `_cdiv` divides, Smith's branch, ratio and scale prepared once;
-    `ComplexRows` numerators come with a `ComplexRows` b, on which `_smith` keeps them."""
+    `ComplexRows` numerators come with a `ComplexRows` b, whose preparation `_smith` keeps on it."""
     if type(b) is ComplexRows:
         return tuple([_smith(a, b, reciprocal=True) for a in nums])
     br, bi = b.real, b.imag
