@@ -10,15 +10,15 @@ sit alike: the parent's of REF, the change's of the working tree's tracked
 files with their uncommitted edits (a ``git stash create`` commit, which
 touches neither the tree nor the stash list; HEAD when there are no edits).
 Untracked files are left out.  The exports are removed afterwards; an
-interrupted run leaves nothing registered in the repository.  Every raw JSON result line is
-appended to ``--out``, after one machine line: the Python and numpy versions of
-the ``python3`` that runs the benchmark, the processors this process may use,
-the parent commit, and the commit of the working tree with whether its tracked
-files have uncommitted changes (untracked files do not count).  The summary is
-one markdown table per workload, with each side's median and quartiles per
-end-to-end metric, the pairs the change won (ties count for neither), and
-whether the gap between the medians exceeds the spread between the parent's
-quartiles.  Only the standard library is used.
+interrupted run leaves nothing registered in the repository.  Every raw JSON
+result line is appended to ``--out``, after one machine line: the Python and
+numpy versions of the ``python3`` that runs the benchmark, the processors this
+process may use, the parent commit, and the commit of the working tree with
+whether its tracked files have uncommitted changes (untracked files do not
+count).  The summary is one markdown table per workload, with each side's
+median and quartiles per end-to-end metric, the pairs the change won (ties
+count for neither), and whether the gap between the medians exceeds the spread
+between the parent's quartiles.  Only the standard library is used.
 """
 
 from __future__ import annotations
