@@ -207,7 +207,11 @@ def _projection_mean(points: list[SiegelPoint]) -> CVector:
 def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
     """Backward-iteration sequence of length n (truncated if a step fails).
 
-    The limit is estimated from boundary projections of the tail; orbits whose
+    Once a step is exactly 0 and gives back its point's bits (z and every w
+    as bytes: 0.0 == -0.0, yet a zero's sign can steer a branch), every later
+    step, a pure function of the map, those bits and the bound, repeats it; the
+    orbit appends the remaining copies of that point and step instead.  The
+    limit is estimated from boundary projections of the tail; orbits whose
     defects grow converge to the point at infinity.  The multiplier estimate
     is the median tail defect ratio; the Koranyi certificate is the largest
     approach-region amplitude attained along the orbit.
@@ -219,11 +223,15 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
     points = [z0]
     steps: list[float] = []
     stop = ""
-    for _ in range(n):
+    for left in range(n - 1, -1, -1):  # the steps still to take after this one
         try:
             points.append(backward_step(f, points[-1], a, steps))
         except NoBackwardStep as err:
             stop = f"; {err}"
+            break
+        if steps[-1] == 0.0 and np.array(points[-1].coords).tobytes() == np.array(points[-2].coords).tobytes():
+            points += points[-1:] * left
+            steps += steps[-1:] * left
             break
     if len(points) < 3:
         raise OrbitTooShort(f"backward orbit too short to analyze: {len(steps)} of {n} steps{stop}")
