@@ -20,3 +20,14 @@ def test_ledger_prints_one_row_per_pair_class_and_the_siegel_metric():
 def test_dist_ball_within_1e_15_of_mpmath_on_each_pair_class(kind, dim):
     # 200 pairs per dimension, 600 per class
     assert accuracy_ledger.worst_dist_ball(kind, dim, 200, seed=1) <= 1e-15
+
+
+def test_main_reads_pairs_and_seed(capsys):
+    assert accuracy_ledger.main(["--pairs", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == accuracy_ledger.ledger(3, 1) + "\n"
+
+
+def test_main_refuses_unknown_arguments(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        accuracy_ledger.main(["--pairs", "3", "--dims", "2"])
+    assert exit_.value.code == 2 and "unrecognized arguments: --dims 2" in capsys.readouterr().err

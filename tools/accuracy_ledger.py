@@ -1,17 +1,19 @@
 """Worst relative error of the two pseudo-hyperbolic metrics against mpmath.
 
-    PYTHONPATH=src python3 tools/accuracy_ledger.py
+    PYTHONPATH=src python3 tools/accuracy_ledger.py [--pairs 600] [--seed 0]
 
-For each class of ball pairs and each dimension 1-3 it draws 600 pairs (seed 0)
-and prints the largest |dist_ball - d| / d, with d the 100-digit mpmath value
-on the same double inputs; then the same for ``dist_siegel`` on 600 / 31 pairs,
-each dilated to every defect scale t = 10^k, k = -300, -280, ..., 300.  The
-output is one markdown table (the one in the README's "Numerics" section).  The
-tests take their mpmath references and pair classes from here.
+For each class of ball pairs and each dimension 1-3 it draws ``--pairs`` pairs
+(``--seed``) and prints the largest |dist_ball - d| / d, with d the 100-digit
+mpmath value on the same double inputs; then the same for ``dist_siegel`` on
+max(1, pairs // 31) pairs, each dilated to every defect scale t = 10^k, k =
+-300, -280, ..., 300.  The output is one markdown table; with the defaults, 600
+pairs and seed 0, it is the one in the README's "Numerics" section.  The tests
+take their mpmath references and pair classes from here.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import mpmath
@@ -130,8 +132,12 @@ def ledger(n: int, seed: int) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    print(ledger(600, 0))
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pairs", type=int, default=600, help="pairs per class and dimension")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    print(ledger(args.pairs, args.seed))
     return 0
 
 

@@ -7,8 +7,11 @@ For each bundled fixture it times, in microseconds at the reference speed of
 ``perfbench/calibration.py`` (a fixed kernel timed right before and right
 after each timing, as the benchmark scales its jobs):
 
-- ``backward_step`` and an n = 40 and an n = 500 ``backward_orbit`` from
-  (5, 0), bound 0.34, the benchmark's start;
+- ``backward_step`` and an n = 40, an n = 500 and an n = 2000
+  ``backward_orbit`` from (5, 0), bound 0.34, the benchmark's start (at
+  n = 2000 the polynomial fixtures stop near t = 5e-324 after 1,074
+  steps, and ``elliptic``'s step 122 gives back its point, which ends the
+  steps taken);
 - a step's primitives: ``siegel_point``, the ``SiegelPoint`` of its first
   preimage candidate, and ``dist_siegel``, its distance to the point it takes;
 - ``multiplier``: ``multiplier_at_boundary`` at the fixture's repelling point
@@ -67,8 +70,8 @@ from siegel_dynamics.geometry import INFINITY, BoundaryPoint, CVector, SiegelPoi
 START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "siegel_point",
-          "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500", "multiplier",
-          "run_conjugation", "conjugate_cli")
+          "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500", "backward_orbit_n2000",
+          "multiplier", "run_conjugation", "conjugate_cli")
 
 
 def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
@@ -120,6 +123,7 @@ def fixture_jobs(name: str) -> dict:
         "backward_step": lambda: dyn.backward_step(f, START, BOUND),
         "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
         "backward_orbit_n500": lambda: dyn.backward_orbit(f, START, BOUND, 500),
+        "backward_orbit_n2000": lambda: dyn.backward_orbit(f, START, BOUND, 2000),
         "multiplier": lambda: dyn.multiplier_at_boundary(f, q),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": lambda: conjugate_job(name),
