@@ -21,21 +21,14 @@ from .geometry import (
     BallPoint,
     BoundaryPoint,
     CVector,
-    Horosphere,
-    KoranyiRegion,
     SiegelAutomorphism,
     SiegelPoint,
     apply_automorphism,
-    build_automorphism,
     cayley_to_siegel,
-    compose_automorphisms,
     defect,
     dist_ball,
     dist_siegel,
-    horosphere_contains,
-    hyperbolic_ball_extremes,
     invert_automorphism,
-    koranyi_contains,
     boundary_projection,
     siegel_to_ball,
 )
@@ -76,7 +69,6 @@ from .conjugation import (
     psi_interpolation_check,
     run_conjugation,
     special_backward_construct,
-    tau_limit_diagnostics,
 )
 
 __version__ = "0.1.0"

@@ -51,7 +51,10 @@ def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in config:
-        return int(config["seed"])
+        try:
+            return int(config["seed"])
+        except (TypeError, ValueError):
+            raise ValueError(f"config {args.config}: seed {json.dumps(config['seed'])} is not an integer") from None
     env = os.environ.get("SIEGEL_DYNAMICS_SEED")
     return int(env) if env else 0
 
@@ -60,7 +63,10 @@ def _load_config(args) -> dict:
     if not args.config:
         return {}
     with open(args.config, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config} is not a JSON object")
+    return config
 
 
 def _load_map(args) -> mp.MapDescriptor:

@@ -31,7 +31,6 @@ from .geometry import (
     Translation,
     _apply_chain,
     apply_automorphism,
-    compose_automorphisms,
     dist_siegel,
     invert_automorphism,
     recentering_translation,
@@ -59,44 +58,16 @@ def build_tau(orbit: BackwardOrbit, n: int, omega: tuple[complex, ...] | None = 
     return SiegelAutomorphism(tuple(chain))
 
 
-def eta_model(alpha: float, dim: int, k: int = 1,
-              omega: tuple[complex, ...] | None = None) -> SiegelAutomorphism:
-    """k-th power of the linear model eta(z, w) = (alpha z, sqrt(alpha) Omega w)."""
+def eta_model(alpha: float, dim: int, omega: tuple[complex, ...] | None = None) -> SiegelAutomorphism:
+    """The linear model eta(z, w) = (alpha z, sqrt(alpha) Omega w)."""
     if omega is None:
         omega = (1.0 + 0.0j,) * (dim - 1)
-    lam = tuple(alpha ** (k / 2.0) * (c ** k) for c in omega)
-    if k == 0:
-        return SiegelAutomorphism()
-    if k < 0:
-        return invert_automorphism(eta_model(alpha, dim, -k, omega))
-    return SiegelAutomorphism((LinearDiag(alpha ** k, lam),))
+    return SiegelAutomorphism((LinearDiag(alpha, tuple(alpha ** 0.5 * c for c in omega)),))
 
 
 def project(p: SiegelPoint, mask: tuple[bool, ...]) -> SiegelPoint:
     """p_L: keep z and the tangential coordinates the mask marks, zero the rest."""
     return SiegelPoint(p.z, tuple(c if keep else 0.0 + 0.0j for c, keep in zip(p.w, mask)))
-
-
-@dataclass(frozen=True)
-class TauLimitReport:
-    eta_errors: tuple[float, ...]       # sup_grid d(tau_{n+k}^{-1} tau_n (Z), eta_k(Z))
-    identity_errors: tuple[float, ...]  # sup_grid d(tau_{n+1}^{-1} eta^{-1} tau_n (Z), Z)
-
-
-def tau_limit_diagnostics(orbit: BackwardOrbit, alpha: float, k: int, grid: list[SiegelPoint],
-                          omega: tuple[complex, ...] | None = None) -> TauLimitReport:
-    """Convergence of the automorphism combinations that make psi well defined:
-    tau_{n+k}^{-1} o tau_n -> eta_k and tau_{n+1}^{-1} o eta^{-1} o tau_n -> id."""
-    dim, errors = orbit.points[0].dim, ([], [])
-    rows = SiegelRows.of(grid, dim)
-    at_eta, eta_inv = apply_automorphism(eta_model(alpha, dim, k, omega), rows), eta_model(alpha, dim, -1, omega)
-    taus = [build_tau(orbit, n, omega) for n in range(len(orbit.points))]
-    for n in range(len(orbit.points) - max(k, 1)):  # each max over the grid in order, as per point
-        comb1 = compose_automorphisms(invert_automorphism(taus[n + k]), taus[n])
-        comb2 = compose_automorphisms(invert_automorphism(taus[n + 1]), compose_automorphisms(eta_inv, taus[n]))
-        errors[0].append(max(dist_siegel(apply_automorphism(comb1, rows), at_eta).tolist()))
-        errors[1].append(max(dist_siegel(apply_automorphism(comb2, rows), rows).tolist()))
-    return TauLimitReport(tuple(errors[0]), tuple(errors[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +159,7 @@ def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int,
     """The residual at each n of n_values from one sweep, and the rows of psi
     at the last n: at eta(Z), then at Z, in grid order."""
     g, m, rows = len(grid), len(n_values), SiegelRows.of(grid, orbit.points[0].dim)
-    eta = apply_automorphism(eta_model(alpha, orbit.points[0].dim, 1, omega), rows)
+    eta = apply_automorphism(eta_model(alpha, orbit.points[0].dim, omega), rows)
     psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows]), n_values, mask, omega)
     at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
@@ -221,18 +192,6 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
     a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
     psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), *_variant(f))
     return InterpolationReport(tuple(dist_siegel(psi, SiegelRows.of(orbit.points[:k_max + 1])).tolist()))
-
-
-def gn_diagnostic(f: MapDescriptor, orbit: BackwardOrbit, n: int,
-                  grid: list[SiegelPoint], alpha: float) -> float:
-    """Deviation of g_n = tau_n^{-1} o psi_n o eta_n^{-1} from the projection
-    p_L, measured on the grid points whose eta^{-n} image stays usable."""
-    dim, (mask, omega) = orbit.points[0].dim, _variant(f)
-    tau_inv = invert_automorphism(build_tau(orbit, n, omega))
-    psi = _psi_rows(f, orbit, apply_automorphism(eta_model(alpha, dim, -n, omega), SiegelRows.of(grid, dim)),
-                    (n,), mask, omega)
-    d = dist_siegel(apply_automorphism(tau_inv, psi), SiegelRows.of([project(z, mask) for z in grid], dim))
-    return max([0.0, *d.tolist()])  # Python's max over the points in order, as the scalar loop took it
 
 
 @dataclass(frozen=True)

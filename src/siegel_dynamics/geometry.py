@@ -1,9 +1,10 @@
 """Geometry of the unit ball B^N and the Siegel domain H^N.
 
 Coordinates, the Cayley transform between the two models, the
-pseudo-hyperbolic metric, horospheres and Koranyi approach regions, and the
-group of Siegel automorphisms generated by boundary translations, dilations,
-tangential rotations, diagonal linear maps and the 0 <-> infinity inversion.
+pseudo-hyperbolic metric, the Julia and Koranyi quotients at a boundary
+point, and the group of Siegel automorphisms generated by boundary
+translations, dilations, tangential rotations, diagonal linear maps and the
+0 <-> infinity inversion.
 
 Conventions: a Siegel point is (z, w) with z complex and w in C^(N-1),
 subject to Re z > ||w||^2; its "defect" is t = Re z - ||w||^2.  The Cayley
@@ -204,49 +205,6 @@ class BoundaryPoint:
 
 INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
 
-Point = Union[BallPoint, SiegelPoint]
-
-
-# ---------------------------------------------------------------------------
-# regions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Horosphere:
-    """Ball-model horosphere H(X, R) or Siegel horosphere at infinity H(t).
-
-    Both are open: membership is a strict inequality.
-    """
-
-    model: str  # "ball" | "siegel_at_infinity"
-    center: BoundaryPoint | None = None
-    radius: float | None = None  # R > 0 (ball)
-    level: float | None = None   # t > 0 (siegel)
-
-    def __post_init__(self):
-        if self.model == "ball":
-            if self.center is None or self.center.model != "ball":
-                raise InvalidPoint("ball horosphere needs a ball boundary center")
-            if self.radius is None or self.radius <= 0:
-                raise InvalidPoint("horosphere radius must be positive")
-        elif self.model == "siegel_at_infinity":
-            if self.level is None or self.level <= 0:
-                raise InvalidPoint("horosphere level must be positive")
-        else:
-            raise InvalidPoint(f"unknown horosphere model {self.model!r}")
-
-
-@dataclass(frozen=True)
-class KoranyiRegion:
-    """Approach region K(q, M) = {Z : |1 - (Z,q)| / (1 - ||Z||) < M}, M > 1."""
-
-    vertex: BoundaryPoint
-    amplitude: float
-
-    def __post_init__(self):
-        if self.amplitude <= 1.0:
-            raise InvalidPoint("Koranyi amplitude must exceed 1")
-
 
 # ---------------------------------------------------------------------------
 # Cayley transform and metrics
@@ -423,7 +381,7 @@ def _vertex_term(p: SiegelPoint, q: BoundaryPoint) -> tuple:
 
 
 def julia_quotient(p: SiegelPoint, q: BoundaryPoint) -> float:
-    """Horosphere quotient |1 - (Z, q)|^2 / (1 - ||Z||^2) of the ball image of p.
+    """Julia (horosphere) quotient |1 - (Z, q)|^2 / (1 - ||Z||^2) of the ball image of p.
 
     At the vertex infinity this is 1/defect(p) (the horosphere H(t) at infinity
     is {defect > t}).  Evaluated from Siegel coordinates so it stays accurate
@@ -448,24 +406,6 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
         return x / (2.0 * t) * r * (1.0 + nb) / c
 
 
-def horosphere_contains(h: Horosphere, p: Point) -> bool:
-    if h.model == "ball":
-        if not isinstance(p, BallPoint):
-            raise ModelMismatch("ball horosphere needs a ball point")
-        zb, qb = p.v.coords, h.center.v.coords
-        quot = abs(1.0 - herm(zb, qb)) ** 2 / (1.0 - sq_norm(zb))
-        return quot < h.radius
-    if not isinstance(p, SiegelPoint):
-        raise ModelMismatch("Siegel horosphere needs a Siegel point")
-    return defect(p) > h.level
-
-
-def koranyi_contains(k: KoranyiRegion, p: BallPoint) -> bool:
-    qb = boundary_ball_coords(k.vertex, p.dim)
-    ratio = abs(1.0 - herm(p.v.coords, qb)) / (1.0 - p.v.norm())
-    return ratio < k.amplitude
-
-
 def boundary_projection(p: SiegelPoint) -> CVector:
     """Euclidean projection on the Siegel boundary: pr(z, w) = (i Im z + ||w||^2, w)."""
     return CVector(_projection(p))
@@ -474,21 +414,6 @@ def boundary_projection(p: SiegelPoint) -> CVector:
 def _projection(p: SiegelPoint) -> Complexes:
     """The coordinates of `boundary_projection(p)`."""
     return (1j * p.z.imag + sq_norm(p.w),) + p.w
-
-
-def hyperbolic_ball_extremes(z: BallPoint, d: float) -> tuple[float, float]:
-    """Range of Euclidean norms over the closed pseudo-hyperbolic ball of radius d.
-
-    The ball is a Euclidean ellipsoid; its nearest and farthest points from the
-    origin lie on the complex line through Z, at norms
-    (||Z|| - d)/(1 - d ||Z||) (clamped at 0) and (||Z|| + d)/(1 + d ||Z||).
-    """
-    if not 0.0 <= d < 1.0:
-        raise ValueError(f"pseudo-hyperbolic radius {d} outside [0, 1)")
-    r = z.v.norm()
-    lo = max(0.0, (r - d) / (1.0 - d * r))
-    hi = (r + d) / (1.0 + d * r)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +542,8 @@ class SiegelAutomorphism:
         object.__setattr__(self, "chain", tuple(p for p in self.chain if not p.is_identity()))
 
 
-IDENTITY = SiegelAutomorphism()
-
-
 PRIMITIVES = {"translation": Translation, "dilation": Dilation, "rotation": Rotation,
               "linear_diag": LinearDiag, "inversion": Inversion}
-
-
-def build_automorphism(kind: str, **params) -> SiegelAutomorphism:
-    """Build a single-primitive automorphism: kind is a key of `PRIMITIVES` or "identity"."""
-    if kind == "identity":
-        return IDENTITY
-    if kind not in PRIMITIVES:
-        raise InvalidPoint(f"unknown automorphism kind {kind!r}")
-    return SiegelAutomorphism((PRIMITIVES[kind](**params),))
 
 
 def _apply_chain(chain: tuple[Primitive, ...], z, w) -> tuple:
@@ -645,11 +558,6 @@ def apply_automorphism(a: SiegelAutomorphism, p: SiegelPoint) -> SiegelPoint:
     return type(p)(*_apply_chain(a.chain, p.z, p.w))
 
 
-def compose_automorphisms(a: SiegelAutomorphism, b: SiegelAutomorphism) -> SiegelAutomorphism:
-    """Composition a after b: apply(compose(a, b), P) == apply(a, apply(b, P))."""
-    return SiegelAutomorphism(b.chain + a.chain)
-
-
 def invert_automorphism(a: SiegelAutomorphism) -> SiegelAutomorphism:
     return SiegelAutomorphism(tuple(p.inverse() for p in reversed(a.chain)))
 
@@ -659,7 +567,7 @@ def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
     if q.model != "siegel" or q.at_infinity:
         raise ModelMismatch("recentering needs a finite Siegel boundary point")
     z, w = q.v.coords[0], q.v.coords[1:]
-    return build_automorphism("translation", y=z.imag, w0=w)
+    return SiegelAutomorphism((Translation(z.imag, w),))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,21 @@ def test_summary_gap_within_parent_spread_and_unpaired_runs():
     assert rows["op_p50_ms"]["gap_exceeds_iqr"] is False  # |33.5 - 35| < 37.5 - 32.5
 
 
+def test_summary_pairs_the_records_of_several_invocations_by_seed():
+    # each invocation numbers its pairs from 0; a pair is the two runs of one seed
+    def run(seeds, parent, change):
+        return [json.loads(s) | {"seed": seed} for i, seed in enumerate(seeds)
+                for s in (line("parent", i, *parent[i]), line("change", i, *change[i]))]
+
+    first = run([2521, 2522], [(30.0, 1.0), (32.0, 1.0)], [(29.0, 2.0), (33.0, 2.0)])
+    second = run([2526, 2527, 2528], [(31.0, 1.0), (30.0, 1.0), (34.0, 1.0)],
+                 [(25.0, 2.0), (31.0, 0.5), (20.0, 2.0)])
+    rows = {r["metric"]: r for r in bench_pairs.summarize(first + second[::-1], BETTER)}
+    assert (rows["op_p50_ms"]["wins"], rows["op_p50_ms"]["pairs"]) == (3, 5)  # 2522 and 2527 lost
+    assert (rows["work_per_s"]["wins"], rows["work_per_s"]["pairs"]) == (4, 5)  # 2527 lost
+    assert rows["op_p50_ms"]["parent"][1] == 31.0 and rows["op_p50_ms"]["change"][1] == 29.0
+
+
 def test_markdown_table():
     parent = [(36.0, 5000.0), (35.0, 4900.0)]
     change = [(15.0, 14000.0), (15.5, 14100.0)]

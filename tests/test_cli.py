@@ -442,6 +442,24 @@ def test_missing_config_file_exit_1(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
+MALFORMED_CONFIGS = [(command, "[1, 2]") for command in sorted(CONFIG_COMMANDS)] + [
+    (command, text) for command in sorted(CONFIG_COMMANDS) if command != "classify"  # classify takes no seed
+    for text in ('{"seed": [1]}', '{"seed": null}', '{"seed": {"a": 1}}')]
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_CONFIGS)
+def test_malformed_config_exit_1(command, text, tmp_path, capsys):
+    # a config that is not a JSON object, or (for the commands that take one) a seed
+    # that is not an integer
+    cfg, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(text)
+    code, out, err = run([*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "cfg.json" in err and err.count("\n") == 1
+    assert not out_dir.exists()  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 # ---------------------------------------------------------------------------

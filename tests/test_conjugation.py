@@ -11,14 +11,12 @@ from siegel_dynamics.conjugation import (
     conjugation_residual,
     default_grid,
     eta_model,
-    gn_diagnostic,
     project,
     psi_approx,
     psi_interpolation_check,
     recenter_orbit_at_zero,
     run_conjugation,
     special_backward_construct,
-    tau_limit_diagnostics,
 )
 from siegel_dynamics.dynamics import backward_orbit, multiplier_at_boundary
 from siegel_dynamics.errors import ConstructionFailed
@@ -34,6 +32,7 @@ from siegel_dynamics.geometry import (
     Translation,
     apply_automorphism,
     dist_siegel,
+    invert_automorphism,
 )
 from siegel_dynamics.maps import (
     BallProduct,
@@ -93,39 +92,6 @@ def test_tau_index_out_of_range():
     orb = quadpol_orbit(5)
     with pytest.raises(IndexError):
         build_tau(orb, 99)
-
-
-def test_tau_limit_diagnostics_quadpol_exact():
-    orb = quadpol_orbit(20)
-    grid = default_grid(2)
-    rep = tau_limit_diagnostics(orb, 2.0, 2, grid)
-    assert max(rep.eta_errors) < 1e-12
-    assert max(rep.identity_errors) < 1e-12
-
-
-def test_tau_limit_diagnostics_k0_identity():
-    orb = quadpol_orbit(10)
-    rep = tau_limit_diagnostics(orb, 2.0, 0, default_grid(2))
-    assert max(rep.eta_errors) < 1e-12
-
-
-def test_tau_limit_diagnostics_omega_rotates_tau_and_eta():
-    # a given Omega enters eta and every tau_n alike
-    f = DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(0.3j),))
-    orb = backward_orbit(f, ONE, 0.34, 20)
-    rep = tau_limit_diagnostics(orb, 2.0, 1, default_grid(2), omega=expandable_decompose(f).omega)
-    assert max(rep.eta_errors) < 1e-12
-    assert max(rep.identity_errors) < 1e-12
-
-
-def test_tau_limit_diagnostics_lifted_decreasing():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
-    orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 30)
-    g, orb0, _ = recenter_orbit_at_zero(f, orb)
-    rep = tau_limit_diagnostics(orb0, 2.0, 1, default_grid(2))
-    assert rep.eta_errors[-1] < 1e-10
-    assert rep.identity_errors[-1] < 1e-10
-    assert rep.eta_errors[-1] <= rep.eta_errors[5] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +292,7 @@ def test_eta_model_properties():
     f = DiagonalLinear(2.0, (math.sqrt(2.0),))
     assert abs(multiplier_at_boundary(f, ZERO2) - 2.0) < 1e-9
     # p_L and eta^{-1} are diagonal, hence commute
-    inv = eta_model(2.0, 2, -1)
+    inv = invert_automorphism(eta_model(2.0, 2))
     for z in default_grid(2):
         a = project(apply_automorphism(inv, z), (False,))
         b = apply_automorphism(inv, project(z, (False,)))
@@ -358,11 +324,6 @@ def test_interpolation_lifted_improves_with_n():
     e_large = psi_interpolation_check(g, orb0, 24, 2.0, 3).errors
     assert max(e_large) <= max(e_small) + 1e-12
     assert max(e_large) < 1e-8
-
-
-def test_gn_diagnostic_quadpol():
-    orb = quadpol_orbit(20)
-    assert gn_diagnostic(QUADPOL, orb, 8, default_grid(2), 2.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from siegel_dynamics.geometry import (
     BoundaryPoint,
     CVector,
     Dilation,
-    Horosphere,
     Inversion,
-    KoranyiRegion,
     LinearDiag,
     Rotation,
     SiegelAutomorphism,
@@ -25,17 +23,12 @@ from siegel_dynamics.geometry import (
     Translation,
     apply_automorphism,
     boundary_projection,
-    build_automorphism,
     cayley_to_siegel,
-    compose_automorphisms,
     defect,
     dist_ball,
     dist_siegel,
-    horosphere_contains,
-    hyperbolic_ball_extremes,
     invert_automorphism,
     julia_quotient,
-    koranyi_contains,
     koranyi_ratio,
     one_minus_sq_ball_norm,
     recentering_translation,
@@ -257,7 +250,7 @@ def test_metric_consistency_property(seed):
     p, q = random_siegel(rng), random_siegel(rng)
     assert abs(dist_siegel(p, q) - dist_ball(siegel_to_ball(p), siegel_to_ball(q))) < 1e-12
 
-
+# defect, Koranyi and Julia quotients, projection
 # ---------------------------------------------------------------------------
 # defect, horospheres, Koranyi regions, projection
 # ---------------------------------------------------------------------------
@@ -290,38 +283,10 @@ def test_siegel_point_stores_its_defect_outside_eq_hash_and_repr():
         p.t = 1.0
 
 
-def test_horosphere_membership_siegel():
-    h = Horosphere(model="siegel_at_infinity", level=1.0)
-    assert horosphere_contains(h, SiegelPoint(2.0, (0.0,)))
-    assert not horosphere_contains(h, SiegelPoint(1.0, (0.0,)))  # open: boundary excluded
-
-
-def test_horosphere_ball_siegel_correspondence():
-    rng = np.random.default_rng(6)
-    x = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    hb = Horosphere(model="ball", center=x, radius=1.0)
-    hs = Horosphere(model="siegel_at_infinity", level=1.0)
-    for _ in range(1000):
-        p = random_siegel(rng)
-        assert horosphere_contains(hb, siegel_to_ball(p)) == horosphere_contains(hs, p)
-
-
-def test_koranyi_membership():
-    q = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    k = KoranyiRegion(vertex=q, amplitude=2.0)
-    assert koranyi_contains(k, BallPoint(CVector((0.0, 0.0))))  # ratio 1 < 2
-    for eps in (1e-2, 1e-5, 1e-9):
-        assert koranyi_contains(k, BallPoint(CVector((1.0 - eps, 0.0))))
-    with pytest.raises(InvalidPoint):
-        KoranyiRegion(vertex=q, amplitude=1.0)
-
-
-def test_koranyi_contains_backward_axis_sequence():
+def test_koranyi_ratio_on_the_backward_axis_sequence():
     q = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
-    k = KoranyiRegion(vertex=q, amplitude=3.0)
     for n in range(1, 30):
-        z = siegel_to_ball(SiegelPoint(2.0 ** -n, (0.0,)))
-        assert koranyi_contains(k, z)
+        assert koranyi_ratio(SiegelPoint(2.0 ** -n, (0.0,)), q) < 3.0
 
 
 def test_boundary_projection():
@@ -385,14 +350,12 @@ def test_primitives_reject_non_finite_parameters(cls, good, name, bads):
             cls(**(good | {name: bad}))
 
 
-def test_build_automorphism_kinds():
-    assert build_automorphism("dilation", t=1.0).chain == ()  # identity dropped
-    a = build_automorphism("translation", y=0.5, w0=(1j,))
+def test_automorphism_drops_identities_and_rotation_needs_unit_modulus():
+    assert SiegelAutomorphism((Dilation(1.0),)).chain == ()  # identity dropped
+    a = SiegelAutomorphism((Translation(0.5, (1j,)),))
     assert isinstance(a.chain[0], Translation)
-    with pytest.raises(InvalidPoint):
-        build_automorphism("rotation", omega=(2.0,))
-    with pytest.raises(InvalidPoint):
-        build_automorphism("spiral")
+    with pytest.raises(InvalidPoint, match="unit modulus"):
+        Rotation((2.0,))
 
 
 def test_translation_recenters_fixed_curve_point():
@@ -421,7 +384,7 @@ def test_compose_is_apply_after_apply():
     for _ in range(200):
         a, b = _random_automorphism(rng), _random_automorphism(rng)
         p = random_siegel(rng)
-        lhs = apply_automorphism(compose_automorphisms(a, b), p)
+        lhs = apply_automorphism(SiegelAutomorphism(b.chain + a.chain), p)  # a after b
         rhs = apply_automorphism(a, apply_automorphism(b, p))
         assert abs(lhs.z - rhs.z) < 1e-10 * (1 + abs(rhs.z))
 
@@ -429,8 +392,8 @@ def test_compose_is_apply_after_apply():
 def test_invert_compose_group_law():
     rng = np.random.default_rng(11)
     a, b = _random_automorphism(rng), _random_automorphism(rng)
-    lhs = invert_automorphism(compose_automorphisms(a, b))
-    rhs = compose_automorphisms(invert_automorphism(b), invert_automorphism(a))
+    lhs = invert_automorphism(SiegelAutomorphism(b.chain + a.chain))
+    rhs = SiegelAutomorphism(invert_automorphism(a).chain + invert_automorphism(b).chain)
     for _ in range(50):
         p = random_siegel(rng)
         u, v = apply_automorphism(lhs, p), apply_automorphism(rhs, p)
@@ -467,30 +430,8 @@ def test_tau_for_axis_orbit_is_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic ball extremes and the norm-ratio bound
+# the norm-ratio bound
 # ---------------------------------------------------------------------------
-
-def test_hyperbolic_ball_extremes_degenerate_cases():
-    z = BallPoint(CVector((0.3, 0.4j)))
-    assert hyperbolic_ball_extremes(BallPoint(CVector((0.0, 0.0))), 0.6) == (0.0, 0.6)
-    lo, hi = hyperbolic_ball_extremes(z, 0.0)
-    assert abs(lo - z.v.norm()) < 1e-15 and abs(hi - z.v.norm()) < 1e-15
-    with pytest.raises(ValueError):
-        hyperbolic_ball_extremes(z, 1.0)
-
-
-def test_hyperbolic_ball_extremes_sampling():
-    rng = np.random.default_rng(13)
-    z = random_ball(rng)
-    d = 0.55
-    lo, hi = hyperbolic_ball_extremes(z, d)
-    found = 0
-    while found < 1000:
-        w = random_ball(rng)
-        if dist_ball(z, w) <= d:
-            found += 1
-            assert lo - 1e-12 <= w.v.norm() <= hi + 1e-12
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))

@@ -30,6 +30,16 @@ def test_golden_verify_seed_7(capsys):
     assert run_stdout(["verify", "--seed", "7"], capsys) == golden("verify_seed7.json")
 
 
+def test_golden_classify_quadpol(capsys):
+    assert run_stdout(["classify", "--map", "quadpol"], capsys) == golden("classify_quadpol.json")
+
+
+def test_golden_classify_boundary_curve(capsys):
+    # the parameters given as flags, whose B and C the report echoes as the strings typed
+    out = run_stdout(["classify", "--A", "2", "--B", "1", "--C", "1"], capsys)
+    assert out == golden("classify_boundary_curve.json")
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_golden_conjugate(name, capsys):
     assert run_stdout(["conjugate", "--map", name], capsys) == golden(f"conjugate_{name}.txt")

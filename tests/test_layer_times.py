@@ -1,10 +1,16 @@
-"""tools/layer_times.py: one short run on one fixture, its JSON line and its summary table."""
+"""tools/layer_times.py: one short run on one fixture, its JSON line and its summary table,
+also without the library on the path."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import load_tool
 
 layer_times = load_tool("layer_times")
+TOOL = Path(layer_times.__file__)
 
 
 def test_one_run_appends_one_line_with_every_layer(tmp_path, capsys):
@@ -33,3 +39,15 @@ def test_summary_takes_the_median_of_each_label():
              for label, t in [("parent", 10.0), ("change", 8.0), ("parent", 12.0), ("change", 6.0),
                               ("parent", 11.0), ("change", 7.0)]]
     assert layer_times.summary(lines).splitlines()[2] == "| quadpol | backward_step | 11 | 7 | -36.4% |"
+
+
+def test_summary_runs_without_a_library_on_the_path(tmp_path):
+    # --summary only reads its file: no siegel_dynamics import may come first
+    out = tmp_path / "layers.jsonl"
+    out.write_text("".join(json.dumps({"label": label, "layers": {"quadpol": {"backward_step": t}}}) + "\n"
+                           for label, t in [("parent", 10.0), ("change", 8.0)]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(TOOL), "--summary", str(out)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[2] == "| quadpol | backward_step | 10 | 8 | -20.0% |"

@@ -18,7 +18,10 @@ whether its tracked files have uncommitted changes (untracked files do not
 count).  The summary is one markdown table per workload, with each side's
 median and quartiles per end-to-end metric, the pairs the change won (ties
 count for neither), and whether the gap between the medians exceeds the spread
-between the parent's quartiles.  Only the standard library is used.
+between the parent's quartiles.  A pair is the two sides' runs of one seed, so
+``summarize`` also takes the records of several invocations pooled from one
+``--out`` file; ``pair`` only sets which side runs first.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(records: list[dict], better: dict[str, str]) -> list[dict]:
-    """One row per metric from records {"side", "pair", "result"}; `better`
-    maps a metric name to "lower" or "higher"."""
+    """One row per metric from records {"side", "seed", "result"}, paired by
+    seed; `better` maps a metric name to "lower" or "higher"."""
     sides: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
     for rec in records:
-        sides[rec["side"]][rec["pair"]] = rec["result"]["metrics"]
+        sides[rec["side"]][rec["seed"]] = rec["result"]["metrics"]
     pairs = sorted(set(sides["parent"]) & set(sides["change"]))
     rows = []
     for name, direction in better.items():

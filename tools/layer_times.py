@@ -1,7 +1,7 @@
 """Per-fixture times of the library's layers, at the benchmark's reference speed.
 
     PYTHONPATH=src python3 tools/layer_times.py [--repeats 15] [--label change] [--out FILE]
-    PYTHONPATH=src python3 tools/layer_times.py --summary FILE
+    python3 tools/layer_times.py --summary FILE
 
 For each bundled fixture it times, in microseconds at the reference speed of
 ``perfbench/calibration.py`` (a fixed kernel timed right before and right
@@ -36,8 +36,9 @@ enough to take about 2 ms.  The library is whatever ``siegel_dynamics`` the
 from this script's own checkout.  ``--out`` appends one JSON line (label,
 versions, the tree timed, and the medians).  ``--summary FILE`` prints the
 median over the lines of each label, for two labels side by side (the first
-label in the file is the "before" column); alternate the runs of the two trees
-so that a drift of the machine's speed hits both.
+label in the file is the "before" column); it reads only the file, so it needs
+no ``PYTHONPATH``.  Alternate the runs of the two trees so that a drift of the
+machine's speed hits both.
 """
 
 from __future__ import annotations
@@ -56,27 +57,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))  # perfbench only; the library comes from PYTHONPATH
 
-import siegel_dynamics  # noqa: E402
 from perfbench.calibration import kernel_seconds, reference_seconds  # noqa: E402
-from siegel_dynamics import cli  # noqa: E402
-from siegel_dynamics import conjugation as cj  # noqa: E402
-from siegel_dynamics import dynamics as dyn  # noqa: E402
-from siegel_dynamics import geometry as geo  # noqa: E402
-from siegel_dynamics import maps as mp  # noqa: E402
-from siegel_dynamics import serialize as ser  # noqa: E402
-from siegel_dynamics.cli import FIXTURES, fixture_path  # noqa: E402
-from siegel_dynamics.geometry import INFINITY, BoundaryPoint, CVector, SiegelPoint, SiegelRows  # noqa: E402
 
-START, BOUND, N, N_CONJ = SiegelPoint(5.0, (0j,)), 0.34, 40, 12
+BOUND, N, N_CONJ = 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "siegel_point",
           "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500", "backward_orbit_n2000",
           "multiplier", "run_conjugation", "conjugate_cli")
-
-
-def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
-    """The first n points, repeated from the start as often as needed, as rows."""
-    return SiegelRows.of([points[i % len(points)] for i in range(n)])
 
 
 def timed_us(fn, repeats: int) -> float:
@@ -95,42 +82,54 @@ def timed_us(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def conjugate_job(name: str) -> None:
-    """The benchmark's `conjugate` job on one fixture, stdout discarded."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["conjugate", "--map", name, "--start", "5,0", "--n", str(N), "--n-conj", str(N_CONJ),
-                  "--tol", "1e-3"])
-
-
 def fixture_jobs(name: str) -> dict:
     """The calls timed for one fixture, by layer."""
-    f = ser.load_descriptor(str(fixture_path(name)))
-    orbit = dyn.backward_orbit(f, START, BOUND, N)
+    from siegel_dynamics import cli
+    from siegel_dynamics import conjugation as cj
+    from siegel_dynamics import dynamics as dyn
+    from siegel_dynamics import geometry as geo
+    from siegel_dynamics import maps as mp
+    from siegel_dynamics import serialize as ser
+    from siegel_dynamics.geometry import INFINITY, BoundaryPoint, CVector, SiegelPoint, SiegelRows
+
+    def rows(points: list[SiegelPoint], n: int) -> SiegelRows:
+        """The first n points, repeated from the start as often as needed, as rows."""
+        return SiegelRows.of([points[i % len(points)] for i in range(n)])
+
+    def conjugate_job() -> None:
+        """The benchmark's `conjugate` job on this fixture, stdout discarded."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["conjugate", "--map", name, "--start", "5,0", "--n", str(N), "--n-conj", str(N_CONJ),
+                      "--tol", "1e-3"])
+
+    start = SiegelPoint(5.0, (0j,))
+    f = ser.load_descriptor(str(cli.fixture_path(name)))
+    orbit = dyn.backward_orbit(f, start, BOUND, N)
     rows7, rows120 = rows(orbit.points, 7), rows(orbit.points, 120)
     g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
     n_values = tuple(range(1, min(len(orbit0.points) - 1, N_CONJ + 1)))
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
     q = INFINITY if name == "elliptic" else BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
-    c, step = mp.preimage_candidates(f, START)[0], dyn.backward_step(f, START, BOUND)
+    c, step = mp.preimage_candidates(f, start)[0], dyn.backward_step(f, start, BOUND)
     return {
-        "evaluate_point": lambda: mp.evaluate(f, START),
+        "evaluate_point": lambda: mp.evaluate(f, start),
         "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
         "evaluate_rows120": lambda: mp.evaluate(f, rows120.take(ALL)),
         "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
         "siegel_point": lambda: SiegelPoint(c[0], c[1:]),
-        "dist_siegel": lambda: geo.dist_siegel(START, step),
-        "backward_step": lambda: dyn.backward_step(f, START, BOUND),
-        "backward_orbit_n40": lambda: dyn.backward_orbit(f, START, BOUND, N),
-        "backward_orbit_n500": lambda: dyn.backward_orbit(f, START, BOUND, 500),
-        "backward_orbit_n2000": lambda: dyn.backward_orbit(f, START, BOUND, 2000),
+        "dist_siegel": lambda: geo.dist_siegel(start, step),
+        "backward_step": lambda: dyn.backward_step(f, start, BOUND),
+        "backward_orbit_n40": lambda: dyn.backward_orbit(f, start, BOUND, N),
+        "backward_orbit_n500": lambda: dyn.backward_orbit(f, start, BOUND, 500),
+        "backward_orbit_n2000": lambda: dyn.backward_orbit(f, start, BOUND, 2000),
         "multiplier": lambda: dyn.multiplier_at_boundary(f, q),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
-        "conjugate_cli": lambda: conjugate_job(name),
+        "conjugate_cli": conjugate_job,
     }
 
 
-def measure(repeats: int, fixtures=FIXTURES) -> dict:
+def measure(repeats: int, fixtures: list[str]) -> dict:
     return {name: {layer: timed_us(fn, repeats) for layer, fn in fixture_jobs(name).items()}
             for name in fixtures}
 
@@ -153,7 +152,7 @@ def summary(lines: list[dict]) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=15)
-    ap.add_argument("--fixtures", default=",".join(FIXTURES))
+    ap.add_argument("--fixtures", help="comma list (default: every bundled fixture)")
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", help="append one JSON line to this file")
     ap.add_argument("--summary", help="print the two-label table of a file of --out lines")
@@ -161,7 +160,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.summary:
         print(summary([json.loads(s) for s in Path(args.summary).read_text().splitlines() if s.strip()]))
         return 0
-    layers = measure(args.repeats, args.fixtures.split(","))
+    import siegel_dynamics
+    from siegel_dynamics.cli import FIXTURES
+
+    layers = measure(args.repeats, args.fixtures.split(",") if args.fixtures else FIXTURES)
     print("| fixture | " + " | ".join(LAYERS) + " |\n|---|" + "---|" * len(LAYERS))
     for name, row in layers.items():
         print(f"| {name} | " + " | ".join(f"{row[layer]:.4g}" for layer in LAYERS) + " |")
