@@ -250,9 +250,9 @@ def test_metric_consistency_property(seed):
     p, q = random_siegel(rng), random_siegel(rng)
     assert abs(dist_siegel(p, q) - dist_ball(siegel_to_ball(p), siegel_to_ball(q))) < 1e-12
 
-# defect, Koranyi and Julia quotients, projection
+
 # ---------------------------------------------------------------------------
-# defect, horospheres, Koranyi regions, projection
+# defect, Koranyi and Julia quotients, projection
 # ---------------------------------------------------------------------------
 
 def test_defect_examples():
