@@ -4,12 +4,13 @@ Reports are JSON with deterministic byte layout (sorted keys, canonical
 separators); `main` starts every report with the command, the resolved
 configuration, the numeric policy and (except for classify) the seed.  Seed
 precedence: --seed flag, then config file, then the SIEGEL_DYNAMICS_SEED
-environment variable, then 0.
+environment variable, then 0; a seed is a non-negative integer.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -48,15 +49,20 @@ def _parse_start(s: str, dim: int = 2) -> geo.SiegelPoint:
 
 
 def _resolve_seed(args, config: dict) -> int:
+    """The first seed given, a non-negative integer (in a config, a JSON one, not a bool)."""
     if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        try:
-            return int(config["seed"])
-        except (TypeError, ValueError):
-            raise ValueError(f"config {args.config}: seed {json.dumps(config['seed'])} is not an integer") from None
-    env = os.environ.get("SIEGEL_DYNAMICS_SEED")
-    return int(env) if env else 0
+        where, seed = "--seed", args.seed
+    elif "seed" in config:
+        where, seed = f"config {args.config}", config["seed"]
+    else:
+        where, seed = "SIEGEL_DYNAMICS_SEED", os.environ.get("SIEGEL_DYNAMICS_SEED") or "0"
+        with contextlib.suppress(ValueError):  # text that is no integer stays a str, refused below
+            seed = int(seed)
+    if type(seed) is not int:
+        raise ValueError(f"{where}: seed {json.dumps(seed)} is not an integer")
+    if seed < 0:
+        raise ValueError(f"{where}: seed {seed} is negative")
+    return seed
 
 
 def _load_config(args) -> dict:

@@ -172,8 +172,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     if not 0.0 < a < 1.0:
         raise ValueError("step bound a must lie in (0, 1)")
     bound = a * (1.0 + DEFAULT_POLICY.validity_tol)
-    best: SiegelPoint | None = None
-    nearest = math.inf  # the smallest step beyond the bound, for the error message
+    best, best_d, nearest = None, math.inf, math.inf  # nearest: the smallest step over the bound, for the error text
     for c in preimage_candidates(f, zn):
         try:
             p = SiegelPoint(c[0], c[1:])
@@ -181,7 +180,7 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
             continue
         d = dist_siegel(zn, p)
         if d <= bound:
-            if best is None or d < best_d or d == best_d and p.t < best.t:  # first of equal (d, t) stays
+            if d < best_d or d == best_d and p.t < best.t:  # first of equal (d, t) stays
                 best, best_d = p, d
         elif d < nearest:
             nearest = d

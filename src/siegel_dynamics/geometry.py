@@ -156,11 +156,25 @@ class SiegelPoint:
 
     def __post_init__(self):
         d = self.__dict__  # the frozen fields, set by item (cheaper than update or setattr)
-        z = d["z"] = complex(d["z"])
-        w = d["w"] = _as_tuple(d["w"])
-        if not cmath.isfinite(z):
-            raise InvalidPoint("non-finite z")
-        t = d["t"] = z.real - sq_norm(w)
+        z, w, s, kept = d["z"], d["w"], 0.0, False
+        if type(z) is not complex:
+            z = d["z"] = complex(z)
+        if type(w) is tuple and cmath.isfinite(z):  # a tuple of complex is kept as is, summed as sq_norm sums
+            try:
+                for c in w:
+                    if type(c) is not complex:
+                        break
+                    s += (a := abs(c)) * a
+                else:
+                    kept = True
+            except OverflowError:  # raised again below, after the conversion errors that precede it
+                pass
+        if not kept:  # any other w: converted, then z checked, then summed
+            w = d["w"] = _as_tuple(w)
+            if not cmath.isfinite(z):
+                raise InvalidPoint("non-finite z")
+            s = sq_norm(w)
+        t = d["t"] = z.real - s
         if not t > 0.0:  # also false for NaN
             raise InvalidPoint("NaN tangential coordinate" if t != t
                                else f"defect {t} <= 0: not in the Siegel domain")
@@ -301,9 +315,9 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
         raise DimensionMismatch(f"dist_siegel: dims {a.dim} != {b.dim}")
     e = v = 0.0
     for x, y in zip(aw, bw):
-        d = x - y
-        e += d.real * d.real + d.imag * d.imag
-        v += d.imag * y.real - d.real * y.imag  # Im <d, y>
+        dr, di = x.real - y.real, x.imag - y.imag  # d = x - y, part by part
+        e += dr * dr + di * di
+        v += di * y.real - dr * y.imag  # Im <d, y>
     ta, tb = a.t, b.t
     v = a.z.imag - b.z.imag - 2.0 * v
     m = ta + tb + e + abs(v)
@@ -311,7 +325,7 @@ def dist_siegel(a: SiegelPoint, b: SiegelPoint) -> float:
     re = u + e
     d2 = (dt * dt + (2.0 * u + e) * e + v * v) / (re * re + v * v)
     # inline rather than a helper: orbits call this once per preimage candidate
-    return np.sqrt(d2) if type(d2) is np.ndarray else math.sqrt(d2)
+    return math.sqrt(d2) if type(d2) is float else np.sqrt(d2)
 
 
 def one_minus_sq_ball_norm(p: SiegelPoint) -> float:

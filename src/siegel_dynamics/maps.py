@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import truediv
 from typing import Union
 
 from .errors import DimensionMismatch, InvalidDescriptor, InvalidPoint
@@ -202,7 +203,10 @@ class Lifted:
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         w = p.w[0]
-        return [(v + w * w, w) for v in self.phi.preimages(p.z - w * w)]
+        ww, out = w * w, []
+        for v in self.phi.preimages(p.z - ww):
+            out.append((v + ww, w))
+        return out
 
     def fixed_point_set(self) -> FixedPointSet:
         return FixedPointSet("boundary_curve", "{(y0 i + r^2, r) : r real}",
@@ -235,10 +239,9 @@ class DiagonalLinear:
         return type(p)(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
-        if any(c == 0 for c in self.lam):
+        if 0 in self.lam:
             return []
-        w = tuple(wi / c for wi, c in zip(p.w, self.lam))
-        return [(p.z / self.alpha,) + w]
+        return [(p.z / self.alpha, *map(truediv, p.w, self.lam))]
 
     def fixed_point_set(self) -> FixedPointSet:
         return FixedPointSet("origin_infinity")

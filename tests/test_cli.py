@@ -460,6 +460,65 @@ def test_malformed_config_exit_1(command, text, tmp_path, capsys):
     assert not out_dir.exists()  # nothing written
 
 
+SEED_COMMANDS = sorted(set(CONFIG_COMMANDS) - {"classify"})  # classify takes no seed
+
+
+def seed_error(command, argv, tmp_path, capsys) -> str:
+    """The stderr of a run that must fail on its seed: exit 1, no stdout, nothing written."""
+    out_dir = tmp_path / "out"
+    code, out, err = run([*CONFIG_COMMANDS[command], *argv, "--out", str(out_dir)], capsys)
+    assert (code, out) == (1, "") and not out_dir.exists()
+    return err
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("text", ["5.7", "5.0", "true", "false", '"5"', "1e3"])
+def test_config_seed_must_be_a_json_integer(command, text, tmp_path, capsys, monkeypatch):
+    # a float or a bool used to run as int() of it (5.7 as seed 5, true as seed 1)
+    monkeypatch.delenv("SIEGEL_DYNAMICS_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"seed": {text}}}')
+    shown = json.dumps(json.loads(text))
+    assert seed_error(command, ["--config", str(cfg)], tmp_path, capsys) == \
+        f"error: config {cfg}: seed {shown} is not an integer\n"
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_names_its_source(command, source, tmp_path, capsys, monkeypatch):
+    # the seed used to reach numpy unchecked (verify: "expected non-negative integer"; orbit and
+    # conjugate ran with it)
+    monkeypatch.delenv("SIEGEL_DYNAMICS_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -3}')
+    argv, where = {"flag": (["--seed", "-3"], "--seed"), "config": (["--config", str(cfg)], f"config {cfg}"),
+                   "env": ([], "SIEGEL_DYNAMICS_SEED")}[source]
+    if source == "env":
+        monkeypatch.setenv("SIEGEL_DYNAMICS_SEED", "-3")
+    assert seed_error(command, argv, tmp_path, capsys) == f"error: {where}: seed -3 is negative\n"
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+@pytest.mark.parametrize("value", ["abc", "5.7", "0x10"])
+def test_malformed_env_seed_names_the_variable(command, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIEGEL_DYNAMICS_SEED", value)
+    assert seed_error(command, [], tmp_path, capsys) == \
+        f"error: SIEGEL_DYNAMICS_SEED: seed {json.dumps(value)} is not an integer\n"
+
+
+@pytest.mark.parametrize("argv, env, seed", [
+    (["--seed", "0"], "-1", 0),  # the flag wins, so the variable is not read
+    ([], "", 0), ([], " 7 ", 7), ([], None, 0),
+])
+def test_valid_seeds_still_run(argv, env, seed, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("SIEGEL_DYNAMICS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SIEGEL_DYNAMICS_SEED", env)
+    code, out, err = run(["verify", *FAST_VERIFY, *argv], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["seed"] == seed
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 # ---------------------------------------------------------------------------

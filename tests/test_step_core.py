@@ -3,14 +3,18 @@
 `backward_step` keeps a running best; its reference below is the earlier rule,
 the list of admissible (step, point) pairs and `min` keyed on (step, t).
 `SiegelPoint` sets its fields itself and then runs `__post_init__`; the tests
-pin the dataclass contract that the generated constructor gave.  The Cayley
+pin the dataclass contract that the generated constructor gave, and compare
+each point and error with the earlier constructor, which converted z and every
+w first (a tuple of exact `complex` is now kept as given).  The Cayley
 helpers divide several numerators by one divisor with Smith's branch, ratio
 and scale prepared once (`geometry._cdivs`); the reference is the earlier
 per-call `_cdiv` formula.  Floats are compared by `float.hex`.
 """
 
+import cmath
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +263,57 @@ def test_one_post_init_per_point(monkeypatch):
     calls.clear()
     orbit = dyn.backward_orbit(MAPS["quadpol"], z0, 0.34, 40)
     assert len(orbit.points) == 41 and len(calls) == 40  # one candidate a step, no other point
+
+
+def ref_point(z, w) -> tuple[complex, tuple, float]:
+    """The earlier constructor: every input converted, then z checked, then t summed."""
+    z = complex(z)
+    try:
+        w = tuple(map(complex, w))
+    except TypeError:
+        w = (complex(w),)
+    if not cmath.isfinite(z):
+        raise InvalidPoint("non-finite z")
+    t = z.real - geo.sq_norm(w)
+    if not t > 0.0:
+        raise InvalidPoint("NaN tangential coordinate" if t != t else f"defect {t} <= 0: not in the Siegel domain")
+    return z, w, t
+
+
+Pair = namedtuple("Pair", "u v")
+HUGE = complex(1e308, 1e308)  # abs() overflows
+CONSTRUCTOR_CASES = [
+    (2.5 + 0.1j, (0.3 + 0.2j,)), (2.0, (0.1j, 0.2 + 0j)), (3 + 0j, ()), (1e-300 + 1j, (1e-160j,)),
+    (2.0, (np.complex128(0.3 + 0.1j),)), (np.complex128(2.0 + 1j), (0.3j,)), (2.0, (np.float64(0.5),)),
+    (2, (1,)), (2.0, (True, 0j)), (2.0, [0.5j, 0.25]), (2.0, 0.5j), (3, 1), (2.0, np.float64(0.2)),
+    (2.0, Pair(0.5j, 0.25 + 0j)), (2.0, (0.5j, 0.25)), (2.0, (0.25, 0.5j)), (9.0, "12"),
+    (math.nan, (0j,)), (complex(1.0, math.inf), (0.5j,)), (math.inf, (math.nan,)), (math.nan, ["x"]),
+    (math.nan, (HUGE,)), (1.0, (complex(0.0, math.nan),)), (1.0, (complex(math.inf, 0.0),)),
+    (1.0, (complex(math.nan, math.inf),)), (1.0, (HUGE,)), (1.0, (0j, HUGE, "x")), (1.0, (HUGE, 1.0)),
+    (0.5, (1 + 0j,)), (1.0, (1 + 0j,)), (-0.0, ()), (0.0, (0j,)), (-1.0 + 0j, (0j,)),
+    (1.0, None), (1.0, ("x",)), (1.0, "x"), (None, (0j,)), ("2", (0j,)),
+]
+
+
+@pytest.mark.parametrize("z, w", CONSTRUCTOR_CASES)
+def test_constructor_matches_the_converting_reference(z, w):
+    # a tuple of exact complex is kept and summed in one loop; every result and error is the reference's
+    try:
+        want = ref_point(z, w)
+    except Exception as err:  # noqa: BLE001 - the type and the text are what is compared
+        with pytest.raises(type(err)) as info:
+            SiegelPoint(z, w)
+        assert type(info.value) is type(err) and str(info.value) == str(err)
+        return
+    p = SiegelPoint(z, w)
+    assert type(p.z) is complex and type(p.w) is tuple and type(p.t) is float
+    assert all(type(c) is complex for c in p.w)
+    got = (p.z, p.w, p.t)
+    assert [x.hex() for c in (got[0], *got[1]) for x in (c.real, c.imag)] == \
+        [x.hex() for c in (want[0], *want[1]) for x in (c.real, c.imag)]
+    assert p.t.hex() == want[2].hex()
+    if type(w) is tuple and all(type(c) is complex for c in w):
+        assert p.w is w  # kept, not copied
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ after each timing, as the benchmark scales its jobs):
   n = 2000 the polynomial fixtures stop near t = 5e-324 after 1,074
   steps, and ``elliptic``'s step 122 gives back its point, which ends the
   steps taken);
-- a step's primitives: ``siegel_point``, the ``SiegelPoint`` of its first
-  preimage candidate, and ``dist_siegel``, its distance to the point it takes;
+- a step's three parts: ``preimages``, the family's closed-form preimages of
+  the start through ``maps.preimage_candidates``; ``siegel_point``, the
+  ``SiegelPoint`` of the first candidate; and ``dist_siegel``, the start's
+  distance to the point the step takes;
 - ``multiplier``: ``multiplier_at_boundary`` at the fixture's repelling point
   (infinity for ``elliptic``, 0 for the others), as the benchmark's ``checks``
   job calls it;
@@ -61,9 +63,9 @@ from perfbench.calibration import kernel_seconds, reference_seconds  # noqa: E40
 
 BOUND, N, N_CONJ = 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
-LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "siegel_point",
-          "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500", "backward_orbit_n2000",
-          "multiplier", "run_conjugation", "conjugate_cli")
+LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "preimages",
+          "siegel_point", "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500",
+          "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli")
 
 
 def timed_us(fn, repeats: int) -> float:
@@ -117,6 +119,7 @@ def fixture_jobs(name: str) -> dict:
         "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
         "evaluate_rows120": lambda: mp.evaluate(f, rows120.take(ALL)),
         "chart_rows120": lambda: mp.evaluate(g, chart_rows.take(ALL)),
+        "preimages": lambda: mp.preimage_candidates(f, start),
         "siegel_point": lambda: SiegelPoint(c[0], c[1:]),
         "dist_siegel": lambda: geo.dist_siegel(start, step),
         "backward_step": lambda: dyn.backward_step(f, start, BOUND),
