@@ -247,7 +247,7 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
     if chart.chain:  # the orbit through the chart as rows, each row back as a point with its bits
         rows = apply_automorphism(chart, SiegelRows.of(pts))
         cols = (np.stack([c.real, c.imag], axis=-1).view(complex)[:, 0].tolist() for c in (rows.z,) + rows.w)
-        pts = tuple(SiegelPoint(z, w) for z, *w in zip(*cols))
+        pts = tuple(SiegelPoint(z, tuple(w)) for z, *w in zip(*cols))
     new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts),
                         limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
                         at_infinity=False)
