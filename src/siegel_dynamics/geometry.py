@@ -17,7 +17,7 @@ so the ball point (1, 0) corresponds to the Siegel point at infinity and
 (-1, 0) to the Siegel point 0.
 
 Numerics: per-point code is plain CPython arithmetic on tuples of `complex`;
-constructors convert their input to tuples once.  Where a complex division
+constructors convert other input to them once.  Where a complex division
 was historically done by numpy, `_cdiv` repeats numpy's rounding, so reports
 keep their bytes.  Most formulas also take many points at once (see "rows").
 `dist_siegel` is one formula for a point and for rows, a ratio of scaled sums
