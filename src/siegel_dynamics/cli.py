@@ -195,31 +195,24 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     rng = np.random.default_rng(seed)
     maps_by_name = {name: ser.load_descriptor(str(fixture_dir / f"{name}.json")) for name in FIXTURES}
 
-    def pairs() -> tuple[geo.SiegelRows, geo.SiegelRows]:
-        """`samples` pairs of sampled points, a point's variates drawn in turn by scalar calls (the
-        metric and isometry sections report sampled gaps, so they keep this stream): Re w, Im w
-        ~ N(0, 1), log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
+    def pairs() -> geo.SiegelRows:
+        """`samples` pairs of sampled points as one batch, the first points then the second, a
+        point's variates drawn in turn by scalar calls (the metric and isometry sections report
+        sampled gaps, so they keep this stream): Re w, Im w ~ N(0, 1), log10 t ~ U(-2, 2) as
+        -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
         normal, uniform = rng.standard_normal, rng.random
-        re, im, t, y = zip(*[([normal()], [normal()], 10.0 ** (-2.0 + 4.0 * uniform()), normal())
-                             for _ in range(2 * samples)])
-        return tuple(dyn._siegel_samples(t[i::2], re[i::2], im[i::2], 0.5, y[i::2]) for i in (0, 1))
+        draws = [([normal()], [normal()], 10.0 ** (-2.0 + 4.0 * uniform()), normal()) for _ in range(2 * samples)]
+        re, im, t, y = zip(*draws[0::2], *draws[1::2])
+        return dyn._siegel_samples(t, re, im, 0.5, y)
 
-    def ball_batch(m: int, dim: int) -> np.ndarray:
-        """m ball points of dim coordinates, cut from Siegel points of dim + 1 and
-        scaled by U(0.2, 1): `pairs`'s variates as whole columns, then the scales;
-        padded with zeros to dim 3, which change no bit of a norm or distance."""
-        re, im = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
-        t = [10.0 ** e for e in (-2.0 + 4.0 * rng.random(m)).tolist()]
-        p = dyn._siegel_samples(t, re, im, 0.5, rng.standard_normal(m))
-        out = np.zeros((m, 3), complex)
-        out[:, :dim] = geo.siegel_to_ball_rows(p)[:, :dim] * (0.2 + 0.8 * rng.random(m))[:, None]
-        return out
+    def halves(rows: geo.SiegelRows) -> tuple[geo.SiegelRows, geo.SiegelRows]:
+        return rows.take(slice(samples)), rows.take(slice(samples, None))
 
     # metric consistency through the Cayley transform; the worst gap is Python's
     # max over the pairs in order, as the per-point loops took it
-    p, q = pairs()
-    d_ball = geo.dist_ball_rows(geo.siegel_to_ball_rows(p), geo.siegel_to_ball_rows(q))
-    gap = max([0.0, *np.abs(geo.dist_siegel(p, q) - d_ball).tolist()])
+    pq = pairs()
+    d_ball = geo.dist_ball_rows(*np.split(geo.siegel_to_ball_rows(pq), 2))
+    gap = max([0.0, *np.abs(geo.dist_siegel(*halves(pq)) - d_ball).tolist()])
     yield "metric_consistency", gap < 1e-12, ser.sig17(gap)
 
     # automorphism isometry
@@ -229,17 +222,23 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Rotation((complex(math.cos(1.0), math.sin(1.0)),),),
         geo.Inversion(),
     ))
-    p, q = pairs()
-    d_auto = geo.dist_siegel(*(geo.apply_automorphism(auto, r) for r in (p, q)))
-    gap = max([0.0, *np.abs(geo.dist_siegel(p, q) - d_auto).tolist()])
+    pq = pairs()
+    d_auto = geo.dist_siegel(*halves(geo.apply_automorphism(auto, pq)))
+    gap = max([0.0, *np.abs(geo.dist_siegel(*halves(pq)) - d_auto).tolist()])
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
-    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3:
-    # every pair's dimension is drawn first, then per dimension the Z batch and the
-    # W batch; padded to dim 3, all the pairs are measured at once
-    batches = [ball_batch(m, dim) for dim, m in zip(*np.unique(rng.integers(1, 4, size=samples),
-                                                               return_counts=True)) for _ in "ZW"]
-    zb, wb = np.concatenate(batches[0::2]), np.concatenate(batches[1::2])
+    # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3: every pair's
+    # dimension is drawn first, then per dimension the Z batch and the W batch (`pairs`'s variates as
+    # whole columns, Re w and Im w padded with zeros to 3 columns, then U(0.2, 1) scales): one batch of
+    # ball points of dim 3, +0.0 from the row's dimension on (zeros change no bit of a norm or distance)
+    counts = np.bincount(rng.integers(1, 4, size=samples), minlength=4)[1:].tolist()
+    batches = [(np.full(m, dim), *(np.pad(rng.standard_normal((m, dim)), ((0, 0), (0, 3 - dim))) for _ in "ri"),
+                rng.random(m), rng.standard_normal(m), rng.random(m)) for dim, m in enumerate(counts, 1) for _ in "ZW"]
+    dims, re, im, u, y, scale = map(np.concatenate, zip(*batches[0::2], *batches[1::2]))
+    p = dyn._siegel_samples([10.0 ** e for e in (-2.0 + 4.0 * u).tolist()], re, im, 0.5, y)
+    ball = geo.siegel_to_ball_rows(p)[:, :3] * (0.2 + 0.8 * scale)[:, None]
+    ball[np.arange(3) >= dims[:, None]] = 0.0
+    zb, wb = np.split(ball, 2)
     d = geo.dist_ball_rows(zb, wb)
     zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
     lhs = (1.0 - wn) / (1.0 - zn)
@@ -247,9 +246,10 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     violations = int(np.count_nonzero(lhs > rhs * (1.0 + 1e-10)))
     yield "distance_ratio_bound", violations == 0, str(violations)
 
-    # Julia-type inclusions on the quadratic and diagonal fixtures
+    # Julia-type inclusions on the quadratic and diagonal fixtures, on one draw per map dimension
     quadpol, diag = maps_by_name["quadpol"], maps_by_name["diaglinear"]
-    total_viol = sum(dyn.julia_inclusion_check(f, x, alpha, n_samples=samples, seed=seed).violations
+    drawn = {dim: dyn._julia_samples(dim, samples, seed) for dim in {quadpol.dim, diag.dim}}
+    total_viol = sum(dyn._julia_report(f, x, alpha, drawn[f.dim], seed).violations
                      for f, x, alpha in ((quadpol, mp.ORIGIN2, 2.0), (quadpol, geo.INFINITY, 0.5),
                                          (diag, mp.ORIGIN2, 2.0), (diag, geo.INFINITY, 0.5)))
     yield "julia_inclusions", total_viol == 0, str(total_viol)
@@ -257,9 +257,9 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     # backward orbit of the quadratic fixture: exactness, decay, asymptotics.  d(f(Z_{k+1}), Z_k) is one
     # batch; the first k where it fails, or a point fails, is checked alone, as a loop meets it first
     orbit = dyn.backward_orbit(quadpol, geo.SiegelPoint(1.0, (0.0,)), 0.34, 40)
-    pts, tol, rows = orbit.points, DEFAULT_POLICY.orbit_tol, geo.SiegelRows.of
-    d, _ = dyn._until_failure(lambda m: geo.dist_siegel(mp.evaluate(quadpol, rows(pts[1:m + 1])),
-                                                        rows(pts[:m])).tolist(), len(pts) - 1)
+    pts, tol, rows = orbit.points, DEFAULT_POLICY.orbit_tol, geo.SiegelRows.of(orbit.points)
+    d, _ = dyn._until_failure(lambda m: geo.dist_siegel(mp.evaluate(quadpol, rows.take(slice(1, m + 1))),
+                                                        rows.take(slice(m))).tolist(), len(pts) - 1)
     k = next((k for k, x in enumerate(d) if not x < tol), len(d))
     exact = k == len(pts) - 1 or geo.dist_siegel(mp.evaluate(quadpol, pts[k + 1]), pts[k]) < tol
     yield "backward_exactness", exact, f"{len(orbit.points)} points"

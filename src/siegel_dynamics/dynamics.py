@@ -302,25 +302,34 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     where quotient is the horosphere level |1 - (Z, x)|^2 / (1 - ||Z||^2)
     (equal to 1/defect at the point at infinity).  alpha < 1 expresses the
     attracting inclusion f(H(t)) contained in H(t/alpha); alpha > 1 the
-    repelling one.
+    repelling one.  The points are `_julia_samples(f.dim, n_samples, seed)`.
     """
+    return _julia_report(f, x, alpha, _julia_samples(f.dim, n_samples, seed), seed)
+
+
+def _julia_samples(dim: int, n_samples: int, seed: int) -> SiegelRows:
+    """The points on which `julia_inclusion_check` tests maps of dimension dim."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not alpha > 0.0:  # alpha = 0 would make every ratio inf
-        raise ValueError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
-    k = f.dim - 1
+    k = dim - 1
     # whole columns, in this order: log10 t ~ U(-3, 3) as -3 + 6 random() (numpy's
     # uniform; t = 10.0 ** x in CPython per element), Re w and Im w ~ N(0, 1)^k, a
     # scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1)
     t = [10.0 ** e for e in (-3.0 + 6.0 * rng.random(n_samples)).tolist()]
     re, im = rng.standard_normal((n_samples, k)), rng.standard_normal((n_samples, k))
     scale = rng.random(n_samples)
-    p = _siegel_samples(t, re, im, scale[:, None], 2.0 * rng.standard_normal(n_samples))
+    return _siegel_samples(t, re, im, scale[:, None], 2.0 * rng.standard_normal(n_samples))
+
+
+def _julia_report(f: MapDescriptor, x: BoundaryPoint, alpha: float, p: SiegelRows, seed: int) -> JuliaReport:
+    """`julia_inclusion_check` of f on the points p, which seed drew."""
+    if not alpha > 0.0:  # alpha = 0 would make every ratio inf
+        raise ValueError(f"alpha must be positive, got {alpha}")
     q_in = julia_quotient(p, x)
     ratio = julia_quotient(evaluate(f, p), x) / (alpha * q_in)
     # Python's max over the rows in order, as the per-point loop took it (NaN skipped)
-    return JuliaReport(n_samples, int(np.count_nonzero(ratio > 1.0 + 1e-10)),
+    return JuliaReport(len(p.t), int(np.count_nonzero(ratio > 1.0 + 1e-10)),
                        max([0.0, *ratio.tolist()]), seed)
 
 

@@ -404,6 +404,17 @@ def test_malformed_descriptor_is_a_typed_error(text, cause, tmp_path, capsys):
     assert err.startswith("fixture error: ") and cause in err
 
 
+def test_verify_julia_check_of_a_map_of_another_dimension_is_one_error_line(tmp_path, capsys):
+    # the Julia section draws once per map dimension: a diagonal map of dim 3 gets its own
+    # points, and its check at the dim-2 boundary point 0 fails as it did with a draw per check
+    for name in cli.FIXTURES:
+        (tmp_path / f"{name}.json").write_text(fixture_path(name).read_text())
+    (tmp_path / "diaglinear.json").write_text(
+        '{"family": "diagonal", "alpha": 2.0, "lam": {"re": [1.0, 0.5], "im": [0.0, 0.0]}}')
+    code, out, err = run(["verify", "--seed", "3", "--samples", "20", "--fixtures", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "", "error: inner product of lengths 2 and 1\n")
+
+
 @pytest.mark.parametrize("argv", [["orbit", "--backward", "--start", "1,0"], ["classify"], ["conjugate"]],
                          ids=["orbit", "classify", "conjugate"])
 def test_out_that_is_a_file_is_a_typed_error(argv, tmp_path, capsys):

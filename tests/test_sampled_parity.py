@@ -206,13 +206,26 @@ def test_verify_sampled_checks_match_per_point_loops(seed, monkeypatch):
 
     monkeypatch.setattr(geo, "dist_ball_rows", recording_rows)
     monkeypatch.setattr(sys.modules[__name__], "ref_dist_ball", recording_ref)
-    for samples in (1, 37, 200):
+    for samples in (1, 2, 3, 37, 200):  # at 2 and 3, some dimension of the ratio bound has one pair or none
         batched_pairs.clear()
         ref_pairs.clear()
         batched = list(itertools.islice(cli._verify_checks(FIXTURE_DIR, seed, samples), 4))
         assert batched == list(ref_verify_sampled(seed, samples)), samples
         assert len(ref_pairs) == 2 * samples
         assert sorted(batched_pairs) == sorted(ref_pairs), samples
+
+
+def test_verify_builds_one_batch_per_sampled_section(monkeypatch):
+    # metric, isometry, ratio bound and one Julia draw for the two dim-2 maps: a
+    # _siegel_samples each; siegel_to_ball_rows once in the metric and ratio sections
+    counts = {"_siegel_samples": 0, "siegel_to_ball_rows": 0}
+    for module, name in ((dyn, "_siegel_samples"), (geo, "siegel_to_ball_rows")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    assert all(ok for _, ok, _ in cli._verify_checks(FIXTURE_DIR, 7, 200))
+    assert counts == {"_siegel_samples": 4, "siegel_to_ball_rows": 2}
 
 
 @pytest.mark.parametrize("name", ["quadpol", "diaglinear", "lifted2z"])

@@ -30,7 +30,10 @@ after each timing, as the benchmark scales its jobs):
   --n-conj 12`` runs it;
 - ``conjugate_cli``: the benchmark's ``conjugate`` job, ``cli.main`` on
   ``conjugate --map NAME --start 5,0 --n 40 --n-conj 12 --tol 1e-3``, its
-  stdout discarded.
+  stdout discarded;
+- ``verify``: ``cli.main`` on ``verify --seed 7 --samples 200``, its stdout
+  discarded, most of the benchmark's ``checks`` job.  It reads the bundled
+  fixtures, not the row's: every row times the same call.
 
 Each figure is the median of ``--repeats`` timings, each timing a loop long
 enough to take about 2 ms.  The library is whatever ``siegel_dynamics`` the
@@ -65,7 +68,7 @@ BOUND, N, N_CONJ = 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "preimages",
           "siegel_point", "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500",
-          "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli")
+          "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli", "verify")
 
 
 def timed_us(fn, repeats: int) -> float:
@@ -104,6 +107,11 @@ def fixture_jobs(name: str) -> dict:
             cli.main(["conjugate", "--map", name, "--start", "5,0", "--n", str(N), "--n-conj", str(N_CONJ),
                       "--tol", "1e-3"])
 
+    def verify_job() -> None:
+        """`verify` as the benchmark's `checks` job runs it, stdout discarded; no fixture changes it."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", "--seed", "7", "--samples", "200"])
+
     start = SiegelPoint(5.0, (0j,))
     f = ser.load_descriptor(str(cli.fixture_path(name)))
     orbit = dyn.backward_orbit(f, start, BOUND, N)
@@ -129,6 +137,7 @@ def fixture_jobs(name: str) -> dict:
         "multiplier": lambda: dyn.multiplier_at_boundary(f, q),
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": conjugate_job,
+        "verify": verify_job,
     }
 
 
