@@ -196,14 +196,13 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     maps_by_name = {name: ser.load_descriptor(str(fixture_dir / f"{name}.json")) for name in FIXTURES}
 
     def pairs() -> geo.SiegelRows:
-        """`samples` pairs of sampled points as one batch, the first points then the second, a
-        point's variates drawn in turn by scalar calls (the metric and isometry sections report
-        sampled gaps, so they keep this stream): Re w, Im w ~ N(0, 1), log10 t ~ U(-2, 2) as
-        -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
+        """`samples` pairs of sampled points, one batch of the first points then the second; a point's
+        variates drawn in turn by scalar calls (the sampled gaps reported keep this stream): Re w,
+        Im w ~ N(0, 1), log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
         normal, uniform = rng.standard_normal, rng.random
-        draws = [([normal()], [normal()], 10.0 ** (-2.0 + 4.0 * uniform()), normal()) for _ in range(2 * samples)]
-        re, im, t, y = zip(*draws[0::2], *draws[1::2])
-        return dyn._siegel_samples(t, re, im, 0.5, y)
+        draws = [(normal(), normal(), 10.0 ** (-2.0 + 4.0 * uniform()), normal()) for _ in range(2 * samples)]
+        re, im, t, y = np.array(draws[0::2] + draws[1::2]).T
+        return dyn._siegel_samples(t, re[:, None], im[:, None], 0.5, y)
 
     def halves(rows: geo.SiegelRows) -> tuple[geo.SiegelRows, geo.SiegelRows]:
         return rows.take(slice(samples)), rows.take(slice(samples, None))
@@ -229,15 +228,17 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3: every pair's
     # dimension is drawn first, then per dimension the Z batch and the W batch (`pairs`'s variates as
-    # whole columns, Re w and Im w padded with zeros to 3 columns, then U(0.2, 1) scales): one batch of
-    # ball points of dim 3, +0.0 from the row's dimension on (zeros change no bit of a norm or distance)
+    # whole columns, Re w and Im w row by row, then U(0.2, 1) scales); one batch of Siegel points gives
+    # ball points of dim 3, w and ball +0.0 from the row's dimension on (no bit of a norm or distance moves)
     counts = np.bincount(rng.integers(1, 4, size=samples), minlength=4)[1:].tolist()
-    batches = [(np.full(m, dim), *(np.pad(rng.standard_normal((m, dim)), ((0, 0), (0, 3 - dim))) for _ in "ri"),
-                rng.random(m), rng.standard_normal(m), rng.random(m)) for dim, m in enumerate(counts, 1) for _ in "ZW"]
+    batches = [(np.full(m, dim), rng.standard_normal(m * dim), rng.standard_normal(m * dim), rng.random(m),
+                rng.standard_normal(m), rng.random(m)) for dim, m in enumerate(counts, 1) for _ in "ZW"]
     dims, re, im, u, y, scale = map(np.concatenate, zip(*batches[0::2], *batches[1::2]))
-    p = dyn._siegel_samples([10.0 ** e for e in (-2.0 + 4.0 * u).tolist()], re, im, 0.5, y)
+    inside, w = np.arange(3) < dims[:, None], np.zeros((2, 2 * samples, 3))
+    w[:, inside] = re, im
+    p = dyn._siegel_samples([10.0 ** e for e in (-2.0 + 4.0 * u).tolist()], *w, 0.5, y)
     ball = geo.siegel_to_ball_rows(p)[:, :3] * (0.2 + 0.8 * scale)[:, None]
-    ball[np.arange(3) >= dims[:, None]] = 0.0
+    ball[~inside] = 0.0
     zb, wb = np.split(ball, 2)
     d = geo.dist_ball_rows(zb, wb)
     zn, wn = (geo.ball_norm_rows(geo.ComplexRows.columns(b)) for b in (zb, wb))
