@@ -304,18 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--map", help="map descriptor JSON file or bundled fixture name")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", help="JSON config file (flags take precedence)")
     common.add_argument("--out", help="output directory")
     quadratic = argparse.ArgumentParser(add_help=False, parents=[common])
     quadratic.add_argument("--A", type=float)
     quadratic.add_argument("--B", type=str)
     quadratic.add_argument("--C", type=str)
+    seeded = argparse.ArgumentParser(add_help=False)  # classify takes no seed
+    seeded.add_argument("--seed", type=int, default=None)
 
     p_cls = sub.add_parser("classify", parents=[quadratic], help="classify a quadratic self-map")
     p_cls.set_defaults(func=cmd_classify)
 
-    p_orb = sub.add_parser("orbit", parents=[quadratic], help="compute a forward or backward orbit")
+    p_orb = sub.add_parser("orbit", parents=[quadratic, seeded], help="compute a forward or backward orbit")
     group = p_orb.add_mutually_exclusive_group()
     group.add_argument("--forward", action="store_true")
     group.add_argument("--backward", action="store_true")
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--format", choices=("json", "csv", "both"), default="both")
     p_orb.set_defaults(func=cmd_orbit)
 
-    p_cnj = sub.add_parser("conjugate", parents=[quadratic],
+    p_cnj = sub.add_parser("conjugate", parents=[quadratic, seeded],
                            help="conjugate a map to its linear model at a BRFP")
     p_cnj.add_argument("--start", help="backward-orbit seed z_re,z_im[,w...]")
     p_cnj.add_argument("--a", type=float, default=0.34)
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnj.add_argument("--tol", type=float, default=1e-3)
     p_cnj.set_defaults(func=cmd_conjugate)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the invariant verification suite")
+    p_ver = sub.add_parser("verify", parents=[common, seeded], help="run the invariant verification suite")
     p_ver.add_argument("--fixtures", help="directory with fixture descriptors")
     p_ver.add_argument("--samples", type=int, default=2000)
     p_ver.set_defaults(func=cmd_verify)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, truediv
+from operator import truediv
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .geometry import (
     INFINITY,
     BoundaryPoint,
     ComplexRows,
-    CVector,
     SiegelAutomorphism,
     SiegelPoint,
     SiegelRows,
     _cdivs,
-    _projection,
     _raise_first,
     _siegel_coords,
     apply_automorphism,
@@ -192,17 +189,6 @@ def backward_step(f: MapDescriptor, zn: SiegelPoint, a: float,
     return best
 
 
-def _projection_mean(points: list[SiegelPoint]) -> CVector:
-    """The mean of the boundary projections (i Im z + ||w||^2, w) of up to 7
-    points, with np.mean's bits: numpy sums each column onto +0 in order (a
-    lone column is contiguous, and its pairwise sum adds the first four as
-    (a + b) + (c + d)), then divides by the count as `_cdiv` does."""
-    pr = [_projection(p) for p in points]
-    if len(pr[0]) == 1 and len(pr) >= 4:
-        pr[:4] = [((pr[0][0] + pr[1][0]) + (pr[2][0] + pr[3][0]),)]
-    return CVector(_cdivs([reduce(add, column, 0j) for column in zip(*pr)], len(points)))
-
-
 def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> BackwardOrbit:
     """Backward-iteration sequence of length n (truncated if a step fails).
 
@@ -210,8 +196,8 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
     as bytes: 0.0 == -0.0, yet a zero's sign can steer a branch), every later
     step, a pure function of the map, those bits and the bound, repeats it; the
     orbit appends the remaining copies of that point and step instead.  The
-    limit is estimated from boundary projections of the tail; orbits whose
-    defects grow converge to the point at infinity.  The multiplier estimate
+    limit is the last point's boundary projection, on Re z = ||w||^2 exactly;
+    orbits whose defects grow converge to the point at infinity.  The multiplier estimate
     is the median tail defect ratio; the Koranyi certificate is the largest
     approach-region amplitude attained along the orbit.
     """
@@ -241,7 +227,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         limit: BoundaryPoint | None = INFINITY
         alpha = _tail_median(defects[1:], defects[:-1])
     else:
-        limit = BoundaryPoint(v=_projection_mean(points[-5:]), model="siegel")
+        limit = BoundaryPoint(v=boundary_projection(points[-1]), model="siegel")
         alpha = _tail_median(defects[:-1], defects[1:])
     # Python's max over the points in order, as a per-point loop takes it
     cert = max(koranyi_ratio(rows, limit).tolist())

@@ -422,12 +422,7 @@ def koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
 
 def boundary_projection(p: SiegelPoint) -> CVector:
     """Euclidean projection on the Siegel boundary: pr(z, w) = (i Im z + ||w||^2, w)."""
-    return CVector(_projection(p))
-
-
-def _projection(p: SiegelPoint) -> Complexes:
-    """The coordinates of `boundary_projection(p)`."""
-    return (1j * p.z.imag + sq_norm(p.w),) + p.w
+    return CVector((1j * p.z.imag + sq_norm(p.w),) + p.w)
 
 
 # ---------------------------------------------------------------------------

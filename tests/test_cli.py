@@ -530,6 +530,15 @@ def test_valid_seeds_still_run(argv, env, seed, capsys, monkeypatch):
     assert (code, err) == (0, "") and json.loads(out)["seed"] == seed
 
 
+def test_classify_takes_no_seed_flag(capsys):
+    # it used to accept one, and echo it in the report's config, without reading it
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--map", "quadpol", "--seed", "5"])
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert cap.err.startswith("usage: ") and cap.err.endswith("error: unrecognized arguments: --seed 5\n")
+
+
 # ---------------------------------------------------------------------------
 # one process, many calls
 # ---------------------------------------------------------------------------

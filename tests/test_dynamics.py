@@ -7,7 +7,6 @@ import pytest
 from siegel_dynamics.errors import DimensionMismatch, NoBackwardStep
 from siegel_dynamics.dynamics import (
     BackwardOrbit,
-    _projection_mean,
     angular_ratio_diagnostics,
     backward_orbit,
     backward_step,
@@ -25,12 +24,10 @@ from siegel_dynamics.geometry import (
     SiegelAutomorphism,
     SiegelPoint,
     Translation,
-    boundary_projection,
     cayley_to_siegel,
     dist_siegel,
     defect,
     recentering_translation,
-    sq_norm,
 )
 from siegel_dynamics.maps import (
     BallProduct,
@@ -162,40 +159,6 @@ def test_backward_orbit_lifted_constant_step():
     assert all(abs(s - 1 / 3) < 1e-12 for s in orb.steps)
     assert abs(orb.limit.v.coords[0] - 1.0) < 1e-9
     assert abs(orb.limit.v.coords[1] - 1.0) < 1e-9
-
-
-def _hex(coords):
-    return [(c.real.hex(), c.imag.hex()) for c in coords]
-
-
-def _np_mean_limit(points):
-    """The limit as np.mean of the boundary projections, the reference for its bits."""
-    return np.mean([boundary_projection(p).coords for p in points], axis=0).tolist()
-
-
-def test_limit_has_the_bits_of_np_mean_of_the_tail_projections():
-    rng = np.random.default_rng(12)
-
-    def part():  # signed zeros, cancelling magnitudes and spread scales
-        r = rng.random()
-        return (rng.choice([0.0, -0.0]) if r < 0.25 else rng.choice([-1.0, 1.0]) * (
-            rng.choice([1e16, 1.0, 3.0]) if r < 0.4 else 10.0 ** rng.uniform(-30, 30)))
-
-    for _ in range(3000):
-        k, n = int(rng.integers(0, 3)), int(rng.integers(3, 6))
-        tail = []
-        for _ in range(n):
-            w = tuple(complex(part(), part()) for _ in range(k))
-            re = sq_norm(w) * (1.0 + rng.random()) + 10.0 ** rng.uniform(-20, 20)
-            tail.append(SiegelPoint(complex(re, part()), w))
-        assert _hex(_projection_mean(tail).coords) == _hex(_np_mean_limit(tail))
-    # through the orbit: tails of 3, 4 and 5 points, in dimensions 2 and 1
-    for f, seed in ((QUADPOL, SiegelPoint(1.0, (0.0,))),
-                    (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(complex(2.0, -0.0), (1.0,))),
-                    (DiagonalLinear(2.0), SiegelPoint(complex(1.0, 0.25)))):
-        for n in (2, 3, 4, 40):
-            orb = backward_orbit(f, seed, 0.4, n)
-            assert len(orb.points) == n + 1 and _hex(orb.limit.v.coords) == _hex(_np_mean_limit(orb.points[-5:]))
 
 
 def test_backward_orbit_elliptic_fixture():

@@ -172,8 +172,7 @@ def ref_backward_orbit(f, z0: SiegelPoint, a: float, n: int) -> dyn.BackwardOrbi
         limit: BoundaryPoint | None = INFINITY
         ratios = [defects[k + 1] / defects[k] for k in range(len(defects) - 1)]
     else:
-        pr_tail = [np.array(boundary_projection(p).coords) for p in points[-5:]]
-        limit = BoundaryPoint(v=CVector(tuple(np.mean(pr_tail, axis=0))), model="siegel")
+        limit = BoundaryPoint(v=boundary_projection(points[-1]), model="siegel")
         ratios = [defects[k] / defects[k + 1] for k in range(len(defects) - 1)]
     tail = ratios[max(0, 3 * len(ratios) // 4):]
     alpha = float(statistics.median(tail))
@@ -271,5 +270,5 @@ def test_orbit_builds_no_cvector_per_step_and_one_koranyi_pass(monkeypatch):
         assert len(orbit.points) == n + 1
         assert len(koranyi) == 1 and type(koranyi[0]) is geo.SiegelRows
         counts[n] = len(built)
-    # only the limit's tail projections build vectors, however long the orbit
+    # only the limit builds vectors, however long the orbit
     assert counts[10] == counts[40] <= 6

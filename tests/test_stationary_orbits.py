@@ -14,7 +14,8 @@ import pytest
 
 from siegel_dynamics import dynamics as dyn
 from siegel_dynamics.errors import NoBackwardStep, OrbitTooShort
-from siegel_dynamics.geometry import INFINITY, BoundaryPoint, SiegelPoint, SiegelRows, koranyi_ratio
+from siegel_dynamics.geometry import (
+    INFINITY, BoundaryPoint, SiegelPoint, SiegelRows, boundary_projection, koranyi_ratio)
 from siegel_dynamics.maps import DiagonalLinear, QuadraticSiegel
 from test_orbit_parity import MAPS, orbit_bits
 
@@ -37,7 +38,7 @@ def loop_orbit(f, z0: SiegelPoint, a: float, n: int) -> dyn.BackwardOrbit:
         limit = INFINITY
         alpha = dyn._tail_median(defects[1:], defects[:-1])
     else:
-        limit = BoundaryPoint(v=dyn._projection_mean(points[-5:]), model="siegel")
+        limit = BoundaryPoint(v=boundary_projection(points[-1]), model="siegel")
         alpha = dyn._tail_median(defects[:-1], defects[1:])
     cert = max(koranyi_ratio(rows, limit).tolist())
     return dyn.BackwardOrbit(tuple(points), tuple(steps), defects, a, limit, alpha, cert, to_infinity)

@@ -361,23 +361,3 @@ def test_rows_divide_by_one_divisor_as_points_do():
     rows = _siegel_coords(cols)
     for i, p in enumerate(v):
         assert [cbits(c[i]) for c in rows] == [cbits(c) for c in ref_siegel_coords(p)]
-
-
-# ---------------------------------------------------------------------------
-# the orbit's limit: the tail projections' mean
-# ---------------------------------------------------------------------------
-
-def test_projection_mean_has_np_mean_bits():
-    # the earlier rule: np.mean over the projections' coordinates, signed zeros included
-    rng = np.random.default_rng(3)
-    for dim in (1, 2, 3):
-        for count in range(1, 8):
-            for _ in range(60):
-                ws = [tuple(ZEROS[rng.integers(0, 4)] if rng.random() < 0.5 else complex(*rng.normal(size=2))
-                            for _ in range(dim - 1)) for _ in range(count)]
-                ys = [(0.0, -0.0, rng.normal())[rng.integers(0, 3)] for _ in range(count)]
-                points = [SiegelPoint(complex(geo.sq_norm(w) + 10 ** rng.uniform(-3, 3), y), w)
-                          for w, y in zip(ws, ys)]
-                want = np.mean(np.array([geo._projection(p) for p in points]), axis=0)
-                got = dyn._projection_mean(points).coords
-                assert [cbits(c) for c in got] == [cbits(complex(c)) for c in want]
