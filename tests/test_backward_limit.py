@@ -24,7 +24,7 @@ def limit_defect(q: geo.BoundaryPoint) -> float:
 
 
 def test_a_short_orbit_far_from_the_boundary_gets_a_boundary_limit():
-    # six steps, then no preimage within the bound; the five-point mean had defect 4.2e-2
+    # six steps, then no preimage within the bound
     f = mp.QuadraticSiegel(1.3250871021951218, 0.06458104097434116 + 0.2768392246401919j,
                            0.7894072705089847 + 0.011694357891871433j)
     z0 = geo.SiegelPoint(19.591499564676777 + 2.124061236868265j,

@@ -70,7 +70,7 @@ def test_golden_backward_orbit(name, tmp_path, capsys):
 
 def test_golden_backward_orbit_off_the_axis(tmp_path, capsys):
     # the first golden whose limit the limit rule decides: the last point's boundary
-    # projection (0.48999999999999994, 0.7), where the five-point mean gave (0.49, 0.7000000000000001)
+    # projection, (0.48999999999999994, 0.7) = (0.7 * 0.7, 0.7)
     out = run_stdout(["orbit", "--backward", "--map", "lifted2z", "--start", "1.2,0,0.7,0", "--format", "both",
                       "--out", str(tmp_path)], capsys)
     assert out == golden("orbit_backward_lifted2z_offaxis.txt")
