@@ -249,7 +249,7 @@ def recenter_orbit_at_zero(f: MapDescriptor, orbit: BackwardOrbit) -> tuple[MapD
         cols = (np.stack([c.real, c.imag], axis=-1).view(complex)[:, 0].tolist() for c in (rows.z,) + rows.w)
         pts = tuple(SiegelPoint(z, tuple(w)) for z, *w in zip(*cols))
     new_orbit = replace(orbit, points=pts, defects=tuple(p.t for p in pts),
-                        limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim), model="siegel"),
+                        limit=BoundaryPoint(v=CVector((0.0,) * orbit.points[0].dim)),
                         at_infinity=False)
     g = Conjugated(base=f, by=chart) if len(chart.chain) else f
     return g, new_orbit, chart
@@ -272,13 +272,6 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
     if alpha <= 1.0:
         raise ConstructionFailed(f"repelling point needs alpha > 1, got {alpha}")
     a = (alpha - 1.0) / (alpha + 1.0) + 1e-9
-    at_inf = q.at_infinity
-    if q.model == "ball":  # the ball boundary point (1, 0, ...) is the Siegel infinity
-        coords = q.v.coords
-        if not (abs(coords[0] - 1.0) < 1e-9 and all(abs(c) < 1e-9 for c in coords[1:])):
-            raise ConstructionFailed("ball vertices other than (1, 0) are not supported; "
-                                     "recenter with an automorphism first")
-        at_inf = True
     # smallest depth whose horosphere fits inside the exclusion ball:
     # a hyperbolic/horospheric cap of level R has ball diameter about
     # sqrt((R/(1+R))^2 + R/(1+R)) around the vertex
@@ -289,11 +282,11 @@ def special_backward_construct(f: MapDescriptor, q: BoundaryPoint, alpha: float,
         if math.sqrt(u * u + u) <= exclusion_radius or n0 > 200:
             break
         n0 += 1
-    chart_inv = None if at_inf else invert_automorphism(recentering_translation(q))
+    chart_inv = None if q.at_infinity else invert_automorphism(recentering_translation(q))
     last_err: Exception | None = None
     for attempt in range(4):
         depth = n0 + 5 * attempt
-        seed = SiegelPoint(alpha ** (depth if at_inf else -depth), (0.0,) * (f.dim - 1))
+        seed = SiegelPoint(alpha ** (depth if q.at_infinity else -depth), (0.0,) * (f.dim - 1))
         if chart_inv is not None:
             seed = apply_automorphism(chart_inv, seed)
         try:

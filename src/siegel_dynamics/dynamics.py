@@ -83,7 +83,7 @@ def forward_orbit(f: MapDescriptor, z0: SiegelPoint, n_max: int = 100,
             # the ball gap is small near infinity too: the orbit tends to infinity when its
             # ball image is within tol of infinity's image (1, 0), ||(2, 2w)|| / |z + 1|
             near_inf = 2.0 * math.hypot(1.0, *map(abs, nxt.w)) < tol * abs(nxt.z + 1.0)
-            dw = INFINITY if near_inf else BoundaryPoint(v=boundary_projection(nxt), model="siegel")
+            dw = INFINITY if near_inf else BoundaryPoint(v=boundary_projection(nxt))
             converged = True
             break
         if steps[-1] < tol:
@@ -120,8 +120,7 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     r, error = _until_failure(ratios, len(s))
     if any(not math.isfinite(x) or x > 1e9 for x in r):
         return math.inf
-    if error is not None:  # the first failing sample's error; C(Z) divides by 0 where its row gets NaN
-        _siegel_coords(tuple((1.0 - s[len(r)]) * x for x in qb))
+    if error is not None:  # the first failing sample's error
         raise error
     # the pair k = 25, 26: 2^-26 is the deepest gap above the 1e-8 noise floor
     return (r[25] - decay * r[24]) / (1.0 - decay)
@@ -227,7 +226,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         limit: BoundaryPoint | None = INFINITY
         alpha = _tail_median(defects[1:], defects[:-1])
     else:
-        limit = BoundaryPoint(v=boundary_projection(points[-1]), model="siegel")
+        limit = BoundaryPoint(v=boundary_projection(points[-1]))
         alpha = _tail_median(defects[:-1], defects[1:])
     # Python's max over the points in order, as a per-point loop takes it
     cert = max(koranyi_ratio(rows, limit).tolist())
@@ -422,10 +421,8 @@ def angular_ratio_diagnostics(f: MapDescriptor, q: BoundaryPoint,
 
     if q.at_infinity:
         chart = SiegelAutomorphism()
-    elif q.model == "siegel":
-        chart = SiegelAutomorphism(recentering_translation(q).chain + (Inversion(),))
     else:
-        raise ValueError("angular diagnostics need a Siegel boundary point")
+        chart = SiegelAutomorphism(recentering_translation(q).chain + (Inversion(),))
     chart_inv = invert_automorphism(chart)
     radial: list[float] = []
     tangential: list[float] = []

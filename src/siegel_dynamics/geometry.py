@@ -190,34 +190,28 @@ class SiegelPoint:
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """Boundary point of either model; `at_infinity` only in the Siegel model."""
+    """Siegel boundary point: `at_infinity`, or (z, w) with Re z = ||w||^2."""
 
     v: CVector | None = None
     at_infinity: bool = False
-    model: str = "siegel"  # "ball" | "siegel"
+    model: str = "siegel"
 
     def __post_init__(self):
-        if self.model not in ("ball", "siegel"):
+        if self.model != "siegel":
             raise InvalidPoint(f"unknown model {self.model!r}")
         if self.at_infinity:
-            if self.model != "siegel":
-                raise InvalidPoint("at_infinity only exists in the Siegel model")
             return
         if self.v is None:
             raise InvalidPoint("finite boundary point needs coordinates")
         v = self.v if isinstance(self.v, CVector) else CVector(self.v)
         object.__setattr__(self, "v", v)
-        tol = DEFAULT_POLICY.boundary_tol
-        if self.model == "ball":
-            if abs(v.norm() - 1.0) > tol:
-                raise InvalidPoint(f"ball boundary point with norm {v.norm()}")
-        else:
-            z, w = v.coords[0], v.coords[1:]
-            if abs(z.real - sq_norm(w)) > tol:
-                raise InvalidPoint("Siegel boundary point with nonzero defect")
+        z, w = v.coords[0], v.coords[1:]
+        r = sq_norm(w)  # relative to ||w||^2: one ulp of it exceeds 1e-12 above about 4,500
+        if abs(z.real - r) > DEFAULT_POLICY.boundary_tol * max(1.0, r):
+            raise InvalidPoint("Siegel boundary point with nonzero defect")
 
 
-INFINITY = BoundaryPoint(at_infinity=True, model="siegel")
+INFINITY = BoundaryPoint(at_infinity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +373,13 @@ def boundary_ball_coords(q: BoundaryPoint, dim: int) -> Complexes:
     """Ball-model coordinates of a boundary point, infinity -> (1, 0, ..., 0)."""
     if q.at_infinity:
         return (1.0 + 0j,) + (0j,) * (dim - 1)
-    if q.model == "ball":
-        return q.v.coords
     return _ball_coords(q.v.coords[0], q.v.coords[1:])
 
 
 def _vertex_term(p: SiegelPoint, q: BoundaryPoint) -> tuple:
     """(x, c), x / c = |1 - (Z, Q)| |z + 1| / 2 for the ball images Z, Q of p and of a finite
-    vertex q, from Siegel coordinates: (|z (1 - conj(q_0)) + 1 + conj(q_0) - 2 <w, q'>|, 2) at a
-    ball vertex (q_0, q'), (|z + conj(z_q) - 2 <w, w_q>|, |z_q + 1|) at a Siegel one (z_q, w_q)."""
+    vertex q = (z_q, w_q), from Siegel coordinates: (|z + conj(z_q) - 2 <w, w_q>|, |z_q + 1|)."""
     q0, qw = q.v.coords[0], q.v.coords[1:]
-    if q.model == "ball":
-        return abs(p.z * (1.0 - q0.conjugate()) + (1.0 + q0.conjugate()) - 2.0 * herm(p.w, qw)), 2.0
     return abs(p.z + q0.conjugate() - 2.0 * herm(p.w, qw)), abs(q0 + 1.0)
 
 
@@ -573,7 +562,7 @@ def invert_automorphism(a: SiegelAutomorphism) -> SiegelAutomorphism:
 
 def recentering_translation(q: BoundaryPoint) -> SiegelAutomorphism:
     """Translation moving a finite Siegel boundary point q to the origin."""
-    if q.model != "siegel" or q.at_infinity:
+    if q.at_infinity:
         raise ModelMismatch("recentering needs a finite Siegel boundary point")
     z, w = q.v.coords[0], q.v.coords[1:]
     return SiegelAutomorphism((Translation(z.imag, w),))

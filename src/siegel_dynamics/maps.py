@@ -445,7 +445,7 @@ class ClassificationReport:
         }
 
 
-ORIGIN2 = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
+ORIGIN2 = BoundaryPoint(v=CVector((0.0, 0.0)))
 
 
 def classify_quadratic(A: float, B: complex, C: complex) -> ClassificationReport:

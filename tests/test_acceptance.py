@@ -198,8 +198,7 @@ def test_criterion_10_elliptic_fixture_multiplier_and_special_steps():
     # independent 1-D oracle: b(z) = z(z+a)/(1+az) has b'(1) = 2/(1+a)
     oracle = 2.0 / (1.0 + 0.5)
     mult_err = abs(orb.multiplier_estimate - oracle)
-    q = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    sp = special_backward_construct(ELLIPTIC, q, oracle, 0.5, 60)
+    sp = special_backward_construct(ELLIPTIC, INF, oracle, 0.5, 60)
     step_err = abs(sp.steps[-1] - 1.0 / 7.0)
     ok = orb.at_infinity and mult_err < 1e-4 and step_err < 1e-4
     report(10, ok, f"multiplier err {mult_err:.2e} vs 4/3, special step err {step_err:.2e} vs 1/7")

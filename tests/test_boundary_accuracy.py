@@ -47,6 +47,15 @@ def test_dist_siegel_matches_mpmath_for_t_down_to_1e_300():
     assert worst <= 1e-13
 
 
+def mp_ball_image(q: BoundaryPoint, dim: int) -> list:
+    """The exact ball image of a boundary point at the working precision: (1, 0) at
+    infinity, ((z - 1)/(z + 1), 2w/(z + 1)) at a finite (z, w)."""
+    if q.at_infinity:
+        return [mpmath.mpf(1)] + [mpmath.mpf(0)] * (dim - 1)
+    c = [mpmath.mpc(x.real, x.imag) for x in q.v.coords]
+    return [(c[0] - 1) / (c[0] + 1)] + [2 * x / (c[0] + 1) for x in c[1:]]
+
+
 def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
     """|1 - (Z, q)|^2 / (1 - ||Z||^2) of the exact ball image Z of p, at 800 digits
     (1 - ||Z||^2 = 4t/|z + 1|^2 is about 4/|z| below, and 4e-700 at t = 1e-300,
@@ -54,9 +63,7 @@ def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
     with mpmath.workdps(800):
         coords = [mpmath.mpc(c.real, c.imag) for c in p.coords]
         zb = [(coords[0] - 1) / (coords[0] + 1)] + [2 * c / (coords[0] + 1) for c in coords[1:]]
-        qc = [mpmath.mpc(c.real, c.imag) for c in q.v.coords]
-        if q.model == "siegel":
-            qc = [(qc[0] - 1) / (qc[0] + 1)] + [2 * c / (qc[0] + 1) for c in qc[1:]]
+        qc = mp_ball_image(q, p.dim)
         s = 1 - sum(a * mpmath.conj(b) for a, b in zip(zb, qc))
         return abs(s) ** 2 / (1 - sum(abs(a) ** 2 for a in zb))
 
@@ -65,10 +72,9 @@ def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
 @pytest.mark.parametrize("scale", [1e155, 1e300])
 def test_julia_quotient_far_from_unit_scale_matches_mpmath(scale):
     # |s|^2 alone would overflow at both finite vertices
-    vertices = [BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel"),
-                BoundaryPoint(v=CVector((-1.0, 0.0)), model="ball"),
-                BoundaryPoint(v=CVector((complex(0.25, -1.5), 0.5)), model="siegel"),
-                BoundaryPoint(v=CVector((0.6, 0.8j)), model="ball")]
+    vertices = [BoundaryPoint(v=CVector((0.0, 0.0))),
+                BoundaryPoint(v=CVector((complex(0.25, -1.5), 0.5))),
+                BoundaryPoint(v=CVector((4.0, 2j)))]
     points = [SiegelPoint(scale, (0j,)),
               SiegelPoint(complex(scale, 0.3 * scale), (0.2 * math.sqrt(scale),)),
               SiegelPoint(complex(0.5 * scale, -scale), (0.5j * math.sqrt(scale),))]
@@ -80,21 +86,26 @@ def test_julia_quotient_far_from_unit_scale_matches_mpmath(scale):
 
 
 def mp_ball_vertex_quotients(p: SiegelPoint, q: BoundaryPoint) -> tuple:
-    """(Julia quotient, Koranyi ratio) of p at a ball vertex q at 120 digits, from the
-    exact ball image Z of p and the stored defect: 1 - ||Z||^2 = 4 p.t / |z + 1|^2, so
+    """(Julia quotient, Koranyi ratio) of p at q at 120 digits, from the exact ball
+    images Z of p and Q of q and the stored defect: 1 - ||Z||^2 = 4 p.t / |z + 1|^2, so
     the rounding of t itself does not count."""
     with mpmath.workdps(120):
         c = [mpmath.mpc(x.real, x.imag) for x in p.coords]
         zb = [(c[0] - 1) / (c[0] + 1)] + [2 * x / (c[0] + 1) for x in c[1:]]
-        s = abs(1 - sum(a * mpmath.conj(mpmath.mpc(b.real, b.imag)) for a, b in zip(zb, q.v.coords)))
+        s = abs(1 - sum(a * mpmath.conj(b) for a, b in zip(zb, mp_ball_image(q, p.dim))))
         g = 4 * mpmath.mpf(p.t) / abs(c[0] + 1) ** 2
         return s ** 2 / g, s / (1 - mpmath.sqrt(1 - g))
 
 
-@pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8j), (-1.0, 0.0)])
+# the ball vertices (1, 0), (0.6, 0.8i) and (-1, 0) as the Siegel points they are
+SIEGEL_IMAGE = {(1.0, 0.0): INFINITY, (0.6, 0.8j): BoundaryPoint(v=CVector((4.0, 2j))),
+                (-1.0, 0.0): BoundaryPoint(v=CVector((0.0, 0.0)))}
+
+
+@pytest.mark.parametrize("v", list(SIEGEL_IMAGE))
 def test_ball_vertex_quotients_match_mpmath(v):
-    # near (1, 0), the ball image of infinity, 1 - (Z, q) cancels in ball coordinates
-    q = BoundaryPoint(v=CVector(v), model="ball")
+    # near (1, 0), the ball image of infinity, 1 - (Z, Q) cancels in ball coordinates
+    q = SIEGEL_IMAGE[v]
     rng = np.random.default_rng(0)
     worst_julia = worst_koranyi = 0.0
     for _ in range(400):
@@ -137,11 +148,9 @@ def test_elliptic_orbit_toward_infinity_keeps_alpha_4_3():
 
 @pytest.mark.filterwarnings("error")
 def test_julia_quotient_at_the_ball_image_of_infinity_stays_finite():
-    # at t = 1e-300 and |z| = 1e200, |1 - (Z, q)|^2 (4e-400) and the gap
-    # 4t/|z + 1|^2 (4e-700) both underflow, but the quotient is 1/t, as at infinity
+    # at t = 1e-300 and |z| = 1e200, |1 - (Z, Q)|^2 (4e-400) and the gap
+    # 4t/|z + 1|^2 (4e-700) both underflow at Q = (1, 0), but the quotient is 1/t
     p = SiegelPoint(complex(1e-300, 1e200), (0j,))
-    q = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    got = julia_quotient(p, q)
-    for ref in (julia_quotient(p, INFINITY), mp_julia_quotient(p, q)):
-        assert float(abs(got - ref) / ref) <= 1e-15
-    assert julia_quotient(SiegelRows.of([p]), q).tolist() == [got]
+    got = julia_quotient(p, INFINITY)
+    assert float(abs(got - mp_julia_quotient(p, INFINITY)) / got) <= 1e-15
+    assert julia_quotient(SiegelRows.of([p]), INFINITY).tolist() == [got]

@@ -260,9 +260,7 @@ def test_loaded_conjugated_descriptor_takes_the_base_familys_variant(tmp_path):
 
 
 def test_residual_elliptic_fixture_decreases():
-    orb = special_backward_construct(
-        ELLIPTIC, BoundaryPoint(v=CVector((1.0, 0.0)), model="ball"),
-        4.0 / 3.0, 0.5, 45)
+    orb = special_backward_construct(ELLIPTIC, INFINITY, 4.0 / 3.0, 0.5, 45)
     g, orb0, _ = recenter_orbit_at_zero(ELLIPTIC, orbit=orb)
     grid = default_grid(2)
     res = [conjugation_residual(g, orb0, n, grid, 4.0 / 3.0) for n in (5, 15, 30)]
@@ -367,8 +365,7 @@ def test_special_construct_at_infinity_seeds_in_the_map_dimension():
 
 
 def test_special_construct_elliptic_steps_to_one_seventh():
-    q = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    orb = special_backward_construct(ELLIPTIC, q, 4.0 / 3.0, 0.5, 60)
+    orb = special_backward_construct(ELLIPTIC, INFINITY, 4.0 / 3.0, 0.5, 60)
     assert orb.at_infinity
     assert abs(orb.steps[-1] - 1.0 / 7.0) < 1e-4
     assert abs(orb.multiplier_estimate - 4.0 / 3.0) < 1e-6

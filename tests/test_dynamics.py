@@ -95,8 +95,7 @@ def test_multiplier_linear_model_is_alpha():
 
 
 def test_multiplier_elliptic_fixture_matches_derivative_oracle():
-    qb = BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
-    got = multiplier_at_boundary(ELLIPTIC, qb)
+    got = multiplier_at_boundary(ELLIPTIC, INF)
     assert abs(got - 4.0 / 3.0) < 1e-6
 
 
@@ -107,7 +106,7 @@ def test_multiplier_divergent_reported_infinite():
     got = multiplier_at_boundary(f, ZERO2)
     assert abs(got - 0.5) < 1e-6  # attracting: multiplier below 1
     # at a vertex whose radial images stay interior the ratio diverges
-    q_off = BoundaryPoint(v=CVector((0.0, 1.0)), model="ball")
+    q_off = BoundaryPoint(v=CVector((1.0, 1.0)))  # the ball point (0, 1)
     got2 = multiplier_at_boundary(ELLIPTIC, q_off)
     assert got2 > 10 or math.isinf(got2)
 

@@ -86,32 +86,49 @@ def test_siegel_point_converts_and_rejects_with_its_messages():
 
 def test_quotients_at_a_ball_vertex_are_inf_where_the_gap_underflows():
     """1 - ||C^{-1}(p)||^2 = 4t/|z + 1|^2 underflows to 0 for t = 1e-300 at
-    |z| = 1e200; the quotients there exceed the double range, as at the
-    equivalent Siegel vertex (0, 0), which gives inf."""
+    |z| = 1e200; the quotients there exceed the double range at the vertex
+    (0, 0), the ball vertex (-1, 0), and give inf."""
     far = SiegelPoint(complex(1e-300, 1e200), (0j,))
     near = SiegelPoint(2.0 + 1j, (0.3j,))
-    ball = BoundaryPoint(v=CVector((-1.0, 0.0)), model="ball")
-    siegel = BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
+    vertex = BoundaryPoint(v=CVector((0.0, 0.0)))
     assert one_minus_sq_ball_norm(far) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for quotient in (julia_quotient, koranyi_ratio):
-            assert quotient(far, ball) == quotient(far, siegel) == math.inf
-            rows = quotient(SiegelRows.of([far, near, far]), ball).tolist()
-            assert rows[0] == rows[2] == math.inf and rows[1] == quotient(near, ball)
+            assert quotient(far, vertex) == math.inf
+            rows = quotient(SiegelRows.of([far, near, far]), vertex).tolist()
+            assert rows[0] == rows[2] == math.inf and rows[1] == quotient(near, vertex)
             assert math.isfinite(rows[1])
 
 
 def test_boundary_point_validity():
-    BoundaryPoint(v=CVector((1.0, 0.0)), model="ball")
     BoundaryPoint(v=CVector((1.0 + 2j, 1.0)), model="siegel")
     BoundaryPoint(at_infinity=True, model="siegel")
     with pytest.raises(InvalidPoint):
-        BoundaryPoint(v=CVector((0.5, 0.0)), model="ball")
-    with pytest.raises(InvalidPoint):
         BoundaryPoint(v=CVector((2.0, 1.0)), model="siegel")
-    with pytest.raises(InvalidPoint):
-        BoundaryPoint(at_infinity=True, model="ball")
+    for model in ("ball", "disk"):  # boundary points are Siegel points only
+        with pytest.raises(InvalidPoint, match="unknown model"):
+            BoundaryPoint(v=CVector((1.0, 0.0)), model=model)
+        with pytest.raises(InvalidPoint, match="unknown model"):
+            BoundaryPoint(at_infinity=True, model=model)
+
+
+def test_boundary_point_takes_points_on_the_boundary_at_every_scale():
+    # Re z = ||w||^2 holds to an ulp of ||w||^2, which exceeds 1e-12 above about 4,500
+    rng = np.random.default_rng(30)
+    for _ in range(10_000):
+        w = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-2, 4)
+        BoundaryPoint(v=CVector((complex(w.real ** 2 + w.imag ** 2, rng.normal()), w)))
+
+
+@pytest.mark.parametrize("r", [1.0, 4.5e3, 1.46e6, 1e12])
+def test_boundary_point_refuses_a_relative_defect_of_1e_9(r):
+    w = math.sqrt(r)
+    BoundaryPoint(v=CVector((r * (1.0 + 1e-13), w)))
+    with pytest.raises(InvalidPoint, match="nonzero defect"):
+        BoundaryPoint(v=CVector((r * (1.0 + 1e-9), w)))
+    with pytest.raises(InvalidPoint, match="nonzero defect"):
+        BoundaryPoint(v=CVector((r * (1.0 - 1e-9), w)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +316,7 @@ def test_boundary_projection():
 
 def test_julia_quotient_matches_ball_formula():
     rng = np.random.default_rng(8)
-    qb = BoundaryPoint(v=CVector((0.0, 1.0)), model="ball")
+    qb = BoundaryPoint(v=CVector((1.0, 1.0)))  # the ball point (0, 1)
     for _ in range(200):
         p = random_siegel(rng)
         zb = np.array(siegel_to_ball(p).v.coords)

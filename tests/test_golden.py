@@ -77,3 +77,13 @@ def test_golden_backward_orbit_off_the_axis(tmp_path, capsys):
     for suffix in ("json", "csv"):
         want = (GOLDEN / f"orbit_backward_lifted2z_offaxis.{suffix}").read_bytes()
         assert (tmp_path / f"orbit.{suffix}").read_bytes() == want
+
+
+def test_golden_forward_orbit_to_a_boundary_point(tmp_path, capsys):
+    # (z, w) -> (z/2 + w^2/4, w/2) from (1, 0) halves z down the axis; its Denjoy-Wolff
+    # estimate is the boundary projection of the point where the orbit stops, (0, 0)
+    out = run_stdout(["orbit", "--forward", "--A", "0.5", "--B", "0.25", "--C", "0.5", "--start", "1,0",
+                      "--format", "both", "--out", str(tmp_path)], capsys)
+    assert out == golden("orbit_forward_dw0.txt")
+    for suffix in ("json", "csv"):
+        assert (tmp_path / f"orbit.{suffix}").read_bytes() == (GOLDEN / f"orbit_forward_dw0.{suffix}").read_bytes()

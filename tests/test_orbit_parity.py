@@ -28,7 +28,6 @@ from siegel_dynamics.geometry import (
     BoundaryPoint,
     CVector,
     SiegelPoint,
-    _ball_coords,
     boundary_projection,
     cayley_to_siegel,
     herm,
@@ -89,11 +88,8 @@ def ref_koranyi_ratio(p: SiegelPoint, q: BoundaryPoint) -> float:
     """|1 - (Z, q)| / (1 - ||Z||) for the ball image of p, stable near q."""
     nb = ref_ball_image_norm(p)
     t = ref_defect(p)
-    if q.model == "siegel" and q.at_infinity:
+    if q.at_infinity:
         return abs(p.z + 1.0) * (1.0 + nb) / (2.0 * t)
-    if q.model == "ball":
-        zb = _ball_coords(p.z, p.w)
-        return abs(1.0 - herm(zb, q.v.coords)) * (1.0 + nb) / ref_one_minus_sq_ball_norm(p)
     zq, wq = q.v.coords[0], q.v.coords[1:]
     s = p.z + zq.conjugate() - 2.0 * herm(p.w, wq)
     return abs(s) / (2.0 * t) * abs(p.z + 1.0) * (1.0 + nb) / abs(zq + 1.0)

@@ -42,10 +42,12 @@ def test_commands_include_every_golden_command():
                ["classify", "--A", "2", "--B", "1", "--C", "1"],
                ["conjugate", "--map", "elliptic", "--start", "5,0"],
                ["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951"],
-               ["orbit", "--backward", "--map", "lifted2z", "--start", "1.2,0,0.7,0", "--format", "both"]]
+               ["orbit", "--backward", "--map", "lifted2z", "--start", "1.2,0,0.7,0", "--format", "both"],
+               ["orbit", "--forward", "--A", "0.5", "--B", "0.25", "--C", "0.5", "--start", "1,0",
+                "--format", "both"]]
     goldens += [["conjugate", "--map", name] for name in same_bits.FIXTURES]
     goldens += [["orbit", "--backward", "--map", name, "--start", "1,0", "--format", "both"]
                 for name in ("quadpol", "elliptic")]
     commands = {shlex.join(c) for c in same_bits.COMMANDS}
     assert {shlex.join(c) for c in goldens} <= commands
-    assert len(commands) == len(same_bits.COMMANDS) == 42
+    assert len(commands) == len(same_bits.COMMANDS) == 57

@@ -12,8 +12,11 @@ command differs, else 0.  The commands are ``verify --seed 0`` to ``13``,
 ``conjugate`` of each fixture from its default start and from ``5,0``, the
 expandable ``conjugate``, ``orbit --backward --format both`` of each fixture
 from ``1,0``, ``5,0`` and the two near-curve starts ``1.2,0,0.7,0`` and
-``0.41,0,0,0.6``, and the three ``classify`` cases of the goldens and of a
-map that is not a self-map.  Every golden's command is among them.
+``0.41,0,0,0.6``, ``orbit --forward --format both`` of each fixture from
+``1,0``, ``5,0`` and ``1.2,0,0.7,0`` and of the quadratic map whose
+Denjoy-Wolff estimate is ``(0, 0)``, the three ``classify`` cases of the
+goldens and of a map that is not a self-map, and two commands that fail with
+one ``error:`` line on stderr.  Every golden's command is among them.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ COMMANDS = (
     + [["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951"]]
     + [["orbit", "--backward", "--map", name, "--start", start, "--format", "both"]
        for name in FIXTURES for start in ("1,0", "5,0", "1.2,0,0.7,0", "0.41,0,0,0.6")]
+    + [["orbit", "--forward", "--map", name, "--start", start, "--format", "both"]
+       for name in FIXTURES for start in ("1,0", "5,0", "1.2,0,0.7,0")]
+    + [["orbit", "--forward", "--A", "0.5", "--B", "0.25", "--C", "0.5", "--start", "1,0", "--format", "both"]]
     + [["classify", "--map", "quadpol"], ["classify", "--A", "2", "--B", "1", "--C", "1"],
        ["classify", "--A", "1", "--B", "0", "--C", "1.2"]]
+    + [["conjugate", "--A", "1", "--B", "0", "--C", "1.2", "--start", "2,0,0.5,0"],
+       ["orbit", "--backward", "--map", "quadpol", "--start", "1,0", "--a", "0.0001"]]
 )
 
 
