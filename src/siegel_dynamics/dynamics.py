@@ -120,7 +120,7 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     r, error = _until_failure(ratios, len(s))
     if any(not math.isfinite(x) or x > 1e9 for x in r):
         return math.inf
-    if error is not None:  # the first failing sample's error
+    if error is not None:
         raise error
     # the pair k = 25, 26: 2^-26 is the deepest gap above the 1e-8 noise floor
     return (r[25] - decay * r[24]) / (1.0 - decay)

@@ -71,7 +71,7 @@ def mp_julia_quotient(p: SiegelPoint, q: BoundaryPoint):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e155, 1e300])
 def test_julia_quotient_far_from_unit_scale_matches_mpmath(scale):
-    # |s|^2 alone would overflow at both finite vertices
+    # |s|^2 alone would overflow at each vertex
     vertices = [BoundaryPoint(v=CVector((0.0, 0.0))),
                 BoundaryPoint(v=CVector((complex(0.25, -1.5), 0.5))),
                 BoundaryPoint(v=CVector((4.0, 2j)))]
