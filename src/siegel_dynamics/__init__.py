@@ -46,7 +46,6 @@ from .maps import (
     classify_quadratic,
     evaluate,
     expandable_decompose,
-    lift_one_dim,
     quadratic_iterate_closed,
 )
 from .dynamics import (

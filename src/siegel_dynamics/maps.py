@@ -10,8 +10,9 @@ coordinate tuples (z, w_1, ...)) and `fixed_point_set()`; the module
 functions of the same purpose delegate to them.
 `evaluate` takes a `SiegelPoint` or `SiegelRows` and returns the same type,
 each row with the bits of one point, and may take the same steps for both:
-the module function `evaluate` gives a failed batch the per-point error.  The
-disk maps' `apply` takes a complex number or a `ComplexRows` column alike.
+the module function `evaluate` checks the dimension and gives a failed batch
+the per-point error.  The disk maps' `apply` takes a complex number or a
+`ComplexRows` column alike.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ class HalfPlaneLinear:
     def preimages(self, z: complex) -> list[complex]:
         return [z / self.c]
 
+    def brfp(self) -> complex:
+        """Finite boundary fixed point."""
+        return 0.0
+
 
 @dataclass(frozen=True)
 class HalfPlaneAffine:
@@ -86,6 +91,12 @@ class HalfPlaneAffine:
 
     def preimages(self, z: complex) -> list[complex]:
         return [(z - 1j * self.b) / self.c]
+
+    def brfp(self) -> complex:
+        """Finite boundary fixed point."""
+        if self.c == 1.0:
+            raise InvalidDescriptor("parabolic map has no finite boundary fixed point")
+        return 1j * (-self.b / (self.c - 1.0))
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,6 @@ class QuadraticSiegel:
         return self.A - abs(self.B) >= abs(self.C) ** 2
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if p.dim != 2:
-            raise DimensionMismatch("quadratic family lives on H^2")
         w = p.w[0]
         return type(p)(self.A * p.z + self.B * w * w, (self.C * w,))
 
@@ -186,18 +195,19 @@ class QuadraticSiegel:
 
 @dataclass(frozen=True)
 class Lifted:
-    """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi."""
+    """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi; a self-map
+    iff c >= 1 (t' = c t + 2(c - 1)(Im w)^2), when it fixes a boundary curve."""
 
-    phi: OneDimMap
+    phi: HalfPlaneLinear | HalfPlaneAffine
     dim = 2
 
     def __post_init__(self):
         if self.phi.model != "halfplane":
             raise InvalidDescriptor("Lifted needs a half-plane map")
+        if self.phi.c < 1.0:
+            raise InvalidDescriptor("lift needs Denjoy-Wolff point at infinity (c >= 1)")
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if p.dim != 2:
-            raise DimensionMismatch("lifted family lives on H^2")
         w = p.w[0]
         return type(p)(self.phi.apply(p.z - w * w) + w * w, (w,))
 
@@ -210,7 +220,7 @@ class Lifted:
 
     def fixed_point_set(self) -> FixedPointSet:
         return FixedPointSet("boundary_curve", "{(y0 i + r^2, r) : r real}",
-                             {"theta": 0.0, "y0": one_dim_brfp(self.phi).imag})
+                             {"theta": 0.0, "y0": self.phi.brfp().imag})
 
 
 @dataclass(frozen=True)
@@ -234,8 +244,6 @@ class DiagonalLinear:
         return 1 + len(self.lam)
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if p.dim != self.dim:
-            raise DimensionMismatch(f"DiagonalLinear dim {self.dim}, point dim {p.dim}")
         return type(p)(self.alpha * p.z, tuple(c * x for c, x in zip(self.lam, p.w)))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
@@ -300,8 +308,6 @@ class BallProduct:
         return len(self.components)
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
-        if p.dim != self.dim:
-            raise DimensionMismatch(f"BallProduct dim {self.dim}, point dim {p.dim}")
         v = _ball_coords(p.z, p.w)  # a point and rows take the same steps
         u = tuple(g.apply(c) for g, c in zip(self.components, v))
         _ball_check(v)  # the disk maps stay finite near the ball, but C(u) divides by 1 - u_1
@@ -344,6 +350,8 @@ def evaluate(f: MapDescriptor, p: SiegelPoint) -> SiegelPoint:
     family's rows may check one step at a time, so a failed batch is replayed
     point by point, and the batch's own error stands only if no point fails.
     """
+    if p.dim != f.dim:
+        raise DimensionMismatch(f"{type(f).__name__} dim {f.dim}, point dim {p.dim}")
     try:
         return f.evaluate(p)
     except Exception:
@@ -494,35 +502,6 @@ def classify(f: MapDescriptor) -> ClassificationReport:
     if isinstance(f, Conjugated):
         return classify(f.base)
     raise InvalidDescriptor("classification covers the quadratic family")
-
-
-# ---------------------------------------------------------------------------
-# lifted maps and fixed-point loci
-# ---------------------------------------------------------------------------
-
-def lift_one_dim(phi: OneDimMap) -> Lifted:
-    """Lift a half-plane map phi to f(z, w) = (phi(z - w^2) + w^2, w).
-
-    phi must fix infinity in the Denjoy-Wolff sense (hyperbolic with c > 1 or
-    parabolic with c = 1), so that the lift fixes a boundary curve rather than
-    attracting to it.
-    """
-    if phi.model != "halfplane":
-        raise InvalidDescriptor("lift needs a half-plane map")
-    if phi.c < 1.0:
-        raise InvalidDescriptor("lift needs Denjoy-Wolff point at infinity (c >= 1)")
-    return Lifted(phi)
-
-
-def one_dim_brfp(phi: OneDimMap) -> complex:
-    """Finite boundary fixed point of a half-plane map with DW at infinity."""
-    if isinstance(phi, HalfPlaneLinear):
-        return 0.0
-    if isinstance(phi, HalfPlaneAffine):
-        if phi.c == 1.0:
-            raise InvalidDescriptor("parabolic map has no finite boundary fixed point")
-        return 1j * (-phi.b / (phi.c - 1.0))
-    raise InvalidDescriptor("no closed-form boundary fixed point")
 
 
 # ---------------------------------------------------------------------------

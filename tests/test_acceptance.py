@@ -39,11 +39,11 @@ from siegel_dynamics.maps import (
     DiagonalLinear,
     DiskLinear,
     HalfPlaneLinear,
+    Lifted,
     QuadraticSiegel,
     evaluate,
     expandable_decompose,
     iterate,
-    lift_one_dim,
     quadratic_iterate_closed,
 )
 from test_maps import random_self_map_triple
@@ -169,7 +169,7 @@ def test_criterion_08_backward_orbit_asymptotic_ratios():
              and all(r == 0.0 for r in rep.im_ratio[5:])
              and all(r == 0.0 for r in rep.w_ratio[5:])
              and all(r == 2.0 for r in rep.t_ratio[5:]))
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     orb2 = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 40)
     _, orb20, _ = recenter_orbit_at_zero(f, orb2)
     rep2 = orbit_asymptotics(orb20, SiegelAutomorphism())
@@ -213,7 +213,7 @@ def test_criterion_11_multiplier_sandwich_on_hyperbolic_orbits():
         (QuadraticSiegel(3.0, 0.5, 1.0), ONE, 0.55, 3.0),
         (DiagonalLinear(2.0, (1.0,)), ONE, 0.34, 2.0),
         (DiagonalLinear(2.0, (math.sqrt(2.0) * cmath.exp(0.3j),)), ONE, 0.34, 2.0),
-        (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.34, 2.0),
+        (Lifted(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.34, 2.0),
     ]
     for f, seed, a, c_inv in cases:
         orb = backward_orbit(f, seed, a, 40)

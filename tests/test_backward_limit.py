@@ -50,10 +50,10 @@ def sweep_cases(rng, n):
             a = rng.uniform(0.2, 3.0)
             b = a * rng.random()
             return mp.QuadraticSiegel(a, b * phase(), math.sqrt((a - b) * rng.random()) * phase())
-        if kind == 1:  # c >= 1, as `lift_one_dim` asks
+        if kind == 1:  # c >= 1, as `Lifted` asks
             c = rng.uniform(1.0, 3.0)
-            return mp.lift_one_dim(mp.HalfPlaneAffine(c, rng.normal()) if rng.random() < 0.5
-                                   else mp.HalfPlaneLinear(c))
+            return mp.Lifted(mp.HalfPlaneAffine(c, rng.normal()) if rng.random() < 0.5
+                             else mp.HalfPlaneLinear(c))
         if kind == 2:
             a = rng.uniform(0.2, 3.0)
             return mp.DiagonalLinear(a, tuple(math.sqrt(a) * rng.random() * phase() for _ in range(dim - 1)))

@@ -167,15 +167,29 @@ def test_orbit_forward_without_a_boundary_limit(argv, summary, dw, interior, con
 
 
 def test_orbit_forward_to_a_finite_boundary_point(tmp_path, capsys):
-    # the lift of phi(u) = u/2 + i: u tends to phi's fixed point 2i, so Z to (2i + w^2, w)
-    desc = tmp_path / "lifted_affine.json"
-    desc.write_text('{"family": "lifted", "phi": {"kind": "halfplane_affine", "c": 0.5, "b": 1.0}}')
+    # the quadratic map whose orbits tend to 0, conjugated by a Heisenberg translation
+    # that moves 0 to (0.25 + 2i, 0.5)
+    desc = tmp_path / "conjugated_quadratic.json"
+    desc.write_text('{"family": "conjugated", "base": {"family": "quadratic", "A": 0.5, '
+                    '"B": {"re": 0.25, "im": 0.0}, "C": {"re": 0.5, "im": 0.0}}, '
+                    '"by": {"chain": [{"kind": "translation", "y": -2.0, "w0": {"re": [-0.5], "im": [0.0]}}]}}')
     code, out, err = run(["orbit", "--forward", "--map", str(desc), "--start", "1,0,0.5,0",
                           "--format", "json", "--out", str(tmp_path)], capsys)
     assert (code, out, err) == (0, "forward orbit: 30 points, DW = (0.25+2j, 0.5+0j)\n", "")
     orbit = json.loads((tmp_path / "orbit.json").read_text())["orbit"]
     assert orbit["dw_estimate"] == {"re": [0.25, 0.5], "im": [1.9999999962747097, 0.0]}
     assert orbit["interior_limit"] is None and orbit["converged"] is True
+
+
+def test_orbit_refuses_a_lift_that_is_not_a_self_map(tmp_path, capsys):
+    desc = tmp_path / "lifted_contracting.json"
+    desc.write_text('{"family": "lifted", "phi": {"kind": "halfplane_affine", "c": 0.5, "b": 1.0}}')
+    code, out, err = run(["orbit", "--forward", "--map", str(desc), "--start", "1,0,0.5,0",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {desc}: malformed map descriptor (InvalidDescriptor: "
+                   "lift needs Denjoy-Wolff point at infinity (c >= 1))\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_orbit_backward_to_infinity(tmp_path, capsys):

@@ -41,9 +41,9 @@ from siegel_dynamics.maps import (
     DiagonalLinear,
     DiskLinear,
     HalfPlaneLinear,
+    Lifted,
     QuadraticSiegel,
     expandable_decompose,
-    lift_one_dim,
 )
 
 QUADPOL = QuadraticSiegel(2.0, 1.0, 1.0)
@@ -71,7 +71,7 @@ def test_tau_quadpol_is_pure_dilation():
 
 
 def test_tau_base_point_property_all_orbits():
-    f_lift = lift_one_dim(HalfPlaneLinear(2.0))
+    f_lift = Lifted(HalfPlaneLinear(2.0))
     for f, seed in ((QUADPOL, ONE), (f_lift, SiegelPoint(2.0, (1.0,)))):
         orb = backward_orbit(f, seed, 0.4, 30)
         for n in range(len(orb.points)):
@@ -110,7 +110,7 @@ def test_psi_sweep_joins_rows_once_and_steps_only_deepening_rows(monkeypatch):
     """A sweep of depths up to 12 joins its finished blocks once at the end, not
     once per step, and its first rows once more only when tau_n chains of two
     kinds make them; it applies f to a row of depth n exactly n times."""
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 20)
     g, orb0, _ = recenter_orbit_at_zero(f, orb)
     grid = default_grid(2)
@@ -315,7 +315,7 @@ def test_interpolation_base_point():
 
 
 def test_interpolation_lifted_improves_with_n():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 40)
     g, orb0, _ = recenter_orbit_at_zero(f, orb)
     e_small = psi_interpolation_check(g, orb0, 6, 2.0, 3).errors

@@ -39,8 +39,6 @@ from siegel_dynamics.maps import (
     Lifted,
     QuadraticSiegel,
     evaluate,
-    lift_one_dim,
-    one_dim_brfp,
 )
 
 QUADPOL = QuadraticSiegel(2.0, 1.0, 1.0)
@@ -122,7 +120,7 @@ def test_backward_step_quadpol_axis():
 
 
 def test_backward_step_lifted_closed_form():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     zn = SiegelPoint(3.0, (1.0,))
     p = backward_step(f, zn, 0.5)
     assert abs(p.z - (3.0 + 1.0) / 2) < 1e-12  # (z0 + w0^2)/2
@@ -150,7 +148,7 @@ def test_backward_orbit_quadpol_axis():
 
 
 def test_backward_orbit_lifted_constant_step():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 40)
     for k, p in enumerate(orb.points):
         assert abs(p.z - (1.0 + 2.0 ** -k)) < 1e-12
@@ -176,7 +174,7 @@ def test_backward_orbit_of_a_lifted_affine_map_tends_to_its_boundary_fixed_curve
     for k in range(40):
         img = evaluate(f, orb.points[k + 1])
         assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(img.coords, orb.points[k].coords))
-    y0 = one_dim_brfp(f.phi).imag
+    y0 = f.phi.brfp().imag
     assert y0 == -1.0 and f.fixed_point_set().data["y0"] == y0
     want = f.fixed_point_set().curve_point(0.5).coords
     assert all(abs(a - b) < 1e-9 for a, b in zip(orb.limit.v.coords, want))
@@ -206,7 +204,7 @@ def test_forward_orbit_needs_one_step(n):
 
 def test_backward_orbit_exactness_and_monotonicity():
     for f, seed, a in ((QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34),
-                       (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.4)):
+                       (Lifted(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.4)):
         orb = backward_orbit(f, seed, a, 30)
         for k in range(len(orb.points) - 1):
             img = evaluate(f, orb.points[k + 1])
@@ -222,7 +220,7 @@ def test_backward_orbit_exactness_and_monotonicity():
 def test_multiplier_sandwich_on_hyperbolic_orbits():
     cases = [
         (QUADPOL, SiegelPoint(1.0, (0.0,)), 0.34, 0.5),
-        (lift_one_dim(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.34, 0.5),
+        (Lifted(HalfPlaneLinear(2.0)), SiegelPoint(2.0, (1.0,)), 0.34, 0.5),
         (DiagonalLinear(2.0, (1.0,)), SiegelPoint(1.0, (0.0,)), 0.34, 0.5),
     ]
     for f, seed, a, c in cases:
@@ -357,7 +355,7 @@ def test_asymptotics_recentered_curve_point():
 
 
 def test_asymptotics_lifted_t_ratio():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     orb = backward_orbit(f, SiegelPoint(2.0, (1.0,)), 0.34, 40)
     h = recentering_translation(orb.limit)
     rep = orbit_asymptotics(orb, h)

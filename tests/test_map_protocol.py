@@ -10,7 +10,7 @@ import pytest
 
 from siegel_dynamics import maps
 from siegel_dynamics.dynamics import backward_orbit, julia_inclusion_check
-from siegel_dynamics.errors import InvalidPoint
+from siegel_dynamics.errors import DimensionMismatch, InvalidPoint
 from siegel_dynamics.geometry import (
     INFINITY,
     SiegelAutomorphism,
@@ -85,6 +85,22 @@ def test_julia_check_runs_the_new_family_on_rows(x, alpha):
         got = julia_bits(julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)
         assert got[1] == 0
         assert got == julia_bits(ref_julia_inclusion_check, F, x, alpha, n_samples=300, seed=seed)
+
+
+FAMILIES = [maps.QuadraticSiegel(2.0, 0.5, 1.0), maps.Lifted(maps.HalfPlaneAffine(2.0, 1.0)),
+            maps.DiagonalLinear(2.0, (1.0, 0.5j)),
+            maps.BallProduct((maps.BlaschkeDeg2(0.5), maps.DiskLinear(0.5), maps.DiskLinear(0.5j))),
+            maps.Conjugated(maps.QuadraticSiegel(2.0, 0.5, 1.0), BY), F]
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("shift", [-1, 1], ids=["fewer", "more"])
+def test_evaluate_refuses_a_point_of_another_dimension(f, shift):
+    # `maps.evaluate` checks the dimension once, for every family, before the family's own steps
+    p = SiegelPoint(3.0, (0.5j,) * (f.dim + shift - 1))
+    for x in (p, SiegelRows.of([p, p])):
+        with pytest.raises(DimensionMismatch, match=rf"^{type(f).__name__} dim {f.dim}, point dim {p.dim}$"):
+            maps.evaluate(f, x)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ from siegel_dynamics.maps import (
     evaluate,
     expandable_decompose,
     iterate,
-    lift_one_dim,
-    one_dim_brfp,
     preimage_candidates,
     quadratic_iterate_closed,
     quadratic_power,
@@ -65,7 +63,7 @@ def test_evaluate_quadratic_example():
 
 
 def test_evaluate_lifted_example():
-    f = lift_one_dim(HalfPlaneLinear(2.0))  # f(z, w) = (2z - w^2, w)
+    f = Lifted(HalfPlaneLinear(2.0))  # f(z, w) = (2z - w^2, w)
     assert evaluate(f, SiegelPoint(2.0, (1.0,))).coords == (3.0, 1.0)
 
 
@@ -76,7 +74,7 @@ def test_evaluate_diagonal_example():
 
 def test_self_map_closure_random():
     rng = np.random.default_rng(21)
-    fams = [QUADPOL, lift_one_dim(HalfPlaneLinear(2.0)),
+    fams = [QUADPOL, Lifted(HalfPlaneLinear(2.0)),
             DiagonalLinear(2.0, (1.0,)), ELLIPTIC,
             QuadraticSiegel(0.5, 0.25, 0.5)]
     for _ in range(1000):
@@ -292,14 +290,19 @@ def test_map_constructors_reject_non_finite_parameters(cls, good, name, bads):
 # ---------------------------------------------------------------------------
 
 def test_lift_rejects_wrong_model_and_contracting():
-    with pytest.raises(InvalidDescriptor):
-        lift_one_dim(BlaschkeDeg2(0.5))
-    with pytest.raises(InvalidDescriptor):
-        lift_one_dim(HalfPlaneLinear(0.5))
+    with pytest.raises(InvalidDescriptor, match="^Lifted needs a half-plane map$"):
+        Lifted(BlaschkeDeg2(0.5))
+    # t' = c t + 2(c - 1)(Im w)^2: for c = 0.5 the point (1.1, i) would go to defect -0.95
+    for phi in (HalfPlaneLinear(0.5), HalfPlaneAffine(0.5, 1.0)):
+        with pytest.raises(InvalidDescriptor, match=r"^lift needs Denjoy-Wolff point at infinity \(c >= 1\)$"):
+            Lifted(phi)
+    # c = 1 is still a self-map: (z, w) |-> (z + i b, w)
+    for phi, b in ((HalfPlaneLinear(1.0), 0.0), (HalfPlaneAffine(1.0, 0.5), 0.5)):
+        assert evaluate(Lifted(phi), SiegelPoint(1.5, (1j,))) == SiegelPoint(1.5 + 1j * b, (1j,))
 
 
 def test_lifted_fixed_curve_points():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     fps = f.fixed_point_set()
     assert fps.kind == "boundary_curve"
     for t in (0.5, 1.0, 2.0):
@@ -310,7 +313,7 @@ def test_lifted_fixed_curve_points():
 
 
 def test_lifted_iterates_closed_form():
-    f = lift_one_dim(HalfPlaneLinear(2.0))
+    f = Lifted(HalfPlaneLinear(2.0))
     rng = np.random.default_rng(26)
     for _ in range(100):
         p = random_siegel(rng)
@@ -324,8 +327,8 @@ def test_lifted_iterates_closed_form():
 
 def test_lifted_affine_brfp():
     phi = HalfPlaneAffine(3.0, 1.5)
-    assert one_dim_brfp(phi) == 1j * (-0.75)
-    fps = lift_one_dim(phi).fixed_point_set()
+    assert phi.brfp() == 1j * (-0.75)
+    fps = Lifted(phi).fixed_point_set()
     z, w = fps.curve_point(0.6).coords
     # on the shifted curve (y0 i + t^2, t), the point is fixed
     u = z - w * w
@@ -427,7 +430,7 @@ def test_expandable_decompose_examples():
 @given(st.integers(0, 2 ** 32 - 1))
 def test_preimage_candidates_forward_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    fams = [QUADPOL, lift_one_dim(HalfPlaneLinear(2.0)), DiagonalLinear(2.0, (1.0,)), ELLIPTIC]
+    fams = [QUADPOL, Lifted(HalfPlaneLinear(2.0)), DiagonalLinear(2.0, (1.0,)), ELLIPTIC]
     f = fams[rng.integers(len(fams))]
     p = random_siegel(rng, t_lo=-1, t_hi=1)
     cands = preimage_candidates(f, p)

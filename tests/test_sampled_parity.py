@@ -401,7 +401,7 @@ def sweep_cases(rng, n):
         if kind == 0:
             return mp.QuadraticSiegel(10 ** rng.uniform(-1, 1.5), rc(0.5), rc(0.7))
         if kind == 1:
-            c = 10 ** rng.uniform(-1, 1)
+            c = 10 ** rng.uniform(0, 1)
             return mp.Lifted(mp.HalfPlaneAffine(c, rng.normal()) if rng.random() < 0.5 else mp.HalfPlaneLinear(c))
         if kind == 2:
             a = 10 ** rng.uniform(-1, 1.2)
@@ -522,10 +522,10 @@ def asymptotics_bits(orbit, recenter):
 
 
 def test_asymptotics_match_per_point_loop_in_each_chart():
-    from siegel_dynamics.maps import DiagonalLinear, HalfPlaneLinear, lift_one_dim
+    from siegel_dynamics.maps import DiagonalLinear, HalfPlaneLinear, Lifted
 
     quadpol, elliptic = MAPS["quadpol"], MAPS["elliptic"]
-    lifted = lift_one_dim(HalfPlaneLinear(2.0))
+    lifted = Lifted(HalfPlaneLinear(2.0))
     curve = geo.recentering_translation(geo.BoundaryPoint(v=CVector((0.64, 0.8j)), model="siegel"))
     cases = [
         (dyn.backward_orbit(quadpol, SiegelPoint(1.0, (0.0,)), 0.34, 40), geo.SiegelAutomorphism()),

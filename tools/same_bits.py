@@ -15,8 +15,9 @@ from ``1,0``, ``5,0`` and the two near-curve starts ``1.2,0,0.7,0`` and
 ``0.41,0,0,0.6``, ``orbit --forward --format both`` of each fixture from
 ``1,0``, ``5,0`` and ``1.2,0,0.7,0`` and of the quadratic map whose
 Denjoy-Wolff estimate is ``(0, 0)``, the three ``classify`` cases of the
-goldens and of a map that is not a self-map, and two commands that fail with
-one ``error:`` line on stderr.  Every golden's command is among them.
+goldens and of a map that is not a self-map, ``classify`` of the three
+fixtures it refuses, and two commands that fail with one ``error:`` line on
+stderr.  Every golden's command is among them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ COMMANDS = (
     + [["orbit", "--forward", "--A", "0.5", "--B", "0.25", "--C", "0.5", "--start", "1,0", "--format", "both"]]
     + [["classify", "--map", "quadpol"], ["classify", "--A", "2", "--B", "1", "--C", "1"],
        ["classify", "--A", "1", "--B", "0", "--C", "1.2"]]
+    + [["classify", "--map", name] for name in FIXTURES[1:]]
     + [["conjugate", "--A", "1", "--B", "0", "--C", "1.2", "--start", "2,0,0.5,0"],
        ["orbit", "--backward", "--map", "quadpol", "--start", "1,0", "--a", "0.0001"]]
 )
