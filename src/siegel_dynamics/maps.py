@@ -196,7 +196,7 @@ class QuadraticSiegel:
 @dataclass(frozen=True)
 class Lifted:
     """f(z, w) = (phi(z - w^2) + w^2, w) on H^2 for a half-plane map phi; a self-map
-    iff c >= 1 (t' = c t + 2(c - 1)(Im w)^2), when it fixes a boundary curve."""
+    iff c >= 1 (t' = c t + 2(c - 1)(Im w)^2)."""
 
     phi: HalfPlaneLinear | HalfPlaneAffine
     dim = 2
