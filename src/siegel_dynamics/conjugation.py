@@ -154,17 +154,17 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows, n_valu
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
-                    grid: list[SiegelPoint], alpha: float, mask: tuple[bool, ...],
-                    omega: tuple[complex, ...] | None) -> tuple[list[float], SiegelRows]:
+                    grid: list[SiegelPoint], alpha: float, mask: tuple[bool, ...], omega: tuple[complex, ...] | None,
+                    extra: list[SiegelPoint] = ()) -> tuple[list[float], SiegelRows]:
     """The residual at each n of n_values from one sweep, and the rows of psi
-    at the last n: at eta(Z), then at Z, in grid order."""
+    at the last n: at eta(Z), then at Z, in grid order, then at the extra points."""
     g, m, rows = len(grid), len(n_values), SiegelRows.of(grid, orbit.points[0].dim)
-    eta = apply_automorphism(eta_model(alpha, orbit.points[0].dim, omega), rows)
-    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows]), n_values, mask, omega)
-    at_eta = (2 * g * np.arange(m)[:, None] + np.arange(g)).ravel()
+    eta, s = apply_automorphism(eta_model(alpha, rows.dim, omega), rows), 2 * g + len(extra)  # s rows a depth
+    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows, SiegelRows.of(extra, rows.dim)]), n_values, mask, omega)
+    at_eta = (s * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
-    return [max(d[i * g:(i + 1) * g]) for i in range(m)], psi.take(slice(2 * g * (m - 1), None))
+    return [max(d[i * g:(i + 1) * g]) for i in range(m)], psi.take(slice(s * (m - 1), None))
 
 
 def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[SiegelPoint]
@@ -185,13 +185,19 @@ class InterpolationReport:
     errors: tuple[float, ...]  # d(psi_n(a_k), Z_k) for k = 0 .. k_max
 
 
-def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int,
-                            alpha: float, k_max: int | None = None) -> InterpolationReport:
-    """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0)."""
+def _a_k(orbit: BackwardOrbit, n: int, alpha: float, k_max: int | None = None) -> list[SiegelPoint]:
+    """a_k = (alpha^-k, 0) for k = 0 .. k_max (n // 2 if not given), clipped to the orbit."""
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
-    a = [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
-    psi = _psi_rows(f, orbit, SiegelRows.of(a), (n,), *_variant(f))
-    return InterpolationReport(tuple(dist_siegel(psi, SiegelRows.of(orbit.points[:k_max + 1])).tolist()))
+    return [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
+
+
+def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int, alpha: float,
+                            k_max: int | None = None, _psi: SiegelRows | None = None) -> InterpolationReport:
+    """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0).  A sweep
+    that had the a_k among its points hands their psi_n rows in as _psi."""
+    if _psi is None:
+        _psi = _psi_rows(f, orbit, SiegelRows.of(_a_k(orbit, n, alpha, k_max)), (n,), *_variant(f))
+    return InterpolationReport(tuple(dist_siegel(_psi, SiegelRows.of(orbit.points[:len(_psi.t)])).tolist()))
 
 
 @dataclass(frozen=True)
@@ -211,20 +217,23 @@ class ConjugationRun:
 def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
                     grid: list[SiegelPoint] | None = None,
                     n_values: tuple[int, ...] | None = None) -> ConjugationRun:
-    """Compute residuals over a range of n and the interpolation check at the
-    deepest n, in the variant that f's first-order data at 0 gives."""
-    if grid is None:
-        grid = default_grid(orbit.points[0].dim)
-    if n_values is None:
-        n_values = tuple(range(1, len(orbit.points) - 1))
+    """Compute residuals over a range of n and the interpolation check at the last n, from one
+    sweep, in the variant that f's first-order data at 0 gives."""
+    grid = default_grid(orbit.points[0].dim) if grid is None else grid
+    n_values = tuple(range(1, len(orbit.points) - 1) if n_values is None else n_values)
     if not n_values:
         raise ValueError("run_conjugation needs at least one n in n_values")
     mask, omega = _variant(f)
-    residuals, psi = _residual_sweep(f, orbit, tuple(n_values), grid, alpha, mask, omega)
-    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha)
+    try:  # the a_k ride every depth; where that fails, the two sweeps apart raise, or give, what they did
+        a = _a_k(orbit, n_values[-1], alpha)
+        residuals, psi = _residual_sweep(f, orbit, n_values, grid, alpha, mask, omega, a)
+        at_a = psi.take(slice(2 * len(grid), None))
+    except Exception:
+        (residuals, psi), at_a = _residual_sweep(f, orbit, n_values, grid, alpha, mask, omega), None
+    interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, _psi=at_a)
     samples = tuple((z, psi.point(len(grid) + i)) for i, z in enumerate(grid))
     return ConjugationRun(f, orbit, alpha, sum(mask), omega, tuple(grid),
-                          tuple(n_values), tuple(residuals), interp, samples)
+                          n_values, tuple(residuals), interp, samples)
 
 
 # ---------------------------------------------------------------------------

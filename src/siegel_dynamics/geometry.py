@@ -607,7 +607,7 @@ def _smith(a, b, reciprocal: bool) -> "ComplexRows":
         br, bi = _parts(b)
         if type(br) is np.ndarray:
             by_real = np.abs(br) >= np.abs(bi)  # False only beside a NaN: either branch gives NaN
-            by_real = None if by_real.all() else by_real  # None: no row to swap
+            by_real = None if np.count_nonzero(by_real) == by_real.size else by_real  # None: no row to swap
         else:
             by_real = None if abs(br) >= abs(bi) else False
         if by_real is not None:
@@ -681,7 +681,7 @@ class ComplexRows:
 
 def _raise_first(bad: np.ndarray, check) -> None:
     """Raise what `check(i)`, the scalar check of row i, raises for the first bad row."""
-    if bad.any():
+    if np.count_nonzero(bad):
         i = int(bad.argmax())
         check(i)
         raise InvalidPoint(f"row {i} failed a row check but not the scalar one")

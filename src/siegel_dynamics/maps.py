@@ -209,7 +209,8 @@ class Lifted:
 
     def evaluate(self, p: SiegelPoint) -> SiegelPoint:
         w = p.w[0]
-        return type(p)(self.phi.apply(p.z - w * w) + w * w, (w,))
+        ww = w * w
+        return type(p)(self.phi.apply(p.z - ww) + ww, (w,))
 
     def preimages(self, p: SiegelPoint) -> list[Complexes]:
         w = p.w[0]
@@ -219,6 +220,8 @@ class Lifted:
         return out
 
     def fixed_point_set(self) -> FixedPointSet:
+        if self.phi.c == 1.0:  # phi(z) = z + phi(0): the lift is the identity, or it fixes no point
+            return FixedPointSet("none") if self.phi.apply(0j) else FixedPointSet("interior_line", "every point is fixed")
         return FixedPointSet("boundary_curve", "{(y0 i + r^2, r) : r real}",
                              {"theta": 0.0, "y0": self.phi.brfp().imag})
 

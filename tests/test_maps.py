@@ -25,6 +25,7 @@ from siegel_dynamics.maps import (
     Conjugated,
     DiagonalLinear,
     DiskLinear,
+    FixedPointSet,
     HalfPlaneAffine,
     HalfPlaneLinear,
     Lifted,
@@ -310,6 +311,22 @@ def test_lifted_fixed_curve_points():
         assert abs(z - t * t) < 1e-12 and abs(w - t) < 1e-12
         # fixed: phi(z - w^2) + w^2 = 2(z - w^2) + w^2 = z when z = w^2
         assert abs(2.0 * (z - w * w) + w * w - z) < 1e-12
+
+
+def test_lifted_identity_fixes_every_point():
+    # c = 1, b = 0: phi is the identity, and so is its lift, as classify_quadratic reports it
+    want = FixedPointSet("interior_line", "every point is fixed")
+    assert classify_quadratic(1.0, 0j, 1.0).fixed_point_set == want
+    for phi in (HalfPlaneLinear(1.0), HalfPlaneAffine(1.0, 0.0), HalfPlaneAffine(1.0, -0.0)):
+        assert Lifted(phi).fixed_point_set() == want
+        p = SiegelPoint(1.5 - 0.25j, (0.3 + 1j,))
+        assert evaluate(Lifted(phi), p) == p
+
+
+def test_lifted_translation_fixes_no_point():
+    # c = 1, b != 0: the lift is (z, w) |-> (z + i b, w), which moves every point
+    for b in (0.5, -2.0):
+        assert Lifted(HalfPlaneAffine(1.0, b)).fixed_point_set() == FixedPointSet("none")
 
 
 def test_lifted_iterates_closed_form():

@@ -17,6 +17,7 @@ from siegel_dynamics.conjugation import (
     run_conjugation,
 )
 from siegel_dynamics.dynamics import BackwardOrbit, backward_orbit
+from siegel_dynamics.errors import InvalidPoint
 from siegel_dynamics.geometry import BoundaryPoint, CVector, SiegelPoint, SiegelRows, apply_automorphism
 from siegel_dynamics.maps import DiagonalLinear, QuadraticSiegel, quadratic_iterate_closed
 from test_psi_equivalence import TWINS, bits, outcome, ref_psi, ref_residual
@@ -143,11 +144,30 @@ def test_a_bad_dilation_at_a_shallow_depth_does_not_hide_a_deeper_failure():
         assert outcome(sweep_residuals, LEAVES, orbit, WIDE, n_values, (True,)) == want
 
 
+def test_interpolation_points_that_fail_at_a_depth_the_check_skips_do_not_fail_the_run():
+    # LEAVES is not a self-map: psi_6 of a_1 = (0.01, 0) leaves the domain (Z_6 is off the
+    # axis), while psi_6 of the grid and of eta(grid) stays in it, and the check at the last
+    # n = 2 never meets depth 6; the run gives what the two sweeps apart give
+    pts = [SiegelPoint(2.0 ** -k, (0j,)) for k in range(8)]
+    pts[6] = SiegelPoint(1.0001, (0.01j,))
+    orbit, grid, alpha = synthetic_orbit(pts), default_grid(2), 100.0
+    a = conjugation._a_k(orbit, 2, alpha)
+    assert [p.z for p in a] == [1, 0.01]
+    with pytest.raises(InvalidPoint):
+        conjugation._residual_sweep(LEAVES, orbit, (6, 2), grid, alpha, (False,), None, a)
+    residuals, psi = conjugation._residual_sweep(LEAVES, orbit, (6, 2), grid, alpha, (False,), None)
+    run = run_conjugation(LEAVES, orbit, alpha, grid, (6, 2))
+    assert bits(run.residuals) == bits(residuals)
+    assert bits([v for _, v in run.psi_samples]) == bits([psi.point(len(grid) + i) for i in range(len(grid))])
+    assert bits(run.interpolation.errors) == bits(conjugation.psi_interpolation_check(LEAVES, orbit, 2, alpha).errors)
+
+
 @pytest.mark.parametrize("case", ["diagonal", "quadratic", "axis_diagonal", "axis_quadratic"])
 def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
-    # a sweep builds tau_n once per depth, applies the stacked taus to rows once per kind
-    # of chain, applies eta to the grid as rows once, and takes f^n in closed form in
-    # one pass: a return to per-depth passes shows in these counts
+    # a run is one sweep, the interpolation points riding it: it builds tau_n once per
+    # depth, applies the stacked taus to rows once per kind of chain, applies eta to the
+    # grid as rows once, and takes f^n in closed form in one pass: a return to per-depth
+    # passes, or to a second sweep, shows in these counts
     n_values = tuple(range(1, 13))
     if case.startswith("axis"):
         f = QuadraticSiegel(2.0, 1.0, 1.0) if case == "axis_quadratic" else DiagonalLinear(2.0, (1.0,))
@@ -168,7 +188,7 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
         return apply_auto(a, p)
 
     def power(g, p):
-        counts["power"] += g is not f  # f^n: stacked for the residual sweep, f^12 for the interpolation
+        counts["power"] += g is not f  # f^n, stacked for every depth
         return evaluate(g, p)
 
     monkeypatch.setattr(conjugation, "_apply_chain", tau_pass)
@@ -177,8 +197,8 @@ def test_one_pass_per_kind_of_chain_and_one_tau_per_depth(case, monkeypatch):
     monkeypatch.setattr(conjugation, "build_tau", lambda *a: built.append(a[1]) or build_tau(*a))
     monkeypatch.setattr(maps, "quadratic_iterate_closed", None)  # no longer called per depth
     run_conjugation(f, orbit, 2.0, default_grid(2), n_values)
-    assert built == list(range(12, 0, -1)) + [12]  # the residual sweep's depths, then the interpolation's
-    assert counts == {"tau": kinds + 1, "eta": 1, "power": 2 if isinstance(f, QuadraticSiegel) else 0}
+    assert built == list(range(12, 0, -1))
+    assert counts == {"tau": kinds, "eta": 1, "power": 1 if isinstance(f, QuadraticSiegel) else 0}
 
 
 def test_recentering_at_zero_keeps_the_orbit():

@@ -7,6 +7,8 @@ The grids include points that differ only in the sign of a zero, so a result
 that is shared between two inputs whose bits differ shows up here.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from siegel_dynamics import conjugation, maps
@@ -47,10 +49,11 @@ TWINS = [
 ]
 
 
-def conjugation_setup(f):
-    """The map, orbit and multiplier that the `conjugate` command uses, and the
-    mask and Omega that the psi functions take from that map."""
-    orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,) * (f.dim - 1)), 0.34, 40)
+def conjugation_setup(f, start=1.0):
+    """The map, orbit and multiplier that the `conjugate` command uses (from (start, 0),
+    or from the point start), and the mask and Omega that the psi functions take from that map."""
+    start = start if isinstance(start, SiegelPoint) else SiegelPoint(start, (0.0,) * (f.dim - 1))
+    orbit = backward_orbit(f, start, 0.34, 40)
     g, orbit0, _ = recenter_orbit_at_zero(f, orbit)
     return (g, orbit0, orbit.multiplier_estimate, *conjugation._variant(g))
 
@@ -126,6 +129,42 @@ def test_run_conjugation_matches_plain_formulas_at_every_depth(case):
             ref_interpolation(f, orbit, last, alpha, mask, omega))
 
 
+@pytest.mark.parametrize("case, start, family, chart", [
+    ("quadpol", 1.0, "QuadraticSiegel", None),
+    ("lifted2z", 1.0, "Lifted", None),
+    ("diaglinear", 1.0, "DiagonalLinear", None),
+    ("elliptic", 1.0, "BallProduct", None),
+    ("elliptic", 5.0, "Conjugated", "Inversion"),  # an orbit to infinity, recentred
+    ("lifted2z", SiegelPoint(1.2, (0.7,)), "Conjugated", "Translation"),  # a finite limit off 0
+    ("expandable", 1.0, "QuadraticSiegel", None),
+], ids=["quadpol", "lifted2z", "diaglinear", "elliptic", "elliptic_inversion", "lifted2z_translation",
+        "expandable"])
+def test_run_conjugation_interpolation_has_the_standalone_bits(case, start, family, chart):
+    # the a_k ride run_conjugation's one sweep at every depth; their psi_n at the last n,
+    # the deepest or not, keeps the bits of the check's own one-depth sweep
+    f, orbit, alpha, _, _ = conjugation_setup(CASES[case](), start)
+    assert type(f).__name__ == family
+    if chart:
+        assert [type(p).__name__ for p in f.by.chain] == [chart]
+    for n_values in ((5, 12, 3), (12, 0, 7), tuple(range(1, 13)), (30,)):
+        run = run_conjugation(f, orbit, alpha, n_values=n_values)
+        want = psi_interpolation_check(f, orbit, n_values[-1], alpha)
+        assert len(run.interpolation.errors) == n_values[-1] // 2 + 1
+        assert bits(run.interpolation.errors) == bits(want.errors)
+
+
+def test_interpolation_check_clips_k_max_to_a_short_orbit():
+    # a library call asks for more a_k than the orbit has points: k_max stops at the last one
+    f, orbit, alpha, mask, omega = conjugation_setup(CASES["lifted2z"]())
+    short = replace(orbit, points=orbit.points[:6], steps=orbit.steps[:5], defects=orbit.defects[:6])
+    report = psi_interpolation_check(f, short, 5, alpha, k_max=40)
+    assert bits(report.errors) == tuple(
+        bits(dist_siegel(ref_psi(f, short, 5, SiegelPoint(alpha ** -k, (0.0,)), mask, omega), short.points[k]))
+        for k in range(6))
+    run = run_conjugation(f, short, alpha)  # n = 1 .. 4, so a_0 .. a_2
+    assert bits(run.interpolation.errors) == bits(psi_interpolation_check(f, short, 4, alpha).errors)
+
+
 @pytest.mark.parametrize("case", ["quadpol", "expandable"])
 def test_signed_zero_twins_keep_their_own_psi(case):
     # at n = 0 the sign of a zero survives tau_0 (and, where p_L keeps w, p_L), so
@@ -186,10 +225,10 @@ def test_residual_iterates_once_per_distinct_projected_input(n, monkeypatch):
 
 
 def test_run_conjugation_shares_each_step_across_depths(monkeypatch):
-    # the residuals of n = 1..12 take one sweep of 12 steps and f once more;
-    # the interpolation check at n = 12 is a sweep of its own
+    # the residuals of n = 1..12 and the interpolation check at n = 12 take one
+    # sweep of 12 steps, and f once more
     f = DiagonalLinear(2.0, (1.0,))
     orbit = backward_orbit(f, SiegelPoint(1.0, (0.0,)), 0.34, 40)
     calls = count_evaluates(monkeypatch)
     run_conjugation(f, orbit, 2.0, n_values=tuple(range(1, 13)))
-    assert len(calls) <= (12 + 1) + 12
+    assert len(calls) <= 12 + 1

@@ -9,7 +9,9 @@ the change's from this working tree as it is (untracked files included).  For
 each command it compares stdout, stderr, the exit code and the files the run
 wrote, prints the command with the parts that differ, and exits 1 if any
 command differs, else 0.  The commands are ``verify --seed 0`` to ``13``,
-``conjugate`` of each fixture from its default start and from ``5,0``, the
+``conjugate`` of each fixture from its default start, from ``5,0`` and from
+``5,0`` with ``--n-conj 30`` (so k_max = 15), ``conjugate`` of
+``lifted2z`` from ``1.2,0,0.7,0`` (a finite limit, so a Translation chart), the
 expandable ``conjugate``, ``orbit --backward --format both`` of each fixture
 from ``1,0``, ``5,0`` and the two near-curve starts ``1.2,0,0.7,0`` and
 ``0.41,0,0,0.6``, ``orbit --forward --format both`` of each fixture from
@@ -36,7 +38,9 @@ from bench_pairs import ROOT, export  # noqa: E402
 FIXTURES = ("quadpol", "lifted2z", "diaglinear", "elliptic")
 COMMANDS = (
     [["verify", "--seed", str(seed)] for seed in range(14)]
-    + [["conjugate", "--map", name, *start] for name in FIXTURES for start in ([], ["--start", "5,0"])]
+    + [["conjugate", "--map", name, *start] for name in FIXTURES
+       for start in ([], ["--start", "5,0"], ["--start", "5,0", "--n-conj", "30"])]
+    + [["conjugate", "--map", "lifted2z", "--start", "1.2,0,0.7,0"]]
     + [["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951"]]
     + [["orbit", "--backward", "--map", name, "--start", start, "--format", "both"]
        for name in FIXTURES for start in ("1,0", "5,0", "1.2,0,0.7,0", "0.41,0,0,0.6")]
