@@ -195,21 +195,12 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
     rng = np.random.default_rng(seed)
     maps_by_name = {name: ser.load_descriptor(str(fixture_dir / f"{name}.json")) for name in FIXTURES}
 
-    def pairs() -> geo.SiegelRows:
-        """`samples` pairs of sampled points, one batch of the first points then the second; a point's
-        variates drawn in turn by scalar calls (the sampled gaps reported keep this stream): Re w,
-        Im w ~ N(0, 1), log10 t ~ U(-2, 2) as -2 + 4 random() (numpy's uniform), Im z ~ N(0, 1)."""
-        normal, uniform = rng.standard_normal, rng.random
-        draws = [(normal(), normal(), 10.0 ** (-2.0 + 4.0 * uniform()), normal()) for _ in range(2 * samples)]
-        re, im, t, y = np.array(draws[0::2] + draws[1::2]).T
-        return dyn._siegel_samples(t, re[:, None], im[:, None], 0.5, y)
-
     def halves(rows: geo.SiegelRows) -> tuple[geo.SiegelRows, geo.SiegelRows]:
         return rows.take(slice(samples)), rows.take(slice(samples, None))
 
     # metric consistency through the Cayley transform; the worst gap is Python's
     # max over the pairs in order, as the per-point loops took it
-    pq = pairs()
+    pq = dyn._pair_samples(rng, samples)
     d_ball = geo.dist_ball_rows(*np.split(geo.siegel_to_ball_rows(pq), 2))
     gap = max([0.0, *np.abs(geo.dist_siegel(*halves(pq)) - d_ball).tolist()])
     yield "metric_consistency", gap < 1e-12, ser.sig17(gap)
@@ -221,14 +212,14 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
         geo.Rotation((complex(math.cos(1.0), math.sin(1.0)),),),
         geo.Inversion(),
     ))
-    pq = pairs()
+    pq = dyn._pair_samples(rng, samples)
     d_auto = geo.dist_siegel(*halves(geo.apply_automorphism(auto, pq)))
     gap = max([0.0, *np.abs(geo.dist_siegel(*halves(pq)) - d_auto).tolist()])
     yield "automorphism_isometry", gap < 1e-12, ser.sig17(gap)
 
     # norm-ratio bound (1-||W||)/(1-||Z||) <= (1+d)/(1-d||Z||) on pairs of dim 1..3: every pair's
-    # dimension is drawn first, then per dimension the Z batch and the W batch (`pairs`'s variates as
-    # whole columns, Re w and Im w row by row, then U(0.2, 1) scales); one batch of Siegel points gives
+    # dimension is drawn first, then per dimension the Z batch and the W batch (`_pair_samples`'s variates
+    # as whole columns, Re w and Im w row by row, then U(0.2, 1) scales); one batch of Siegel points gives
     # ball points of dim 3, w and ball +0.0 from the row's dimension on (no bit of a norm or distance moves)
     counts = np.bincount(rng.integers(1, 4, size=samples), minlength=4)[1:].tolist()
     batches = [(np.full(m, dim), rng.standard_normal(m * dim), rng.standard_normal(m * dim), rng.random(m),
@@ -249,10 +240,8 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 
     # Julia-type inclusions on the quadratic and diagonal fixtures, on one draw per map dimension
     quadpol, diag = maps_by_name["quadpol"], maps_by_name["diaglinear"]
-    drawn = {dim: dyn._julia_samples(dim, samples, seed) for dim in {quadpol.dim, diag.dim}}
-    total_viol = sum(dyn._julia_report(f, x, alpha, drawn[f.dim], seed).violations
-                     for f, x, alpha in ((quadpol, mp.ORIGIN2, 2.0), (quadpol, geo.INFINITY, 0.5),
-                                         (diag, mp.ORIGIN2, 2.0), (diag, geo.INFINITY, 0.5)))
+    reports = dyn._julia_reports((quadpol, diag), ((mp.ORIGIN2, 2.0), (geo.INFINITY, 0.5)), samples, seed)
+    total_viol = sum(rep.violations for rep in reports)
     yield "julia_inclusions", total_viol == 0, str(total_viol)
 
     # backward orbit of the quadratic fixture: exactness, decay, asymptotics.  d(f(Z_{k+1}), Z_k) is one

@@ -289,7 +289,7 @@ def julia_inclusion_check(f: MapDescriptor, x: BoundaryPoint, alpha: float,
     attracting inclusion f(H(t)) contained in H(t/alpha); alpha > 1 the
     repelling one.  The points are `_julia_samples(f.dim, n_samples, seed)`.
     """
-    return _julia_report(f, x, alpha, _julia_samples(f.dim, n_samples, seed), seed)
+    return next(_julia_reports((f,), ((x, alpha),), n_samples, seed))
 
 
 def _julia_samples(dim: int, n_samples: int, seed: int) -> SiegelRows:
@@ -297,25 +297,44 @@ def _julia_samples(dim: int, n_samples: int, seed: int) -> SiegelRows:
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    k = dim - 1
     # whole columns, in this order: log10 t ~ U(-3, 3) as -3 + 6 random() (numpy's
-    # uniform; t = 10.0 ** x in CPython per element), Re w and Im w ~ N(0, 1)^k, a
-    # scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1)
+    # uniform; t = 10.0 ** x in CPython per element), Re w and Im w ~ N(0, 1)^(dim - 1),
+    # a scale for w ~ U(0, 1), Im z / 2 ~ N(0, 1)
     t = [10.0 ** e for e in (-3.0 + 6.0 * rng.random(n_samples)).tolist()]
-    re, im = rng.standard_normal((n_samples, k)), rng.standard_normal((n_samples, k))
-    scale = rng.random(n_samples)
-    return _siegel_samples(t, re, im, scale[:, None], 2.0 * rng.standard_normal(n_samples))
+    re, im = rng.standard_normal((n_samples, dim - 1)), rng.standard_normal((n_samples, dim - 1))
+    return _siegel_samples(t, re, im, rng.random(n_samples)[:, None], 2.0 * rng.standard_normal(n_samples))
 
 
-def _julia_report(f: MapDescriptor, x: BoundaryPoint, alpha: float, p: SiegelRows, seed: int) -> JuliaReport:
-    """`julia_inclusion_check` of f on the points p, which seed drew."""
-    if not alpha > 0.0:  # alpha = 0 would make every ratio inf
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    q_in = julia_quotient(p, x)
-    ratio = julia_quotient(evaluate(f, p), x) / (alpha * q_in)
-    # Python's max over the rows in order, as the per-point loop took it (NaN skipped)
-    return JuliaReport(len(p.t), int(np.count_nonzero(ratio > 1.0 + 1e-10)),
-                       max([0.0, *ratio.tolist()]), seed)
+def _julia_reports(maps, vertices, n_samples: int, seed: int):
+    """Yield `julia_inclusion_check` of each map at each vertex (x, alpha) in turn, on one draw per map
+    dimension: each map evaluated once, and each draw's quotient at each vertex taken once."""
+    drawn = {dim: _julia_samples(dim, n_samples, seed) for dim in {f.dim for f in maps}}
+    for _, alpha in vertices:
+        if not alpha > 0.0:  # alpha = 0 would make every ratio inf
+            raise ValueError(f"alpha must be positive, got {alpha}")
+    q_in = {dim: [julia_quotient(p, x) for x, _ in vertices] for dim, p in drawn.items()}
+    for f in maps:
+        fp = evaluate(f, drawn[f.dim])
+        for (x, alpha), q in zip(vertices, q_in[f.dim]):
+            ratio = julia_quotient(fp, x) / (alpha * q)
+            # Python's max over the rows in order, as the per-point loop took it (NaN skipped)
+            yield JuliaReport(n_samples, int(np.count_nonzero(ratio > 1.0 + 1e-10)),
+                              max([0.0, *ratio.tolist()]), seed)
+
+
+def _pair_samples(rng: np.random.Generator, samples: int) -> SiegelRows:
+    """`samples` pairs of points of dimension 2, the first points then the second, with the values that
+    scalar calls draw in turn for each point: Re w, Im w ~ N(0, 1), log10 t ~ U(-2, 2) as -2 + 4 random()
+    (numpy's uniform), Im z ~ N(0, 1); w scaled by 0.5.  One call draws the normals between two uniforms."""
+    v, u = np.empty(6 * samples), []  # each point's Re w, Im w, Im z; its uniform
+    normal, uniform, draw = rng.standard_normal, rng.random, u.append
+    normal(out=v[:2])
+    for i in range(2, len(v), 3):  # the last point's slice is cut to its Im z
+        draw(uniform())
+        normal(out=v[i:i + 3])
+    v = v.reshape(samples, 2, 3).swapaxes(0, 1).reshape(-1, 3)
+    t = [10.0 ** (-2.0 + 4.0 * e) for e in u[0::2] + u[1::2]]
+    return _siegel_samples(t, v[:, :1], v[:, 1:2], 0.5, v[:, 2])
 
 
 def _siegel_samples(t, re, im, scale, y) -> SiegelRows:

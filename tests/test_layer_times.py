@@ -51,3 +51,17 @@ def test_summary_runs_without_a_library_on_the_path(tmp_path):
                           capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[2] == "| quadpol | backward_step | 10 | 8 | -20.0% |"
+
+
+def test_summary_reads_only_the_layer_lines_of_a_pooled_bench_file(tmp_path, capsys):
+    # a BENCH_<pr>.json: bench_pairs.py's machine line and pair records, then layer lines
+    pair = {"workload": "checks", "side": "parent", "pair": 0, "seed": 1,
+            "result": {"correct": True, "metrics": {"op_p50_ms": {"value": 10.0, "unit": "ms"}}}}
+    records = [{"machine": {"python": "3.11.7", "nproc": 2}}, pair, dict(pair, side="change")]
+    records += [{"label": label, "layers": {"quadpol": {"verify": t, "julia": t / 10}}}
+                for label, t in [("parent", 10.0), ("change", 8.0), ("parent", 12.0), ("change", 9.0)]]
+    out = tmp_path / "BENCH_0.json"
+    out.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert layer_times.main(["--summary", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["| quadpol | verify | 11 | 8.5 | -22.7% |",
+                                                        "| quadpol | julia | 1.1 | 0.85 | -22.7% |"]

@@ -50,4 +50,4 @@ def test_commands_include_every_golden_command():
                 for name in ("quadpol", "elliptic")]
     commands = {shlex.join(c) for c in same_bits.COMMANDS}
     assert {shlex.join(c) for c in goldens} <= commands
-    assert len(commands) == len(same_bits.COMMANDS) == 65
+    assert len(commands) == len(same_bits.COMMANDS) == 67

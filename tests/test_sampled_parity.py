@@ -315,14 +315,40 @@ def test_dist_ball_rows_large_batch_matches_per_pair_formula():
 
 def test_draw_identities_hold():
     """The batched code draws U(lo, hi) as lo + (hi - lo) * random() and N(0, 1)
-    as standard_normal(); both reproduce numpy's own stream."""
+    as standard_normal(), k of them at once by standard_normal(out=buf) into a
+    buffer of length k; all reproduce numpy's own stream."""
     a, b = np.random.default_rng(9), np.random.default_rng(9)
+    buf = np.empty(3)
     for i in range(5000):
         for lo, hi in ((-2, 2), (-3, 3), (0, 1), (0.2, 1.0)):
             assert a.uniform(lo, hi).hex() == (lo + (hi - lo) * b.random()).hex()
         k = 1 + i % 3
         assert hexes(a.normal(size=k).tolist()) == hexes(b.standard_normal() for _ in range(k))
         assert a.normal().hex() == b.standard_normal().hex()
+        b.standard_normal(out=buf[:k])
+        assert hexes(buf[:k].tolist()) == hexes(a.normal() for _ in range(k))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def ref_pair_samples(rng, samples):
+    """`samples` pairs of dim-2 points, each drawn by scalar calls (Re w, Im w, log10 t, Im z), as
+    `verify`'s metric and isometry sections drew them point by point; the first points, then the second."""
+    points = [ref_siegel(rng.normal(size=1), rng.normal(size=1), rng.uniform(-2, 2), rng.normal(), 0.5)
+              for _ in range(2 * samples)]
+    return points[0::2] + points[1::2]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 200, 2000])
+def test_pair_samples_keep_the_per_scalar_stream(samples):
+    # the values, and the generator's state after them: the ratio-bound draws that follow keep their stream
+    for seed in (0, 7, 13, 2041, 911):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows, want = dyn._pair_samples(a, samples), ref_pair_samples(b, samples)
+        got = [rows.point(i) for i in range(len(rows.t))]
+        assert [(hexes([p.z.real, p.z.imag]), hexes([p.w[0].real, p.w[0].imag])) for p in got] == \
+            [(hexes([p.z.real, p.z.imag]), hexes([p.w[0].real, p.w[0].imag])) for p in want]
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random().hex() == b.random().hex()
 
 
 def test_julia_check_calls_numpy_abs_once_per_batch(monkeypatch):

@@ -33,7 +33,12 @@ after each timing, as the benchmark scales its jobs):
   stdout discarded;
 - ``verify``: ``cli.main`` on ``verify --seed 7 --samples 200``, its stdout
   discarded, most of the benchmark's ``checks`` job.  It reads the bundled
-  fixtures, not the row's: every row times the same call.
+  fixtures, not the row's: every row times the same call;
+- ``julia``: ``julia_inclusion_check`` at the fixture's repelling point, with
+  the n = 40 orbit's multiplier estimate, 200 samples and seed 7;
+- ``growth``: ``elliptic_growth_constant`` of the ``elliptic`` fixture at
+  r0 = 0.6 on the ``checks`` job's grid (n_grid = 8, n_angles = 16), the same
+  call on every row.
 
 Each figure is the median of ``--repeats`` timings, each timing a loop long
 enough to take about 2 ms.  The library is whatever ``siegel_dynamics`` the
@@ -42,8 +47,9 @@ from this script's own checkout.  ``--out`` appends one JSON line (label,
 versions, the tree timed, and the medians).  ``--summary FILE`` prints the
 median over the lines of each label, for two labels side by side (the first
 label in the file is the "before" column); it reads only the file, so it needs
-no ``PYTHONPATH``.  Alternate the runs of the two trees so that a drift of the
-machine's speed hits both.
+no ``PYTHONPATH``, and only its layer lines, so a ``BENCH_<pr>.json`` that
+pools them with ``tools/bench_pairs.py`` records will do.  Alternate the runs
+of the two trees so that a drift of the machine's speed hits both.
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ BOUND, N, N_CONJ = 0.34, 40, 12
 ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor prepared yet
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "preimages",
           "siegel_point", "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500",
-          "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli", "verify")
+          "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli", "verify", "julia",
+          "growth")
 
 
 def timed_us(fn, repeats: int) -> float:
@@ -121,6 +128,7 @@ def fixture_jobs(name: str) -> dict:
     alpha = orbit.multiplier_estimate
     chart_rows = rows(orbit0.points, 120)
     q = INFINITY if name == "elliptic" else BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
+    elliptic = ser.load_descriptor(str(cli.fixture_path("elliptic")))
     c, step = mp.preimage_candidates(f, start)[0], dyn.backward_step(f, start, BOUND)
     return {
         "evaluate_point": lambda: mp.evaluate(f, start),
@@ -138,6 +146,8 @@ def fixture_jobs(name: str) -> dict:
         "run_conjugation": lambda: cj.run_conjugation(g, orbit0, alpha, n_values=n_values),
         "conjugate_cli": conjugate_job,
         "verify": verify_job,
+        "julia": lambda: dyn.julia_inclusion_check(f, q, alpha, n_samples=200, seed=7),
+        "growth": lambda: dyn.elliptic_growth_constant(elliptic, 0.6, n_grid=8, n_angles=16),
     }
 
 
@@ -147,7 +157,9 @@ def measure(repeats: int, fixtures: list[str]) -> dict:
 
 
 def summary(lines: list[dict]) -> str:
-    """Markdown table: per fixture and layer, the median over each label's lines."""
+    """Markdown table: per fixture and layer, the median over each label's lines (lines without layers,
+    such as the pair records of a ``BENCH_<pr>.json``, left out)."""
+    lines = [rec for rec in lines if "layers" in rec]
     labels = list(dict.fromkeys(rec["label"] for rec in lines))
     if len(labels) != 2:
         raise SystemExit(f"--summary needs lines of exactly two labels, found {labels}")

@@ -9,6 +9,8 @@ the change's from this working tree as it is (untracked files included).  For
 each command it compares stdout, stderr, the exit code and the files the run
 wrote, prints the command with the parts that differ, and exits 1 if any
 command differs, else 0.  The commands are ``verify --seed 0`` to ``13``,
+``verify --seed 7`` with ``--samples 1`` and ``2`` (the ends of its sampled
+sections: at 2, some dimension of the ratio bound has at most one pair),
 ``conjugate`` of each fixture from its default start, from ``5,0`` and from
 ``5,0`` with ``--n-conj 30`` (so k_max = 15), ``conjugate`` of
 ``lifted2z`` from ``1.2,0,0.7,0`` (a finite limit, so a Translation chart), the
@@ -38,6 +40,7 @@ from bench_pairs import ROOT, export  # noqa: E402
 FIXTURES = ("quadpol", "lifted2z", "diaglinear", "elliptic")
 COMMANDS = (
     [["verify", "--seed", str(seed)] for seed in range(14)]
+    + [["verify", "--seed", "7", "--samples", samples] for samples in ("1", "2")]
     + [["conjugate", "--map", name, *start] for name in FIXTURES
        for start in ([], ["--start", "5,0"], ["--start", "5,0", "--n-conj", "30"])]
     + [["conjugate", "--map", "lifted2z", "--start", "1.2,0,0.7,0"]]
