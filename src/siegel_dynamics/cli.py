@@ -171,15 +171,16 @@ def cmd_conjugate(args, head: dict) -> int:
     g, orbit0, _chart = cj.recenter_orbit_at_zero(f, orbit)
     n_values = tuple(range(1, min(len(orbit0.points) - 1, args.n_conj + 1)))
     run = cj.run_conjugation(g, orbit0, alpha, n_values=n_values)
+    grid = [ser.siegel_point_to_json(p) for p in run.grid]  # each point's JSON once, for grid and psi
+    psi = zip(*(part.tolist() for c in (run.psi.z, *run.psi.w) for part in (c.real, c.imag)))
     report = head | {
         "alpha": ser.sig17(alpha),
         "variant": "expandable" if run.omega is not None else "basic",
         "L": run.L,
         "residuals": [ser.sig17(r) for r in run.residuals],
         "interp_errors": [ser.sig17(e) for e in run.interpolation.errors],
-        "grid": [ser.siegel_point_to_json(p) for p in run.grid],
-        "psi": [[ser.siegel_point_to_json(a), ser.siegel_point_to_json(b)]
-                for a, b in run.psi_samples],
+        "grid": grid,
+        "psi": [[p, {"re": list(row[0::2]), "im": list(row[1::2])}] for p, row in zip(grid, psi)],
     }
     table = " n   residual\n" + "".join(f"{n:3d}  {r:.3e}\n" for n, r in zip(run.n_values, run.residuals))
     _emit(report, args, table)

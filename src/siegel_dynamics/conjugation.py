@@ -88,13 +88,19 @@ def _variant(f: MapDescriptor) -> tuple[tuple[bool, ...], tuple[complex, ...] | 
     return (False,) * (f.dim - 1), None
 
 
+_GRIDS: dict[int, tuple[SiegelPoint, ...]] = {}  # default_grid's points, by dim
+
+
 def default_grid(dim: int = 2) -> list[SiegelPoint]:
     """Log-spaced axis grid Re z in [0.1, 10], and at each Re z the offsets +-0.05 and
-    +-0.05i in each tangential coordinate in turn (w_1 first)."""
-    zero = (0j,) * (dim - 1)
-    offs = [zero] + [zero[:j] + (val,) + zero[j + 1:] for j in range(dim - 1)
-                     for val in (0.05, -0.05, 0.05j, -0.05j)]
-    return [SiegelPoint(complex(z), w) for z in np.logspace(-1, 1, 5) for w in offs]
+    +-0.05i in each tangential coordinate in turn (w_1 first).  The points are built
+    once per dim; each call returns a new list of them."""
+    if dim not in _GRIDS:
+        zero = (0j,) * (dim - 1)
+        offs = [zero] + [zero[:j] + (val,) + zero[j + 1:] for j in range(dim - 1)
+                         for val in (0.05, -0.05, 0.05j, -0.05j)]
+        _GRIDS[dim] = tuple(SiegelPoint(complex(z), w) for z in np.logspace(-1, 1, 5) for w in offs)
+    return list(_GRIDS[dim])
 
 
 def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, depths: list[int],
@@ -211,7 +217,12 @@ class ConjugationRun:
     n_values: tuple[int, ...]
     residuals: tuple[float, ...]
     interpolation: InterpolationReport
-    psi_samples: tuple[tuple[SiegelPoint, SiegelPoint], ...]
+    psi: SiegelRows  # psi_n at the grid points, at the last n, in grid order
+
+    @property
+    def psi_samples(self) -> tuple[tuple[SiegelPoint, SiegelPoint], ...]:
+        """The pairs (Z, psi_n(Z)) over the grid, built from the rows when read."""
+        return tuple((z, self.psi.point(i)) for i, z in enumerate(self.grid))
 
 
 def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
@@ -231,9 +242,8 @@ def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
     except Exception:
         (residuals, psi), at_a = _residual_sweep(f, orbit, n_values, grid, alpha, mask, omega), None
     interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, _psi=at_a)
-    samples = tuple((z, psi.point(len(grid) + i)) for i, z in enumerate(grid))
-    return ConjugationRun(f, orbit, alpha, sum(mask), omega, tuple(grid),
-                          n_values, tuple(residuals), interp, samples)
+    return ConjugationRun(f, orbit, alpha, sum(mask), omega, tuple(grid), n_values, tuple(residuals),
+                          interp, psi.take(slice(len(grid), 2 * len(grid))))
 
 
 # ---------------------------------------------------------------------------

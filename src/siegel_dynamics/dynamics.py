@@ -206,7 +206,7 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         raise DimensionMismatch(f"backward orbit of a map of dim {f.dim} from a point of dim {z0.dim}")
     points = [z0]
     steps: list[float] = []
-    stop = ""
+    stop, pad = "", 0
     for left in range(n - 1, -1, -1):  # the steps still to take after this one
         try:
             points.append(backward_step(f, points[-1], a, steps))
@@ -216,11 +216,13 @@ def backward_orbit(f: MapDescriptor, z0: SiegelPoint, a: float, n: int) -> Backw
         if steps[-1] == 0.0 and np.array(points[-1].coords).tobytes() == np.array(points[-2].coords).tobytes():
             points += points[-1:] * left
             steps += steps[-1:] * left
+            pad = left
             break
     if len(points) < 3:
         raise OrbitTooShort(f"backward orbit too short to analyze: {len(steps)} of {n} steps{stop}")
-    rows = SiegelRows.of(points)
+    rows = SiegelRows.of(points[:-pad] if pad else points)  # the copies repeat the last row's t and ratio
     defects = tuple(rows.t.tolist())
+    defects += defects[-1:] * pad
     to_infinity = defects[-1] > defects[0]
     if to_infinity:
         limit: BoundaryPoint | None = INFINITY

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class NumericPolicy:
     fd_step: float = 1e-6
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a number: no deep copy needed
 
 
 DEFAULT_POLICY = NumericPolicy()

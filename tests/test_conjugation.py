@@ -20,7 +20,7 @@ from siegel_dynamics.conjugation import (
 )
 from siegel_dynamics.dynamics import backward_orbit, multiplier_at_boundary
 from siegel_dynamics.errors import ConstructionFailed
-from siegel_dynamics.serialize import descriptor_to_json, load_descriptor
+from siegel_dynamics.serialize import descriptor_to_json, dumps_canonical, load_descriptor, siegel_point_to_json
 from siegel_dynamics.geometry import (
     INFINITY,
     BoundaryPoint,
@@ -211,6 +211,35 @@ def test_conjugate_report_samples_psi_on_the_second_tangential_direction(tmp_pat
     moved = [psi for z, psi in report["psi"] if z["re"][2] != 0.0 or z["im"][2] != 0.0]
     assert len(moved) == 20 and all(psi["re"][2] != 0.0 or psi["im"][2] != 0.0 for psi in moved)
     assert all(psi["re"][1] == psi["im"][1] == 0.0 for _, psi in report["psi"])
+
+
+@pytest.mark.parametrize("argv", [["--map", name] for name in cli.FIXTURES]
+                         + [["--A", "2", "--B", "0", "--C", "1.4142135623730951"],
+                            ["--map", "lifted2z", "--start", "1.2,0,0.7,0"]],
+                         ids=[*cli.FIXTURES, "expandable", "lifted2z_translation_chart"])
+def test_conjugate_report_writes_the_runs_grid_and_psi_samples(argv, tmp_path, capsys, monkeypatch):
+    # the report writes psi from the run's rows and shares each grid point's JSON: the text is
+    # what siegel_point_to_json gives of the grid and of the psi_samples points, bit for bit
+    runs, real = [], conjugation.run_conjugation
+    monkeypatch.setattr(conjugation, "run_conjugation", lambda *a, **k: runs.append(real(*a, **k)) or runs[-1])
+    assert cli.main(["conjugate", *argv, "--out", str(tmp_path)]) in (0, 3)
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    (run,) = runs
+    assert len(report["grid"]) == len(report["psi"]) == len(run.grid) == 5 * (4 * run.orbit.points[0].dim - 3)
+    assert dumps_canonical(report["grid"]) == dumps_canonical([siegel_point_to_json(p) for p in run.grid])
+    assert dumps_canonical(report["psi"]) == dumps_canonical(
+        [[siegel_point_to_json(z), siegel_point_to_json(v)] for z, v in run.psi_samples])
+
+
+def test_default_grid_is_built_once_and_returned_as_a_new_list():
+    first = default_grid(2)
+    first.append(SiegelPoint(1.0, (0j,)))
+    second = default_grid(2)
+    assert second is not first and len(second) == 25
+    assert second == first[:25] == default_grid(2)
+    second.pop()
+    assert len(default_grid(2)) == 25
 
 
 def test_expandable_directions_with_phases_in_dimension_four():

@@ -1,6 +1,7 @@
 """Descriptors and automorphisms survive JSON text unchanged, N = 1 included."""
 
 import cmath
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from siegel_dynamics.geometry import (
     Translation,
 )
 from siegel_dynamics.maps import Conjugated, DiagonalLinear, QuadraticSiegel
+from siegel_dynamics.policy import DEFAULT_POLICY
 from siegel_dynamics.serialize import (
     automorphism_from_json,
     automorphism_to_json,
@@ -73,3 +75,12 @@ def test_automorphism_chain_round_trip_n1():
 def test_kind_is_looked_up_where_it_stands(d, message):
     with pytest.raises(InvalidDescriptor, match=message):
         descriptor_from_json(d)
+
+
+def test_policy_as_dict_is_asdict_key_for_key():
+    # every report header prints it; a plain dict of the fields, in field order, and a new one each call
+    got = DEFAULT_POLICY.as_dict()
+    assert list(got.items()) == list(dataclasses.asdict(DEFAULT_POLICY).items())
+    assert [type(v) for v in got.values()] == [type(getattr(DEFAULT_POLICY, k)) for k in got]
+    got["orbit_tol"] = 0.0
+    assert DEFAULT_POLICY.as_dict()["orbit_tol"] == DEFAULT_POLICY.orbit_tol == 1e-10

@@ -99,6 +99,18 @@ def test_calls_stop_at_the_first_repeat(calls):
     assert dyn.backward_orbit(MAPS["elliptic"], SiegelPoint(5.0, (0j,)), 0.34, 2000).points[-1].z == 2.0 ** 53 - 1
 
 
+@pytest.mark.parametrize("z0, n, k", [(SiegelPoint(1.0, (0j,)), 40, 1), (SiegelPoint(5.0, (0j,)), 500, 122)],
+                         ids=["D4_1,0_n40", "D3_5,0_n500"])
+def test_a_padded_tail_has_every_points_defect_and_ratio(z0, n, k):
+    # the copies after the first repeat are analysed once, as the last stepped row: the defects and
+    # the certificate are still those of every point of the orbit
+    orbit = dyn.backward_orbit(MAPS["elliptic"], z0, 0.34, n)
+    assert first_repeat(orbit) == k and len(orbit.points) == n + 1
+    assert [t.hex() for t in orbit.defects] == [p.t.hex() for p in orbit.points]
+    cert = max(koranyi_ratio(SiegelRows.of(orbit.points), orbit.limit).tolist())
+    assert orbit.koranyi_certificate.hex() == cert.hex()
+
+
 @pytest.mark.parametrize("f", [MAPS["elliptic_at_zero"], DiagonalLinear(1.0, (1.0,)), QuadraticSiegel(1.0, 0.0, 1.0)],
                          ids=["elliptic_at_zero", "diag_identity", "quad_identity"])
 @pytest.mark.parametrize("n", [40, 500])

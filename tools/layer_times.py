@@ -38,7 +38,13 @@ after each timing, as the benchmark scales its jobs):
   the n = 40 orbit's multiplier estimate, 200 samples and seed 7;
 - ``growth``: ``elliptic_growth_constant`` of the ``elliptic`` fixture at
   r0 = 0.6 on the ``checks`` job's grid (n_grid = 8, n_angles = 16), the same
-  call on every row.
+  call on every row;
+- ``apply_automorphism``: ``verify``'s four-primitive chain (dilation,
+  translation, rotation, inversion) on the 400 rows of its isometry section at
+  seed 7 and 200 samples; ``siegel_to_ball_rows``: the Cayley map of those
+  rows to the ball; ``cayley_to_siegel``: the point map back, of the ball
+  image of (5, 0).  Each is the same call on every row; the two row calls get
+  new row objects (``take``) each time.
 
 Each figure is the median of ``--repeats`` timings, each timing a loop long
 enough to take about 2 ms.  The library is whatever ``siegel_dynamics`` the
@@ -58,6 +64,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -75,7 +82,7 @@ ALL = slice(None)  # rows.take(ALL): the same rows as new objects, no divisor pr
 LAYERS = ("evaluate_point", "evaluate_rows7", "evaluate_rows120", "chart_rows120", "preimages",
           "siegel_point", "dist_siegel", "backward_step", "backward_orbit_n40", "backward_orbit_n500",
           "backward_orbit_n2000", "multiplier", "run_conjugation", "conjugate_cli", "verify", "julia",
-          "growth")
+          "growth", "apply_automorphism", "siegel_to_ball_rows", "cayley_to_siegel")
 
 
 def timed_us(fn, repeats: int) -> float:
@@ -130,6 +137,11 @@ def fixture_jobs(name: str) -> dict:
     q = INFINITY if name == "elliptic" else BoundaryPoint(v=CVector((0.0, 0.0)), model="siegel")
     elliptic = ser.load_descriptor(str(cli.fixture_path("elliptic")))
     c, step = mp.preimage_candidates(f, start)[0], dyn.backward_step(f, start, BOUND)
+    rng = np.random.default_rng(7)
+    dyn._pair_samples(rng, 200)  # verify's metric section draws first; the isometry rows come next
+    pq, ball = dyn._pair_samples(rng, 200), geo.siegel_to_ball(start)
+    chain = geo.SiegelAutomorphism((geo.Dilation(2.5), geo.Translation(0.7, (0.3 - 0.2j,)),
+                                    geo.Rotation((complex(math.cos(1.0), math.sin(1.0)),)), geo.Inversion()))
     return {
         "evaluate_point": lambda: mp.evaluate(f, start),
         "evaluate_rows7": lambda: mp.evaluate(f, rows7.take(ALL)),
@@ -148,6 +160,9 @@ def fixture_jobs(name: str) -> dict:
         "verify": verify_job,
         "julia": lambda: dyn.julia_inclusion_check(f, q, alpha, n_samples=200, seed=7),
         "growth": lambda: dyn.elliptic_growth_constant(elliptic, 0.6, n_grid=8, n_angles=16),
+        "apply_automorphism": lambda: geo.apply_automorphism(chain, pq.take(ALL)),
+        "siegel_to_ball_rows": lambda: geo.siegel_to_ball_rows(pq.take(ALL)),
+        "cayley_to_siegel": lambda: geo.cayley_to_siegel(ball),
     }
 
 

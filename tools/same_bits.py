@@ -16,8 +16,10 @@ sections: at 2, some dimension of the ratio bound has at most one pair),
 ``lifted2z`` from ``1.2,0,0.7,0`` (a finite limit, so a Translation chart), the
 expandable ``conjugate``, ``orbit --backward --format both`` of each fixture
 from ``1,0``, ``5,0`` and the two near-curve starts ``1.2,0,0.7,0`` and
-``0.41,0,0,0.6``, ``orbit --forward --format both`` of each fixture from
-``1,0``, ``5,0`` and ``1.2,0,0.7,0`` and of the quadratic map whose
+``0.41,0,0,0.6``, and of ``elliptic`` from ``5,0`` with ``--n 500`` (its
+tail freezes near step 120, so the copies that end the orbit are written too),
+``orbit --forward --format both`` of each fixture from ``1,0``, ``5,0`` and
+``1.2,0,0.7,0`` and of the quadratic map whose
 Denjoy-Wolff estimate is ``(0, 0)``, the three ``classify`` cases of the
 goldens and of a map that is not a self-map, ``classify`` of the three
 fixtures it refuses, and two commands that fail with one ``error:`` line on
@@ -47,6 +49,7 @@ COMMANDS = (
     + [["conjugate", "--A", "2", "--B", "0", "--C", "1.4142135623730951"]]
     + [["orbit", "--backward", "--map", name, "--start", start, "--format", "both"]
        for name in FIXTURES for start in ("1,0", "5,0", "1.2,0,0.7,0", "0.41,0,0,0.6")]
+    + [["orbit", "--backward", "--map", "elliptic", "--start", "5,0", "--n", "500", "--format", "both"]]
     + [["orbit", "--forward", "--map", name, "--start", start, "--format", "both"]
        for name in FIXTURES for start in ("1,0", "5,0", "1.2,0,0.7,0")]
     + [["orbit", "--forward", "--A", "0.5", "--B", "0.25", "--C", "0.5", "--start", "1,0", "--format", "both"]]
