@@ -75,12 +75,17 @@ def _load_config(args) -> dict:
     return config
 
 
+@functools.cache
+def _fixture(name: str) -> mp.MapDescriptor:
+    """A bundled fixture's map, parsed once per process; maps are frozen, so every run can share it."""
+    return ser.load_descriptor(str(fixture_path(name)))
+
+
 def _load_map(args) -> mp.MapDescriptor:
     if args.map:
-        path = args.map
-        if not os.path.exists(path) and path in FIXTURES:
-            path = str(fixture_path(path))
-        return ser.load_descriptor(path)
+        if not os.path.exists(args.map) and args.map in FIXTURES:
+            return _fixture(args.map)
+        return ser.load_descriptor(args.map)
     if args.A is not None:
         return mp.QuadraticSiegel(args.A, _parse_complex(args.B or "0"),
                                   _parse_complex(args.C or "0"))
@@ -191,10 +196,11 @@ def cmd_conjugate(args, head: dict) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks(fixture_dir: Path, seed: int, samples: int):
-    """Yield (name, passed, detail) tuples; raises on unreadable fixtures."""
+def _verify_checks(fixture_dir: Path | None, seed: int, samples: int):
+    """Yield (name, passed, detail) tuples on fixture_dir's fixtures (bundled if None); raises on unreadable ones."""
     rng = np.random.default_rng(seed)
-    maps_by_name = {name: ser.load_descriptor(str(fixture_dir / f"{name}.json")) for name in FIXTURES}
+    maps_by_name = {name: _fixture(name) if fixture_dir is None else
+                    ser.load_descriptor(str(fixture_dir / f"{name}.json")) for name in FIXTURES}
 
     def halves(rows: geo.SiegelRows) -> tuple[geo.SiegelRows, geo.SiegelRows]:
         return rows.take(slice(samples)), rows.take(slice(samples, None))
@@ -270,7 +276,7 @@ def _verify_checks(fixture_dir: Path, seed: int, samples: int):
 def cmd_verify(args, head: dict) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    fixture_dir = Path(args.fixtures) if args.fixtures else fixture_path("quadpol").parent
+    fixture_dir = Path(args.fixtures) if args.fixtures else None
     results = []
     try:
         for name, ok, detail in _verify_checks(fixture_dir, head["seed"], args.samples):

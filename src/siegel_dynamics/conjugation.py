@@ -11,12 +11,13 @@ is the linear model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, InvalidDescriptor, NoBackwardStep, OrbitTooShort
+from .errors import ConstructionFailed, InvalidDescriptor, NoBackwardStep, OrbitTooShort, SiegelDynamicsError
 from .geometry import (
     BoundaryPoint,
     ComplexRows,
@@ -88,19 +89,20 @@ def _variant(f: MapDescriptor) -> tuple[tuple[bool, ...], tuple[complex, ...] | 
     return (False,) * (f.dim - 1), None
 
 
-_GRIDS: dict[int, tuple[SiegelPoint, ...]] = {}  # default_grid's points, by dim
-
-
 def default_grid(dim: int = 2) -> list[SiegelPoint]:
     """Log-spaced axis grid Re z in [0.1, 10], and at each Re z the offsets +-0.05 and
     +-0.05i in each tangential coordinate in turn (w_1 first).  The points are built
     once per dim; each call returns a new list of them."""
-    if dim not in _GRIDS:
-        zero = (0j,) * (dim - 1)
-        offs = [zero] + [zero[:j] + (val,) + zero[j + 1:] for j in range(dim - 1)
-                         for val in (0.05, -0.05, 0.05j, -0.05j)]
-        _GRIDS[dim] = tuple(SiegelPoint(complex(z), w) for z in np.logspace(-1, 1, 5) for w in offs)
-    return list(_GRIDS[dim])
+    return list(_default_grid(dim)[0])
+
+
+@functools.cache
+def _default_grid(dim: int) -> tuple[tuple[SiegelPoint, ...], SiegelRows]:
+    """`default_grid`'s points and their rows, built once per dim."""
+    zero = (0j,) * (dim - 1)
+    offs = [zero] + [zero[:j] + (val,) + zero[j + 1:] for j in range(dim - 1) for val in (0.05, -0.05, 0.05j, -0.05j)]
+    pts = tuple(SiegelPoint(complex(z), w) for z in np.logspace(-1, 1, 5) for w in offs)
+    return pts, SiegelRows.of(pts)
 
 
 def _start_rows(f: MapDescriptor, orbit: BackwardOrbit, distinct: SiegelRows, depths: list[int],
@@ -160,13 +162,14 @@ def _psi_rows(f: MapDescriptor, orbit: BackwardOrbit, points: SiegelRows, n_valu
 
 
 def _residual_sweep(f: MapDescriptor, orbit: BackwardOrbit, n_values: tuple[int, ...],
-                    grid: list[SiegelPoint], alpha: float, mask: tuple[bool, ...], omega: tuple[complex, ...] | None,
-                    extra: list[SiegelPoint] = ()) -> tuple[list[float], SiegelRows]:
-    """The residual at each n of n_values from one sweep, and the rows of psi
-    at the last n: at eta(Z), then at Z, in grid order, then at the extra points."""
-    g, m, rows = len(grid), len(n_values), SiegelRows.of(grid, orbit.points[0].dim)
-    eta, s = apply_automorphism(eta_model(alpha, rows.dim, omega), rows), 2 * g + len(extra)  # s rows a depth
-    psi = _psi_rows(f, orbit, SiegelRows.concat([eta, rows, SiegelRows.of(extra, rows.dim)]), n_values, mask, omega)
+                    grid: SiegelRows, alpha: float, mask: tuple[bool, ...], omega: tuple[complex, ...] | None,
+                    a_k: bool = False) -> tuple[list[float], SiegelRows]:
+    """The residual at each n of n_values from one sweep, and the rows of psi at the
+    last n: at eta(Z), then at Z, in grid order, then (if a_k) at the a_k of the last n."""
+    parts = [apply_automorphism(eta_model(alpha, grid.dim, omega), grid), grid]  # refuses a bad alpha first
+    parts += [_a_k(orbit, n_values[-1], alpha)] if a_k else []
+    g, m, s = len(grid.t), len(n_values), sum(len(p.t) for p in parts)  # s rows a depth
+    psi = _psi_rows(f, orbit, SiegelRows.concat(parts), n_values, mask, omega)
     at_eta = (s * np.arange(m)[:, None] + np.arange(g)).ravel()
     d = dist_siegel(psi.take(at_eta), evaluate(f, psi.take(at_eta + g))).tolist()
     # each depth's max over its pairs in grid order, as the scalar loop took it
@@ -183,7 +186,7 @@ def psi_approx(f: MapDescriptor, orbit: BackwardOrbit, n: int, grid: list[Siegel
 def conjugation_residual(f: MapDescriptor, orbit: BackwardOrbit, n: int,
                          grid: list[SiegelPoint], alpha: float) -> float:
     """max over the grid of d(psi_n(eta(Z)), f(psi_n(Z)))."""
-    return _residual_sweep(f, orbit, (n,), grid, alpha, *_variant(f))[0][0]
+    return _residual_sweep(f, orbit, (n,), SiegelRows.of(grid, orbit.points[0].dim), alpha, *_variant(f))[0][0]
 
 
 @dataclass(frozen=True)
@@ -191,10 +194,12 @@ class InterpolationReport:
     errors: tuple[float, ...]  # d(psi_n(a_k), Z_k) for k = 0 .. k_max
 
 
-def _a_k(orbit: BackwardOrbit, n: int, alpha: float, k_max: int | None = None) -> list[SiegelPoint]:
-    """a_k = (alpha^-k, 0) for k = 0 .. k_max (n // 2 if not given), clipped to the orbit."""
+def _a_k(orbit: BackwardOrbit, n: int, alpha: float, k_max: int | None = None) -> SiegelRows:
+    """a_k = (alpha^-k, 0) for k = 0 .. k_max (n // 2 if not given), clipped to the orbit, as rows."""
     k_max = min(n // 2 if k_max is None else k_max, len(orbit.points) - 1)
-    return [SiegelPoint(alpha ** (-k), (0.0,) * (orbit.points[0].dim - 1)) for k in range(k_max + 1)]
+    zero = np.zeros(k_max + 1)  # Im z and w are +0.0, as in SiegelPoint(alpha^-k, (0.0, ...))
+    return SiegelRows(ComplexRows(np.array([alpha ** (-k) for k in range(k_max + 1)]), zero),
+                      (ComplexRows(zero, zero),) * (orbit.points[0].dim - 1))
 
 
 def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int, alpha: float,
@@ -202,7 +207,7 @@ def psi_interpolation_check(f: MapDescriptor, orbit: BackwardOrbit, n: int, alph
     """psi_n interpolates the orbit: psi_n(a_k) ~ Z_k at a_k = (alpha^-k, 0).  A sweep
     that had the a_k among its points hands their psi_n rows in as _psi."""
     if _psi is None:
-        _psi = _psi_rows(f, orbit, SiegelRows.of(_a_k(orbit, n, alpha, k_max)), (n,), *_variant(f))
+        _psi = _psi_rows(f, orbit, _a_k(orbit, n, alpha, k_max), (n,), *_variant(f))
     return InterpolationReport(tuple(dist_siegel(_psi, SiegelRows.of(orbit.points[:len(_psi.t)])).tolist()))
 
 
@@ -230,19 +235,19 @@ def run_conjugation(f: MapDescriptor, orbit: BackwardOrbit, alpha: float,
                     n_values: tuple[int, ...] | None = None) -> ConjugationRun:
     """Compute residuals over a range of n and the interpolation check at the last n, from one
     sweep, in the variant that f's first-order data at 0 gives."""
-    grid = default_grid(orbit.points[0].dim) if grid is None else grid
+    dim = orbit.points[0].dim  # the default grid comes with its rows, built once per dim
+    grid, rows = _default_grid(dim) if grid is None else (tuple(grid), SiegelRows.of(grid, dim))
     n_values = tuple(range(1, len(orbit.points) - 1) if n_values is None else n_values)
     if not n_values:
         raise ValueError("run_conjugation needs at least one n in n_values")
     mask, omega = _variant(f)
     try:  # the a_k ride every depth; where that fails, the two sweeps apart raise, or give, what they did
-        a = _a_k(orbit, n_values[-1], alpha)
-        residuals, psi = _residual_sweep(f, orbit, n_values, grid, alpha, mask, omega, a)
+        residuals, psi = _residual_sweep(f, orbit, n_values, rows, alpha, mask, omega, a_k=True)
         at_a = psi.take(slice(2 * len(grid), None))
-    except Exception:
-        (residuals, psi), at_a = _residual_sweep(f, orbit, n_values, grid, alpha, mask, omega), None
+    except SiegelDynamicsError:  # a package error; any other is a fault, which no second sweep hides
+        (residuals, psi), at_a = _residual_sweep(f, orbit, n_values, rows, alpha, mask, omega), None
     interp = psi_interpolation_check(f, orbit, n_values[-1], alpha, _psi=at_a)
-    return ConjugationRun(f, orbit, alpha, sum(mask), omega, tuple(grid), n_values, tuple(residuals),
+    return ConjugationRun(f, orbit, alpha, sum(mask), omega, grid, n_values, tuple(residuals),
                           interp, psi.take(slice(len(grid), 2 * len(grid))))
 
 

@@ -114,7 +114,7 @@ def multiplier_at_boundary(f: MapDescriptor, q: BoundaryPoint) -> float:
     def ratios(m: int) -> list[float]:  # the first m samples' ratios, (1 - s) q rounded as float * complex
         c = _siegel_coords(tuple(ComplexRows(1.0 - np.array(s[:m]), np.zeros(m)) * x for x in qb))
         fp = evaluate(f, SiegelRows(c[0], c[1:]))
-        _raise_first(np.isinf(abs(fp.z + 1.0)), lambda i: boundary_gap(fp.point(i)))  # abs overflows in CPython
+        _raise_first(~np.isinf(abs(fp.z + 1.0)), lambda i: boundary_gap(fp.point(i)))  # abs overflows in CPython
         return [g / (sk * nq + (1.0 - nq)) for g, sk in zip(boundary_gap(fp).tolist(), s)]
 
     r, error = _until_failure(ratios, len(s))

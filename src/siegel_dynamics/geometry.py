@@ -344,7 +344,7 @@ def _ball_check(v: Complexes):
     unless it fails; on `ComplexRows` columns, for the first row that fails."""
     s = sq_norm(v)
     if type(s) is np.ndarray:
-        _raise_first(~(s < 1.0), lambda i: BallPoint(CVector(tuple(c[i] for c in v))))
+        _raise_first(s < 1.0, lambda i: BallPoint(CVector(tuple(c[i] for c in v))))
     elif not s < 1.0:  # also true for NaN
         BallPoint(CVector(v))
     return s
@@ -679,25 +679,25 @@ class ComplexRows:
         return ComplexRows(self.real, -self.imag)
 
 
-def _raise_first(bad: np.ndarray, check) -> None:
-    """Raise what `check(i)`, the scalar check of row i, raises for the first bad row."""
-    if np.count_nonzero(bad):
-        i = int(bad.argmax())
+def _raise_first(ok: np.ndarray, check) -> None:
+    """Raise what `check(i)`, the scalar check of row i, raises for the first row that ok does not mark."""
+    if np.count_nonzero(ok) < len(ok):
+        i = int(ok.argmin())
         check(i)
         raise InvalidPoint(f"row {i} failed a row check but not the scalar one")
 
 
 class SiegelRows:
-    """Siegel points (z, w) as columns, z and each w_j a `ComplexRows`.  Every
-    row is checked as `SiegelPoint` checks a point, the first bad row raising
-    its error, and t holds the defects."""
+    """Siegel points (z, w) as columns, z and each w_j a `ComplexRows`; t holds the defects.
+    Every row is checked as `SiegelPoint` checks a point, t > 0 with z finite, here as
+    0 < t < inf (t <= Re z) with 0 * Im z not NaN; the first bad row raises its error."""
 
     __slots__ = ("z", "w", "t", "dim")
 
     def __init__(self, z: ComplexRows, w: tuple[ComplexRows, ...] = ()):
         self.z, self.w = z, tuple(w)
         self.dim, self.t = 1 + len(self.w), z.real - sq_norm(self.w)
-        _raise_first(~(self.t > 0.0) | ~(np.isfinite(z.real) & np.isfinite(z.imag)), self.point)
+        _raise_first((self.t > z.imag * 0.0) & (self.t < np.inf), self.point)
 
     def point(self, i: int) -> SiegelPoint:
         return SiegelPoint(self.z[i], tuple(c[i] for c in self.w))

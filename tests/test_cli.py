@@ -377,6 +377,42 @@ def test_verify_missing_fixture_exit_4(tmp_path, capsys):
     assert "fixture error" in err
 
 
+def test_verify_reads_its_fixtures_dir_on_every_run(tmp_path, capsys):
+    # the bundled maps are parsed once per process; a --fixtures directory is read each run
+    assert run(["verify", *FAST_VERIFY], capsys)[0] == 0
+    for name in cli.FIXTURES:
+        (tmp_path / f"{name}.json").write_text(fixture_path(name).read_text())
+    code, out, _ = run(["verify", "--fixtures", str(tmp_path), *FAST_VERIFY], capsys)
+    assert code == 0 and json.loads(out)["results"] == json.loads(run(["verify", *FAST_VERIFY], capsys)[1])["results"]
+    (tmp_path / "quadpol.json").write_text("{not json")
+    code, _, err = run(["verify", "--fixtures", str(tmp_path), *FAST_VERIFY], capsys)
+    assert code == 4 and "quadpol.json: malformed map descriptor" in err
+
+
+CONJUGATE = ["conjugate", "--start", "5,0", "--n-conj", "12"]
+
+
+def test_two_conjugate_runs_of_a_bundled_fixture_print_the_same_bytes(capsys):
+    first, second = (run([*CONJUGATE, "--map", "quadpol"], capsys) for _ in range(2))
+    assert first == second and first[0] == 0
+    args = cli._parser().parse_args(["conjugate", "--map", "quadpol"])
+    assert cli._load_map(args) is cli._load_map(args)  # parsed once, shared by the runs
+
+
+def test_a_file_named_like_a_fixture_wins_over_the_parsed_fixture(tmp_path, monkeypatch, capsys):
+    assert run([*CONJUGATE, "--map", "quadpol"], capsys)[0] == 0  # the bundled quadpol, parsed and kept
+    monkeypatch.chdir(tmp_path)
+    Path("quadpol").write_text(fixture_path("lifted2z").read_text())
+    code, out, _ = run([*CONJUGATE, "--map", "quadpol"], capsys)
+    want_code, want, _ = run([*CONJUGATE, "--map", str(fixture_path("lifted2z"))], capsys)
+    report, want_report = (json.loads(text[text.index("{"):]) for text in (out, want))
+    assert code == want_code and out[:out.index("{")] == want[:want.index("{")]
+    assert {**report, "config": None} == {**want_report, "config": None}
+    Path("quadpol").write_text("{not json")
+    code, _, err = run([*CONJUGATE, "--map", "quadpol"], capsys)
+    assert code == 1 and err.startswith("error: quadpol: malformed map descriptor")
+
+
 @pytest.mark.parametrize("text, cause", [
     ('{"family": "quadratic", "A": 2}', "TypeError: QuadraticSiegel.__init__() missing 2 required "
                                         "positional arguments: 'B' and 'C'"),

@@ -268,7 +268,7 @@ def assert_base_familys_variant(f, orb):
     run = run_conjugation(g, orb0, orb.multiplier_estimate, grid, n_values)
     assert (run.L, run.omega) == (exp.L, exp.omega)
     assert list(run.residuals) == conjugation._residual_sweep(
-        g, orb0, n_values, grid, orb.multiplier_estimate, exp.mask, exp.omega)[0]
+        g, orb0, n_values, SiegelRows.of(grid), orb.multiplier_estimate, exp.mask, exp.omega)[0]
     assert max(run.residuals) < 1e-11
 
 

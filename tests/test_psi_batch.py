@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from siegel_dynamics import conjugation, geometry, maps
+from siegel_dynamics import cli, conjugation, geometry, maps
 from siegel_dynamics.conjugation import (
     build_tau,
     default_grid,
@@ -114,7 +114,7 @@ WIDE = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
 def sweep_residuals(f, orbit, grid, n_values, mask):
     """The residual sweep with p_L's mask given: LEAVES's own variant is the basic one,
     and only a p_L that keeps w takes its psi_n out of the domain."""
-    return conjugation._residual_sweep(f, orbit, n_values, grid, 2.0, mask, None)[0]
+    return conjugation._residual_sweep(f, orbit, n_values, SiegelRows.of(grid), 2.0, mask, None)[0]
 
 
 @pytest.mark.parametrize("f, grid, mask, message", [
@@ -152,10 +152,10 @@ def test_interpolation_points_that_fail_at_a_depth_the_check_skips_do_not_fail_t
     pts[6] = SiegelPoint(1.0001, (0.01j,))
     orbit, grid, alpha = synthetic_orbit(pts), default_grid(2), 100.0
     a = conjugation._a_k(orbit, 2, alpha)
-    assert [p.z for p in a] == [1, 0.01]
+    assert a.z.real.tolist() == [1, 0.01]
     with pytest.raises(InvalidPoint):
-        conjugation._residual_sweep(LEAVES, orbit, (6, 2), grid, alpha, (False,), None, a)
-    residuals, psi = conjugation._residual_sweep(LEAVES, orbit, (6, 2), grid, alpha, (False,), None)
+        conjugation._residual_sweep(LEAVES, orbit, (6, 2), SiegelRows.of(grid), alpha, (False,), None, a_k=True)
+    residuals, psi = conjugation._residual_sweep(LEAVES, orbit, (6, 2), SiegelRows.of(grid), alpha, (False,), None)
     run = run_conjugation(LEAVES, orbit, alpha, grid, (6, 2))
     assert bits(run.residuals) == bits(residuals)
     assert bits([v for _, v in run.psi_samples]) == bits([psi.point(len(grid) + i) for i in range(len(grid))])
@@ -230,3 +230,53 @@ def test_stacked_parameters_keep_each_blocks_bits():
     rows = powers.evaluate(SiegelRows.of(pts * len(depths)))
     assert bits([rows.point(i) for i in range(len(rows.t))]) == bits(
         [quadratic_iterate_closed(f, n, p) for n in depths for p in pts])
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 2.0), (3, 4.0 / 3.0), (2, 1.0), (1, 1e-3)])
+def test_interpolation_points_as_rows_keep_the_points_bits(dim, alpha):
+    # a_k = (alpha^-k, 0), built as rows, has the bits and defects of SiegelPoint(alpha^-k, (0.0, ...))
+    orbit = synthetic_orbit([SiegelPoint(2.0 ** -k, (0j,) * (dim - 1)) for k in range(30)])
+    a = conjugation._a_k(orbit, 24, alpha)
+    want = [SiegelPoint(alpha ** (-k), (0.0,) * (dim - 1)) for k in range(13)]
+    assert bits([a.point(i) for i in range(len(a.t))]) == bits(want)
+    assert [t.hex() for t in a.t.tolist()] == [p.t.hex() for p in want]
+    with pytest.raises(InvalidPoint, match=r"defect -0.5 <= 0"):  # a_1 of alpha = -2, as its point raises
+        conjugation._a_k(orbit, 24, -2.0)
+
+
+def test_a_fault_in_the_one_sweep_is_raised_not_swept_again(monkeypatch):
+    # only the package's errors send a run to the two sweeps apart: a programming
+    # error in the one sweep propagates, and no second sweep runs
+    orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(5.0, (0j,)), 0.34, 40)
+    sweep, calls = conjugation._residual_sweep, []
+
+    def faulty(*args, a_k=False):
+        calls.append(a_k)
+        if a_k:
+            raise TypeError("injected")
+        return sweep(*args)
+
+    monkeypatch.setattr(conjugation, "_residual_sweep", faulty)
+    with pytest.raises(TypeError, match="injected"):
+        run_conjugation(QuadraticSiegel(2.0, 0j, 1.0), orbit, 2.0, n_values=tuple(range(1, 13)))
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -2.0, math.inf, math.nan])
+def test_an_alpha_that_eta_refuses_raises_eta_s_error_before_the_a_k_are_built(alpha):
+    # eta checks alpha before the a_k are built: alpha = 0 raises no ZeroDivisionError from alpha^-k
+    orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(5.0, (0j,)), 0.34, 40)
+    with pytest.raises(InvalidPoint, match="alpha must be positive, finite"):
+        run_conjugation(QuadraticSiegel(2.0, 0j, 1.0), orbit, alpha, n_values=(1, 5, 12))
+
+
+@pytest.mark.parametrize("start", [None, "5,0"])
+@pytest.mark.parametrize("name", cli.FIXTURES)
+def test_each_fixtures_conjugate_run_takes_one_psi_sweep(name, start, monkeypatch, capsys):
+    # the interpolation points ride the residual sweep on every bundled fixture, from its
+    # default start and from the benchmark's (5, 0): psi is computed once per run
+    calls, psi_rows = [], conjugation._psi_rows
+    monkeypatch.setattr(conjugation, "_psi_rows", lambda *a: calls.append(a[3]) or psi_rows(*a))
+    cli.main(["conjugate", "--map", name, "--n-conj", "12", *(["--start", start] if start else [])])
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -26,7 +26,7 @@ from siegel_dynamics.conjugation import (
 )
 from siegel_dynamics.dynamics import backward_orbit
 from siegel_dynamics.errors import InvalidPoint
-from siegel_dynamics.geometry import SiegelPoint, apply_automorphism, dist_siegel
+from siegel_dynamics.geometry import SiegelPoint, SiegelRows, apply_automorphism, dist_siegel
 from siegel_dynamics.maps import (
     DiagonalLinear,
     QuadraticSiegel,
@@ -186,12 +186,13 @@ def test_sweeps_that_leave_the_domain_raise_invalid_point():
     orbit = backward_orbit(QuadraticSiegel(2.0, 0j, 1.0), SiegelPoint(1.0, (0.0,)), 0.34, 40)
     f = QuadraticSiegel(0.5, 2.0, 1.0)
     grid = default_grid(2) + [SiegelPoint(0.82, (0.9j,)), SiegelPoint(1.5, (1.2j,))]
+    rows = SiegelRows.of(grid)
     for n in (1, 5, 12):
         want = outcome(ref_residual, f, orbit, n, grid, 2.0, (True,), None)
         assert want[:2] == ("raised", "InvalidPoint")
-        assert outcome(lambda: conjugation._residual_sweep(f, orbit, (n,), grid, 2.0, (True,), None)[0]) == want
+        assert outcome(lambda: conjugation._residual_sweep(f, orbit, (n,), rows, 2.0, (True,), None)[0]) == want
     with pytest.raises(InvalidPoint):
-        conjugation._residual_sweep(f, orbit, (1, 5, 12), grid, 2.0, (True,), None)
+        conjugation._residual_sweep(f, orbit, (1, 5, 12), rows, 2.0, (True,), None)
 
 
 def test_residual_on_empty_grid_raises_value_error():

@@ -285,6 +285,48 @@ def test_siegel_rows_raise_the_first_bad_points_error(bad):
         assert outcome(SiegelRows, z, w) == want
 
 
+BAD_ALONE = BAD_ROWS + [
+    (complex(-math.inf, 0.0), (0.1,)),                    # Re z = -inf, t = -inf
+    (complex(1.0, math.nan), (0.1,)),                     # Im z NaN, t finite
+    (complex(1.0, -math.inf), (0.1,)),                    # Im z = -inf, t finite
+    (complex(2.0, 0.0), (complex(-math.inf, 0.0),)),      # infinite w, t = -inf
+    (complex(math.inf, 0.0), (complex(0.0, math.inf),)),  # t = inf - inf, NaN
+    (complex(math.nan, 0.0), (complex(math.inf, 0.0),)),  # t NaN from Re z and w
+]
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("bad", BAD_ALONE)
+def test_siegel_rows_check_the_scalar_check_at_the_first_a_middle_and_the_last_row(bad, at):
+    # the rows' check reads 0 < t < inf and Im z finite: t <= Re z makes that the scalar
+    # t > 0 and z finite, so the one bad row raises what SiegelPoint raises for it
+    coords = [(complex(2.0 + i, 0.5), (0.3 + 0.1j,)) for i in range(6)]
+    coords.insert(at, bad)
+    want = outcome(lambda: SiegelPoint(*bad))
+    assert want[0] == "raised" and first_error(lambda c: SiegelPoint(*c), coords) == want
+    assert outcome(SiegelRows, column([c[0] for c in coords]), (column([c[1][0] for c in coords]),)) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_siegel_rows_check_the_scalar_check_on_special_values(dim):
+    # batches of 1 to 6 rows, each coordinate part replaced by a special value with
+    # probability 1/8: the rows raise what the first failing point raises, or pass with all
+    rng, raised = np.random.default_rng(50 + dim), 0
+    specials = SPECIAL + [1e200, 0.25]
+    for _ in range(400):
+        parts = rng.uniform(0.1, 1.0, size=(int(rng.integers(1, 7)), 2 * dim))
+        parts[:, 0] += 2.0 * dim  # Re z above ||w||^2
+        hit = rng.random(parts.shape) < 0.125
+        parts[hit] = rng.choice(specials, size=int(hit.sum()))
+        coords = [(complex(r[0], r[1]), tuple(complex(r[j], r[j + 1]) for j in range(2, 2 * dim, 2))) for r in parts]
+        want = first_error(lambda c: SiegelPoint(*c), coords)
+        cols = [column([c[0] for c in coords])] + [column([c[1][j] for c in coords]) for j in range(dim - 1)]
+        got = outcome(SiegelRows, cols[0], tuple(cols[1:]))
+        assert got == want if want is not None else got[0] == "ok"
+        raised += want is not None
+    assert 100 < raised < 300
+
+
 def test_ball_norm_rows_match_ball_points():
     rng = np.random.default_rng(4)
     v = rng.normal(size=(600, 3)) + 1j * rng.normal(size=(600, 3))
